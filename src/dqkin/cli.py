@@ -9,6 +9,7 @@ element).
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -205,8 +206,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_signed_values(argv):
+    """Rewrite '--a -3/2' as '--a=-3/2' for the darboux parameters.
+
+    argparse takes a token that starts with '-' for an option unless it
+    is a plain negative number, so signed fractions and Gaussian
+    literals would not reach --a, --b and --c as their values.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--a", "--b", "--c") and _SIGNED_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_signed_values(argv))
     try:
         payload = args.func(args)
     except ParseError as err:

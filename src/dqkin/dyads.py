@@ -348,12 +348,12 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
 
     tangent = Matrix(nullspace(Matrix([polar])))
     conic = tangent * gram * tangent.transpose()
-    radical = nullspace(conic)
-    if len(radical) != 1:
+    # a line pair needs a one-point radical; the line through the unit
+    # points at the two pivot columns complements it
+    _, pivots = rref(conic)
+    if len(pivots) != 2:
         raise GeometryError("quadric has no two rulings through the base")
-    _, pivots = rref(Matrix(radical))
-    free = [j for j in range(conic.ncols) if j not in pivots]
-    j1, j2 = free
+    j1, j2 = pivots
     try:
         roots = _split_binary(conic[j1, j1], conic[j1, j2], conic[j2, j2])
     except _ExactFail:

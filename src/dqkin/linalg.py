@@ -228,11 +228,15 @@ def det(m: Matrix) -> Scalar:
 
 def nullspace(m: Matrix) -> List[Vector]:
     """Basis of the right kernel, one vector per free column."""
-    red, pivots = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
+    return _kernel(*rref(m))
+
+
+def _kernel(red: Matrix, pivots: Sequence[int]) -> List[Vector]:
+    """The nullspace basis read off a reduced row echelon form."""
+    free = [j for j in range(red.ncols) if j not in pivots]
     basis = []
     for j in free:
-        v = [ZERO] * m.ncols
+        v = [ZERO] * red.ncols
         v[j] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red.rows[r][j]

@@ -32,7 +32,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_K, Q_ONE, Quaternion
-from .scalars import ComplexFloat, Scalar, ZERO, scalar
+from .scalars import ComplexFloat, Scalar, ZERO, _unit_scale, scalar
 
 
 class MotionLabel(Enum):
@@ -269,12 +269,6 @@ def _line_on(q: QuadricForm, x: ProjPoint, y: ProjPoint) -> bool:
             and q.polar(x, y).is_zero())
 
 
-def _unit_scaled(q: DualQuaternion) -> DualQuaternion:
-    top = max(abs(c.to_complex()) for c in q.coords())
-    assert top > 0
-    return q * ComplexFloat(1.0 / top, 0.0, 0.0)
-
-
 def c_space_from_line(l: Line) -> CSpaceReport:
     """Span a line with its fiber projection and certify the C space.
 
@@ -288,7 +282,7 @@ def c_space_from_line(l: Line) -> CSpaceReport:
     if not l.basis.is_exact():
         # the witness formulas are homogeneous; unit-scale representatives
         # keep the residuals commensurate with the absolute tolerance
-        p0, p1 = _unit_scaled(p0), _unit_scaled(p1)
+        p0, p1 = (p * _unit_scale(p.coords()) for p in (p0, p1))
     if p0.primal.is_zero() and p1.primal.is_zero():
         raise GeometryError("line inside exceptional generator")
     prim = Matrix([list(p0.primal.coords()), list(p1.primal.coords())])

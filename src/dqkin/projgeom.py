@@ -1,8 +1,13 @@
 """Projective points, subspaces and lines of P^7 (and its charts).
 
 Subspaces are canonicalized to reduced row echelon form, so equality of
-subspaces is equality of representations.  The ambient dimension is 8
-for dual quaternion space; restricted charts use smaller vectors.
+subspaces is equality of representations.  Membership, chart
+coordinates and meets are read off that form: each basis row has a one
+at its pivot column where the other rows vanish, so a vector's entries
+at the pivot columns are its coordinates in the basis, and the vector
+lies in the subspace exactly when it equals their combination of the
+rows.  The ambient dimension is 8 for dual quaternion space; restricted
+charts use smaller vectors.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix, as_vector, nullspace, rref, solve, vec_is_zero
+from .linalg import Matrix, as_vector, nullspace, rref, vec_is_zero
 from .quaternions import DualQuaternion, Quaternion
 from .scalars import Scalar, ONE, ZERO
 
@@ -65,13 +70,15 @@ class Subspace:
     The empty subspace (projective dimension -1) has basis None.
     """
 
-    __slots__ = ("basis", "ambient")
+    __slots__ = ("basis", "ambient", "_pivots")
 
     def __init__(self, basis: Optional[Matrix], ambient: int):
         if basis is not None:
             assert basis.ncols == ambient
         self.basis = basis
         self.ambient = ambient
+        self._pivots = () if basis is None else tuple(
+            next(j for j, e in enumerate(row) if not e.is_zero()) for row in basis.rows)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ambient: int) -> "Subspace":
@@ -101,12 +108,23 @@ class Subspace:
             return []
         return [ProjPoint(row) for row in self.basis.rows]
 
+    def _residue(self, v: Sequence[Scalar]) -> List[Scalar]:
+        """v minus the basis rows, each scaled by v's entry at its pivot.
+
+        The result vanishes at every pivot column, and everywhere exactly
+        when v lies in the subspace.
+        """
+        out = list(v)
+        for row, j in zip(self.basis.rows, self._pivots):
+            c = v[j]
+            out = [o - c * r for o, r in zip(out, row)]
+        return out
+
     def contains(self, p: ProjPoint) -> bool:
         if self.basis is None:
             return False
         assert p.ambient == self.ambient
-        stacked = Subspace.from_rows(list(self.basis.rows) + [p.coords], self.ambient)
-        return stacked.dim == self.dim
+        return vec_is_zero(self._residue(p.coords))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.basis is None:
@@ -126,20 +144,16 @@ class Subspace:
         """Coordinates of p in this subspace's basis, or None if outside."""
         if self.basis is None:
             return None
-        sol = solve(self.basis.transpose(), p.coords)
-        if sol is None:
+        assert p.ambient == self.ambient
+        if not vec_is_zero(self._residue(p.coords)):
             return None
-        residual = self.basis.transpose().apply(sol)
-        if any(not (a - b).is_zero() for a, b in zip(residual, p.coords)):
-            return None
-        return ProjPoint(sol)
+        return ProjPoint([p.coords[j] for j in self._pivots])
 
     def conjugation_closed(self) -> bool:
+        # the conjugate rows are the canonical basis of the conjugate space
         if self.basis is None:
             return True
-        conj = Subspace.from_rows(
-            [[c.conjugate() for c in row] for row in self.basis.rows], self.ambient)
-        return conj == self
+        return all(c.conjugate() == c for row in self.basis.rows for c in row)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -179,22 +193,19 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of row spaces; the empty subspace when disjoint."""
+    """Intersection of row spaces; the empty subspace when disjoint.
+
+    A combination of a's rows lies in b exactly when the same combination
+    of their residues modulo b vanishes, so the meet is spanned by the
+    kernel of the residues, one column per row of a.
+    """
     assert a.ambient == b.ambient
     if a.basis is None or b.basis is None:
         return Subspace.empty(a.ambient)
-    ra, rb = a.basis.nrows, b.basis.nrows
-    # columns: basis vectors of a, then of b negated; kernel rows combine them
-    cols = [a.basis.row(i) for i in range(ra)]
-    cols += [tuple(-c for c in b.basis.row(i)) for i in range(rb)]
-    system = Matrix.from_columns(cols)
-    rows = []
-    for combo in nullspace(system):
-        vec = [ZERO] * a.ambient
-        for c, brow in zip(combo[:ra], a.basis.rows):
-            vec = [v + c * e for v, e in zip(vec, brow)]
-        rows.append(vec)
-    return Subspace.from_rows(rows, a.ambient)
+    kernel = nullspace(Matrix.from_columns([b._residue(row) for row in a.basis.rows]))
+    if not kernel:
+        return Subspace.empty(a.ambient)
+    return Subspace.from_rows((Matrix(kernel) * a.basis).rows, a.ambient)
 
 
 class Line(Subspace):

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import GeometryError
 from .linalg import (
     Matrix,
+    _kernel,
     nullspace,
     rank,
     rref,
@@ -226,82 +227,57 @@ def _split_binary(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scalar]
     return [(-b + s, a), (-b - s, a)]
 
 
-def _complement_columns(kernel_rows: List) -> List[int]:
-    red, pivots = rref(Matrix(kernel_rows))
-    width = red.ncols
-    return [j for j in range(width) if j not in pivots]
+def _split_points(gram: Matrix, pivots: Sequence[int]) -> List[ProjPoint]:
+    """Where the two hyperplanes of a rank-2 form cut the pivot-column line.
 
-
-def _unit_point(n: int, j: int) -> ProjPoint:
-    coords = [ZERO] * n
-    coords[j] = ONE
-    return ProjPoint(coords)
-
-
-def _direction_point(n: int, j1: int, j2: int, alpha: Scalar, beta: Scalar) -> ProjPoint:
-    coords = [ZERO] * n
-    coords[j1] = alpha
-    coords[j2] = beta
-    return ProjPoint(coords)
+    The unit points at the two pivot columns span a line that complements
+    the kernel, so each hyperplane is the kernel joined with one point.
+    """
+    j1, j2 = pivots
+    points = []
+    for alpha, beta in _split_binary(gram[j1, j1], gram[j1, j2], gram[j2, j2]):
+        coords = [ZERO] * gram.ncols
+        coords[j1], coords[j2] = alpha, beta
+        points.append(ProjPoint(coords))
+    return points
 
 
 def _conic_line_pairs(conic: Matrix) -> List[Tuple[ProjPoint, ProjPoint]]:
     """Lines of a degenerate conic in a plane chart, as point pairs."""
     assert conic.nrows == 3
-    r = rank(conic)
-    if r == 3:
+    red, pivots = rref(conic)
+    kern = _kernel(red, pivots)
+    if len(pivots) == 3:
         return []
-    kern = nullspace(conic)
-    if r == 2:
+    if len(pivots) == 2:
         vertex = ProjPoint(kern[0])
-        j1, j2 = _complement_columns(kern)
-        e1, e2 = _unit_point(3, j1), _unit_point(3, j2)
-        form = QuadricForm(conic)
-        a, b, c = form.value(e1), form.polar(e1, e2), form.value(e2)
-        return [(vertex, _direction_point(3, j1, j2, al, be))
-                for al, be in _split_binary(a, b, c)]
-    if r == 1:
+        return [(vertex, d) for d in _split_points(conic, pivots)]
+    if len(pivots) == 1:
         return [(ProjPoint(kern[0]), ProjPoint(kern[1]))]
     raise GeometryError("degenerate conic extraction")
 
 
-def _planes_of_member(member: Matrix) -> List[Subspace]:
-    """Planes inside a pencil member of rank <= 2, as chart subspaces."""
-    r = rank(member)
-    assert r <= 2
-    kern = nullspace(member)
-    if r == 1:
-        return [Subspace.from_rows(kern, 4)]
-    j1, j2 = _complement_columns(kern)
-    e1, e2 = _unit_point(4, j1), _unit_point(4, j2)
-    form = QuadricForm(member)
-    a, b, c = form.value(e1), form.polar(e1, e2), form.value(e2)
-    planes = []
-    for al, be in _split_binary(a, b, c):
-        rows = list(kern) + [_direction_point(4, j1, j2, al, be).coords]
-        planes.append(Subspace.from_rows(rows, 4))
-    return planes
-
-
 def _member_line_pairs(member: Matrix, anchor: QuadricForm):
     """Candidate common lines contributed by one degenerate member."""
-    r = rank(member)
-    pairs = []
-    if r == 4:
-        return pairs
-    if r == 3:
-        vertex = ProjPoint(nullspace(member)[0])
+    red, pivots = rref(member)
+    kern = _kernel(red, pivots)
+    if len(pivots) == 4:
+        return []
+    if len(pivots) == 3:
+        vertex = ProjPoint(kern[0])
         if not anchor.value(vertex).is_zero():
-            return pairs
+            return []
         # lines on the anchor through the vertex live in its polar plane
         polar_row = anchor.gram.apply(vertex.coords)
-        plane_rows = nullspace(Matrix([polar_row]))
-        plane = Subspace.from_rows(plane_rows, 4)
-        conic = restrict(anchor, plane)
-        for pa, pb in _conic_line_pairs(conic.gram):
-            pairs.append((plane.lift(pa), plane.lift(pb)))
-        return pairs
-    for plane in _planes_of_member(member):
+        planes = [Subspace.from_rows(nullspace(Matrix([polar_row])), 4)]
+    elif len(pivots) == 2:
+        # a pair of planes through the kernel line
+        planes = [Subspace.from_rows(list(kern) + [d.coords], 4)
+                  for d in _split_points(member, pivots)]
+    else:
+        planes = [Subspace.from_rows(kern, 4)]
+    pairs = []
+    for plane in planes:
         conic = restrict(anchor, plane)
         for pa, pb in _conic_line_pairs(conic.gram):
             pairs.append((plane.lift(pa), plane.lift(pb)))

@@ -421,6 +421,19 @@ def as_exact_real(s: Scalar) -> Optional[ExactRational]:
     return None
 
 
+def _unit_scale(entries) -> ComplexFloat:
+    """The float that scales a homogeneous float object to max-norm one.
+
+    Tolerant tests compare against an absolute tolerance, so tests of a
+    homogeneous object only mean the same on every representative once it
+    is scaled; the factor carries the entries' tolerance so the products
+    keep it.  A zero object keeps its scale.
+    """
+    top = max(abs(e.to_complex()) for e in entries)
+    tolerance = max(e.tolerance for e in entries if isinstance(e, ComplexFloat))
+    return ComplexFloat(1.0 / top if top else 1.0, 0.0, tolerance)
+
+
 ZERO = ExactRational(0)
 ONE = ExactRational(1)
 I_UNIT = GaussianRational(0, 1)

@@ -26,7 +26,7 @@ from .quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from .scalars import ExactRational, GaussianRational, Scalar, ZERO, rational
+from .scalars import ExactRational, GaussianRational, Scalar, ZERO, _unit_scale, rational
 
 
 def _block(m: Matrix, i0: int, j0: int) -> Matrix:
@@ -134,8 +134,12 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     block, skew compatibility of the lower-left block).
     rulings_preserved: positive determinant of the diagonal block; the
     conjugation map is the shape-passing matrix that fails exactly here.
+    Float input is checked at max-norm one, so a nonzero rescaling of t
+    does not change the report.
     """
     assert t.nrows == 8 and t.ncols == 8
+    if not t.is_exact():
+        t = t.scale(_unit_scale(_flatten(t)))
     if det(t).is_zero():
         raise GeometryError("singular transform")
     pencil = all(

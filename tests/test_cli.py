@@ -230,6 +230,17 @@ class TestDarboux:
         assert code == 0
         assert json.loads(out)["vertical"] is False
 
+    @pytest.mark.parametrize("a", ["-3/2", "-1/2+1/3*i", "-.5"])
+    def test_signed_literal_as_separate_value(self, capsys, a):
+        scalar = "float" if "." in a else "gaussian"
+        code, joined, _ = run_cli(capsys, "darboux", "--scalar", scalar,
+                                  "--a=" + a, "--b=-1", "--c=-2/3")
+        assert code == 0
+        code, spaced, _ = run_cli(capsys, "darboux", "--scalar", scalar,
+                                  "--a", a, "--b", "-1", "--c", "-2/3")
+        assert code == 0
+        assert spaced == joined
+
     def test_all_zero_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "darboux", "--a", "0", "--b", "0",
                                "--c", "0")

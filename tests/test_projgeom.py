@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dqkin.errors import GeometryError
+from dqkin.linalg import Matrix, rank, solve
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -29,6 +30,37 @@ def rand_point(rng):
     while True:
         coords = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
         if any(coords):
+            return ProjPoint(coords)
+
+
+KINDS = ("rational", "gaussian", "float")
+
+
+def rand_scalar(rng, kind):
+    """A small rational, Gaussian or float scalar; zero about a third of the time."""
+    q = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+    if kind == "rational":
+        return rational(q)
+    if kind == "gaussian":
+        return gaussian(q, rng.randint(-2, 2) if q else 0)
+    return ComplexFloat(float(q))
+
+
+def rand_space(rng, kind, dim):
+    while True:
+        rows = [[rand_scalar(rng, kind) for _ in range(8)] for _ in range(dim + 1)]
+        u = Subspace.from_rows(rows, 8)
+        if u.dim == dim:
+            return u
+
+
+def rand_member(rng, kind, u):
+    """A point of u with random coefficients on its basis rows."""
+    while True:
+        coeffs = [rand_scalar(rng, kind) for _ in u.basis.rows]
+        coords = [sum((c * row[j] for c, row in zip(coeffs, u.basis.rows)), rational(0))
+                  for j in range(8)]
+        if any(not c.is_zero() for c in coords):
             return ProjPoint(coords)
 
 
@@ -68,10 +100,11 @@ class TestSubspaceLattice:
 
     def test_dimension_formula(self):
         rng = random.Random(4)
-        for _ in range(40):
-            a = span([rand_point(rng) for _ in range(rng.randint(1, 5))])
-            b = span([rand_point(rng) for _ in range(rng.randint(1, 5))])
-            assert join(a, b).dim == a.dim + b.dim - meet(a, b).dim
+        for kind in KINDS:
+            for _ in range(40):
+                a = rand_space(rng, kind, rng.randint(0, 4))
+                b = rand_space(rng, kind, rng.randint(0, 4))
+                assert join(a, b).dim == a.dim + b.dim - meet(a, b).dim
 
     def test_contains(self):
         u = span([point(Q_ONE), point(Q_I)])
@@ -102,6 +135,73 @@ class TestSubspaceLattice:
         assert chart is not None
         assert u.lift(chart) == p
         assert u.chart_coords(point(Q_J)) is None
+
+
+def stacked_rank(*row_lists):
+    return rank(Matrix([row for rows in row_lists for row in rows]))
+
+
+def pairs(rng, kind):
+    """General, nested and equal pairs of subspaces of dimension 0 to 5."""
+    for da in range(6):
+        for db in range(6):
+            # generically disjoint when da + db < 7, else meeting in dimension da + db - 7
+            yield rand_space(rng, kind, da), rand_space(rng, kind, db)
+        a = rand_space(rng, kind, da)
+        bigger = join(a, rand_space(rng, kind, rng.randint(0, 5 - da)))
+        yield a, bigger
+        yield bigger, a
+        yield a, span([rand_member(rng, kind, a) for _ in range(da + 3)])
+
+
+class TestReadOffCanonicalBasis:
+    """contains, chart_coords, meet and conjugation_closed against their definitions."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_contains_and_chart_coords(self, kind):
+        rng = random.Random(21)
+        for a, b in pairs(rng, kind):
+            inside = rand_member(rng, kind, b)
+            for p in a.points() + [rand_member(rng, kind, a), inside]:
+                member = stacked_rank(b.basis.rows, [p.coords]) == b.dim + 1
+                assert b.contains(p) == member
+                if b.dim == 0:
+                    continue  # a ProjPoint needs two coordinates
+                chart = b.chart_coords(p)
+                sol = solve(b.basis.transpose(), p.coords)
+                assert (chart is None) == (sol is None) == (not member)
+                if member:
+                    assert all(x == y for x, y in zip(chart.coords, sol))
+                    assert b.lift(chart) == p
+            assert b.contains(inside)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_meet(self, kind):
+        rng = random.Random(22)
+        for a, b in pairs(rng, kind):
+            both = stacked_rank(a.basis.rows, b.basis.rows)
+            for m in (meet(a, b), meet(b, a)):
+                assert m.dim == a.dim + b.dim + 1 - both
+                for p in m.points():
+                    assert stacked_rank(a.basis.rows, [p.coords]) == a.dim + 1
+                    assert stacked_rank(b.basis.rows, [p.coords]) == b.dim + 1
+            assert meet(a, b) == meet(b, a)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conjugation_closed(self, kind):
+        rng = random.Random(23)
+        for dim in range(6):
+            u = rand_space(rng, kind, dim)
+            spaces = [u]
+            if dim < 3:
+                conj = [[c.conjugate() for c in row] for row in u.basis.rows]
+                spaces.append(Subspace.from_rows(list(u.basis.rows) + conj, 8))
+            for v in spaces:
+                conj = [[c.conjugate() for c in row] for row in v.basis.rows]
+                closed = stacked_rank(v.basis.rows, conj) == v.dim + 1
+                assert v.conjugation_closed() == closed
+                if kind != "gaussian":
+                    assert closed
 
 
 class TestLine:

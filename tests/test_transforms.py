@@ -17,6 +17,7 @@ from dqkin.quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
+from dqkin.scalars import ComplexFloat
 from dqkin.transforms import (
     AdmissibleTransform,
     VerificationReport,
@@ -94,6 +95,22 @@ class TestVerifyAdmissible:
     def test_singular_input(self):
         with pytest.raises(GeometryError, match="singular"):
             verify_admissible(Matrix.zeros(8, 8))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e3, 1e5])
+    def test_float_verdict_ignores_scale(self, scale):
+        def float_copy(m):
+            return Matrix([[ComplexFloat(scale * e.to_complex().real) for e in row]
+                           for row in m.rows])
+
+        def verdict(m):
+            report = verify_admissible(float_copy(m))
+            return report.pencil_fixed, report.shape_ok, report.rulings_preserved
+
+        rng = random.Random(12)
+        for _ in range(12):
+            t = build_transform(random_study_dq(rng), random_study_dq(rng))
+            assert verdict(t.matrix) == (True, True, True)
+        assert verdict(conjugation_matrix()) == (True, True, False)
 
     def test_group_closure(self):
         rng = random.Random(10)
