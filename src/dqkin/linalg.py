@@ -1,17 +1,39 @@
 """Small dense matrices over the scalar tower.
 
-Everything is immutable and dimension-checked with asserts.  Elimination
-is plain Gaussian elimination: entries are exact rationals in all the
-paths that matter, so there is no growth problem at these sizes, and the
-float paths pivot on magnitude.
+Everything is immutable and dimension-checked with asserts.  The path an
+operation takes follows the kinds of the entries; results are the same
+on every path, entry by entry and kind by kind.
+
+- Products (``Matrix.__mul__``, ``apply``) of exact matrices clear each
+  row and column to one integer vector (Gaussian entries to a pair of
+  integer vectors) over one denominator, so each entry is one integer
+  dot product and one ``Fraction``.
+- ``rref`` and ``det`` of a matrix whose entries are all ExactRational
+  run fraction-free Gauss-Jordan elimination (Bareiss 1968) on the
+  cleared integer rows and divide by the pivot only to emit the
+  canonical reduced form.
+- Anything with a float entry, and Gaussian input to ``rref``/``det``,
+  takes the scalar loop: Gaussian elimination that pivots on magnitude
+  when floats are present.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .scalars import Scalar, as_exact_real, scalar, ONE, ZERO
+from .scalars import (
+    ExactRational,
+    GaussianRational,
+    Scalar,
+    as_exact_real,
+    scalar,
+    ONE,
+    ZERO,
+)
 
 Vector = Tuple[Scalar, ...]
 
@@ -42,6 +64,42 @@ def vec_dot(u: Vector, v: Vector) -> Scalar:
 
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
+
+
+# A cleared vector (re, im, den) stands for the entries (re[k] + i*im[k]) / den,
+# with integer lists re and im; im is None when every entry is an ExactRational.
+_Cleared = Tuple[List[int], Optional[List[int]], int]
+
+
+def _cleared(u: Vector) -> Optional[_Cleared]:
+    """u over one common denominator, or None when an entry is a float."""
+    if all(type(a) is ExactRational for a in u):
+        re = [a.value for a in u]
+        den = lcm(*[f.denominator for f in re])
+        return [f.numerator * (den // f.denominator) for f in re], None, den
+    if not all(a.is_exact for a in u):
+        return None
+    re = [a.value if type(a) is ExactRational else a.re for a in u]
+    im = [0 if type(a) is ExactRational else a.im for a in u]
+    den = lcm(*[f.denominator for f in re], *[f.denominator for f in im])
+    return ([f.numerator * (den // f.denominator) for f in re],
+            [f.numerator * (den // f.denominator) for f in im], den)
+
+
+def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
+    """vec_dot of two cleared vectors, of the kind vec_dot would return."""
+    (ur, ui, ud), (vr, vi, vd) = u, v
+    re = sum(map(mul, ur, vr))
+    if ui is None and vi is None:
+        return ExactRational(Fraction(re, ud * vd))
+    im = 0
+    if vi is not None:
+        im += sum(map(mul, ur, vi))
+    if ui is not None:
+        im += sum(map(mul, ui, vr))
+        if vi is not None:
+            re -= sum(map(mul, ui, vi))
+    return GaussianRational(Fraction(re, ud * vd), Fraction(im, ud * vd))
 
 
 class Matrix:
@@ -118,12 +176,20 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         assert self.ncols == other.nrows
         cols = [other.column(j) for j in range(other.ncols)]
+        rows = [_cleared(r) for r in self.rows]
+        cleared_cols = [_cleared(c) for c in cols]
+        if None not in rows and None not in cleared_cols:
+            return Matrix([[_cleared_dot(r, c) for c in cleared_cols] for r in rows])
         return Matrix([[vec_dot(r, c) for c in cols] for r in self.rows])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         u = as_vector(v)
         assert len(u) == self.ncols
+        cu = _cleared(u)
+        rows = [_cleared(r) for r in self.rows]
+        if cu is not None and None not in rows:
+            return tuple(_cleared_dot(r, cu) for r in rows)
         return tuple(vec_dot(r, u) for r in self.rows)
 
     def __eq__(self, other):
@@ -175,8 +241,55 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
     return best
 
 
+def _all_rational(m: Matrix) -> bool:
+    return all(type(e) is ExactRational for r in m.rows for e in r)
+
+
+def _fraction_free(a: List[List[int]]) -> Tuple[List[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    At every pivot each other row, above and below, is reduced against
+    the pivot row, so after each step each entry is a minor of the input
+    (Bareiss 1968) and the division by the previous pivot is exact.
+    Returns the pivot columns, the last pivot, which every pivot row then
+    holds at its pivot column and which is the minor on the pivot rows
+    and columns, and the sign of the row swaps.  Rows past the pivot rows
+    end up zero.
+    """
+    n = len(a)
+    pivots = []
+    prev, sign = 1, 1
+    for col in range(len(a[0])):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pivot = top[col]
+        for i in range(n):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+        pivots.append(col)
+    return pivots, prev, sign
+
+
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
+    if _all_rational(m):
+        # scaling a row changes no reduced form, so each row is cleared alone
+        a = [_cleared(r)[0] for r in m.rows]
+        pivots, d, _ = _fraction_free(a)
+        rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
+                for i in range(len(pivots))]
+        rows += [[ZERO] * m.ncols] * (m.nrows - len(pivots))
+        return Matrix(rows), tuple(pivots)
     rows = [list(r) for r in m.rows]
     pivots = []
     r = 0
@@ -204,6 +317,12 @@ def rank(m: Matrix) -> int:
 
 def det(m: Matrix) -> Scalar:
     assert m.nrows == m.ncols
+    if _all_rational(m):
+        cleared = [_cleared(r) for r in m.rows]
+        pivots, d, sign = _fraction_free([c[0] for c in cleared])
+        if len(pivots) < m.nrows:
+            return ZERO
+        return ExactRational(Fraction(sign * d, prod(c[2] for c in cleared)))
     rows = [list(r) for r in m.rows]
     n = m.nrows
     sign = 1

@@ -131,9 +131,15 @@ class Subspace:
             return True
         return all(self.contains(p) for p in other.points())
 
+    def _require_chart(self) -> None:
+        if self.basis.nrows == 1:
+            raise GeometryError("a point (projective dimension 0) has no chart: "
+                                "its coordinates would be a single number")
+
     def lift(self, chart_point: ProjPoint) -> ProjPoint:
         """Chart coordinates (relative to the basis rows) to ambient point."""
         assert self.basis is not None
+        self._require_chart()
         assert chart_point.ambient == self.basis.nrows
         out = [ZERO] * self.ambient
         for c, row in zip(chart_point.coords, self.basis.rows):
@@ -144,6 +150,7 @@ class Subspace:
         """Coordinates of p in this subspace's basis, or None if outside."""
         if self.basis is None:
             return None
+        self._require_chart()
         assert p.ambient == self.ambient
         if not vec_is_zero(self._residue(p.coords)):
             return None

@@ -4,6 +4,15 @@ The three kinds form a closed union.  Mixed arithmetic promotes upward,
 ExactRational -> GaussianRational -> ComplexFloat, and only the last step
 is lossy.  Exact kinds never consult a tolerance; ComplexFloat carries
 one and propagates the larger tolerance through arithmetic.
+
+Dispatch: when both operands of an arithmetic operator or ``==`` have the
+same type, the operator calls that kind's worker (``_add``, ``_sub``,
+``_mul``, ``_div``, ``_eq``) directly; only mixed operands (other kinds,
+ints, Fractions) go through ``_coerce``, which promotes them first.  The
+float workers therefore take the larger of the two tolerances
+themselves.  Exact constructors keep a ``Fraction`` argument as it is,
+since a Fraction is already in lowest terms; ints and strings are
+normalised.
 """
 
 from __future__ import annotations
@@ -60,16 +69,21 @@ class Scalar:
     def _promote(self, level: int, tolerance: float) -> "Scalar":
         raise NotImplementedError
 
-    # Arithmetic: coerce to the higher kind, then dispatch to the
-    # same-kind worker (_add etc.) defined by each concrete class.
+    # Arithmetic: same-kind operands go straight to the worker (_add etc.)
+    # defined by each concrete class; others are coerced to the higher
+    # kind first.  The reflected forms only ever see mixed operands.
 
     def __add__(self, other):
+        if type(other) is type(self):
+            return self._add(other)
         pair = _coerce(self, other)
         return NotImplemented if pair is None else pair[0]._add(pair[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is type(self):
+            return self._sub(other)
         pair = _coerce(self, other)
         return NotImplemented if pair is None else pair[0]._sub(pair[1])
 
@@ -78,12 +92,16 @@ class Scalar:
         return NotImplemented if pair is None else pair[1]._sub(pair[0])
 
     def __mul__(self, other):
+        if type(other) is type(self):
+            return self._mul(other)
         pair = _coerce(self, other)
         return NotImplemented if pair is None else pair[0]._mul(pair[1])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is type(self):
+            return self._div(other)
         pair = _coerce(self, other)
         return NotImplemented if pair is None else pair[0]._div(pair[1])
 
@@ -105,6 +123,8 @@ class Scalar:
         return out
 
     def __eq__(self, other):
+        if type(other) is type(self):
+            return self._eq(other)
         pair = _coerce(self, other)
         return NotImplemented if pair is None else pair[0]._eq(pair[1])
 
@@ -119,6 +139,9 @@ class ExactRational(Scalar):
     level = 0
 
     def __init__(self, numerator: Union[int, Fraction, str] = 0, denominator: int = 1):
+        if type(numerator) is Fraction and type(denominator) is int and denominator == 1:
+            self.value = numerator  # a Fraction is kept in lowest terms
+            return
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("no implicit floats; use ComplexFloat")
         self.value = Fraction(numerator, denominator)
@@ -223,8 +246,8 @@ class GaussianRational(Scalar):
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("no implicit floats; use ComplexFloat")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @property
     def real(self) -> ExactRational:
@@ -343,17 +366,20 @@ class ComplexFloat(Scalar):
             return self
         return ComplexFloat(self.value, tolerance=tolerance)
 
+    # The same-kind fast path skips _coerce, so each worker carries the
+    # larger tolerance itself.
+
     def _add(self, o):
-        return ComplexFloat(self.value + o.value, tolerance=self.tolerance)
+        return ComplexFloat(self.value + o.value, tolerance=max(self.tolerance, o.tolerance))
 
     def _sub(self, o):
-        return ComplexFloat(self.value - o.value, tolerance=self.tolerance)
+        return ComplexFloat(self.value - o.value, tolerance=max(self.tolerance, o.tolerance))
 
     def _mul(self, o):
-        return ComplexFloat(self.value * o.value, tolerance=self.tolerance)
+        return ComplexFloat(self.value * o.value, tolerance=max(self.tolerance, o.tolerance))
 
     def _div(self, o):
-        return ComplexFloat(self.value / o.value, tolerance=self.tolerance)
+        return ComplexFloat(self.value / o.value, tolerance=max(self.tolerance, o.tolerance))
 
     def _eq(self, o):
         return abs(self.value - o.value) <= max(self.tolerance, o.tolerance)

@@ -11,6 +11,7 @@ factors constructively.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Tuple
 
 from .errors import GeometryError
@@ -161,6 +162,15 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     return VerificationReport(pencil, shape, rulings)
 
 
+@cache
+def _unit_matrices(conjugated: bool) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, ...]]:
+    """left_mul_matrix(e) and right_mul_matrix(e) for the basis units e, or
+    for their conjugates; constants, built on first use."""
+    units = [e.conjugate() for e in Q_BASIS] if conjugated else Q_BASIS
+    return (tuple(left_mul_matrix(e) for e in units),
+            tuple(right_mul_matrix(e) for e in units))
+
+
 def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     """Split a positive scalar-orthogonal 4x4 matrix into l*x*r form.
 
@@ -179,16 +189,9 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     # bilinear coefficient extraction: entry (i, j) of the associate matrix
     # recovers l_i * r_j, so the whole matrix is the rank-one outer product
     quarter = rational(Fraction(1, 4))
-    assoc = Matrix(
-        [
-            [
-                (left_mul_matrix(ei.conjugate()) * a * right_mul_matrix(ej.conjugate())).trace()
-                * quarter
-                for ej in Q_BASIS
-            ]
-            for ei in Q_BASIS
-        ]
-    )
+    lefts, rights = _unit_matrices(True)
+    products = [li * a for li in lefts]
+    assoc = Matrix([[(la * rj).trace() * quarter for rj in rights] for la in products])
     i0, j0 = max(
         ((i, j) for i in range(4) for j in range(4)),
         key=lambda ij: abs(assoc[ij].to_complex()),
@@ -221,13 +224,13 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
     l1, r1 = factor_so4(_block(t, 0, 0))
     c = _block(t, 4, 0)
 
+    lefts, rights = _unit_matrices(False)
+    l1_left, r1_right = left_mul_matrix(l1), right_mul_matrix(r1)
     cols = []
-    for e in Q_BASIS:
-        m = left_mul_matrix(e) * right_mul_matrix(r1)
-        cols.append(_flatten(m) + [l1.dot(e), ZERO])
-    for e in Q_BASIS:
-        m = left_mul_matrix(l1) * right_mul_matrix(e)
-        cols.append(_flatten(m) + [ZERO, r1.dot(e)])
+    for e, e_left in zip(Q_BASIS, lefts):
+        cols.append(_flatten(e_left * r1_right) + [l1.dot(e), ZERO])
+    for e, e_right in zip(Q_BASIS, rights):
+        cols.append(_flatten(l1_left * e_right) + [ZERO, r1.dot(e)])
     rhs = _flatten(c) + [ZERO, ZERO]
     sol = solve(Matrix.from_columns(cols), rhs)
     assert sol is not None, "dual-part system is always consistent here"

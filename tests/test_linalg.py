@@ -17,7 +17,7 @@ from dqkin.linalg import (
     vec_dot,
     vec_is_zero,
 )
-from dqkin.scalars import ComplexFloat, gaussian, rational
+from dqkin.scalars import ComplexFloat, ExactRational, GaussianRational, gaussian, rational
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -161,3 +161,230 @@ class TestScalarMultiple:
         a = Matrix([[0, 1], [0, 0]])
         b = Matrix([[1, 0], [0, 0]])
         assert scalar_multiple_of(a, b) is None
+
+
+# --- differential test of the exact kernels ---------------------------------
+#
+# A reference on pairs (re, im) of plain Fractions: a rational is a pair with
+# im == 0.  Kinds are tracked apart from values: ExactRational input must come
+# back ExactRational and Gaussian input Gaussian, entry by entry.
+
+def _pair(s):
+    return (s.value, Fraction(0)) if isinstance(s, ExactRational) else (s.re, s.im)
+
+
+def _padd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _pmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def _pneg(a):
+    return (-a[0], -a[1])
+
+
+PZERO, PONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
+def _pdot(u, v):
+    out = PZERO
+    for a, b in zip(u, v):
+        out = _padd(out, _pmul(a, b))
+    return out
+
+
+def _ref_rref(rows):
+    """Gauss-Jordan on pairs: (reduced rows, pivot columns, det if square)."""
+    rows = [list(r) for r in rows]
+    n, ncols = len(rows), len(rows[0])
+    pivots, d = [], PONE
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][col] != PZERO), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            d = _pneg(d)
+        d = _pmul(d, rows[r][col])
+        inv = _pdiv(PONE, rows[r][col])
+        rows[r] = [_pmul(inv, e) for e in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != PZERO:
+                f = rows[i][col]
+                rows[i] = [_padd(a, _pneg(_pmul(f, b))) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if len(pivots) < n:
+        d = PZERO
+    return rows, tuple(pivots), d
+
+
+def _rand_pair(rng, gaussian_entry):
+    re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    im = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if gaussian_entry else Fraction(0)
+    return (re, im)
+
+
+def _rank_r_pairs(rng, nrows, ncols, r, gaussian_entries):
+    """Pairs of an nrows x ncols product of random nrows x r and r x ncols factors."""
+    b = [[_rand_pair(rng, gaussian_entries) for _ in range(r)] for _ in range(nrows)]
+    c = [[_rand_pair(rng, gaussian_entries) for _ in range(ncols)] for _ in range(r)]
+    return [[_pdot(row, [c[k][j] for k in range(r)]) for j in range(ncols)] for row in b]
+
+
+def _to_scalar(p, kind):
+    return rational(p[0]) if kind is ExactRational else gaussian(*p)
+
+
+def _matrix(pairs, kinds):
+    return Matrix([[_to_scalar(p, k) for p, k in zip(row, krow)]
+                   for row, krow in zip(pairs, kinds)])
+
+
+def _assert_same(got, pairs, kinds):
+    """got (a vector) has exactly the expected values and scalar kinds."""
+    assert len(got) == len(pairs)
+    for g, p, k in zip(got, pairs, kinds):
+        assert type(g) is k and _pair(g) == p, (g, p, k)
+
+
+SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 7), (4, 4), (5, 8), (8, 5), (8, 8),
+          (6, 10), (10, 6), (18, 9), (18, 10)]
+
+
+def _differential_cases(rng, kind):
+    """Seeded matrices of the given uniform kind: every rank of the small
+    shapes, the lowest and highest three of the larger ones."""
+    for nrows, ncols in SHAPES:
+        top = min(nrows, ncols)
+        for r in sorted({r for r in range(top + 1) if top <= 5 or r < 3 or r > top - 3}):
+            pairs = _rank_r_pairs(rng, nrows, ncols, r, kind is GaussianRational)
+            yield pairs, [[kind] * ncols for _ in range(nrows)]
+            if r == nrows == ncols > 1:
+                # a zero corner makes elimination swap rows, which flips det
+                pairs[0][0] = PZERO
+                yield pairs, [[kind] * ncols for _ in range(nrows)]
+
+
+def _dual_part_system(rng):
+    """The 18x9 augmented system factor_transform solves for the dual parts."""
+    from dqkin.quaternions import Q_BASIS, left_mul_matrix, right_mul_matrix
+    from dqkin.transforms import build_transform, factor_so4
+
+    from helpers import random_study_dq
+
+    t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+    l1, r1 = factor_so4(Matrix([row[:4] for row in t.rows[:4]]))
+    cols = []
+    for e in Q_BASIS:
+        m = left_mul_matrix(e) * right_mul_matrix(r1)
+        cols.append([x for row in m.rows for x in row] + [l1.dot(e), rational(0)])
+    for e in Q_BASIS:
+        m = left_mul_matrix(l1) * right_mul_matrix(e)
+        cols.append([x for row in m.rows for x in row] + [rational(0), r1.dot(e)])
+    cols.append([x for row in t.rows[4:] for x in row[:4]] + [rational(0), rational(0)])
+    return Matrix.from_columns(cols)
+
+
+class TestExactKernelsAgainstReference:
+    @pytest.mark.parametrize("kind", [ExactRational, GaussianRational])
+    def test_elimination(self, kind):
+        rng = random.Random(41 if kind is ExactRational else 42)
+        cases = list(_differential_cases(rng, kind))
+        if kind is ExactRational:
+            system = _dual_part_system(random.Random(43))
+            assert (system.nrows, system.ncols) == (18, 9)
+            cases.append(([[_pair(e) for e in row] for row in system.rows],
+                          [[ExactRational] * 9 for _ in range(18)]))
+        for pairs, kinds in cases:
+            m = _matrix(pairs, kinds)
+            assert all(type(e) is kind for row in m.rows for e in row)
+            n, ncols = m.nrows, m.ncols
+            ref_rows, ref_pivots, ref_det = _ref_rref(pairs)
+            red, pivots = rref(m)
+            assert pivots == ref_pivots
+            for got, want in zip(red.rows, ref_rows):
+                _assert_same(got, want, [kind] * ncols)
+            if n == ncols:
+                _assert_same([det(m)], [ref_det], [kind])
+            # the kernel and solve put exact zeros and ones at free columns
+            free = [j for j in range(ncols) if j not in ref_pivots]
+            basis = nullspace(m)
+            assert len(basis) == len(free)
+            for j, v in zip(free, basis):
+                want = [PONE if c == j else PZERO for c in range(ncols)]
+                for row, pc in zip(ref_rows, ref_pivots):
+                    want[pc] = _pneg(row[j])
+                _assert_same(v, want, [kind if c in ref_pivots else ExactRational
+                                       for c in range(ncols)])
+            for rhs in ([_rand_pair(rng, kind is GaussianRational) for _ in range(n)],
+                        [_pdot(row, [_rand_pair(rng, False) for _ in range(ncols)])
+                         for row in pairs]):
+                aug_rows, aug_pivots, _ = _ref_rref([row + [b] for row, b in zip(pairs, rhs)])
+                x = solve(m, [_to_scalar(b, kind) for b in rhs])
+                if ncols in aug_pivots:
+                    assert x is None
+                    continue
+                want = [PZERO] * ncols
+                for row, pc in zip(aug_rows, aug_pivots):
+                    want[pc] = row[ncols]
+                _assert_same(x, want, [kind if c in aug_pivots else ExactRational
+                                       for c in range(ncols)])
+            if n == ncols:
+                inv = inverse(m)
+                eye = [[PONE if i == j else PZERO for j in range(n)] for i in range(n)]
+                aug_rows, aug_pivots, _ = _ref_rref([row + e for row, e in zip(pairs, eye)])
+                if len(ref_pivots) < n:
+                    assert inv is None
+                else:
+                    for got, want in zip(inv.rows, aug_rows):
+                        _assert_same(got, want[n:], [kind] * n)
+
+    def test_products(self):
+        rng = random.Random(44)
+        for nrows, inner in SHAPES:
+            ncols = rng.randint(1, 10)
+            for a_kind, b_kind in ((ExactRational, ExactRational),
+                                   (ExactRational, GaussianRational),
+                                   (GaussianRational, ExactRational),
+                                   (GaussianRational, GaussianRational)):
+                a_pairs = _rank_r_pairs(rng, nrows, inner, rng.randint(0, min(nrows, inner)),
+                                        a_kind is GaussianRational)
+                b_pairs = [[_rand_pair(rng, b_kind is GaussianRational) for _ in range(ncols)]
+                           for _ in range(inner)]
+                a_kinds = [[a_kind] * inner for _ in range(nrows)]
+                b_kinds = [[b_kind] * ncols for _ in range(inner)]
+                # a Gaussian entry in one row of a and one column of b makes
+                # exactly the entries in that row or column Gaussian
+                if a_kind is b_kind is ExactRational:
+                    i, j = rng.randrange(nrows), rng.randrange(ncols)
+                    a_kinds[i][rng.randrange(inner)] = GaussianRational
+                    b_kinds[rng.randrange(inner)][j] = GaussianRational
+                a, b = _matrix(a_pairs, a_kinds), _matrix(b_pairs, b_kinds)
+                a_gauss = [GaussianRational in row for row in a_kinds]
+                b_gauss = [any(b_kinds[k][j] is GaussianRational for k in range(inner))
+                           for j in range(ncols)]
+                product = a * b
+                assert (product.nrows, product.ncols) == (nrows, ncols)
+                for i, got in enumerate(product.rows):
+                    want = [_pdot(a_pairs[i], [b_pairs[k][j] for k in range(inner)])
+                            for j in range(ncols)]
+                    _assert_same(got, want, [GaussianRational if a_gauss[i] or b_gauss[j]
+                                             else ExactRational for j in range(ncols)])
+                for j in range(ncols):
+                    column = b.column(j)
+                    col_pairs = [b_pairs[k][j] for k in range(inner)]
+                    _assert_same(a.apply(column), [_pdot(row, col_pairs) for row in a_pairs],
+                                 [GaussianRational if a_gauss[i] or b_gauss[j]
+                                  else ExactRational for i in range(nrows)])
+                    for i in range(nrows):
+                        _assert_same([vec_dot(a.rows[i], column)], [_pdot(a_pairs[i], col_pairs)],
+                                     [GaussianRational if a_gauss[i] or b_gauss[j]
+                                      else ExactRational])

@@ -175,6 +175,14 @@ class TestReadOffCanonicalBasis:
                     assert b.lift(chart) == p
             assert b.contains(inside)
 
+    def test_point_has_no_chart(self):
+        u = Subspace.from_rows([[1, 2, 3, 4]], ambient=4)
+        for p in (ProjPoint([1, 2, 3, 4]), ProjPoint([1, 0, 0, 0])):
+            with pytest.raises(GeometryError, match="dimension 0"):
+                u.chart_coords(p)
+            with pytest.raises(GeometryError, match="dimension 0"):
+                u.lift(p)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_meet(self, kind):
         rng = random.Random(22)

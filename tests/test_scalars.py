@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -61,6 +62,27 @@ class TestExactRational:
         assert hash(rational(1, 2)) == hash(Fraction(1, 2))
         assert hash(gaussian(1, 0)) == hash(rational(1))
 
+    def test_constructors_reduce_to_lowest_terms(self):
+        # Fraction arguments are kept as they are, everything else is normalised
+        for r, (n, d) in ((ExactRational(2, 4), (1, 2)),
+                          (ExactRational(Fraction(2, 4)), (1, 2)),
+                          (ExactRational(-6, -8), (3, 4)),
+                          (parse_scalar("6/8"), (3, 4)),
+                          (parse_scalar("-10"), (-10, 1))):
+            assert isinstance(r, ExactRational)
+            assert (r.numerator, r.denominator) == (n, d)
+            assert hash(r) == hash(Fraction(n, d))
+        g = GaussianRational(2, 4)
+        assert (g.re, g.im) == (Fraction(2), Fraction(4)) and g.im.denominator == 1
+        assert hash(g) == hash((Fraction(2), Fraction(4)))
+        for g, re, im in ((GaussianRational(Fraction(2, 4), "6/8"), Fraction(1, 2), Fraction(3, 4)),
+                          (GaussianRational("6/8", 0), Fraction(3, 4), Fraction(0)),
+                          (parse_scalar("2/4-6/8*i"), Fraction(1, 2), Fraction(-3, 4))):
+            assert isinstance(g, GaussianRational)
+            assert (g.re.numerator, g.re.denominator) == (re.numerator, re.denominator)
+            assert (g.im.numerator, g.im.denominator) == (im.numerator, im.denominator)
+        assert hash(GaussianRational("6/8", 0)) == hash(Fraction(3, 4))
+
 
 class TestGaussianRational:
     def test_arithmetic(self):
@@ -121,6 +143,17 @@ class TestComplexFloat:
         b = ComplexFloat(2.0, tolerance=1e-9)
         assert (a + b).tolerance == 1e-3
         assert (rational(1, 2) * a).tolerance == 1e-3
+        # float arithmetic carries the larger tolerance whatever the operand
+        # order, also when both operands are floats and skip the coercion
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert op(a, b).tolerance == 1e-3 and op(b, a).tolerance == 1e-3
+            for exact in (rational(1, 2), gaussian(1, -2)):
+                assert op(exact, a).tolerance == 1e-3 and op(a, exact).tolerance == 1e-3
+                assert op(exact, b).tolerance == 1e-9 and op(b, exact).tolerance == 1e-9
+        near = ComplexFloat(2.0 + 1e-6, tolerance=1e-9)
+        loose = ComplexFloat(2.0, tolerance=1e-3)
+        assert near == loose and loose == near
+        assert near != b and b != near
 
     def test_mixed_arithmetic_promotes(self):
         s = rational(1, 2) + ComplexFloat(0.5)
