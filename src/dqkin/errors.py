@@ -10,7 +10,10 @@ class ParseError(DqkinError):
 
 
 class ExactnessError(DqkinError):
-    """An exact-only operation received inexact (float) data."""
+    """An exact-only operation received inexact (float) data, or found no exact answer.
+
+    ``polys.exact_div`` raises it for a division that leaves a remainder.
+    """
 
 
 class GeometryError(DqkinError):

@@ -4,17 +4,25 @@ Everything is immutable and dimension-checked with asserts.  The path an
 operation takes follows the kinds of the entries; results are the same
 on every path, entry by entry and kind by kind.
 
-- Products (``Matrix.__mul__``, ``apply``) of exact matrices clear each
-  row and column to one integer vector (Gaussian entries to a pair of
-  integer vectors) over one denominator, so each entry is one integer
-  dot product and one ``Fraction``.
-- ``rref`` and ``det`` of a matrix whose entries are all ExactRational
-  run fraction-free Gauss-Jordan elimination (Bareiss 1968) on the
-  cleared integer rows and divide by the pivot only to emit the
-  canonical reduced form.
-- Anything with a float entry, and Gaussian input to ``rref``/``det``,
-  takes the scalar loop: Gaussian elimination that pivots on magnitude
-  when floats are present.
+- Products (``Matrix.__mul__``, ``apply``) and ``vec_dot`` of exact
+  vectors clear each row and column to one integer vector (Gaussian
+  entries to a pair of integer vectors) over one denominator, so each
+  entry is one integer dot product and one ``Fraction``.
+- ``rref`` and ``det`` of a matrix whose entries are all ExactRational,
+  or all GaussianRational, run fraction-free Gauss-Jordan elimination
+  (Bareiss 1968) on the cleared rows, over the integers or over the
+  Gaussian integers Z[i] held as (re, im) pairs, and divide by the
+  pivot only to emit the canonical reduced form (all Gaussian for
+  Gaussian input, as in the scalar loop).  Matrices that mix the two
+  exact kinds keep the scalar loop: there the kind of an output entry
+  depends on which entries happen to be zero.
+- One combination kernel, ``_combination``, computes ``v + sum c_k *
+  row_k`` on cleared integers for ``projgeom``.  An output entry is
+  Gaussian exactly when the entry of ``v``, some coefficient ``c_k`` or
+  some ``row_k`` entry in its column is Gaussian, which is the kind the
+  scalar loop gives it.
+- Anything with a float entry takes the scalar loop: Gaussian
+  elimination that pivots on magnitude, and plain dot products.
 """
 
 from __future__ import annotations
@@ -57,6 +65,14 @@ def vec_scale(c, u: Vector) -> Vector:
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     """Plain bilinear dot product, no conjugation."""
     assert len(u) == len(v)
+    cu = _cleared(u)
+    cv = None if cu is None else _cleared(v)
+    if cv is None:
+        return _plain_dot(u, v)
+    return _cleared_dot(cu, cv)
+
+
+def _plain_dot(u: Vector, v: Vector) -> Scalar:
     out = ZERO
     for a, b in zip(u, v):
         out = out + a * b
@@ -100,6 +116,50 @@ def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
         if vi is not None:
             re -= sum(map(mul, ui, vi))
     return GaussianRational(Fraction(re, ud * vd), Fraction(im, ud * vd))
+
+
+def _combination(v: Vector, coeffs: Sequence[Scalar],
+                 rows: Sequence[Vector]) -> Optional[Vector]:
+    """v + sum of coeffs[k]*rows[k] on cleared integers; None when an entry is a float.
+
+    An entry is Gaussian exactly when v's entry, some coefficient or some
+    row's entry in its column is Gaussian: the kind the scalar loop
+    ``o + c*r``, row by row, would give it.
+    """
+    n, k = len(v), len(coeffs)
+    flat = list(v)
+    flat += coeffs
+    for row in rows:
+        flat += row
+    cleared = _cleared(flat)
+    if cleared is None:
+        return None
+    re, im, den = cleared
+    # every input is over den, so every term and the result are over den**2
+    out_re = [x * den for x in re[:n]]
+    out_im = None if im is None else [x * den for x in im[:n]]
+    for j in range(k):
+        rr = re[n + k + j * n:n + k + (j + 1) * n]
+        cr = re[n + j]
+        if im is None:
+            out_re = [o + cr * x for o, x in zip(out_re, rr)]
+            continue
+        ri = im[n + k + j * n:n + k + (j + 1) * n]
+        ci = im[n + j]
+        out_re = [o + cr * x - ci * y for o, x, y in zip(out_re, rr, ri)]
+        out_im = [o + cr * y + ci * x for o, x, y in zip(out_im, rr, ri)]
+    den *= den
+    if out_im is None:
+        return tuple(ExactRational(Fraction(x, den)) for x in out_re)
+    if any(type(c) is GaussianRational for c in coeffs):
+        gaussian = [True] * n
+    else:
+        gaussian = [type(e) is GaussianRational for e in v]
+        for row in rows:
+            gaussian = [g or type(e) is GaussianRational for g, e in zip(gaussian, row)]
+    return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) if g
+                 else ExactRational(Fraction(x, den))
+                 for x, y, g in zip(out_re, out_im, gaussian))
 
 
 class Matrix:
@@ -180,7 +240,7 @@ class Matrix:
         cleared_cols = [_cleared(c) for c in cols]
         if None not in rows and None not in cleared_cols:
             return Matrix([[_cleared_dot(r, c) for c in cleared_cols] for r in rows])
-        return Matrix([[vec_dot(r, c) for c in cols] for r in self.rows])
+        return Matrix([[_plain_dot(r, c) for c in cols] for r in self.rows])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
@@ -190,7 +250,7 @@ class Matrix:
         rows = [_cleared(r) for r in self.rows]
         if cu is not None and None not in rows:
             return tuple(_cleared_dot(r, cu) for r in rows)
-        return tuple(vec_dot(r, u) for r in self.rows)
+        return tuple(_plain_dot(r, u) for r in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -241,11 +301,42 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
     return best
 
 
-def _all_rational(m: Matrix) -> bool:
-    return all(type(e) is ExactRational for r in m.rows for e in r)
+def _all_of_kind(m: Matrix, kind: type) -> bool:
+    return all(type(e) is kind for r in m.rows for e in r)
 
 
-def _fraction_free(a: List[List[int]]) -> Tuple[List[int], int, int]:
+def _int_step(a: List[List[int]], r: int, col: int, prev: int) -> int:
+    """Reduce every row but r against row r, dividing by prev; the new pivot."""
+    top = a[r]
+    pivot = top[col]
+    for i in range(len(a)):
+        if i != r:
+            f = a[i][col]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
+    return pivot
+
+
+def _gaussian_step(a: List[List[Tuple[int, int]]], r: int, col: int,
+                   prev: Tuple[int, int]) -> Tuple[int, int]:
+    """_int_step over Z[i]: dividing by prev is multiplying by its
+    conjugate and dividing by its norm, exact in both parts."""
+    top = a[r]
+    pr, pi = top[col]
+    qr, qi = prev
+    nq = qr * qr + qi * qi
+    for i in range(len(a)):
+        if i != r:
+            fr, fi = a[i][col]
+            row = []
+            for (xr, xi), (yr, yi) in zip(a[i], top):
+                ur = pr * xr - pi * xi - fr * yr + fi * yi
+                ui = pr * xi + pi * xr - fr * yi - fi * yr
+                row.append(((ur * qr + ui * qi) // nq, (ui * qr - ur * qi) // nq))
+            a[i] = row
+    return pr, pi
+
+
+def _fraction_free(a: List[list], step=_int_step, zero=0, one=1) -> Tuple[List[int], object, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
     At every pivot each other row, above and below, is reduced against
@@ -255,40 +346,49 @@ def _fraction_free(a: List[List[int]]) -> Tuple[List[int], int, int]:
     holds at its pivot column and which is the minor on the pivot rows
     and columns, and the sign of the row swaps.  Rows past the pivot rows
     end up zero.
+
+    ``step`` reduces the other rows against one pivot row: ``_int_step``
+    for integer entries, ``_gaussian_step`` for Gaussian integers held as
+    (re, im) pairs, with ``zero`` and ``one`` of the same ring.
     """
     n = len(a)
     pivots = []
-    prev, sign = 1, 1
+    prev, sign = one, 1
     for col in range(len(a[0])):
         r = len(pivots)
         if r == n:
             break
-        p = next((i for i in range(r, n) if a[i][col]), None)
+        p = next((i for i in range(r, n) if a[i][col] != zero), None)
         if p is None:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
-        top = a[r]
-        pivot = top[col]
-        for i in range(n):
-            if i != r:
-                f = a[i][col]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = pivot
+        prev = step(a, r, col, prev)
         pivots.append(col)
     return pivots, prev, sign
 
 
+_GAUSSIAN_ZERO = GaussianRational(0, 0)
+
+
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    if _all_rational(m):
-        # scaling a row changes no reduced form, so each row is cleared alone
+    # scaling a row changes no reduced form, so each row is cleared alone
+    if _all_of_kind(m, ExactRational):
         a = [_cleared(r)[0] for r in m.rows]
         pivots, d, _ = _fraction_free(a)
         rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
                 for i in range(len(pivots))]
         rows += [[ZERO] * m.ncols] * (m.nrows - len(pivots))
+        return Matrix(rows), tuple(pivots)
+    if _all_of_kind(m, GaussianRational):
+        a = [list(zip(re, im)) for re, im, _ in map(_cleared, m.rows)]
+        pivots, (dr, di), _ = _fraction_free(a, _gaussian_step, (0, 0), (1, 0))
+        nd = dr * dr + di * di
+        rows = [[GaussianRational(Fraction(xr * dr + xi * di, nd), Fraction(xi * dr - xr * di, nd))
+                 for xr, xi in a[i]] for i in range(len(pivots))]
+        rows += [[_GAUSSIAN_ZERO] * m.ncols] * (m.nrows - len(pivots))
         return Matrix(rows), tuple(pivots)
     rows = [list(r) for r in m.rows]
     pivots = []
@@ -317,12 +417,20 @@ def rank(m: Matrix) -> int:
 
 def det(m: Matrix) -> Scalar:
     assert m.nrows == m.ncols
-    if _all_rational(m):
+    if _all_of_kind(m, ExactRational):
         cleared = [_cleared(r) for r in m.rows]
         pivots, d, sign = _fraction_free([c[0] for c in cleared])
         if len(pivots) < m.nrows:
             return ZERO
         return ExactRational(Fraction(sign * d, prod(c[2] for c in cleared)))
+    if _all_of_kind(m, GaussianRational):
+        cleared = [_cleared(r) for r in m.rows]
+        a = [list(zip(re, im)) for re, im, _ in cleared]
+        pivots, (dr, di), sign = _fraction_free(a, _gaussian_step, (0, 0), (1, 0))
+        if len(pivots) < m.nrows:
+            return _GAUSSIAN_ZERO
+        den = prod(c[2] for c in cleared)
+        return GaussianRational(Fraction(sign * dr, den), Fraction(sign * di, den))
     rows = [list(r) for r in m.rows]
     n = m.nrows
     sign = 1

@@ -126,7 +126,8 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
 
 def exact_div(a: Poly, b: Poly) -> Poly:
     q, r = poly_divmod(a, b)
-    assert r.is_zero(), "inexact polynomial division"
+    if not r.is_zero():
+        raise ExactnessError("inexact polynomial division: remainder %r" % (r,))
     return q
 
 

@@ -8,6 +8,13 @@ at the pivot columns are its coordinates in the basis, and the vector
 lies in the subspace exactly when it equals their combination of the
 rows.  The ambient dimension is 8 for dual quaternion space; restricted
 charts use smaller vectors.
+
+Exact vectors (rational or Gaussian entries, mixed or not) take integer
+paths: residues (so ``contains``, ``chart_coords`` and ``meet``) and
+``lift`` go through ``linalg._combination``, and ``ProjPoint.__eq__``
+cross-multiplies the cleared coordinates instead of normalising both
+points.  A float coordinate anywhere sends the operation through the
+scalar loop, which compares at the floats' tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix, as_vector, nullspace, rref, vec_is_zero
+from .linalg import Matrix, _cleared, _combination, as_vector, nullspace, rref, vec_is_zero
 from .quaternions import DualQuaternion, Quaternion
 from .scalars import Scalar, ONE, ZERO
 
@@ -54,6 +61,9 @@ class ProjPoint:
             return NotImplemented
         if self.ambient != other.ambient:
             return False
+        ca, cb = _cleared(self.coords), _cleared(other.coords)
+        if ca is not None and cb is not None:
+            return _proportional(ca, cb)
         a = self.normalized().coords
         b = other.normalized().coords
         return all(x == y for x, y in zip(a, b))
@@ -62,6 +72,22 @@ class ProjPoint:
 
     def __repr__(self):
         return "ProjPoint[%s]" % ", ".join(str(c) for c in self.coords)
+
+
+def _proportional(a, b) -> bool:
+    """Whether two cleared nonzero vectors span the same point: a_k*b_p == b_k*a_p
+    for every k, p the first nonzero coordinate of a (denominators cancel)."""
+    (ar, ai, _), (br, bi, _) = a, b
+    if ai is None and bi is None:
+        p = next(k for k, x in enumerate(ar) if x)
+        x, y = ar[p], br[p]
+        return all(s * y == t * x for s, t in zip(ar, br))
+    ai = ai or [0] * len(ar)
+    bi = bi or [0] * len(br)
+    p = next(k for k in range(len(ar)) if ar[k] or ai[k])
+    xr, xi, yr, yi = ar[p], ai[p], br[p], bi[p]
+    return all(sr * yr - si * yi == tr * xr - ti * xi and sr * yi + si * yr == tr * xi + ti * xr
+               for sr, si, tr, ti in zip(ar, ai, br, bi))
 
 
 class Subspace:
@@ -114,6 +140,9 @@ class Subspace:
         The result vanishes at every pivot column, and everywhere exactly
         when v lies in the subspace.
         """
+        out = _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
+        if out is not None:
+            return list(out)
         out = list(v)
         for row, j in zip(self.basis.rows, self._pivots):
             c = v[j]
@@ -141,6 +170,9 @@ class Subspace:
         assert self.basis is not None
         self._require_chart()
         assert chart_point.ambient == self.basis.nrows
+        out = _combination((ZERO,) * self.ambient, chart_point.coords, self.basis.rows)
+        if out is not None:
+            return ProjPoint(out)
         out = [ZERO] * self.ambient
         for c, row in zip(chart_point.coords, self.basis.rows):
             out = [o + c * r for o, r in zip(out, row)]

@@ -24,6 +24,7 @@ from .linalg import (
     scalar_multiple_of,
     signature as matrix_signature,
     solve,
+    vec_dot,
 )
 from .polys import Poly, durand_kerner, low_degree_roots, poly_gcd, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
@@ -58,11 +59,7 @@ class QuadricForm:
 
     def polar(self, p: ProjPoint, q: ProjPoint) -> Scalar:
         assert p.ambient == self.n and q.ambient == self.n
-        out = ZERO
-        row = self.gram.apply(q.coords)
-        for a, b in zip(p.coords, row):
-            out = out + a * b
-        return out
+        return vec_dot(p.coords, self.gram.apply(q.coords))
 
     def contains(self, p: ProjPoint) -> bool:
         return self.value(p).is_zero()

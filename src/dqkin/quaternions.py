@@ -4,15 +4,21 @@ Coordinates are always ordered (1, i, j, k) and, for dual quaternions,
 primal before dual.  The 4x4 and 8x8 multiplication matrices are
 generated column by column from actual products on the basis, so they
 are correct by construction for either side.
+
+The Hamilton product of two exact quaternions (rational or Gaussian
+coordinates, mixed or not) runs on cleared integer coordinates; one
+float coordinate sends it through the scalar formula.  Dual quaternion
+products and the multiplication matrices are built from it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix
-from .scalars import Scalar, scalar, ZERO
+from .linalg import Matrix, _cleared
+from .scalars import ExactRational, GaussianRational, Scalar, scalar, ZERO
 
 
 class Quaternion:
@@ -45,6 +51,9 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
+            ca, cb = _cleared(self.coords()), _cleared(other.coords())
+            if ca is not None and cb is not None:
+                return _cleared_product(ca, cb)
             a, b = self, other
             return Quaternion(
                 a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
@@ -100,6 +109,38 @@ class Quaternion:
 
     def __repr__(self):
         return "Quaternion(%s)" % ", ".join(str(c) for c in self.coords())
+
+
+def _hamilton(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int, int]:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _cleared_product(a, b) -> Quaternion:
+    """Hamilton product of two cleared coordinate vectors (see linalg._cleared).
+
+    Every output coordinate involves all eight inputs, so all four are
+    Gaussian exactly when an input is, as in the scalar product.
+    """
+    (ar, ai, ad), (br, bi, bd) = a, b
+    den = ad * bd
+    re = _hamilton(ar, br)
+    if ai is None and bi is None:
+        return Quaternion(*[ExactRational(Fraction(x, den)) for x in re])
+    # (ar + i ai)(br + i bi), the scalar i commuting with the units
+    im = (0, 0, 0, 0)
+    if bi is not None:
+        im = _hamilton(ar, bi)
+    if ai is not None:
+        im = [x + y for x, y in zip(im, _hamilton(ai, br))]
+        if bi is not None:
+            re = [x - y for x, y in zip(re, _hamilton(ai, bi))]
+    return Quaternion(*[GaussianRational(Fraction(x, den), Fraction(y, den))
+                        for x, y in zip(re, im)])
 
 
 Q_ONE = Quaternion(1, 0, 0, 0)

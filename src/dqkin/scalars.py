@@ -144,7 +144,8 @@ class ExactRational(Scalar):
             return
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("no implicit floats; use ComplexFloat")
-        self.value = Fraction(numerator, denominator)
+        # Fraction takes a string only as its single argument
+        self.value = Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
 
     @property
     def numerator(self) -> int:

@@ -86,8 +86,11 @@ class TestDivisionAndGcd:
     def test_exact_div(self):
         a = lin(1) * lin(2)
         assert exact_div(a, lin(2)) == lin(1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ExactnessError):
             exact_div(lin(1), lin(2))
+        # x^2 + 1 = (x - 1)(x + 1) + 2: the remainder is never dropped
+        with pytest.raises(ExactnessError):
+            exact_div(Poly([1, 0, 1]), Poly([1, 1]))
 
     def test_squarefree_part(self):
         p = lin(1) * lin(1) * lin(-2)

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, rank, solve
+from dqkin.linalg import Matrix, det, nullspace, rank, solve
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -210,6 +211,171 @@ class TestReadOffCanonicalBasis:
                 assert v.conjugation_closed() == closed
                 if kind != "gaussian":
                     assert closed
+
+
+# --- the integer kernels against the scalar loop ------------------------
+
+def rand_mixed(rng):
+    """A rational or a Gaussian scalar at random, zero about a third of the time."""
+    return rand_scalar(rng, rng.choice(("rational", "gaussian")))
+
+
+def mixed_space(rng, dim):
+    """A subspace whose canonical basis mixes rational and Gaussian entries,
+    zeros of both kinds included, built directly in reduced form."""
+    pivots = sorted(rng.sample(range(8), dim + 1))
+    rows = []
+    for r, pc in enumerate(pivots):
+        row = [rand_mixed(rng) for _ in range(8)]
+        for j in range(8):
+            if j < pc or (j in pivots and j != pc):
+                row[j] = rng.choice((rational(0), gaussian(0, 0)))
+        row[pc] = rng.choice((rational(1), gaussian(1, 0)))
+        rows.append(row)
+    return Subspace(Matrix(rows), 8)
+
+
+def mixed_spaces(rng):
+    for dim in range(8):
+        for _ in range(4):
+            yield mixed_space(rng, dim)
+            rows = [[rand_mixed(rng) for _ in range(8)] for _ in range(dim + 1)]
+            yield Subspace.from_rows(rows, 8)
+
+
+def ref_residue(u, v):
+    out = list(v)
+    for row, j in zip(u.basis.rows, u._pivots):
+        c = v[j]
+        out = [o - c * r for o, r in zip(out, row)]
+    return out
+
+
+def ref_lift(u, coords):
+    out = [rational(0)] * u.ambient
+    for c, row in zip(coords, u.basis.rows):
+        out = [o + c * r for o, r in zip(out, row)]
+    return out
+
+
+def ref_equal(p, q):
+    a, b = p.normalized().coords, q.normalized().coords
+    return all(x == y for x, y in zip(a, b))
+
+
+def assert_same(got, want):
+    """Equal entry by entry and of the same scalar kind entry by entry."""
+    assert [type(x) for x in got] == [type(x) for x in want], (got, want)
+    assert all(x == y for x, y in zip(got, want)), (got, want)
+
+
+class TestIntegerKernelsKeepKinds:
+    """_residue, contains, lift, meet and ProjPoint equality on vectors that
+    mix rational and Gaussian entries, against the scalar-loop definitions."""
+
+    def test_residue_contains_and_lift(self):
+        rng = random.Random(51)
+        for u in mixed_spaces(rng):
+            if u.basis is None:
+                continue
+            coeffs = [[rand_mixed(rng) for _ in u.basis.rows] for _ in range(3)]
+            coeffs.append([rational(rng.randint(-3, 3)) for _ in u.basis.rows])
+            for cs in coeffs:
+                inside = ref_lift(u, cs)
+                outside = [rand_mixed(rng) for _ in range(8)]
+                for v in (inside, outside, [x + y for x, y in zip(inside, outside)]):
+                    want = ref_residue(u, v)
+                    assert_same(u._residue(v), want)
+                    if any(not x.is_zero() for x in v):
+                        assert u.contains(ProjPoint(v)) == all(x.is_zero() for x in want)
+                if u.dim > 0 and any(not c.is_zero() for c in cs):
+                    assert_same(u.lift(ProjPoint(cs)).coords, inside)
+                    assert u.contains(ProjPoint(inside))
+
+    def test_meet(self):
+        rng = random.Random(52)
+        spaces = [u for u in mixed_spaces(rng) if u.basis is not None]
+        for _ in range(60):
+            a, b = rng.choice(spaces), rng.choice(spaces)
+            kernel = nullspace(Matrix.from_columns([ref_residue(b, row) for row in a.basis.rows]))
+            got = meet(a, b)
+            if not kernel:
+                assert got.basis is None
+                continue
+            want = Subspace.from_rows((Matrix(kernel) * a.basis).rows, 8)
+            assert got.dim == want.dim
+            for g, w in zip(got.basis.rows, want.basis.rows):
+                assert_same(g, w)
+
+    def test_projective_equality(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            coords = [rand_mixed(rng) for _ in range(rng.choice((2, 4, 8)))]
+            if all(c.is_zero() for c in coords):
+                continue
+            p = ProjPoint(coords)
+            c = rand_mixed(rng)
+            if c.is_zero():
+                c = gaussian(0, 1)
+            others = [ProjPoint([c * x for x in coords]),
+                      ProjPoint([x.conjugate() for x in coords])]
+            bumped = list(coords)
+            k = rng.randrange(len(coords))
+            bumped[k] = bumped[k] + rand_mixed(rng)
+            if any(not x.is_zero() for x in bumped):
+                others.append(ProjPoint(bumped))
+            for q in others:
+                assert (p == q) == (q == p) == ref_equal(p, q)
+            assert p == others[0]
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+exact_scalars = st.one_of(
+    small_fractions.map(rational),
+    st.tuples(small_fractions, small_fractions).map(lambda t: gaussian(*t)))
+nonzero_gaussians = st.one_of(
+    st.just(gaussian(0, 1)),
+    exact_scalars.filter(lambda c: not c.is_zero()))
+vectors8 = st.lists(exact_scalars, min_size=8, max_size=8).filter(
+    lambda v: any(not c.is_zero() for c in v))
+
+
+class TestRescalingAndBasisInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(vectors8, vectors8, nonzero_gaussians, nonzero_gaussians)
+    def test_point_equality(self, u, v, c, d):
+        p, q = ProjPoint(u), ProjPoint(v)
+        cp = ProjPoint([c * x for x in u])
+        dq_ = ProjPoint([d * x for x in v])
+        assert p == cp and cp == p
+        assert (p == q) == (cp == dq_) == (q == cp)
+        assert (cp == ProjPoint([d * x for x in u]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(vectors8, min_size=1, max_size=4), vectors8,
+           st.lists(exact_scalars, min_size=16, max_size=16),
+           st.lists(nonzero_gaussians, min_size=4, max_size=4), nonzero_gaussians,
+           st.lists(exact_scalars, min_size=4, max_size=4))
+    def test_containment(self, rows, v, entries, diagonal, c, coeffs):
+        # an invertible change of basis: unit lower times upper triangular
+        k = len(rows)
+        lower = Matrix([[entries[i * 4 + j] if j < i else rational(i == j) for j in range(k)]
+                        for i in range(k)])
+        upper = Matrix([[diagonal[i] if j == i else entries[j * 4 + i] if j > i else rational(0)
+                         for j in range(k)] for i in range(k)])
+        change = lower * upper
+        assert not det(change).is_zero()
+        u = Subspace.from_rows(rows, 8)
+        w = Subspace.from_rows((change * Matrix(rows)).rows, 8)
+        assert u == w
+        member = [sum((a * r[j] for a, r in zip(coeffs, rows)), rational(0)) for j in range(8)]
+        points = [v] + ([member] if any(not x.is_zero() for x in member) else [])
+        for x in points:
+            inside = u.contains(ProjPoint(x))
+            assert w.contains(ProjPoint(x)) == inside
+            assert u.contains(ProjPoint([c * e for e in x])) == inside
+        if len(points) == 2:
+            assert u.contains(ProjPoint(member))
 
 
 class TestLine:

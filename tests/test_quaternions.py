@@ -24,7 +24,7 @@ from dqkin.quaternions import (
     right_mul_matrix8,
     study_condition,
 )
-from dqkin.scalars import gaussian, rational
+from dqkin.scalars import ExactRational, GaussianRational, gaussian, rational
 
 
 def random_quaternion(rng, lo=-9, hi=9):
@@ -212,3 +212,50 @@ def test_conjugation_antihomomorphism_bulk():
             Quaternion(*[rng.randint(-5, 5) for _ in range(4)]),
             Quaternion(*[rng.randint(-5, 5) for _ in range(4)]))
         assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+
+
+# --- the integer Hamilton product against the scalar loop ---------------
+
+def random_mixed_quaternion(rng):
+    """Coordinates drawn independently: rational, Gaussian, zeros of both kinds."""
+    def coord():
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else Fraction(0)
+        if rng.random() < 0.5:
+            return rational(q)
+        return gaussian(q, Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if q else 0)
+    return Quaternion(*[coord() for _ in range(4)])
+
+
+def ref_product(a, b):
+    return (a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w)
+
+
+def assert_same(got, want):
+    """Equal entry by entry and of the same scalar kind entry by entry."""
+    assert [type(x) for x in got] == [type(x) for x in want], (got, want)
+    assert all(x == y for x, y in zip(got, want)), (got, want)
+
+
+class TestIntegerProductKeepsKinds:
+    def test_product(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(400):
+            a, b = random_mixed_quaternion(rng), random_mixed_quaternion(rng)
+            got = (a * b).coords()
+            assert_same(got, ref_product(a, b))
+            seen.add(type(got[0]))
+        assert seen == {ExactRational, GaussianRational}
+
+    def test_multiplication_matrices(self):
+        rng = random.Random(62)
+        for _ in range(100):
+            p = random_mixed_quaternion(rng)
+            left = Matrix.from_columns([ref_product(p, e) for e in (Q_ONE, Q_I, Q_J, Q_K)])
+            right = Matrix.from_columns([ref_product(e, p) for e in (Q_ONE, Q_I, Q_J, Q_K)])
+            for got, want in ((left_mul_matrix(p), left), (right_mul_matrix(p), right)):
+                for g, w in zip(got.rows, want.rows):
+                    assert_same(g, w)

@@ -67,6 +67,8 @@ class TestExactRational:
         for r, (n, d) in ((ExactRational(2, 4), (1, 2)),
                           (ExactRational(Fraction(2, 4)), (1, 2)),
                           (ExactRational(-6, -8), (3, 4)),
+                          (ExactRational("6/8"), (3, 4)),
+                          (ExactRational("-10"), (-10, 1)),
                           (parse_scalar("6/8"), (3, 4)),
                           (parse_scalar("-10"), (-10, 1))):
             assert isinstance(r, ExactRational)
