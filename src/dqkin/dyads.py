@@ -6,6 +6,12 @@ pair.  The displacements it can reach sweep a quadric surface in the
 displacement model whose projective span is a three-space.  This module
 constructs those spans from joint data, classifies an arbitrary real
 three-space by joint type, and recovers the joints from a span.
+
+The classifier works on canonical (RREF) bases and reads what they
+already show instead of reducing again: a conjugation-closed space has
+a real canonical basis, so its real form is that basis with rational
+entries, and the conjugate of a line's canonical basis is the canonical
+basis of the conjugate line.
 """
 
 from dataclasses import dataclass
@@ -37,7 +43,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_I, Quaternion
-from .scalars import GaussianRational, Scalar, ZERO, as_exact_real, gaussian
+from .scalars import as_exact_real, gaussian
 
 
 class DyadKind(Enum):
@@ -207,33 +213,21 @@ def null_quadrilateral(lines) -> Optional[Quadrilateral]:
     return None
 
 
-def _re_im(s: Scalar):
-    if isinstance(s, GaussianRational):
-        return s.real, s.imag
-    r = as_exact_real(s)
-    assert r is not None
-    return r, ZERO
-
-
 def _real_form(u: Subspace) -> Subspace:
-    rows = []
-    for row in u.basis.rows:
-        parts = [_re_im(c) for c in row]
-        rows.append([re for re, _ in parts])
-        rows.append([im for _, im in parts])
-    out = Subspace.from_rows(rows, u.ambient)
-    assert out.dim == u.dim
-    return out
+    """u with its real canonical basis demoted to ExactRational entries."""
+    # conjugation_closed has shown every entry of the canonical basis real
+    rows = [[as_exact_real(c) for c in row] for row in u.basis.rows]
+    return Subspace(Matrix(rows), u.ambient)
 
 
 def _lift_line(u: Subspace, chart: Line) -> Line:
     pts = [u.lift(ProjPoint(row)) for row in chart.basis.rows]
-    return Line.through(pts[0], pts[1], approx=chart.approx)
+    return Line.through(pts[0], pts[1])
 
 
 def _conjugate_line(l: Line) -> Line:
-    rows = [[c.conjugate() for c in row] for row in l.basis.rows]
-    return Line.of(Subspace.from_rows(rows, l.ambient), approx=l.approx)
+    # conjugating a canonical basis gives the canonical basis of the conjugate
+    return Line(Matrix([[c.conjugate() for c in row] for row in l.basis.rows]), l.ambient)
 
 
 def _single_point(sub: Subspace) -> ProjPoint:

@@ -118,13 +118,13 @@ def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
     return GaussianRational(Fraction(re, ud * vd), Fraction(im, ud * vd))
 
 
-def _combination(v: Vector, coeffs: Sequence[Scalar],
-                 rows: Sequence[Vector]) -> Optional[Vector]:
-    """v + sum of coeffs[k]*rows[k] on cleared integers; None when an entry is a float.
+def _combination(v: Vector, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
+    """v + sum of coeffs[k]*rows[k]: on cleared integers when every entry is
+    exact, else by the scalar loop ``o + c*r``, row by row.
 
-    An entry is Gaussian exactly when v's entry, some coefficient or some
-    row's entry in its column is Gaussian: the kind the scalar loop
-    ``o + c*r``, row by row, would give it.
+    On the integer path an entry is Gaussian exactly when v's entry, some
+    coefficient or some row's entry in its column is Gaussian: the kind
+    the scalar loop would give it.
     """
     n, k = len(v), len(coeffs)
     flat = list(v)
@@ -133,7 +133,10 @@ def _combination(v: Vector, coeffs: Sequence[Scalar],
         flat += row
     cleared = _cleared(flat)
     if cleared is None:
-        return None
+        out = tuple(v)
+        for c, row in zip(coeffs, rows):
+            out = tuple(o + c * r for o, r in zip(out, row))
+        return out
     re, im, den = cleared
     # every input is over den, so every term and the result are over den**2
     out_re = [x * den for x in re[:n]]

@@ -23,7 +23,6 @@ from .polys import Poly, exact_div, low_degree_roots, poly_gcd
 from .projgeom import Line, ProjPoint, Subspace, meet, span
 from .quadrics import (
     Handedness,
-    QuadricForm,
     _ExactFail,
     _split_binary,
     null_cone,
@@ -264,11 +263,6 @@ class CSpaceReport:
     witnesses: Dict[str, object]
 
 
-def _line_on(q: QuadricForm, x: ProjPoint, y: ProjPoint) -> bool:
-    return (q.value(x).is_zero() and q.value(y).is_zero()
-            and q.polar(x, y).is_zero())
-
-
 def c_space_from_line(l: Line) -> CSpaceReport:
     """Span a line with its fiber projection and certify the C space.
 
@@ -336,9 +330,9 @@ def c_space_from_line(l: Line) -> CSpaceReport:
         wa = ProjPoint(witness.basis.rows[0])
         wb = ProjPoint(witness.basis.rows[1])
         assert space.contains(wa) and space.contains(wb)
-        assert _line_on(s_form, wa, wb) and _line_on(n_form, wa, wb)
+        assert s_form.contains_line(wa, wb) and n_form.contains_line(wa, wb)
     assert space.contains(n1) and space.contains(n2)
-    assert _line_on(s_form, n1, n2)
+    assert s_form.contains_line(n1, n2)
     assert h.is_zero() == n.contains(ProjPoint(base))
     assert meet(n, e1).dim == -1
 

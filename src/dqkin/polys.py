@@ -69,9 +69,6 @@ class Poly:
         c = _coerce_coeff(c)
         return Poly([c * a for a in self.coeffs])
 
-    def map_coeffs(self, f) -> "Poly":
-        return Poly([f(c) for c in self.coeffs])
-
     def __call__(self, t):
         """Evaluate at a central scalar parameter."""
         if self.is_zero():

@@ -22,8 +22,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix, _cleared, _combination, as_vector, nullspace, rref, vec_is_zero
-from .quaternions import DualQuaternion, Quaternion
+from .linalg import (Matrix, Vector, _cleared, _combination, as_vector, nullspace, rref,
+                     vec_is_zero)
+from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO
 
 
@@ -134,20 +135,13 @@ class Subspace:
             return []
         return [ProjPoint(row) for row in self.basis.rows]
 
-    def _residue(self, v: Sequence[Scalar]) -> List[Scalar]:
+    def _residue(self, v: Sequence[Scalar]) -> Vector:
         """v minus the basis rows, each scaled by v's entry at its pivot.
 
         The result vanishes at every pivot column, and everywhere exactly
         when v lies in the subspace.
         """
-        out = _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
-        if out is not None:
-            return list(out)
-        out = list(v)
-        for row, j in zip(self.basis.rows, self._pivots):
-            c = v[j]
-            out = [o - c * r for o, r in zip(out, row)]
-        return out
+        return _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
 
     def contains(self, p: ProjPoint) -> bool:
         if self.basis is None:
@@ -170,13 +164,8 @@ class Subspace:
         assert self.basis is not None
         self._require_chart()
         assert chart_point.ambient == self.basis.nrows
-        out = _combination((ZERO,) * self.ambient, chart_point.coords, self.basis.rows)
-        if out is not None:
-            return ProjPoint(out)
-        out = [ZERO] * self.ambient
-        for c, row in zip(chart_point.coords, self.basis.rows):
-            out = [o + c * r for o, r in zip(out, row)]
-        return ProjPoint(out)
+        return ProjPoint(_combination((ZERO,) * self.ambient, chart_point.coords,
+                                      self.basis.rows))
 
     def chart_coords(self, p: ProjPoint) -> Optional[ProjPoint]:
         """Coordinates of p in this subspace's basis, or None if outside."""
@@ -248,26 +237,30 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 
 class Line(Subspace):
-    """Projective line; approx marks members verified only at tolerance."""
+    """Projective line."""
 
-    __slots__ = ("approx",)
+    __slots__ = ()
 
-    def __init__(self, basis: Matrix, ambient: int, approx: bool = False):
+    def __init__(self, basis: Matrix, ambient: int):
         super().__init__(basis, ambient)
         assert self.dim == 1
-        self.approx = approx
+
+    @property
+    def approx(self) -> bool:
+        """Whether the line holds float coordinates, so is known only at tolerance."""
+        return not self.basis.is_exact()
 
     @staticmethod
-    def through(x: ProjPoint, y: ProjPoint, approx: bool = False) -> "Line":
+    def through(x: ProjPoint, y: ProjPoint) -> "Line":
         s = span([x, y])
         if s.dim != 1:
             raise GeometryError("coincident points do not span a line")
-        return Line(s.basis, s.ambient, approx)
+        return Line(s.basis, s.ambient)
 
     @staticmethod
-    def of(sub: Subspace, approx: bool = False) -> "Line":
+    def of(sub: Subspace) -> "Line":
         assert sub.dim == 1
-        return Line(sub.basis, sub.ambient, approx)
+        return Line(sub.basis, sub.ambient)
 
 
 # --- the exceptional generator and the fiber projectivity ---------------
@@ -280,16 +273,6 @@ def exceptional_generator() -> Subspace:
         row[4 + k] = ONE
         rows.append(row)
     return Subspace.from_rows(rows, 8)
-
-
-def primal_part(p: ProjPoint) -> Quaternion:
-    assert p.ambient == 8
-    return Quaternion(*p.coords[:4])
-
-
-def dual_part(p: ProjPoint) -> Quaternion:
-    assert p.ambient == 8
-    return Quaternion(*p.coords[4:])
 
 
 def fiber_projectivity(x: ProjPoint) -> ProjPoint:

@@ -6,6 +6,13 @@ surfaces in a 3-space chart are located through degenerate pencil
 members: a pencil whose base locus contains a line has a determinant
 form that is a perfect square, so every line sits inside a member at a
 multiple root (or at infinity when the far member is degenerate enough).
+
+A line lies on a quadric when the form restricted to two of its points
+vanishes (``QuadricForm.contains_line``); that one test verifies common
+lines and decides null lines, which lie on both S and N.  S and N are
+built once, at import.  The ruling family of a line in Y is read from
+quaternion ideals: for a null a, a H is where conj(a) b vanishes and
+H a where b conj(a) does.
 """
 
 from __future__ import annotations
@@ -23,12 +30,11 @@ from .linalg import (
     rref,
     scalar_multiple_of,
     signature as matrix_signature,
-    solve,
     vec_dot,
 )
 from .polys import Poly, durand_kerner, low_degree_roots, poly_gcd, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
-from .quaternions import Quaternion, left_mul_matrix, right_mul_matrix
+from .quaternions import Quaternion
 from .scalars import (
     ComplexFloat,
     ExactRational,
@@ -64,6 +70,12 @@ class QuadricForm:
     def contains(self, p: ProjPoint) -> bool:
         return self.value(p).is_zero()
 
+    def contains_line(self, a: ProjPoint, b: ProjPoint) -> bool:
+        """Whether the form vanishes on the span of a and b: E G E^T = 0, E = [a; b]."""
+        assert a.ambient == self.n and b.ambient == self.n
+        e = Matrix([a.coords, b.coords])
+        return (e * self.gram * e.transpose()).is_zero()
+
     def rank(self) -> int:
         return rank(self.gram)
 
@@ -98,12 +110,16 @@ def pencil_member(nu, sigma) -> QuadricForm:
     return QuadricForm(gram, label)
 
 
+_STUDY = pencil_member(0, 1)
+_NULL = pencil_member(1, 0)
+
+
 def study_quadric() -> QuadricForm:
-    return pencil_member(0, 1)
+    return _STUDY
 
 
 def null_cone() -> QuadricForm:
-    return pencil_member(1, 0)
+    return _NULL
 
 
 def quadric_e() -> QuadricForm:
@@ -128,22 +144,12 @@ def restrict(form: QuadricForm, u: Subspace) -> QuadricForm:
     return QuadricForm(gram, "restricted")
 
 
-def quadric_signature(form: QuadricForm) -> Tuple[int, int, int]:
-    return form.signature()
-
-
 def is_null_line(x: ProjPoint, y: ProjPoint) -> bool:
     """Whether the whole line through x and y sits inside both S and N."""
     assert x.ambient == 8 and y.ambient == 8
     if x == y:
         raise GeometryError("coincident points do not span a line")
-    a, b = x.dq(), y.dq()
-    for q in (a, b):
-        n = q.norm()
-        if not (n.re.is_zero() and n.du.is_zero()):
-            return False
-    cross = a * b.conjugate() + b * a.conjugate()
-    return cross.is_zero()
+    return study_quadric().contains_line(x, y) and null_cone().contains_line(x, y)
 
 
 class Handedness(enum.Enum):
@@ -157,7 +163,9 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
     Right rulings are the orbits b = a q of right multiplication, left
     rulings the orbits b = q a; both points must lie on Y inside the
-    exceptional generator.
+    exceptional generator.  For a null quaternion a the orbit a H is the
+    right annihilator of conj(a) and H a the left one, both planes, so
+    membership is one product each.
     """
     assert a.ambient == 8 and b.ambient == 8
     if a == b:
@@ -169,11 +177,12 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     db = Quaternion(*b.coords[4:])
     if not (da.norm().is_zero() and db.norm().is_zero()):
         return Handedness.NotARuling
-    right = solve(left_mul_matrix(da), db.coords()) is not None
-    left = solve(right_mul_matrix(da), db.coords()) is not None
+    ca = da.conjugate()
+    right = (ca * db).is_zero()
+    left = (db * ca).is_zero()
     if right and left:
         # a H intersects H a in the span of a only, so distinct points
-        # never solve both systems
+        # never lie in both
         raise AssertionError("ruling ambiguity for distinct points")
     if right:
         return Handedness.RightRuling
@@ -283,13 +292,7 @@ def _member_line_pairs(member: Matrix, anchor: QuadricForm):
 
 def _line_verified(q1: QuadricForm, q2: QuadricForm, a: ProjPoint,
                    b: ProjPoint) -> bool:
-    if a == b:
-        return False
-    for g in (q1, q2):
-        checks = (g.value(a), g.value(b), g.polar(a, b))
-        if any(not v.is_zero() for v in checks):
-            return False
-    return True
+    return a != b and q1.contains_line(a, b) and q2.contains_line(a, b)
 
 
 def _rationalized(p: ProjPoint, limit: int = 10 ** 6) -> Optional[ProjPoint]:
@@ -372,15 +375,16 @@ def _float_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix,
     return members
 
 
-def common_lines(q1: QuadricForm, q2: QuadricForm,
-                 tolerance: float = DEFAULT_TOLERANCE) -> List[Line]:
+def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     """All lines lying on both quadric surfaces of a 3-space chart.
 
     q1 anchors the pencil and must be regular.  Exact inputs take an
     exact path whenever the needed roots exist in the Gaussian
     rationals; otherwise candidates are found in floating point and
     re-verified, exactly when the coordinates rationalize, at tolerance
-    (and flagged approximate) when not.
+    (a float line, so approximate) when not.  The float tier compares at
+    the largest tolerance of the input's float scalars, or at
+    DEFAULT_TOLERANCE for exact input.
     """
     assert q1.n == 4 and q2.n == 4
     if rank(q1.gram) != 4:
@@ -390,7 +394,10 @@ def common_lines(q1: QuadricForm, q2: QuadricForm,
     det_poly = _pencil_det(q1.gram, q2.gram)
     assert not det_poly.is_zero()
 
-    exact_input = q1.gram.is_exact() and q2.gram.is_exact()
+    tolerances = [e.tolerance for g in (q1.gram, q2.gram) for row in g.rows for e in row
+                  if isinstance(e, ComplexFloat)]
+    exact_input = not tolerances
+    tolerance = max(tolerances, default=DEFAULT_TOLERANCE)
     members: Optional[List[Matrix]] = None
     exact_mode = False
     if exact_input:
@@ -399,8 +406,8 @@ def common_lines(q1: QuadricForm, q2: QuadricForm,
 
     lines: List[Line] = []
 
-    def add_line(a: ProjPoint, b: ProjPoint, approx: bool):
-        line = Line.through(a, b, approx=approx)
+    def add_line(a: ProjPoint, b: ProjPoint):
+        line = Line.through(a, b)
         if not any(line == seen for seen in lines):
             lines.append(line)
 
@@ -409,7 +416,7 @@ def common_lines(q1: QuadricForm, q2: QuadricForm,
             for member in members:
                 for a, b in _member_line_pairs(member, q1):
                     if _line_verified(q1, q2, a, b):
-                        add_line(a, b, approx=False)
+                        add_line(a, b)
             return sorted(lines, key=_line_sort_key)
         except _ExactFail:
             lines = []
@@ -427,10 +434,9 @@ def common_lines(q1: QuadricForm, q2: QuadricForm,
         for a, b in pairs:
             if exact_input:
                 ra, rb = _rationalized(a), _rationalized(b)
-                if (ra is not None and rb is not None and
-                        not (ra == rb) and _line_verified(q1, q2, ra, rb)):
-                    add_line(ra, rb, approx=False)
+                if ra is not None and rb is not None and _line_verified(q1, q2, ra, rb):
+                    add_line(ra, rb)
                     continue
             if _line_verified(fq1, fq2, a, b):
-                add_line(a, b, approx=True)
+                add_line(a, b)
     return sorted(lines, key=_line_sort_key)

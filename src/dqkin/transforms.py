@@ -6,7 +6,9 @@ the right.  On the projectivised algebra this induces the subgroup of
 projective maps that fix the quadric pencil and both ruling families.
 This module builds such maps from their two factors, checks the
 characterising invariants of an arbitrary 8x8 matrix, and recovers the
-factors constructively.
+factors constructively.  The pencil is fixed exactly when congruence by
+the matrix scales N and S by one and the same nonzero factor; the
+pencil is spanned by the two, so no third member needs checking.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from typing import Optional, Tuple
 from .errors import GeometryError
 from .linalg import Matrix, det, scalar_multiple_of, solve
 from .projgeom import ProjPoint, Subspace
-from .quadrics import null_cone, pencil_member, study_quadric
+from .quadrics import null_cone, study_quadric
 from .quaternions import (
     DualQuaternion,
     Q_BASIS,
@@ -119,17 +121,17 @@ def build_transform(l: DualQuaternion, r: DualQuaternion) -> AdmissibleTransform
     return AdmissibleTransform(left_mul_matrix8(l) * right_mul_matrix8(r), (l, r))
 
 
-def _congruence_fixes(t: Matrix, gram: Matrix) -> bool:
-    image = t.transpose() * gram * t
-    c = scalar_multiple_of(image, gram)
-    return c is not None and not c.is_zero()
+def _congruence_factor(t: Matrix, gram: Matrix) -> Optional[Scalar]:
+    """c with t^T gram t = c gram, if any."""
+    return scalar_multiple_of(t.transpose() * gram * t, gram)
 
 
 def verify_admissible(t: Matrix) -> VerificationReport:
     """Run the three invariant checks that characterise frame changes.
 
-    pencil_fixed: congruence by t maps three members of the quadric pencil
-    to multiples of themselves, which by linearity fixes the whole pencil.
+    pencil_fixed: congruence by t maps N and S to the same nonzero
+    multiple of themselves, which by linearity fixes every member of the
+    pencil.
     shape_ok: the block conditions forced on such a matrix (zero
     upper-right block, equal diagonal blocks, scalar-orthogonal diagonal
     block, skew compatibility of the lower-left block).
@@ -143,10 +145,9 @@ def verify_admissible(t: Matrix) -> VerificationReport:
         t = t.scale(_unit_scale(_flatten(t)))
     if det(t).is_zero():
         raise GeometryError("singular transform")
-    pencil = all(
-        _congruence_fixes(t, q.gram)
-        for q in (null_cone(), study_quadric(), pencil_member(1, 1))
-    )
+    factor = _congruence_factor(t, null_cone().gram)
+    pencil = (factor is not None and not factor.is_zero()
+              and _congruence_factor(t, study_quadric().gram) == factor)
     a = _block(t, 0, 0)
     b = _block(t, 0, 4)
     c = _block(t, 4, 0)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import os
 import random
 
 import pytest
@@ -351,3 +352,22 @@ class TestDeterminismAndOut:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli")
+with open(os.path.join(GOLDEN_DIR, "expected.json")) as _fh:
+    GOLDEN_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES,
+                         ids=["%s-%s" % (c["argv"][0], c["argv"][2]) for c in GOLDEN_CASES])
+def test_golden_output(capsys, case):
+    """All eight subcommands on the benchmark's cli input files, in rational,
+    gaussian and float modes: stdout, stderr and the exit code must match the
+    recorded ones byte for byte.  The input files in tests/data/cli are those
+    that bench/decks.py's ``cli`` writes; expected.json holds the outputs
+    recorded when this test was written, so changing it changes what the CLI
+    promises to print."""
+    argv = [os.path.join(GOLDEN_DIR, a) if a.endswith(".json") else a
+            for a in case["argv"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

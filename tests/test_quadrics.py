@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, rank
+from dqkin.linalg import Matrix, rank, solve
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
     QuadricForm,
+    _conic_line_pairs,
+    _member_line_pairs,
     common_lines,
     is_null_line,
     null_cone,
@@ -20,10 +22,12 @@ from dqkin.quadrics import (
     ruling_handedness,
     study_quadric,
 )
-from dqkin.quaternions import DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
-from dqkin.scalars import ComplexFloat, GaussianRational, gaussian, rational
+from dqkin.quaternions import (DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion,
+                               left_mul_matrix, right_mul_matrix)
+from dqkin.scalars import ComplexFloat, GaussianRational, as_exact_real, gaussian, rational
 
-from helpers import I, dq, lift_via, point, pt8
+from helpers import (I, dq, lift_via, point, pt8, random_rational_quaternion,
+                     random_study_dq)
 
 # 2R fixture: axes h1 = k, h2 = i + eps k; frame [1], [h1], [h2], [h1 h2]
 H1 = dq(Q_K)
@@ -132,6 +136,147 @@ class TestNullLines:
             assert s8.contains(z) and n8.contains(z)
 
 
+def three_checks(form, a, b):
+    """The line through a and b lies on the form: two values and the polar."""
+    return all(v.is_zero() for v in (form.value(a), form.value(b), form.polar(a, b)))
+
+
+def float_point(p, tolerance=1e-9):
+    return ProjPoint([ComplexFloat(c.to_complex(), tolerance=tolerance) for c in p.coords])
+
+
+def float_form(q, tolerance=1e-9):
+    return QuadricForm(Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
+                                for e in row] for row in q.gram.rows]))
+
+
+def mixed(rng, coords):
+    """Real Gaussian coordinates demoted to rationals at random: mixed kinds."""
+    return [as_exact_real(c) if as_exact_real(c) is not None and rng.random() < 0.5 else c
+            for c in coords]
+
+
+def null_quaternion(rng) -> Quaternion:
+    """p + i p e with e a unit pure quaternion: |p|^2 - |p e|^2 + 2i p.(p e) = 0."""
+    while True:
+        p = random_rational_quaternion(rng)
+        if not p.is_zero():
+            break
+    e = rng.choice((Q_I, Q_J, Q_K))
+    q = p + (p * e) * I
+    assert q.norm().is_zero()
+    return Quaternion(*mixed(rng, q.coords()))
+
+
+def null_dq(rng) -> DualQuaternion:
+    """n + eps n r with n null: its dual-number norm eps 2 Re(r) n conj(n) is zero."""
+    n = null_quaternion(rng)
+    return DualQuaternion(n, n * random_rational_quaternion(rng))
+
+
+def line_pairs(rng, count):
+    """Point pairs on null lines ([x], [x g] with x null), off them, and mixed."""
+    pairs = []
+    while len(pairs) < count:
+        x = null_dq(rng)
+        g = random_study_dq(rng, invertible=False)
+        candidates = [
+            (ProjPoint(x), ProjPoint(x * g)),
+            (ProjPoint(x), ProjPoint(random_study_dq(rng))),
+            (ProjPoint(random_study_dq(rng)), ProjPoint(random_study_dq(rng))),
+            (ProjPoint(x), ProjPoint(DualQuaternion(Quaternion(), x.primal))),
+        ]
+        for a, b in candidates:
+            if not a.dq().is_zero() and not b.dq().is_zero() and a != b:
+                pairs.append((a, b))
+    return pairs
+
+
+class TestContainsLine:
+    """contains_line and is_null_line against the value/polar definition."""
+
+    def chart_cases(self):
+        forms = [QuadricForm(S_2R), QuadricForm(N_2R), QuadricForm(S_RP), QuadricForm(N_RP)]
+        on = [tuple(line.points()) for line in TestCommonLines2R().expected_lines()]
+        off = [(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0])),
+               (ProjPoint([1, 2, 0, -1]), ProjPoint([0, 1, I, 3]))]
+        return forms, on + off
+
+    def test_chart_forms(self):
+        forms, pairs = self.chart_cases()
+        seen = set()
+        for form in forms:
+            for a, b in pairs:
+                want = three_checks(form, a, b)
+                seen.add(want)
+                assert form.contains_line(a, b) is want
+                assert form.contains_line(b, a) is want
+                fa, fb, ff = float_point(a), float_point(b), float_form(form)
+                assert ff.contains_line(fa, fb) is three_checks(ff, fa, fb) is want
+        assert seen == {True, False}
+
+    def test_null_lines_exact_and_float(self):
+        rng = random.Random(61)
+        s8, n8 = study_quadric(), null_cone()
+        verdicts = []
+        for a, b in line_pairs(rng, 40):
+            want = three_checks(s8, a, b) and three_checks(n8, a, b)
+            verdicts.append(want)
+            assert is_null_line(a, b) is want
+            assert s8.contains_line(a, b) is three_checks(s8, a, b)
+            assert n8.contains_line(a, b) is three_checks(n8, a, b)
+            fa, fb = float_point(a), float_point(b)
+            assert is_null_line(fa, fb) is want
+            assert s8.contains_line(fa, fb) is three_checks(s8, fa, fb)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_coincident_points_still_raise(self):
+        x = ProjPoint(null_dq(random.Random(62)))
+        with pytest.raises(GeometryError, match="coincident"):
+            is_null_line(x, ProjPoint([gaussian(2, -1) * c for c in x.coords]))
+
+
+def ref_handedness(a, b):
+    """The ruling family by its definition: b = a q or b = q a solvable."""
+    for p in (a, b):
+        if not all(c.is_zero() for c in p.coords[:4]):
+            return Handedness.NotARuling
+    da, db = Quaternion(*a.coords[4:]), Quaternion(*b.coords[4:])
+    if not (da.norm().is_zero() and db.norm().is_zero()):
+        return Handedness.NotARuling
+    right = solve(left_mul_matrix(da), db.coords()) is not None
+    left = solve(right_mul_matrix(da), db.coords()) is not None
+    assert not (right and left)
+    if right:
+        return Handedness.RightRuling
+    if left:
+        return Handedness.LeftRuling
+    return Handedness.NotARuling
+
+
+class TestRulingsAgainstSolve:
+    def test_seeded_null_pairs(self):
+        rng = random.Random(63)
+        seen = set()
+        for _ in range(30):
+            n = null_quaternion(rng)
+            q = random_rational_quaternion(rng)
+            others = [n * q, q * n, null_quaternion(rng), q, n * q + q * n]
+            for m in others:
+                a, b = point(dual=n), ProjPoint([0] * 4 + mixed(rng, m.coords()))
+                if m.is_zero() or a == b:
+                    continue
+                want = ref_handedness(a, b)
+                seen.add(want)
+                assert ruling_handedness(a, b) is want
+                assert ruling_handedness(b, a) is want
+                # off the exceptional generator nothing is a ruling
+                off = ProjPoint(list(q.coords()) + list(m.coords()))
+                if not q.is_zero():
+                    assert ruling_handedness(a, off) is Handedness.NotARuling
+        assert seen == set(Handedness)
+
+
 class TestRulingHandedness:
     def test_left_ruling_from_motion_fibers(self):
         a0, b0, c0 = Fraction(2), Fraction(3), Fraction(5)
@@ -212,8 +357,7 @@ class TestCommonLines2R:
         def to_cf(m):
             return Matrix([[ComplexFloat(float(e.value), tolerance=1e-6)
                             for e in row] for row in m.rows])
-        got = common_lines(QuadricForm(to_cf(S_2R)), QuadricForm(to_cf(N_2R)),
-                           tolerance=1e-6)
+        got = common_lines(QuadricForm(to_cf(S_2R)), QuadricForm(to_cf(N_2R)))
         assert len(got) == 4
         assert all(g.approx for g in got)
         for w in self.expected_lines():
@@ -269,3 +413,52 @@ class TestCommonLinesEdges:
         got = common_lines(QuadricForm(g1), QuadricForm(g2))
         shared = chart_line([1, 0, 0, 0], [0, 1, 0, 0])
         assert any(g == shared and not g.approx for g in got)
+
+
+def as_lines(pairs):
+    return [Line.through(a, b) for a, b in pairs]
+
+
+class TestMemberBranches:
+    """Degenerate members and conics the seeded dyads never produce."""
+
+    # 2(x0 x3 + x1 x2): regular, through both unit points e2 and e3
+    ANCHOR = QuadricForm(Matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]))
+    E_LINES = [chart_line([0, 0, 1, 0], [0, 0, 0, 1]), chart_line([0, 1, 0, 0], [0, 0, 0, 1])]
+
+    def test_cone_member_vertex_on_anchor(self):
+        # x0^2 + 2 x1 x2 has rank 3 and vertex e3, a point of the anchor; the
+        # anchor's lines through e3 lie in its polar plane x0 = 0
+        cone = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+        got = as_lines(_member_line_pairs(cone, self.ANCHOR))
+        assert len(got) == 2
+        assert all(any(g == w for g in got) for w in self.E_LINES)
+        # both lie on the cone too, so the pencil's common lines include them
+        found = common_lines(self.ANCHOR, QuadricForm(cone))
+        assert all(any(g == w for g in found) for w in self.E_LINES)
+        for line in found:
+            a, b = line.points()
+            assert self.ANCHOR.contains_line(a, b) and QuadricForm(cone).contains_line(a, b)
+
+    def test_cone_member_vertex_off_anchor(self):
+        cone = Matrix.diagonal([1, 1, 1, 0])
+        anchor = QuadricForm(Matrix.diagonal([1, 1, -1, -1]))
+        assert _member_line_pairs(cone, anchor) == []
+
+    def test_double_plane_member(self):
+        # rank 1: the plane x0 = 0 counted twice; the anchor cuts it in the
+        # two lines through e3
+        plane = Matrix.diagonal([1, 0, 0, 0])
+        got = as_lines(_member_line_pairs(plane, self.ANCHOR))
+        assert len(got) == 2
+        assert all(any(g == w for g in got) for w in self.E_LINES)
+
+    @pytest.mark.parametrize("conic, line", [
+        (Matrix.diagonal([1, 0, 0]), ([0, 1, 0], [0, 0, 1])),
+        (Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 0]]), ([2, -1, 0], [0, 0, 1])),
+        (Matrix([[I, 0, I], [0, 0, 0], [I, 0, I]]), ([1, 0, -1], [0, 1, 0])),
+    ])
+    def test_double_line_conic(self, conic, line):
+        pairs = _conic_line_pairs(conic)
+        assert len(pairs) == 1
+        assert as_lines(pairs) == [chart_line(*line)]

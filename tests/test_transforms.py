@@ -5,6 +5,7 @@ import pytest
 from dqkin.errors import GeometryError
 from dqkin.linalg import Matrix, scalar_multiple_of
 from dqkin.projgeom import ProjPoint, fiber_projectivity
+from dqkin.quadrics import null_cone, study_quadric
 from dqkin.quaternions import (
     DQ_ONE,
     DualQuaternion,
@@ -95,6 +96,16 @@ class TestVerifyAdmissible:
     def test_singular_input(self):
         with pytest.raises(GeometryError, match="singular"):
             verify_admissible(Matrix.zeros(8, 8))
+
+    def test_pencil_needs_one_factor(self):
+        # t^T N t = N and t^T S t = 2 S: each member is fixed on its own,
+        # but with different factors, so N + S is not and the pencil moves
+        t = Matrix.diagonal([1, 1, 1, 1, 2, 2, 2, 2])
+        assert scalar_multiple_of(t.transpose() * null_cone().gram * t,
+                                  null_cone().gram) == 1
+        assert scalar_multiple_of(t.transpose() * study_quadric().gram * t,
+                                  study_quadric().gram) == 2
+        assert not verify_admissible(t).pencil_fixed
 
     @pytest.mark.parametrize("scale", [1e-4, 1e3, 1e5])
     def test_float_verdict_ignores_scale(self, scale):
