@@ -17,9 +17,9 @@ basis of the conjugate line.
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import GeometryError
+from .errors import ExactnessError, GeometryError
 from .linalg import Matrix, nullspace, rref, scalar_multiple_of, vec_is_zero
 from .projgeom import (
     Line,
@@ -33,7 +33,6 @@ from .projgeom import (
 from .quadrics import (
     Handedness,
     QuadricForm,
-    _ExactFail,
     _split_binary,
     common_lines,
     is_null_line,
@@ -235,13 +234,30 @@ def _single_point(sub: Subspace) -> ProjPoint:
     return ProjPoint(sub.basis.row(0))
 
 
+def _null_lines(u: Subspace, s_u: QuadricForm, n_u: QuadricForm,
+                evidence: Dict[str, object]) -> Optional[List[Line]]:
+    """The common null lines of u, lifted and recorded in the evidence.
+
+    None, with the reason under "inexact", where they leave Q(i).
+    """
+    try:
+        chart_lines = common_lines(s_u, n_u)
+    except ExactnessError as err:
+        evidence["inexact"] = str(err)
+        return None
+    lines = evidence["null_lines"] = [_lift_line(u, l) for l in chart_lines]
+    return lines
+
+
 def classify(u: Subspace) -> Classification:
     """Decide which dyad, if any, a real three-space belongs to.
 
     The decision reads off projective invariants only: the inertia of
     the restricted Study form, the intersection with the exceptional
     generator, the common null lines, and the ruling family their fiber
-    images select.
+    images select.  Where the null lines need a square root outside the
+    Gaussian rationals the verdict is NotADyadSpace, with the reason under
+    the evidence key "inexact" and no "null_lines".
     """
     if u.ambient != 8 or u.dim != 3 or not u.conjugation_closed():
         raise GeometryError("classification needs a real three-space")
@@ -261,8 +277,9 @@ def classify(u: Subspace) -> Classification:
     evidence["exceptional_meet_dim"] = inter.dim
 
     if inter.dim == -1:
-        lines = [_lift_line(u, l) for l in common_lines(s_u, n_u) if not l.approx]
-        evidence["null_lines"] = lines
+        lines = _null_lines(u, s_u, n_u, evidence)
+        if lines is None:
+            return Classification(Verdict.NotADyadSpace, evidence)
         quad = null_quadrilateral(lines)
         evidence["quadrilateral"] = quad
         if quad is None:
@@ -276,8 +293,9 @@ def classify(u: Subspace) -> Classification:
         evidence["fiber_image"] = fib
         if fib == inter:
             return Classification(Verdict.C, evidence)
-        lines = [_lift_line(u, l) for l in common_lines(s_u, n_u) if not l.approx]
-        evidence["null_lines"] = lines
+        lines = _null_lines(u, s_u, n_u, evidence)
+        if lines is None:
+            return Classification(Verdict.NotADyadSpace, evidence)
         pair = [l for l in lines if not l.conjugation_closed()]
         if len(lines) != 3 or len(pair) != 2 or _conjugate_line(pair[0]) != pair[1]:
             return Classification(Verdict.NotADyadSpace, evidence)
@@ -350,7 +368,7 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
     j1, j2 = pivots
     try:
         roots = _split_binary(conic[j1, j1], conic[j1, j2], conic[j2, j2])
-    except _ExactFail:
+    except ExactnessError:
         raise GeometryError("axes are not rational over the scalar field")
     if len(roots) != 2:
         raise GeometryError("quadric has no two rulings through the base")

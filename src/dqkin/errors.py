@@ -12,7 +12,9 @@ class ParseError(DqkinError):
 class ExactnessError(DqkinError):
     """An exact-only operation received inexact (float) data, or found no exact answer.
 
-    ``polys.exact_div`` raises it for a division that leaves a remainder.
+    ``polys.exact_div`` raises it for a division that leaves a remainder,
+    ``quadrics.common_lines`` for exact forms whose lines need a square
+    root outside the Gaussian rationals.
     """
 
 

@@ -23,7 +23,6 @@ from .polys import Poly, exact_div, low_degree_roots, poly_gcd
 from .projgeom import Line, ProjPoint, Subspace, meet, span
 from .quadrics import (
     Handedness,
-    _ExactFail,
     _split_binary,
     null_cone,
     quadric_y8,
@@ -290,7 +289,7 @@ def c_space_from_line(l: Line) -> CSpaceReport:
         raise GeometryError("line inside null cone")
     try:
         roots = _split_binary(qa, qb, qc)
-    except _ExactFail:
+    except ExactnessError:
         raise GeometryError("null points are not rational over the scalar field")
     if len(roots) < 2:
         # a double contact point: the line touches the cone

@@ -180,9 +180,24 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
     return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
 
 
-def durand_kerner(coeffs: Sequence[complex], max_iter: int = 200,
-                  tol: float = 1e-13) -> List[complex]:
-    """All complex roots of a float polynomial, ascending coefficients."""
+def _horner(coeffs: Sequence[complex], z: complex) -> complex:
+    """Value at z of a float polynomial, ascending coefficients."""
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+_DK_MAX_ITER = 200
+_DK_STEP_TOL = 1e-13
+
+
+def durand_kerner(coeffs: Sequence[complex]) -> List[complex]:
+    """All complex roots of a float polynomial, ascending coefficients.
+
+    Iterates until no root moves by more than _DK_STEP_TOL, or at most
+    _DK_MAX_ITER times.
+    """
     cs = [complex(c) for c in coeffs]
     while cs and abs(cs[-1]) == 0.0:
         cs.pop()
@@ -190,16 +205,9 @@ def durand_kerner(coeffs: Sequence[complex], max_iter: int = 200,
     lead = cs[-1]
     cs = [c / lead for c in cs]
     n = len(cs) - 1
-
-    def value(z):
-        out = 0j
-        for c in reversed(cs):
-            out = out * z + c
-        return out
-
     seed = complex(0.4, 0.9)
     roots = [seed ** (k + 1) for k in range(n)]
-    for _ in range(max_iter):
+    for _ in range(_DK_MAX_ITER):
         shift = 0.0
         new = list(roots)
         for i in range(n):
@@ -207,10 +215,10 @@ def durand_kerner(coeffs: Sequence[complex], max_iter: int = 200,
             for j in range(n):
                 if j != i:
                     denom *= roots[i] - roots[j]
-            step = value(roots[i]) / denom
+            step = _horner(cs, roots[i]) / denom
             new[i] = roots[i] - step
             shift = max(shift, abs(step))
         roots = new
-        if shift < tol:
+        if shift < _DK_STEP_TOL:
             break
     return roots

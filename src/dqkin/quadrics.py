@@ -6,6 +6,9 @@ surfaces in a 3-space chart are located through degenerate pencil
 members: a pencil whose base locus contains a line has a determinant
 form that is a perfect square, so every line sits inside a member at a
 multiple root (or at infinity when the far member is degenerate enough).
+Exact forms give exact lines, or ``ExactnessError`` where a needed
+square root leaves the Gaussian rationals; float forms give float lines
+at their tolerance.  Neither kind falls back on the other.
 
 A line lies on a quadric when the form restricted to two of its points
 vanishes (``QuadricForm.contains_line``); that one test verifies common
@@ -18,10 +21,9 @@ H a where b conj(a) does.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .errors import GeometryError
+from .errors import ExactnessError, GeometryError
 from .linalg import (
     Matrix,
     _kernel,
@@ -32,20 +34,11 @@ from .linalg import (
     signature as matrix_signature,
     vec_dot,
 )
-from .polys import Poly, durand_kerner, low_degree_roots, poly_gcd, squarefree_part
+from .polys import (Poly, _horner, durand_kerner, low_degree_roots, poly_gcd,
+                    squarefree_part)
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
-from .scalars import (
-    ComplexFloat,
-    ExactRational,
-    GaussianRational,
-    Scalar,
-    scalar,
-    scalar_to_json,
-    DEFAULT_TOLERANCE,
-    ONE,
-    ZERO,
-)
+from .scalars import ComplexFloat, Scalar, scalar, scalar_to_json, ONE, ZERO
 
 
 class QuadricForm:
@@ -193,10 +186,6 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
 # --- common lines of two quadric surfaces in a 3-space chart -------------
 
-class _ExactFail(Exception):
-    """A needed square root does not exist in the exact tower."""
-
-
 def _det_poly(rows: List[List[Poly]]) -> Poly:
     n = len(rows)
     if n == 1:
@@ -218,7 +207,10 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
 
 
 def _split_binary(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scalar]]:
-    """Root pairs (alpha, beta) of a alpha^2 + 2 b alpha beta + c beta^2."""
+    """Root pairs (alpha, beta) of a alpha^2 + 2 b alpha beta + c beta^2.
+
+    Raises ExactnessError when the roots of exact coefficients leave Q(i).
+    """
     if a.is_zero():
         if b.is_zero():
             assert not c.is_zero()
@@ -229,7 +221,7 @@ def _split_binary(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scalar]
         return [(-b, a)]
     s = disc.sqrt()
     if s is None:
-        raise _ExactFail()
+        raise ExactnessError("the square root of %s is not in Q(i)" % disc)
     return [(-b + s, a), (-b - s, a)]
 
 
@@ -295,18 +287,6 @@ def _line_verified(q1: QuadricForm, q2: QuadricForm, a: ProjPoint,
     return a != b and q1.contains_line(a, b) and q2.contains_line(a, b)
 
 
-def _rationalized(p: ProjPoint, limit: int = 10 ** 6) -> Optional[ProjPoint]:
-    coords = []
-    for c in p.coords:
-        z = c.to_complex()
-        re = Fraction(z.real).limit_denominator(limit)
-        im = Fraction(z.imag).limit_denominator(limit)
-        coords.append(GaussianRational(re, im) if im else ExactRational(re))
-    if all(c.is_zero() for c in coords):
-        return None
-    return ProjPoint(coords)
-
-
 def _line_sort_key(line: Line) -> str:
     def fmt(c: Scalar) -> str:
         if isinstance(c, ComplexFloat):
@@ -316,14 +296,15 @@ def _line_sort_key(line: Line) -> str:
     return ";".join(",".join(fmt(c) for c in row) for row in line.basis.rows)
 
 
-def _exact_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[List[Matrix]]:
+def _exact_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix) -> List[Matrix]:
     members = []
     if det_poly.degree >= 1:
         g = poly_gcd(det_poly, det_poly.derivative())
         if g.degree >= 1:
             roots = low_degree_roots(squarefree_part(g))
             if roots is None:
-                return None
+                raise ExactnessError(
+                    "the repeated roots of the pencil determinant are not in Q(i)")
             for s0 in roots:
                 members.append(g1 + g2.scale(s0))
     if 4 - det_poly.degree >= 2:
@@ -333,58 +314,38 @@ def _exact_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[List
 
 def _float_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix,
                         tolerance: float) -> List[Matrix]:
-    def to_cf(m: Matrix) -> Matrix:
-        return Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
-                        for e in row] for row in m.rows])
-
-    f1, f2 = to_cf(g1), to_cf(g2)
+    """Degenerate members of a float pencil: at the roots of p' where p vanishes too."""
     coeffs = [c.to_complex() for c in det_poly.coeffs]
     members = []
     if len(coeffs) >= 3:
-        roots = durand_kerner(coeffs)
-        scale = max(abs(c) for c in coeffs)
-        residual_tol = max(tolerance, 1e-10) ** 0.5 * scale
-
-        def val(z):
-            out = 0j
-            for c in reversed(coeffs):
-                out = out * z + c
-            return out
-
-        bad = [z for z in roots if abs(val(z)) > residual_tol]
-        if bad:
-            raise GeometryError(
-                "root isolation failed; residual %.3e" % max(abs(val(z)) for z in bad))
-        cluster_tol = max(tolerance, 1e-12) ** 0.5 * 10
-        used = [False] * len(roots)
-        for i, z in enumerate(roots):
-            if used[i]:
-                continue
-            cluster = [z]
-            used[i] = True
-            for j in range(i + 1, len(roots)):
-                if not used[j] and abs(roots[j] - z) < cluster_tol:
-                    cluster.append(roots[j])
-                    used[j] = True
-            if len(cluster) >= 2:
-                mean = sum(cluster) / len(cluster)
-                s0 = ComplexFloat(mean, tolerance=tolerance)
-                members.append(f1 + f2.scale(s0))
+        slope = [k * c for k, c in enumerate(coeffs)][1:]
+        residual_tol = max(tolerance, 1e-10) ** 0.5 * max(abs(c) for c in coeffs)
+        roots = durand_kerner(slope)
+        worst = max(abs(_horner(slope, z)) for z in roots)
+        if worst > residual_tol:
+            raise GeometryError("root isolation failed; residual %.3e" % worst)
+        for z in roots:
+            if abs(_horner(coeffs, z)) <= residual_tol:
+                members.append(g1 + g2.scale(ComplexFloat(z, tolerance=tolerance)))
     if 4 - det_poly.degree >= 2:
-        members.append(f2)
+        members.append(g2)
     return members
+
+
+def _float_form(q: QuadricForm, tolerance: float) -> QuadricForm:
+    return QuadricForm(Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
+                                for e in row] for row in q.gram.rows]))
 
 
 def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     """All lines lying on both quadric surfaces of a 3-space chart.
 
-    q1 anchors the pencil and must be regular.  Exact inputs take an
-    exact path whenever the needed roots exist in the Gaussian
-    rationals; otherwise candidates are found in floating point and
-    re-verified, exactly when the coordinates rationalize, at tolerance
-    (a float line, so approximate) when not.  The float tier compares at
-    the largest tolerance of the input's float scalars, or at
-    DEFAULT_TOLERANCE for exact input.
+    q1 anchors the pencil and must be regular.  Exact forms give exact
+    lines, and raise ExactnessError when a pencil root or a line pair
+    needs a square root outside the Gaussian rationals.  Forms with any
+    float entry are taken as float forms at the largest tolerance among
+    their entries and give float lines (``Line.approx``), verified at
+    that tolerance.
     """
     assert q1.n == 4 and q2.n == 4
     if rank(q1.gram) != 4:
@@ -396,47 +357,18 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
 
     tolerances = [e.tolerance for g in (q1.gram, q2.gram) for row in g.rows for e in row
                   if isinstance(e, ComplexFloat)]
-    exact_input = not tolerances
-    tolerance = max(tolerances, default=DEFAULT_TOLERANCE)
-    members: Optional[List[Matrix]] = None
-    exact_mode = False
-    if exact_input:
+    if tolerances:
+        tolerance = max(tolerances)
+        q1, q2 = _float_form(q1, tolerance), _float_form(q2, tolerance)
+        members = _float_member_grams(det_poly, q1.gram, q2.gram, tolerance)
+    else:
         members = _exact_member_grams(det_poly, q1.gram, q2.gram)
-        exact_mode = members is not None
 
     lines: List[Line] = []
-
-    def add_line(a: ProjPoint, b: ProjPoint):
-        line = Line.through(a, b)
-        if not any(line == seen for seen in lines):
-            lines.append(line)
-
-    if exact_mode:
-        try:
-            for member in members:
-                for a, b in _member_line_pairs(member, q1):
-                    if _line_verified(q1, q2, a, b):
-                        add_line(a, b)
-            return sorted(lines, key=_line_sort_key)
-        except _ExactFail:
-            lines = []
-
-    # floating point tier
-    fq1 = QuadricForm(Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
-                               for e in row] for row in q1.gram.rows]))
-    fq2 = QuadricForm(Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
-                               for e in row] for row in q2.gram.rows]))
-    for member in _float_member_grams(det_poly, q1.gram, q2.gram, tolerance):
-        try:
-            pairs = _member_line_pairs(member, fq1)
-        except _ExactFail:  # pragma: no cover - float sqrt always exists
-            continue
-        for a, b in pairs:
-            if exact_input:
-                ra, rb = _rationalized(a), _rationalized(b)
-                if ra is not None and rb is not None and _line_verified(q1, q2, ra, rb):
-                    add_line(ra, rb)
-                    continue
-            if _line_verified(fq1, fq2, a, b):
-                add_line(a, b)
+    for member in members:
+        for a, b in _member_line_pairs(member, q1):
+            if _line_verified(q1, q2, a, b):
+                line = Line.through(a, b)
+                if not any(line == seen for seen in lines):
+                    lines.append(line)
     return sorted(lines, key=_line_sort_key)

@@ -12,6 +12,7 @@ from dqkin.dyads import (
     null_quadrilateral,
     recover_axes,
 )
+from dqkin import quadrics
 from dqkin.errors import GeometryError
 from dqkin.projgeom import Line, ProjPoint, chi_subspace, meet, span
 from dqkin.quadrics import Handedness
@@ -218,6 +219,27 @@ class TestClassify:
             for _ in range(3):
                 t = build_transform(random_study_dq(rng), random_study_dq(rng))
                 assert classify(t.apply_subspace(space)).verdict is verdict
+
+    def test_nonunit_axes_are_inexact(self, monkeypatch):
+        # the axis i + j has length sqrt(2): the null lines leave Q(i), and
+        # classify says so instead of retrying in floats
+        def float_tier(*args):
+            raise AssertionError("classify reached the float tier")
+
+        monkeypatch.setattr(quadrics, "_float_member_grams", float_tier)
+        u = Q_I + Q_J
+        h1, h2 = dq(u), dq(Q_I, -Q_J)
+        p = Q_I + Q_K
+        spans = [
+            span([point(Q_ONE), ProjPoint(h1), ProjPoint(h2), ProjPoint(h1 * h2)]),
+            span([point(Q_ONE), ProjPoint(h1), point(dual=p), point(dual=u * p)]),
+            span([point(Q_ONE), ProjPoint(h1), point(dual=p), point(dual=p * u)]),
+        ]
+        for space in spans:
+            got = classify(space)
+            assert got.verdict is Verdict.NotADyadSpace
+            assert "not in Q(i)" in got.evidence["inexact"]
+            assert "null_lines" not in got.evidence
 
 
 class TestNullQuadrilateral:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dqkin.errors import GeometryError
+from dqkin.dyads import DyadKind, build_variety
+from dqkin.errors import ExactnessError, GeometryError
 from dqkin.linalg import Matrix, rank, solve
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
@@ -26,8 +27,8 @@ from dqkin.quaternions import (DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Qua
                                left_mul_matrix, right_mul_matrix)
 from dqkin.scalars import ComplexFloat, GaussianRational, as_exact_real, gaussian, rational
 
-from helpers import (I, dq, lift_via, point, pt8, random_rational_quaternion,
-                     random_study_dq)
+from helpers import (I, dq, lift_via, point, pt8, random_dyad_spec,
+                     random_rational_quaternion, random_study_dq)
 
 # 2R fixture: axes h1 = k, h2 = i + eps k; frame [1], [h1], [h2], [h1 h2]
 H1 = dq(Q_K)
@@ -400,19 +401,39 @@ class TestCommonLinesEdges:
             common_lines(QuadricForm(S_2R), QuadricForm(S_2R.scale(-3)))
 
     def test_no_common_lines(self):
-        # sphere-like and hyperboloid-like quadrics share no lines
-        q1 = QuadricForm(Matrix.diagonal([1, 1, 1, -1]))
-        q2 = QuadricForm(Matrix.diagonal([1, 2, 3, -1]))
-        assert common_lines(q1, q2) == []
+        # sphere-like and hyperboloid-like quadrics share no lines; the
+        # repeated roots of their pencil determinant leave Q(i)
+        g1 = Matrix.diagonal([1, 1, 1, -1])
+        g2 = Matrix.diagonal([1, 2, 3, -1])
+        with pytest.raises(ExactnessError, match="not in Q"):
+            common_lines(QuadricForm(g1), QuadricForm(g2))
+        assert common_lines(float_form(QuadricForm(g1)), float_form(QuadricForm(g2))) == []
 
     def test_irrational_members_rational_line(self):
         # both quadrics contain the line x2 = x3 = 0; the degenerate pencil
         # members sit at s = +-sqrt(2), outside the exact tower
         g1 = Matrix([[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
         g2 = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-        got = common_lines(QuadricForm(g1), QuadricForm(g2))
+        with pytest.raises(ExactnessError, match="not in Q"):
+            common_lines(QuadricForm(g1), QuadricForm(g2))
+        got = common_lines(float_form(QuadricForm(g1)), float_form(QuadricForm(g2)))
         shared = chart_line([1, 0, 0, 0], [0, 1, 0, 0])
-        assert any(g == shared and not g.approx for g in got)
+        assert any(g == shared and g.approx for g in got)
+
+
+class TestFloatTier:
+    @pytest.mark.parametrize("kind, count", [
+        (DyadKind.RR, 4), (DyadKind.RP, 3), (DyadKind.PR, 3)])
+    def test_float_copies_of_dyad_forms(self, kind, count):
+        # the pencil members at double roots come from the roots of p',
+        # which Durand-Kerner finds to full precision
+        for seed in range(24):
+            u = build_variety(random_dyad_spec(random.Random(seed), kind)).space
+            s_u, n_u = restrict(study_quadric(), u), restrict(null_cone(), u)
+            exact = common_lines(s_u, n_u)
+            got = common_lines(float_form(s_u), float_form(n_u))
+            assert len(exact) == len(got) == count, seed
+            assert all(g.approx and any(g == e for e in exact) for g in got), seed
 
 
 def as_lines(pairs):
