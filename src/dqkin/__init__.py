@@ -1,6 +1,6 @@
 """Exact projective kinematics of rigid body displacements."""
 
-from .errors import DqkinError, ExactnessError, GeometryError, ParseError
+from .errors import DqkinError, ExactnessError, GeometryError, InvariantError, ParseError
 from .scalars import (
     ComplexFloat,
     ExactRational,

@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import permutations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import ExactnessError, GeometryError
+from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import Matrix, nullspace, rref, scalar_multiple_of, vec_is_zero
 from .projgeom import (
     Line,
@@ -307,7 +307,8 @@ def classify(u: Subspace) -> Classification:
         evidence["conjugate_pair"] = (l1, l2)
         evidence["ruling_points"] = {"s1": s1, "s2": s2, "f1": f1, "f2": f2}
         handed = ruling_handedness(f1, s1)
-        assert handed is ruling_handedness(f2, s2)
+        if handed is not ruling_handedness(f2, s2):
+            raise InvariantError("the ruling points of the conjugate pair disagree on handedness")
         evidence["handedness"] = handed
         if handed is Handedness.RightRuling:
             return Classification(Verdict.RP, evidence)

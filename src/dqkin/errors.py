@@ -20,3 +20,13 @@ class ExactnessError(DqkinError):
 
 class GeometryError(DqkinError):
     """Input violates a geometric precondition of the requested operation."""
+
+
+class InvariantError(DqkinError):
+    """A certificate the theory guarantees failed to hold.
+
+    Raised by explicit checks, not asserts, so it survives ``python -O``:
+    ``quadrics.ruling_handedness`` when two distinct points lie in both
+    ruling families, ``dyads.classify`` when the two ruling points of a
+    conjugate pair disagree on their handedness.
+    """

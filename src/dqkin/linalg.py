@@ -21,22 +21,43 @@ on every path, entry by entry and kind by kind.
   Gaussian exactly when the entry of ``v``, some coefficient ``c_k`` or
   some ``row_k`` entry in its column is Gaussian, which is the kind the
   scalar loop gives it.
-- Anything with a float entry takes the scalar loop: Gaussian
-  elimination that pivots on magnitude, and plain dot products.
+- Float input runs float kernels: each converts its operands to plain
+  Python ``complex`` once, runs the scalar loop's operations in the
+  scalar loop's order, and wraps each result once in a ComplexFloat.
+  The results equal the scalar loop's bit for bit (value, signed zeros,
+  kind and tolerance):
+  - Products, ``apply`` and ``vec_dot`` start each sum at ``0j``, as the
+    scalar loop starts at ZERO, and an entry carries the largest float
+    tolerance in its row and column.  An entry with a term of two exact
+    factors keeps the scalar loop, which multiplies that term exactly.
+  - ``det`` and ``rref`` (so ``nullspace``, ``solve`` and
+    ``Subspace.from_rows``) of a matrix whose entries are all floats
+    pivot, as the scalar loop does, on the largest magnitude above the
+    tolerance, with ``1+0j`` for the exact constants.  The matrix has one
+    tolerance, the largest among its entries, so the results are the
+    scalar loop's whenever the entries share one tolerance, as the
+    floats of one parsed input do.  Matrices that mix exact and float
+    entries keep the scalar loop, as mixed exact kinds do.
+  - ``scalar_multiple_of`` with a float multiple compares every entry
+    at the tolerances the scalar loop compares it at.
+  Single scalars keep ComplexFloat's own arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
 from .scalars import (
+    ComplexFloat,
     ExactRational,
     GaussianRational,
     Scalar,
+    _float_of,
     as_exact_real,
     scalar,
     ONE,
@@ -65,11 +86,7 @@ def vec_scale(c, u: Vector) -> Vector:
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     """Plain bilinear dot product, no conjugation."""
     assert len(u) == len(v)
-    cu = _cleared(u)
-    cv = None if cu is None else _cleared(v)
-    if cv is None:
-        return _plain_dot(u, v)
-    return _cleared_dot(cu, cv)
+    return _products([u], [v])[0][0]
 
 
 def _plain_dot(u: Vector, v: Vector) -> Scalar:
@@ -77,6 +94,7 @@ def _plain_dot(u: Vector, v: Vector) -> Scalar:
     for a, b in zip(u, v):
         out = out + a * b
     return out
+
 
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
@@ -116,6 +134,54 @@ def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
         if vi is not None:
             re -= sum(map(mul, ui, vi))
     return GaussianRational(Fraction(re, ud * vd), Fraction(im, ud * vd))
+
+
+def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
+    """The dot product of every row with every column, on one path per call.
+
+    Exact input runs on cleared integers.  With a float entry anywhere,
+    every entry whose terms each have a float factor runs the float
+    kernel; an entry with a term of two exact factors keeps the scalar
+    loop, which multiplies that term exactly.
+    """
+    cleared_rows = _all_cleared(rows)
+    cleared_cols = None if cleared_rows is None else _all_cleared(cols)
+    if cleared_cols is not None:
+        return [[_cleared_dot(r, c) for c in cleared_cols] for r in cleared_rows]
+    float_cols = [_floated(c) for c in cols]
+    out = []
+    for r in rows:
+        rv, rt, rx = _floated(r)
+        out.append([_plain_dot(r, c) if rx & cx else
+                    _float_of(reduce(add, map(mul, rv, cv), 0j), max(rt, ct))
+                    for c, (cv, ct, cx) in zip(cols, float_cols)])
+    return out
+
+
+def _all_cleared(vectors: Sequence[Vector]) -> Optional[List[_Cleared]]:
+    """Every vector cleared, or None as soon as one has a float entry."""
+    out = []
+    for v in vectors:
+        c = _cleared(v)
+        if c is None:
+            return None
+        out.append(c)
+    return out
+
+
+def _floated(u: Vector) -> Tuple[List[complex], float, int]:
+    """u as plain complex numbers, the largest tolerance among its floats
+    (0.0 when it has none) and the bitmask of its exact positions."""
+    values, tolerance, exact = [], 0.0, 0
+    for k, e in enumerate(u):
+        if type(e) is ComplexFloat:
+            values.append(e.value)
+            if e.tolerance > tolerance:
+                tolerance = e.tolerance
+        else:
+            values.append(e.to_complex())
+            exact |= 1 << k
+    return values, tolerance, exact
 
 
 def _combination(v: Vector, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
@@ -238,22 +304,13 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         assert self.ncols == other.nrows
-        cols = [other.column(j) for j in range(other.ncols)]
-        rows = [_cleared(r) for r in self.rows]
-        cleared_cols = [_cleared(c) for c in cols]
-        if None not in rows and None not in cleared_cols:
-            return Matrix([[_cleared_dot(r, c) for c in cleared_cols] for r in rows])
-        return Matrix([[_plain_dot(r, c) for c in cols] for r in self.rows])
+        return Matrix(_products(self.rows, list(zip(*other.rows))))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         u = as_vector(v)
         assert len(u) == self.ncols
-        cu = _cleared(u)
-        rows = [_cleared(r) for r in self.rows]
-        if cu is not None and None not in rows:
-            return tuple(_cleared_dot(r, cu) for r in rows)
-        return tuple(_plain_dot(r, u) for r in self.rows)
+        return tuple(row[0] for row in _products(self.rows, [u]))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -300,6 +357,24 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
             return i
         mag = abs(e.to_complex())
         if mag > best_mag:
+            best, best_mag = i, mag
+    return best
+
+
+def _float_rows(m: Matrix) -> Tuple[List[List[complex]], float]:
+    """The rows of an all-float matrix as plain complex numbers, and the
+    largest tolerance among its entries, the one the kernels compare at."""
+    return ([[e.value for e in r] for r in m.rows],
+            max(e.tolerance for r in m.rows for e in r))
+
+
+def _float_pivot(rows: List[List[complex]], col: int, start: int,
+                 tolerance: float) -> Optional[int]:
+    """_pivot_row on plain complex rows: the largest magnitude above tolerance."""
+    best, best_mag = None, 0.0
+    for i in range(start, len(rows)):
+        mag = abs(rows[i][col])
+        if mag > tolerance and mag > best_mag:
             best, best_mag = i, mag
     return best
 
@@ -376,7 +451,11 @@ _GAUSSIAN_ZERO = GaussianRational(0, 0)
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
+    """Reduced row echelon form and the pivot column indices.
+
+    An all-float matrix is reduced at its largest tolerance; a matrix
+    that mixes exact and float entries takes the scalar loop.
+    """
     # scaling a row changes no reduced form, so each row is cleared alone
     if _all_of_kind(m, ExactRational):
         a = [_cleared(r)[0] for r in m.rows]
@@ -393,6 +472,8 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                  for xr, xi in a[i]] for i in range(len(pivots))]
         rows += [[_GAUSSIAN_ZERO] * m.ncols] * (m.nrows - len(pivots))
         return Matrix(rows), tuple(pivots)
+    if _all_of_kind(m, ComplexFloat):
+        return _float_rref(m)
     rows = [list(r) for r in m.rows]
     pivots = []
     r = 0
@@ -414,11 +495,40 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     return Matrix(rows), tuple(pivots)
 
 
+def _float_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
+    """The scalar loop of rref on plain complex rows.  A row the loop never
+    rewrites is returned as it came in, as the scalar loop returns it."""
+    rows, tolerance = _float_rows(m)
+    kept = list(m.rows)  # a row's input entries until the loop rewrites it
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = _float_pivot(rows, col, r, tolerance)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        kept[p] = kept[r]
+        kept[r] = None
+        inv = (1 + 0j) / rows[r][col]
+        top = rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and abs(rows[i][col]) > tolerance:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+                kept[i] = None
+        pivots.append(col)
+    return Matrix([[_float_of(v + 0j, tolerance) for v in row] if k is None else k
+                   for row, k in zip(rows, kept)]), tuple(pivots)
+
+
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
 def det(m: Matrix) -> Scalar:
+    """Determinant, on the paths of ``rref``."""
     assert m.nrows == m.ncols
     if _all_of_kind(m, ExactRational):
         cleared = [_cleared(r) for r in m.rows]
@@ -434,6 +544,8 @@ def det(m: Matrix) -> Scalar:
             return _GAUSSIAN_ZERO
         den = prod(c[2] for c in cleared)
         return GaussianRational(Fraction(sign * dr, den), Fraction(sign * di, den))
+    if _all_of_kind(m, ComplexFloat):
+        return _float_det(m)
     rows = [list(r) for r in m.rows]
     n = m.nrows
     sign = 1
@@ -454,6 +566,29 @@ def det(m: Matrix) -> Scalar:
             f = rows[i][col] * inv
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return out if sign > 0 else -out
+
+
+def _float_det(m: Matrix) -> ComplexFloat:
+    """The scalar loop of det on plain complex rows."""
+    rows, tolerance = _float_rows(m)
+    n = len(rows)
+    sign, out = 1, 1 + 0j
+    for col in range(n):
+        p = _float_pivot(rows, col, col, tolerance)
+        if p is None:
+            return ComplexFloat(0j * rows[0][0], tolerance=tolerance)
+        if p != col:
+            rows[col], rows[p] = rows[p], rows[col]
+            sign = -sign
+        pivot = rows[col][col]
+        out = out * pivot
+        inv = (1 + 0j) / pivot
+        for i in range(col + 1, n):
+            if abs(rows[i][col]) <= tolerance:
+                continue
+            f = rows[i][col] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return ComplexFloat(out if sign > 0 else -out, tolerance=tolerance)
 
 
 def nullspace(m: Matrix) -> List[Vector]:
@@ -515,8 +650,21 @@ def scalar_multiple_of(a: Matrix, b: Matrix) -> Optional[Scalar]:
             break
     if c is None:
         return None
-    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    if type(c) is ComplexFloat:
+        # x == c*y for every entry, as the scalar loop compares it: at the
+        # largest tolerance among x, y and c
+        cv, ct = c.value, c.tolerance
+        xs, ys = _entry_floats(a), _entry_floats(b)
+        ok = all(abs(x - cv * y) <= max(xt, yt, ct) for (x, xt), (y, yt) in zip(xs, ys))
+    else:
+        ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
     return c if ok else None
+
+
+def _entry_floats(m: Matrix) -> List[Tuple[complex, float]]:
+    """Each entry of m as a plain complex number with its tolerance (0.0 if exact)."""
+    return [(e.value, e.tolerance) if type(e) is ComplexFloat else (e.to_complex(), 0.0)
+            for r in m.rows for e in r]
 
 
 def signature(gram: Matrix) -> Tuple[int, int, int]:

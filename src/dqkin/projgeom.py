@@ -14,18 +14,22 @@ paths: residues (so ``contains``, ``chart_coords`` and ``meet``) and
 ``lift`` go through ``linalg._combination``, and ``ProjPoint.__eq__``
 cross-multiplies the cleared coordinates instead of normalising both
 points.  A float coordinate anywhere sends the operation through the
-scalar loop, which compares at the floats' tolerance.
+scalar loop, which compares at the floats' tolerance.  ``contains`` and
+``chart_coords`` first scale a point with a float coordinate to
+max-norm one (``scalars._unit_scale``), so their answer does not depend
+on the representative; ``ProjPoint.__eq__`` and ``meet`` still compare
+unscaled values.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import GeometryError
 from .linalg import (Matrix, Vector, _cleared, _combination, as_vector, nullspace, rref,
-                     vec_is_zero)
+                     vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
-from .scalars import Scalar, ONE, ZERO
+from .scalars import ComplexFloat, Scalar, ONE, ZERO, _unit_scale
 
 
 class ProjPoint:
@@ -143,11 +147,17 @@ class Subspace:
         """
         return _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
 
-    def contains(self, p: ProjPoint) -> bool:
-        if self.basis is None:
-            return False
+    def _holds(self, p: ProjPoint) -> bool:
+        """Whether p's residue vanishes, p taken at max-norm one when it has
+        a float coordinate."""
         assert p.ambient == self.ambient
-        return vec_is_zero(self._residue(p.coords))
+        coords = p.coords
+        if ComplexFloat in map(type, coords):
+            coords = vec_scale(_unit_scale(coords), coords)
+        return vec_is_zero(self._residue(coords))
+
+    def contains(self, p: ProjPoint) -> bool:
+        return self.basis is not None and self._holds(p)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.basis is None:
@@ -172,8 +182,7 @@ class Subspace:
         if self.basis is None:
             return None
         self._require_chart()
-        assert p.ambient == self.ambient
-        if not vec_is_zero(self._residue(p.coords)):
+        if not self._holds(p):
             return None
         return ProjPoint([p.coords[j] for j in self._pivots])
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from typing import List, Sequence, Tuple
 
-from .errors import ExactnessError, GeometryError
+from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
     Matrix,
     _kernel,
@@ -176,7 +176,7 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     if right and left:
         # a H intersects H a in the span of a only, so distinct points
         # never lie in both
-        raise AssertionError("ruling ambiguity for distinct points")
+        raise InvariantError("ruling ambiguity for distinct points")
     if right:
         return Handedness.RightRuling
     if left:

@@ -13,6 +13,11 @@ float workers therefore take the larger of the two tolerances
 themselves.  Exact constructors keep a ``Fraction`` argument as it is,
 since a Fraction is already in lowest terms; ints and strings are
 normalised.
+
+The ComplexFloat workers serve single scalars.  Float vectors and
+matrices run in ``linalg``'s float kernels on plain ``complex`` values,
+which wrap each result once (``_float_of``) and give the same bits as
+these workers would.
 """
 
 from __future__ import annotations
@@ -399,6 +404,20 @@ class ComplexFloat(Scalar):
 
     def __repr__(self):
         return "ComplexFloat(%r, %r)" % (self.value.real, self.value.imag)
+
+
+def _float_of(value: complex, tolerance: float) -> ComplexFloat:
+    """``ComplexFloat(value, tolerance=tolerance)`` without the constructor's
+    conversions, for the float kernels of ``linalg``.
+
+    The constructor adds 0j to a complex value, which turns a -0.0 part
+    into 0.0; the caller passes a value that has no -0.0 part (a sum
+    started at 0j, or a value plus 0j), so the results are the same.
+    """
+    out = object.__new__(ComplexFloat)
+    out.value = value
+    out.tolerance = tolerance
+    return out
 
 
 def as_scalar(x) -> Optional[Scalar]:

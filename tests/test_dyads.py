@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from dqkin import dyads
 from dqkin.dyads import (
     DyadKind,
     DyadSpec,
@@ -13,7 +18,8 @@ from dqkin.dyads import (
     recover_axes,
 )
 from dqkin import quadrics
-from dqkin.errors import GeometryError
+from dqkin.errors import GeometryError, InvariantError
+from dqkin.jsonio import point_to_json
 from dqkin.projgeom import Line, ProjPoint, chi_subspace, meet, span
 from dqkin.quadrics import Handedness
 from dqkin.quaternions import DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
@@ -240,6 +246,50 @@ class TestClassify:
             assert got.verdict is Verdict.NotADyadSpace
             assert "not in Q(i)" in got.evidence["inexact"]
             assert "null_lines" not in got.evidence
+
+
+class TestHandednessCertificate:
+    """The two ruling points of an RP/PR conjugate pair must agree on their
+    handedness; a disagreement raises InvariantError, also under -O."""
+
+    def test_disagreement_raises(self, monkeypatch):
+        answers = iter([Handedness.RightRuling, Handedness.LeftRuling])
+        monkeypatch.setattr(dyads, "ruling_handedness", lambda a, b: next(answers))
+        with pytest.raises(InvariantError, match="disagree on handedness"):
+            classify(build_variety(RP_SPEC).space)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_cli_exits_1_without_traceback(self, flags, tmp_path):
+        path = tmp_path / "rp.json"
+        path.write_text(json.dumps([point_to_json(p)
+                                    for p in build_variety(RP_SPEC).space.points()]))
+        script = (
+            "import itertools, json, sys\n"
+            "from dqkin import dyads\n"
+            "from dqkin.cli import main\n"
+            "from dqkin.errors import InvariantError\n"
+            "from dqkin.quadrics import Handedness\n"
+            "answers = itertools.cycle([Handedness.RightRuling, Handedness.LeftRuling])\n"
+            "dyads.ruling_handedness = lambda a, b: next(answers)\n"
+            "from dqkin.jsonio import parse_points\n"
+            "from dqkin.projgeom import span\n"
+            "doc = json.load(open(sys.argv[1]))\n"
+            "try:\n"
+            "    dyads.classify(span(parse_points(doc, '$', 'rational', 1e-9)))\n"
+            "except InvariantError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('classify did not raise InvariantError')\n"
+            "sys.exit(main(['classify', sys.argv[1]]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", script, str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "disagree on handedness" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestNullQuadrilateral:

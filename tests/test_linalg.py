@@ -388,3 +388,257 @@ class TestExactKernelsAgainstReference:
                         _assert_same([vec_dot(a.rows[i], column)], [_pdot(a_pairs[i], col_pairs)],
                                      [GaussianRational if a_gauss[i] or b_gauss[j]
                                       else ExactRational])
+
+
+# --- differential test of the float kernels ---------------------------------
+#
+# The references are the scalar loops the kernels replace, run on Scalars:
+# every operation goes through ComplexFloat's own arithmetic.  Results
+# must agree bit for bit: value (signed zeros included), kind, tolerance.
+
+def _bits(s):
+    if type(s) is ComplexFloat:
+        return ("float", s.value.real.hex(), s.value.imag.hex(), s.tolerance.hex())
+    if type(s) is GaussianRational:
+        return ("gaussian", s.re, s.im)
+    assert type(s) is ExactRational
+    return ("rational", s.value)
+
+
+def _rows_bits(rows):
+    return [[_bits(e) for e in r] for r in rows]
+
+
+def _loop_dot(u, v):
+    out = rational(0)
+    for a, b in zip(u, v):
+        out = out + a * b
+    return out
+
+
+def _loop_pivot(rows, col, start):
+    best, best_mag = None, 0.0
+    for i in range(start, len(rows)):
+        e = rows[i][col]
+        if e.is_zero():
+            continue
+        if e.is_exact:
+            return i
+        mag = abs(e.to_complex())
+        if mag > best_mag:
+            best, best_mag = i, mag
+    return best
+
+
+def _loop_rref(m):
+    one = rational(1)
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = _loop_pivot(rows, col, r)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = one / rows[r][col]
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, tuple(pivots)
+
+
+def _loop_det(m):
+    one = rational(1)
+    rows = [list(r) for r in m.rows]
+    sign, out = 1, one
+    for col in range(len(rows)):
+        p = _loop_pivot(rows, col, col)
+        if p is None:
+            return rational(0) * rows[0][0]
+        if p != col:
+            rows[col], rows[p] = rows[p], rows[col]
+            sign = -sign
+        pivot = rows[col][col]
+        out = out * pivot
+        inv = one / pivot
+        for i in range(col + 1, len(rows)):
+            if rows[i][col].is_zero():
+                continue
+            f = rows[i][col] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return out if sign > 0 else -out
+
+
+def _loop_multiple(a, b):
+    c = None
+    for ra, rb in zip(a.rows, b.rows):
+        for x, y in zip(ra, rb):
+            if not y.is_zero():
+                c = x / y
+                break
+        if c is not None:
+            break
+    if c is None:
+        return None
+    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    return c if ok else None
+
+
+def _float_entry(rng, tolerance):
+    """A float with zero, -0.0, integer or fractional parts."""
+    def part():
+        roll = rng.random()
+        if roll < 0.15:
+            return 0.0
+        if roll < 0.3:
+            return -0.0
+        if roll < 0.6:
+            return float(rng.randint(-4, 4))
+        return rng.uniform(-3, 3)
+    return ComplexFloat(part(), part() if rng.random() < 0.5 else 0.0, tolerance)
+
+
+def _mixed_entry(rng, kinds, tolerance):
+    kind = rng.choice(kinds)
+    if kind == "float":
+        return _float_entry(rng, tolerance)
+    q = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.75 else Fraction(0)
+    if kind == "rational":
+        return rational(q)
+    return gaussian(q, rng.randint(-2, 2))
+
+
+def _row_kinds(rng):
+    """Mostly mixed, sometimes all exact or all float, so products meet terms
+    of two exact factors, all-exact entries and all-float entries."""
+    roll = rng.random()
+    if roll < 0.2:
+        return ("rational", "gaussian")
+    if roll < 0.4:
+        return ("float",)
+    return ("rational", "gaussian", "float")
+
+
+def _float_matrix(rng, nrows, ncols, tolerance):
+    """An all-float matrix, often singular or nearly so."""
+    roll = rng.random()
+    if roll < 0.4:
+        rows = [[_float_entry(rng, tolerance) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        # a low-rank product of small integer factors, exact in floats, so
+        # elimination meets exact cancellation; some entries nudged past
+        # or below the tolerance
+        r = rng.randint(0, min(nrows, ncols))
+        b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nrows)]
+        c = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(r)]
+        rows = []
+        for i in range(nrows):
+            row = []
+            for j in range(ncols):
+                x = float(sum(b[i][k] * c[k][j] for k in range(r)))
+                if roll > 0.8 and rng.random() < 0.2:
+                    x += rng.choice((1e-12, -1e-12, 1e-4)) * rng.random()
+                elif not x and rng.random() < 0.3:
+                    x = rng.choice((tolerance, -tolerance))  # zero, just
+                row.append(ComplexFloat(x if x or rng.random() < 0.5 else -0.0, 0.0, tolerance))
+            rows.append(row)
+    return Matrix(rows)
+
+
+class TestFloatKernelsAgainstScalarLoop:
+    def test_products_apply_vec_dot(self):
+        rng = random.Random(61)
+        kernel_entries = 0
+        for n in range(1, 9):
+            for _ in range(6):
+                inner, ncols = rng.randint(1, 8), rng.randint(1, 8)
+                tols = (1e-9, 1e-6)
+                a = Matrix([[_mixed_entry(rng, kinds, rng.choice(tols)) for _ in range(inner)]
+                            for kinds in [_row_kinds(rng) for _ in range(n)]])
+                cols = [[_mixed_entry(rng, kinds, rng.choice(tols)) for _ in range(inner)]
+                        for kinds in [_row_kinds(rng) for _ in range(ncols)]]
+                b = Matrix.from_columns(cols)
+                want = [[_loop_dot(r, b.column(j)) for j in range(ncols)] for r in a.rows]
+                kernel_entries += sum(type(e) is ComplexFloat for r in want for e in r)
+                assert _rows_bits((a * b).rows) == _rows_bits(want)
+                for j in range(ncols):
+                    col = b.column(j)
+                    assert [_bits(e) for e in a.apply(col)] == [_bits(r[j]) for r in want]
+                    for i in range(n):
+                        assert _bits(vec_dot(a.rows[i], col)) == _bits(want[i][j])
+        assert kernel_entries > 500
+
+    def test_det_and_rref(self):
+        rng = random.Random(62)
+        nullities = set()
+        for n in range(1, 9):
+            for _ in range(12):
+                tolerance = rng.choice((1e-9, 1e-6))
+                m = _float_matrix(rng, n, n, tolerance)
+                assert _bits(det(m)) == _bits(_loop_det(m))
+                for ncols in (n, rng.randint(1, 8)):
+                    m = _float_matrix(rng, n, ncols, tolerance)
+                    red, pivots = rref(m)
+                    want_rows, want_pivots = _loop_rref(m)
+                    assert pivots == want_pivots
+                    assert _rows_bits(red.rows) == _rows_bits(want_rows)
+                    nullities.add(min(n, ncols) - len(pivots))
+        # singular and rank-deficient matrices are among the cases
+        assert {0, 1, 2, 3} <= nullities
+
+    def test_scalar_multiple(self):
+        # every entry compares at its own tolerances, so they may differ
+        rng = random.Random(63)
+        tols = (1e-9, 1e-6)
+        floats = 0
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            kinds = _row_kinds(rng)
+            b = Matrix([[_mixed_entry(rng, kinds, rng.choice(tols)) for _ in range(ncols)]
+                        for _ in range(nrows)])
+            c = (_float_entry(rng, rng.choice(tols)) if rng.random() < 0.8
+                 else _mixed_entry(rng, ("rational", "gaussian"), 0.0))
+            rows = []
+            for r in b.rows:
+                row = []
+                for y in r:
+                    x = c * y
+                    roll = rng.random()
+                    if roll < 0.05:
+                        x = x + ComplexFloat(1e-3, 0.0, rng.choice(tols))
+                    elif roll < 0.15:
+                        # zero at 1e-6, nonzero at 1e-9
+                        x = x + ComplexFloat(1e-7, 0.0, rng.choice(tols))
+                    if type(x) is ComplexFloat:
+                        x = ComplexFloat(x.value, tolerance=rng.choice(tols))
+                    row.append(x)
+                rows.append(row)
+            a = Matrix(rows)
+            got, want = scalar_multiple_of(a, b), _loop_multiple(a, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                floats += type(got) is ComplexFloat
+                assert _bits(got) == _bits(want)
+        assert floats > 50
+
+    def test_mixed_tolerances_take_the_largest(self):
+        # det and rref of an all-float matrix compare at its largest
+        # tolerance: 1e-7 is nonzero at its own 1e-9 but zero at 1e-6
+        def raised(m, tolerance):
+            return Matrix([[ComplexFloat(e.value, tolerance=tolerance) for e in r]
+                           for r in m.rows])
+
+        m = Matrix([[ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(0.0, 0.0, 1e-6)],
+                    [ComplexFloat(0.0, 0.0, 1e-6), ComplexFloat(1.0, 0.0, 1e-6)]])
+        assert _bits(det(m)) == _bits(_loop_det(raised(m, 1e-6)))
+        assert det(m).value == 0 and _loop_det(m).value == 1e-7
+        row = Matrix([[ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(1.0, 0.0, 1e-6)]])
+        red, pivots = rref(row)
+        want_rows, want_pivots = _loop_rref(raised(row, 1e-6))
+        assert (pivots, _rows_bits(red.rows)) == (want_pivots, _rows_bits(want_rows))
+        assert pivots == (1,) and _loop_rref(row)[1] == (0,)

@@ -21,10 +21,10 @@ from dqkin.projgeom import (
     project_from_center,
     span,
 )
-from dqkin.quaternions import DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
+from dqkin.quaternions import Q_I, Q_J, Q_K, Q_ONE, Quaternion
 from dqkin.scalars import ComplexFloat, gaussian, rational
 
-from helpers import I, dq, point, pt8
+from helpers import I, point, pt8
 
 
 def rand_point(rng):
@@ -475,3 +475,36 @@ class TestChi:
         img = chi_subspace(u)
         assert img == span([point(Q_ONE, -Q_I), point(Q_K)])
         assert chi_subspace(img) == u
+
+
+def _float_point(values, scale):
+    return ProjPoint([ComplexFloat(x * scale) for x in values])
+
+
+class TestFloatContainmentAtUnitScale:
+    """Float containment decides at max-norm one, so a point's scale cannot
+    move it in or out: 100 seeded float 3-spaces of P^7, with a point of
+    each and a point 1e-2 off each."""
+
+    IN_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+    OFF_SCALES = (1e-8, 1e-4, 1.0, 1e3, 1e6)
+
+    def test_scaled_points(self):
+        rng = random.Random(808)
+        for _ in range(100):
+            rows = [[rng.uniform(-1, 1) for _ in range(8)] for _ in range(4)]
+            u = Subspace.from_rows([[ComplexFloat(x) for x in row] for row in rows], 8)
+            assert u.dim == 3
+            pivots = [next(j for j, e in enumerate(r) if not e.is_zero()) for r in u.basis.rows]
+            coeffs = [rng.uniform(-1, 1) for _ in range(4)]
+            inside = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(8)]
+            off = [x + 1e-2 * rng.uniform(-1, 1) for x in inside]
+            for scale in self.IN_SCALES:
+                p = _float_point(inside, scale)
+                assert u.contains(p), scale
+                chart = u.chart_coords(p)
+                assert [c.value for c in chart.coords] == [p.coords[j].value for j in pivots]
+            for scale in self.OFF_SCALES:
+                p = _float_point(off, scale)
+                assert not u.contains(p), scale
+                assert u.chart_coords(p) is None

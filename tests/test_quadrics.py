@@ -5,7 +5,7 @@ import pytest
 
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
-from dqkin.linalg import Matrix, rank, solve
+from dqkin.linalg import Matrix, solve
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
@@ -25,10 +25,10 @@ from dqkin.quadrics import (
 )
 from dqkin.quaternions import (DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion,
                                left_mul_matrix, right_mul_matrix)
-from dqkin.scalars import ComplexFloat, GaussianRational, as_exact_real, gaussian, rational
+from dqkin.scalars import ComplexFloat, as_exact_real, gaussian, rational
 
-from helpers import (I, dq, lift_via, point, pt8, random_dyad_spec,
-                     random_rational_quaternion, random_study_dq)
+from helpers import (I, dq, lift_via, point, random_dyad_spec, random_rational_quaternion,
+                     random_study_dq)
 
 # 2R fixture: axes h1 = k, h2 = i + eps k; frame [1], [h1], [h2], [h1 h2]
 H1 = dq(Q_K)
