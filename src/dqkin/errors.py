@@ -28,5 +28,7 @@ class InvariantError(DqkinError):
     Raised by explicit checks, not asserts, so it survives ``python -O``:
     ``quadrics.ruling_handedness`` when two distinct points lie in both
     ruling families, ``dyads.classify`` when the two ruling points of a
-    conjugate pair disagree on their handedness.
+    conjugate pair disagree on their handedness, ``quadrecon.run_cycle``
+    when a cycle does not close up and ``quadrecon.reconstruct_quadrilateral``
+    when a reconstructed quadrilateral fails one of its postconditions.
     """

@@ -9,20 +9,29 @@ lies in the subspace exactly when it equals their combination of the
 rows.  The ambient dimension is 8 for dual quaternion space; restricted
 charts use smaller vectors.
 
+``meet`` and ``project_from_center`` share one kernel, ``_meet_rows``:
+the meet of a subspace with the span of independent rows is spanned by
+the kernel of the rows' residues.  A central projection hands it the
+point's row and the centre's rows directly, without canonicalising
+their join first.  The exceptional generator [eps H] is built once, at
+import.
+
 Exact vectors (rational or Gaussian entries, mixed or not) take integer
-paths: residues (so ``contains``, ``chart_coords`` and ``meet``) and
-``lift`` go through ``linalg._combination``, and ``ProjPoint.__eq__``
-cross-multiplies the cleared coordinates instead of normalising both
-points.  A float coordinate anywhere sends the operation through the
-scalar loop, which compares at the floats' tolerance.  ``contains`` and
-``chart_coords`` first scale a point with a float coordinate to
-max-norm one (``scalars._unit_scale``), so their answer does not depend
-on the representative; ``ProjPoint.__eq__`` and ``meet`` still compare
+paths: residues (so ``contains``, ``chart_coords``, ``meet`` and
+projections) and ``lift`` go through ``linalg._combination``, and
+``ProjPoint.__eq__`` cross-multiplies the cleared coordinates instead
+of normalising both points.  A float coordinate anywhere sends the
+operation through the scalar loop, which compares at the floats'
+tolerance.  ``contains`` and ``chart_coords`` first scale the point to
+max-norm one (``scalars._unit_scale``) when it or the subspace's basis
+has a float coordinate, so their answer does not depend on the
+representative; ``ProjPoint.__eq__`` and ``meet`` still compare
 unscaled values.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from .errors import GeometryError
@@ -148,12 +157,14 @@ class Subspace:
         return _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
 
     def _holds(self, p: ProjPoint) -> bool:
-        """Whether p's residue vanishes, p taken at max-norm one when it has
-        a float coordinate."""
+        """Whether p's residue vanishes, p taken at max-norm one when p or the
+        basis has a float coordinate, by a factor at their largest tolerance."""
         assert p.ambient == self.ambient
         coords = p.coords
-        if ComplexFloat in map(type, coords):
-            coords = vec_scale(_unit_scale(coords), coords)
+        if ComplexFloat in map(type, chain(coords, *self.basis.rows)):
+            tolerance = max(e.tolerance for e in chain(coords, *self.basis.rows)
+                            if type(e) is ComplexFloat)
+            coords = vec_scale(_unit_scale(coords, tolerance), coords)
         return vec_is_zero(self._residue(coords))
 
     def contains(self, p: ProjPoint) -> bool:
@@ -229,20 +240,23 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_rows(rows, a.ambient)
 
 
-def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of row spaces; the empty subspace when disjoint.
-
-    A combination of a's rows lies in b exactly when the same combination
-    of their residues modulo b vanishes, so the meet is spanned by the
-    kernel of the residues, one column per row of a.
-    """
-    assert a.ambient == b.ambient
-    if a.basis is None or b.basis is None:
-        return Subspace.empty(a.ambient)
-    kernel = nullspace(Matrix.from_columns([b._residue(row) for row in a.basis.rows]))
+def _meet_rows(rows: Sequence[Vector], b: Subspace) -> Subspace:
+    """The meet of b with the span of independent rows: a combination of
+    the rows lies in b exactly when the same combination of their residues
+    modulo b vanishes, so the kernel of the residues, one column per row,
+    spans the meet."""
+    if b.basis is None:
+        return Subspace.empty(b.ambient)
+    kernel = nullspace(Matrix.from_columns([b._residue(row) for row in rows]))
     if not kernel:
-        return Subspace.empty(a.ambient)
-    return Subspace.from_rows((Matrix(kernel) * a.basis).rows, a.ambient)
+        return Subspace.empty(b.ambient)
+    return Subspace.from_rows((Matrix(kernel) * Matrix(rows)).rows, b.ambient)
+
+
+def meet(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of row spaces; the empty subspace when disjoint."""
+    assert a.ambient == b.ambient
+    return Subspace.empty(a.ambient) if a.basis is None else _meet_rows(a.basis.rows, b)
 
 
 class Line(Subspace):
@@ -274,14 +288,13 @@ class Line(Subspace):
 
 # --- the exceptional generator and the fiber projectivity ---------------
 
+_EPS_H = Subspace.from_rows([[ONE if j == 4 + k else ZERO for j in range(8)]
+                             for k in range(4)], 8)
+
+
 def exceptional_generator() -> Subspace:
     """The 3-space [eps H] of vanishing primal part."""
-    rows = []
-    for k in range(4):
-        row = [ZERO] * 8
-        row[4 + k] = ONE
-        rows.append(row)
-    return Subspace.from_rows(rows, 8)
+    return _EPS_H
 
 
 def fiber_projectivity(x: ProjPoint) -> ProjPoint:
@@ -296,10 +309,8 @@ def fiber_projectivity(x: ProjPoint) -> ProjPoint:
 def fiber_image(u: Subspace) -> Subspace:
     """Span of phi over all of u (equivalently over basis points off eps H)."""
     assert u.ambient == 8
-    rows = []
-    for p in u.points():
-        if not all(c.is_zero() for c in p.coords[:4]):
-            rows.append(fiber_projectivity(p).coords)
+    rows = [] if u.basis is None else [
+        (ZERO,) * 4 + row[:4] for row in u.basis.rows if not vec_is_zero(row[:4])]
     if not rows:
         raise GeometryError(
             "fiber projectivity undefined on the exceptional generator")
@@ -313,7 +324,9 @@ def fiber_line(x: ProjPoint) -> Line:
 def project_from_center(x: ProjPoint, center: Subspace, target: Subspace) -> ProjPoint:
     if center.contains(x):
         raise GeometryError("projection not well defined")
-    image = meet(join(span([x]), center), target)
+    # x off the centre keeps x and the centre's rows independent
+    rows = (x.coords,) if center.basis is None else (x.coords,) + center.basis.rows
+    image = _meet_rows(rows, target)
     if image.dim != 0:
         raise GeometryError("projection not well defined")
     return image.points()[0]
@@ -332,4 +345,5 @@ def chi_subspace(u: Subspace) -> Subspace:
     assert u.ambient == 8
     if u.basis is None:
         return u
-    return Subspace.from_rows([chi_point(ProjPoint(r)).coords for r in u.basis.rows], 8)
+    return Subspace.from_rows([(w, -x, -y, -z, dw, -dx, -dy, -dz)
+                               for w, x, y, z, dw, dx, dy, dz in u.basis.rows], 8)

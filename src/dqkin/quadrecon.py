@@ -9,6 +9,13 @@ quadric through the fixed 3-space, the spatial quadrilateral on the
 quadric whose sides pass through the centres is unique and drops out of
 a linear system.
 
+Each object is built once: ``ProjectionCycle.spaces`` is the one
+definition of the four 4-spaces, and reconstruction inverts its frame
+once, since rescaling a frame row only divides the centres' coordinate
+for that row.  The closure of a cycle and the postconditions of a
+reconstruction are certificates: a failure raises
+``errors.InvariantError``, also under ``python -O``.
+
 Everything here is exact; float scalars are refused.
 """
 
@@ -17,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ExactnessError, GeometryError
-from .linalg import Matrix, inverse, rank, solve, vec_add, vec_scale, vec_sub
+from .errors import ExactnessError, GeometryError, InvariantError
+from .linalg import Matrix, inverse, rank, solve, vec_add, vec_dot, vec_scale, vec_sub
 from .projgeom import (
     ProjPoint,
     Subspace,
@@ -76,8 +83,8 @@ class ProjectionCycle:
         plane = span(self.centers)
         if plane.dim != 2:
             raise GeometryError("projection centres must span a plane")
-        for p in self.f_points:
-            if meet(plane, join(self.e, span([p]))).dim != -1:
+        for space in self.spaces():
+            if meet(plane, space).dim != -1:
                 raise GeometryError("centre plane meets a projection space")
 
     def spaces(self) -> Tuple[Subspace, Subspace, Subspace, Subspace]:
@@ -100,7 +107,8 @@ def run_cycle(c: ProjectionCycle, start: ProjPoint) -> List[ProjPoint]:
     u2 = project_from_center(v1, span([n1]), u2_space)
     v2 = project_from_center(u2, span([m2]), v2_space)
     back = project_from_center(v2, span([n2]), u1_space)
-    assert back == start
+    if back != start:
+        raise InvariantError("projection cycle does not close up at its start point")
     return [v1, u2, v2, back]
 
 
@@ -181,10 +189,8 @@ def reconstruct_quadrilateral(
     sigma[2] = sigma[1] * raw[1][2] / raw[1][1]
     sigma[3] = sigma[2] * raw[2][3] / raw[2][2]
     frame = Matrix([vec_scale(sigma[i], f_reps[i]) for i in range(4)] + e_reps)
-    to_frame = inverse(frame)
-    assert to_frame is not None
-    m1c, n1c, m2c, n2c = _center_coords(
-        to_frame.transpose(), cycle.centers, slots)
+    # scaling frame row k by sigma[k] divides each centre's coordinate k by it
+    m1c, n1c, m2c, n2c = [[c / s for c, s in zip(cs, sigma)] + cs[4:] for cs in raw]
     m1c = vec_scale(ONE / m1c[0], m1c)
     n1c = vec_scale(ONE / n1c[1], n1c)
     m2c = vec_scale(ONE / m2c[2], m2c)
@@ -212,13 +218,8 @@ def reconstruct_quadrilateral(
     shift3 = vec_add(shift2, vec_scale(zeta2, m2c[4:]))
     shifts = ((ZERO,) * 4, shift1, shift2, shift3)
 
-    rhs = []
-    for k in range(4):
-        row = b_block.row(k)
-        dot = ZERO
-        for a, b in zip(row, shifts[k]):
-            dot = dot + a * b
-        rhs.append(-(weights[k] * a_block[k, k] * HALF) - dot)
+    rhs = [-(weights[k] * a_block[k, k] * HALF) - vec_dot(b_block.row(k), shifts[k])
+           for k in range(4)]
     x = solve(b_block, rhs)
     assert x is not None
 
@@ -230,15 +231,15 @@ def reconstruct_quadrilateral(
     points = [ProjPoint(back.apply(cs)) for cs in (u1c, v1c, u2c, v2c)]
 
     u1, v1, u2, v2 = points
-    for pt in points:
-        assert p.omega.contains(pt)
-    for a, b in ((u1, v1), (v1, u2), (u2, v2), (v2, u1)):
-        assert p.omega.polar(a, b).is_zero()
-    sides = [join(span([a]), span([b]))
-             for a, b in ((u1, v1), (v1, u2), (u2, v2), (v2, u1))]
-    for side, center in zip(sides, cycle.centers):
-        assert side.contains(center)
+    if not all(p.omega.contains(pt) for pt in points):
+        raise InvariantError("reconstructed vertex off the quadric")
+    sides = ((u1, v1), (v1, u2), (u2, v2), (v2, u1))
+    if not all(p.omega.polar(a, b).is_zero() for a, b in sides):
+        raise InvariantError("consecutive reconstructed vertices not polar")
+    if not all(span([a, b]).contains(c) for (a, b), c in zip(sides, cycle.centers)):
+        raise InvariantError("reconstructed side misses its projection centre")
     f = span(cycle.f_points)
-    for pt, prime in zip(points, cycle.f_points):
-        assert project_from_center(pt, cycle.e, f) == prime
+    if not all(project_from_center(pt, cycle.e, f) == prime
+               for pt, prime in zip(points, cycle.f_points)):
+        raise InvariantError("reconstructed vertex does not project to its image point")
     return points

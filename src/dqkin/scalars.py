@@ -467,16 +467,18 @@ def as_exact_real(s: Scalar) -> Optional[ExactRational]:
     return None
 
 
-def _unit_scale(entries) -> ComplexFloat:
-    """The float that scales a homogeneous float object to max-norm one.
+def _unit_scale(entries, tolerance: Optional[float] = None) -> ComplexFloat:
+    """The float that scales a homogeneous object to max-norm one.
 
     Tolerant tests compare against an absolute tolerance, so tests of a
     homogeneous object only mean the same on every representative once it
-    is scaled; the factor carries the entries' tolerance so the products
-    keep it.  A zero object keeps its scale.
+    is scaled; the factor carries the given tolerance, by default the
+    largest of the entries' floats, so the products keep it.  A zero
+    object keeps its scale.
     """
     top = max(abs(e.to_complex()) for e in entries)
-    tolerance = max(e.tolerance for e in entries if isinstance(e, ComplexFloat))
+    if tolerance is None:
+        tolerance = max(e.tolerance for e in entries if isinstance(e, ComplexFloat))
     return ComplexFloat(1.0 / top if top else 1.0, 0.0, tolerance)
 
 

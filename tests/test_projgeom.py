@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, det, nullspace, rank, solve
+from dqkin.linalg import Matrix, det, nullspace, rank, solve, vec_is_zero
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -461,6 +461,118 @@ class TestCentralProjection:
             project_from_center(point(Q_J), center, target)  # x in center
 
 
+def rand_of(rng, kind):
+    return rand_mixed(rng) if kind == "mixed" else rand_scalar(rng, kind)
+
+
+def rand_exact_space(rng, kind, dim):
+    while True:
+        u = Subspace.from_rows([[rand_of(rng, kind) for _ in range(8)]
+                                for _ in range(dim + 1)], 8)
+        if u.dim == dim:
+            return u
+
+
+def ref_projection(x, center, target):
+    """Central projection as the meet of the canonical join with the target."""
+    if center.contains(x):
+        raise GeometryError("projection not well defined")
+    image = meet(join(span([x]), center), target)
+    if image.dim != 0:
+        raise GeometryError("projection not well defined")
+    return image.points()[0]
+
+
+class TestProjectionIsOneMeet:
+    """project_from_center against the meet of the join of x and the centre
+    with the target, on rational, Gaussian and mixed input, centres of
+    dimension -1 to 2: the same point, coordinate by coordinate and kind
+    by kind, and a GeometryError exactly where the definition has none."""
+
+    @pytest.mark.parametrize("kind", ["rational", "gaussian", "mixed"])
+    def test_against_join_and_meet(self, kind):
+        rng = random.Random({"rational": 61, "gaussian": 62, "mixed": 63}[kind])
+        outcomes = set()
+        for c in range(-1, 3):
+            for trial in range(30):
+                center = Subspace.empty(8) if c < 0 else rand_exact_space(rng, kind, c)
+                x = ProjPoint([rand_of(rng, kind) for _ in range(8)])
+                while vec_is_zero(x.coords):
+                    x = ProjPoint([rand_of(rng, kind) for _ in range(8)])
+                mode = trial % 4
+                if mode == 0 and c >= 0:
+                    x = rand_member(rng, "rational", center)  # inside the centre
+                if mode == 1:
+                    # through x, so x itself when the centre is empty
+                    rows = [x.coords] + [[rand_of(rng, kind) for _ in range(8)]
+                                         for _ in range(rng.randint(0, 6 - c))]
+                    target = Subspace.from_rows(rows, 8)
+                elif mode == 2:
+                    target = rand_exact_space(rng, kind, rng.randint(0, 7))
+                else:
+                    target = rand_exact_space(rng, kind, 6 - c)
+                try:
+                    want = ref_projection(x, center, target)
+                except GeometryError:
+                    outcomes.add((c, "error"))
+                    with pytest.raises(GeometryError, match="not well defined"):
+                        project_from_center(x, center, target)
+                    continue
+                outcomes.add((c, "point"))
+                assert_same(project_from_center(x, center, target).coords, want.coords)
+        assert outcomes == {(c, o) for c in range(-1, 3) for o in ("error", "point")}
+
+    def test_empty_centre(self):
+        target = span([point(Q_ONE), point(Q_I)])
+        x = point(Quaternion(2, 3, 0, 0))
+        assert project_from_center(x, Subspace.empty(8), target) == x
+        with pytest.raises(GeometryError, match="not well defined"):
+            project_from_center(point(Q_J), Subspace.empty(8), target)
+        with pytest.raises(GeometryError, match="not well defined"):
+            project_from_center(x, Subspace.empty(8), Subspace.empty(8))
+
+    def test_both_errors(self):
+        center = span([point(Q_J)])
+        line = span([point(Q_ONE), point(Q_I)])
+        with pytest.raises(GeometryError, match="not well defined"):
+            project_from_center(point(Q_J), center, line)  # x in the centre
+        with pytest.raises(GeometryError, match="not well defined"):
+            project_from_center(point(Q_K), center, line)  # the line misses the target
+        plane = span([point(Q_ONE), point(Q_J), point(Q_K)])
+        with pytest.raises(GeometryError, match="not well defined"):
+            project_from_center(point(Q_K), center, plane)  # ... or lies in it
+
+
+class TestConstantsAndRowMaps:
+    def test_exceptional_generator_is_eps_h(self):
+        rows = [[rational(int(j == 4 + k)) for j in range(8)] for k in range(4)]
+        eh = exceptional_generator()
+        assert eh == Subspace.from_rows(rows, 8)
+        assert eh.basis.rows == tuple(tuple(r) for r in rows)
+        assert_same([e for r in eh.basis.rows for e in r], [e for r in rows for e in r])
+        assert exceptional_generator() is eh
+
+    def test_against_per_point_maps(self):
+        rng = random.Random(64)
+        for u in mixed_spaces(rng):
+            if u.basis is None:
+                continue
+            want = Subspace.from_rows([chi_point(p).coords for p in u.points()], 8)
+            got = chi_subspace(u)
+            assert_same([e for r in got.basis.rows for e in r],
+                        [e for r in want.basis.rows for e in r])
+            rows = [fiber_projectivity(p).coords for p in u.points()
+                    if not vec_is_zero(p.coords[:4])]
+            if not rows:
+                with pytest.raises(GeometryError, match="exceptional generator"):
+                    fiber_image(u)
+                continue
+            want = Subspace.from_rows(rows, 8)
+            got = fiber_image(u)
+            assert_same([e for r in got.basis.rows for e in r],
+                        [e for r in want.basis.rows for e in r])
+
+
 class TestChi:
     def test_involution_and_fixed_reals(self):
         rng = random.Random(12)
@@ -508,3 +620,34 @@ class TestFloatContainmentAtUnitScale:
                 p = _float_point(off, scale)
                 assert not u.contains(p), scale
                 assert u.chart_coords(p) is None
+
+
+class TestExactPointsInFloatSpaces:
+    """An exact point tested against a float subspace is also taken at
+    max-norm one: 100 seeded float 3-spaces spanned by floats of small
+    fractions, exact points inside scaled by 1e-6..1e6 accepted, exact
+    points 1e-3 off scaled by 1e-8..1e6 rejected."""
+
+    IN_SCALES = (Fraction(1, 10**6), Fraction(1), Fraction(10**6))
+    OFF_SCALES = (Fraction(1, 10**8), Fraction(1), Fraction(10**6))
+
+    def test_scaled_exact_points(self):
+        rng = random.Random(909)
+        for _ in range(100):
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
+                    for _ in range(4)]
+            u = Subspace.from_rows([[ComplexFloat(float(x)) for x in row] for row in rows], 8)
+            assert u.dim == 3
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+            inside = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(8)]
+            if not any(inside):
+                inside = rows[0]
+            off = [x + Fraction(rng.choice((-1, 1)), 1000) for x in inside]
+            for scale in self.IN_SCALES:
+                p = ProjPoint([rational(scale * x) for x in inside])
+                assert u.contains(p), scale
+                assert u.chart_coords(p) is not None, scale
+            for scale in self.OFF_SCALES:
+                p = ProjPoint([rational(scale * x) for x in off])
+                assert not u.contains(p), scale
+                assert u.chart_coords(p) is None, scale

@@ -1,10 +1,16 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dqkin import quadrecon
+
 from dqkin.dyads import DyadKind, DyadSpec, build_variety, classify
-from dqkin.errors import ExactnessError, GeometryError
+from dqkin.errors import ExactnessError, GeometryError, InvariantError
 from dqkin.linalg import Matrix, inverse, rank, vec_add, vec_scale
 from dqkin.projgeom import (
     Line,
@@ -358,3 +364,96 @@ class TestReconstruct:
         cycle = ProjectionCycle(exceptional_generator(), f_points, centers)
         problem = ReconstructionProblem(study_quadric(), cycle)
         assert reconstruct_quadrilateral(problem) == vertices
+
+
+def shifted(p, k=4):
+    """p moved along the k-th coordinate axis: a different point."""
+    return ProjPoint(vec_add(p.coords, unit(k).coords))
+
+
+class TestCertificates:
+    """The closure of run_cycle and the postconditions of
+    reconstruct_quadrilateral are explicit checks: a wrong projection or
+    solution raises InvariantError, also under python -O, and CLI
+    reconstruct exits 1 with the message."""
+
+    def test_cycle_closure(self, monkeypatch):
+        real, calls = quadrecon.project_from_center, itertools.count(1)
+        # the fourth projection, back onto the first space, comes out wrong
+        monkeypatch.setattr(quadrecon, "project_from_center", lambda x, c, t: (
+            shifted(real(x, c, t)) if next(calls) == 4 else real(x, c, t)))
+        with pytest.raises(InvariantError, match="does not close up"):
+            run_cycle(coordinate_cycle(), pt(2, 0, 0, 0, 3, -1, 5, 7))
+
+    def test_vertex_off_quadric(self, monkeypatch):
+        real = quadrecon.solve
+        monkeypatch.setattr(quadrecon, "solve",
+                            lambda m, b: tuple(x + 1 for x in real(m, b)))
+        problem, _ = forward_instance(random.Random(49))
+        with pytest.raises(InvariantError, match="off the quadric"):
+            reconstruct_quadrilateral(problem)
+
+    def test_vertices_not_polar(self, monkeypatch):
+        real = quadrecon.solve
+        monkeypatch.setattr(quadrecon, "solve",
+                            lambda m, b: tuple(x + 1 for x in real(m, b)))
+        monkeypatch.setattr(QuadricForm, "contains", lambda self, p: True)
+        problem, _ = forward_instance(random.Random(49))
+        with pytest.raises(InvariantError, match="not polar"):
+            reconstruct_quadrilateral(problem)
+
+    def test_side_misses_centre(self, monkeypatch):
+        real = quadrecon.span
+        monkeypatch.setattr(quadrecon, "span",
+                            lambda pts: real(pts[:1] if len(pts) == 2 else pts))
+        problem, _ = forward_instance(random.Random(49))
+        with pytest.raises(InvariantError, match="misses its projection centre"):
+            reconstruct_quadrilateral(problem)
+
+    def test_wrong_image_point(self, monkeypatch):
+        real = quadrecon.project_from_center
+        monkeypatch.setattr(quadrecon, "project_from_center",
+                            lambda x, c, t: shifted(real(x, c, t), 0))
+        problem, _ = forward_instance(random.Random(49))
+        with pytest.raises(InvariantError, match="does not project to its image point"):
+            reconstruct_quadrilateral(problem)
+
+    SCRIPT = (
+        "import itertools, sys\n"
+        "from dqkin import quadrecon\n"
+        "from dqkin.cli import main\n"
+        "from dqkin.errors import InvariantError\n"
+        "from dqkin.linalg import vec_add\n"
+        "from dqkin.projgeom import ProjPoint, span\n"
+        "unit = lambda k: ProjPoint([int(j == k) for j in range(8)])\n"
+        "cycle = quadrecon.ProjectionCycle(\n"
+        "    span([unit(k) for k in range(4, 8)]), tuple(unit(k) for k in range(4)),\n"
+        "    tuple(ProjPoint([int(j in (k, (k + 1) % 4)) for j in range(8)]) for k in range(4)))\n"
+        "project, calls = quadrecon.project_from_center, itertools.count(1)\n"
+        "def wrong(x, c, t):\n"
+        "    y = project(x, c, t)\n"
+        "    return ProjPoint(vec_add(y.coords, unit(4).coords)) if next(calls) == 4 else y\n"
+        "quadrecon.project_from_center = wrong\n"
+        "try:\n"
+        "    quadrecon.run_cycle(cycle, ProjPoint([2, 0, 0, 0, 3, -1, 5, 7]))\n"
+        "except InvariantError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('run_cycle did not raise InvariantError')\n"
+        "quadrecon.project_from_center = project\n"
+        "solve = quadrecon.solve\n"
+        "quadrecon.solve = lambda m, b: tuple(x + 1 for x in solve(m, b))\n"
+        "sys.exit(main(['reconstruct', sys.argv[1]]))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_survive_python_o(self, flags):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        problem = os.path.join(root, "tests", "data", "cli", "problem.json")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT, problem],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "off the quadric" in proc.stderr
+        assert "Traceback" not in proc.stderr
