@@ -229,6 +229,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_signed_values(argv))
     try:
+        if not 0 <= args.tolerance < float("inf"):  # false for nan too
+            raise ParseError("--tolerance: expected a finite number >= 0")
         payload = args.func(args)
     except ParseError as err:
         print(str(err), file=sys.stderr)

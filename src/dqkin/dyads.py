@@ -181,9 +181,11 @@ def build_variety(spec: DyadSpec) -> ConstraintVariety:
             "e1": Line.through(pts[2], pts[3]),
         }
     space = span(pts)
-    assert space.dim == 3, "dyad span degenerated despite valid joints"
+    if space.dim != 3:
+        raise InvariantError("dyad span degenerated despite valid joints")
     expected = -1 if spec.kind is DyadKind.RR else 1
-    assert meet(space, exceptional_generator()).dim == expected
+    if meet(space, exceptional_generator()).dim != expected:
+        raise InvariantError("dyad span meets the exceptional generator in the wrong dimension")
     quadric = restrict(study_quadric(), space)
     return ConstraintVariety(spec.kind, space, quadric, param, witnesses)
 

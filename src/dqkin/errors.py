@@ -26,9 +26,9 @@ class InvariantError(DqkinError):
     """A certificate the theory guarantees failed to hold.
 
     Raised by explicit checks, not asserts, so it survives ``python -O``:
-    ``quadrics.ruling_handedness`` when two distinct points lie in both
-    ruling families, ``dyads.classify`` when the two ruling points of a
-    conjugate pair disagree on their handedness, ``quadrecon.run_cycle``
-    when a cycle does not close up and ``quadrecon.reconstruct_quadrilateral``
-    when a reconstructed quadrilateral fails one of its postconditions.
+    ``quadrics.ruling_handedness`` (a point in both ruling families),
+    ``dyads.classify`` (ruling points that disagree on handedness),
+    ``dyads.build_variety`` (a dyad span of the wrong shape),
+    ``transforms.factor_so4`` and ``factor_transform`` (wrong factors),
+    ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions).
     """

@@ -8,14 +8,15 @@ on every path, entry by entry and kind by kind.
   vectors clear each row and column to one integer vector (Gaussian
   entries to a pair of integer vectors) over one denominator, so each
   entry is one integer dot product and one ``Fraction``.
-- ``rref`` and ``det`` of a matrix whose entries are all ExactRational,
-  or all GaussianRational, run fraction-free Gauss-Jordan elimination
-  (Bareiss 1968) on the cleared rows, over the integers or over the
-  Gaussian integers Z[i] held as (re, im) pairs, and divide by the
-  pivot only to emit the canonical reduced form (all Gaussian for
-  Gaussian input, as in the scalar loop).  Matrices that mix the two
-  exact kinds keep the scalar loop: there the kind of an output entry
-  depends on which entries happen to be zero.
+- ``rref`` and ``det`` of an exact matrix clear each row and run
+  fraction-free Gauss-Jordan elimination (Bareiss 1968) over the
+  integers, or over the Gaussian integers Z[i] held as (re, im) pairs
+  when some entry is Gaussian, and divide by the pivot only to emit the
+  canonical reduced form.  Kinds are the scalar loop's: a pivot row turns
+  Gaussian where its pivot is, a row with a nonzero entry in the pivot
+  column turns Gaussian where that entry or the pivot row is, ``det`` is
+  Gaussian iff some pivot was, and a singular ``det`` is a zero of the
+  kind of the first pivot, or of entry (0, 0) if column 0 has none.
 - One combination kernel, ``_combination``, computes ``v + sum c_k *
   row_k`` on cleared integers for ``projgeom``.  An output entry is
   Gaussian exactly when the entry of ``v``, some coefficient ``c_k`` or
@@ -36,8 +37,8 @@ on every path, entry by entry and kind by kind.
     tolerance, with ``1+0j`` for the exact constants.  The matrix has one
     tolerance, the largest among its entries, so the results are the
     scalar loop's whenever the entries share one tolerance, as the
-    floats of one parsed input do.  Matrices that mix exact and float
-    entries keep the scalar loop, as mixed exact kinds do.
+    floats of one parsed input do.  ``det`` of exact and float entries
+    promotes the exact ones at it; ``rref`` of them keeps the scalar loop.
   - ``scalar_multiple_of`` with a float multiple compares every entry
     at the tolerances the scalar loop compares it at.
   Single scalars keep ComplexFloat's own arithmetic.
@@ -362,10 +363,11 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
 
 
 def _float_rows(m: Matrix) -> Tuple[List[List[complex]], float]:
-    """The rows of an all-float matrix as plain complex numbers, and the
-    largest tolerance among its entries, the one the kernels compare at."""
-    return ([[e.value for e in r] for r in m.rows],
-            max(e.tolerance for r in m.rows for e in r))
+    """The rows of a matrix with float entries as plain complex numbers, and
+    the largest tolerance among its floats, the one the kernels compare at;
+    exact entries are promoted as ``_coerce`` promotes them."""
+    return ([[e.to_complex() for e in r] for r in m.rows],
+            max(e.tolerance for r in m.rows for e in r if type(e) is ComplexFloat))
 
 
 def _float_pivot(rows: List[List[complex]], col: int, start: int,
@@ -377,10 +379,6 @@ def _float_pivot(rows: List[List[complex]], col: int, start: int,
         if mag > tolerance and mag > best_mag:
             best, best_mag = i, mag
     return best
-
-
-def _all_of_kind(m: Matrix, kind: type) -> bool:
-    return all(type(e) is kind for r in m.rows for e in r)
 
 
 def _int_step(a: List[List[int]], r: int, col: int, prev: int) -> int:
@@ -414,7 +412,8 @@ def _gaussian_step(a: List[List[Tuple[int, int]]], r: int, col: int,
     return pr, pi
 
 
-def _fraction_free(a: List[list], step=_int_step, zero=0, one=1) -> Tuple[List[int], object, int]:
+def _fraction_free(a: List[list], step=_int_step, zero=0, one=1,
+                   gaussian: Optional[List[int]] = None) -> Tuple[List[int], object, int, bool]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
     At every pivot each other row, above and below, is reduced against
@@ -422,16 +421,21 @@ def _fraction_free(a: List[list], step=_int_step, zero=0, one=1) -> Tuple[List[i
     (Bareiss 1968) and the division by the previous pivot is exact.
     Returns the pivot columns, the last pivot, which every pivot row then
     holds at its pivot column and which is the minor on the pivot rows
-    and columns, and the sign of the row swaps.  Rows past the pivot rows
-    end up zero.
+    and columns, the sign of the row swaps, and whether some pivot was
+    Gaussian under ``gaussian``.  Rows past the pivot rows end up zero.
 
     ``step`` reduces the other rows against one pivot row: ``_int_step``
     for integer entries, ``_gaussian_step`` for Gaussian integers held as
     (re, im) pairs, with ``zero`` and ``one`` of the same ring.
+
+    ``gaussian``, one bitmask per row of the entries the scalar loop holds
+    as Gaussian, follows that loop's kind rule in place: each row here is a
+    nonzero multiple of the loop's row, so both see the same zeros.
     """
     n = len(a)
+    full = (1 << len(a[0])) - 1
     pivots = []
-    prev, sign = one, 1
+    prev, sign, gaussian_pivot = one, 1, False
     for col in range(len(a[0])):
         r = len(pivots)
         if r == n:
@@ -442,42 +446,67 @@ def _fraction_free(a: List[list], step=_int_step, zero=0, one=1) -> Tuple[List[i
         if p != r:
             a[r], a[p] = a[p], a[r]
             sign = -sign
+        if gaussian is not None:
+            gaussian[r], gaussian[p] = gaussian[p], gaussian[r]
+            if gaussian[r] >> col & 1:
+                gaussian_pivot, gaussian[r] = True, full
+            top = gaussian[r]
+            for i in range(n):
+                if i != r and a[i][col] != zero:
+                    gaussian[i] = full if gaussian[i] >> col & 1 else gaussian[i] | top
         prev = step(a, r, col, prev)
         pivots.append(col)
-    return pivots, prev, sign
+    return pivots, prev, sign, gaussian_pivot
 
 
 _GAUSSIAN_ZERO = GaussianRational(0, 0)
 
 
+def _exact_elimination(m: Matrix, kinds: set):
+    """Clear each row and run ``_fraction_free`` over Z, or over Z[i] with the
+    Gaussian mask when some entry is Gaussian.  Returns the cleared rows,
+    the eliminated rows, the mask (None over Z) and ``_fraction_free``'s result."""
+    cleared = [_cleared(r) for r in m.rows]
+    if GaussianRational not in kinds:
+        a = [re for re, _, _ in cleared]
+        return cleared, a, None, _fraction_free(a)
+    a = [list(zip(re, im or [0] * len(re))) for re, im, _ in cleared]
+    gaussian = [sum(1 << j for j, e in enumerate(r) if type(e) is GaussianRational)
+                for r in m.rows]
+    return cleared, a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
+
+
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
-    An all-float matrix is reduced at its largest tolerance; a matrix
-    that mixes exact and float entries takes the scalar loop.
+    An exact matrix is reduced fraction-free, an all-float one at its
+    largest tolerance, one of exact and float entries by the scalar loop.
     """
-    # scaling a row changes no reduced form, so each row is cleared alone
-    if _all_of_kind(m, ExactRational):
-        a = [_cleared(r)[0] for r in m.rows]
-        pivots, d, _ = _fraction_free(a)
-        rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
-                for i in range(len(pivots))]
-        rows += [[ZERO] * m.ncols] * (m.nrows - len(pivots))
+    kinds = {type(e) for r in m.rows for e in r}
+    if ComplexFloat not in kinds:
+        # scaling a row changes no reduced form, so each row is cleared alone
+        _, a, gaussian, (pivots, d, _, _) = _exact_elimination(m, kinds)
+        r = len(pivots)
+        if gaussian is None:
+            rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
+                    for i in range(r)]
+            rows += [[ZERO] * m.ncols] * (m.nrows - r)
+        else:
+            dr, di = d
+            nd = dr * dr + di * di
+            rows = [[GaussianRational(Fraction(xr * dr + xi * di, nd),
+                                      Fraction(xi * dr - xr * di, nd))
+                     if g >> j & 1 else ExactRational(Fraction(xr * dr + xi * di, nd))
+                     for j, (xr, xi) in enumerate(a[i])] for i, g in enumerate(gaussian[:r])]
+            rows += [[_GAUSSIAN_ZERO if g >> j & 1 else ZERO for j in range(m.ncols)]
+                     for g in gaussian[r:]]
         return Matrix(rows), tuple(pivots)
-    if _all_of_kind(m, GaussianRational):
-        a = [list(zip(re, im)) for re, im, _ in map(_cleared, m.rows)]
-        pivots, (dr, di), _ = _fraction_free(a, _gaussian_step, (0, 0), (1, 0))
-        nd = dr * dr + di * di
-        rows = [[GaussianRational(Fraction(xr * dr + xi * di, nd), Fraction(xi * dr - xr * di, nd))
-                 for xr, xi in a[i]] for i in range(len(pivots))]
-        rows += [[_GAUSSIAN_ZERO] * m.ncols] * (m.nrows - len(pivots))
-        return Matrix(rows), tuple(pivots)
-    if _all_of_kind(m, ComplexFloat):
+    if kinds == {ComplexFloat}:
         return _float_rref(m)
     rows = [list(r) for r in m.rows]
     pivots = []
-    r = 0
     for col in range(m.ncols):
+        r = len(pivots)
         if r == len(rows):
             break
         p = _pivot_row(rows, col, r)
@@ -491,7 +520,6 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
     return Matrix(rows), tuple(pivots)
 
 
@@ -528,44 +556,22 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Scalar:
-    """Determinant, on the paths of ``rref``."""
+    """Determinant: fraction-free for an exact matrix, of the kind the scalar
+    loop gives it; in floats when some entry is a float."""
     assert m.nrows == m.ncols
-    if _all_of_kind(m, ExactRational):
-        cleared = [_cleared(r) for r in m.rows]
-        pivots, d, sign = _fraction_free([c[0] for c in cleared])
-        if len(pivots) < m.nrows:
-            return ZERO
-        return ExactRational(Fraction(sign * d, prod(c[2] for c in cleared)))
-    if _all_of_kind(m, GaussianRational):
-        cleared = [_cleared(r) for r in m.rows]
-        a = [list(zip(re, im)) for re, im, _ in cleared]
-        pivots, (dr, di), sign = _fraction_free(a, _gaussian_step, (0, 0), (1, 0))
-        if len(pivots) < m.nrows:
-            return _GAUSSIAN_ZERO
-        den = prod(c[2] for c in cleared)
-        return GaussianRational(Fraction(sign * dr, den), Fraction(sign * di, den))
-    if _all_of_kind(m, ComplexFloat):
+    kinds = {type(e) for r in m.rows for e in r}
+    if ComplexFloat in kinds:
         return _float_det(m)
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    sign = 1
-    out = ONE
-    for col in range(n):
-        p = _pivot_row(rows, col, col)
-        if p is None:
-            return ZERO * rows[0][0]  # keep the scalar kind of the input
-        if p != col:
-            rows[col], rows[p] = rows[p], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        out = out * pivot
-        inv = ONE / pivot
-        for i in range(col + 1, n):
-            if rows[i][col].is_zero():
-                continue
-            f = rows[i][col] * inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return out if sign > 0 else -out
+    cleared, _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(m, kinds)
+    if len(pivots) < m.nrows:
+        # a zero of the kind of the first pivot, or of entry (0, 0)
+        first = next((r[0] for r in m.rows if not r[0].is_zero()), m.rows[0][0])
+        return _GAUSSIAN_ZERO if type(first) is GaussianRational else ZERO
+    den = prod(c[2] for c in cleared)
+    dr, di = (d, 0) if gaussian is None else d
+    if gaussian_pivot:
+        return GaussianRational(Fraction(sign * dr, den), Fraction(sign * di, den))
+    return ExactRational(Fraction(sign * dr, den))
 
 
 def _float_det(m: Matrix) -> ComplexFloat:

@@ -268,18 +268,6 @@ DQ_BASIS = tuple([DualQuaternion(q) for q in Q_BASIS] +
                  [DualQuaternion(Quaternion(), q) for q in Q_BASIS])
 
 
-def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    return a * b
-
-
-def dq_norm(q: DualQuaternion) -> DualNumber:
-    return q.norm()
-
-
-def study_condition(q: DualQuaternion) -> bool:
-    return q.study_condition()
-
-
 def left_mul_matrix(p: Quaternion) -> Matrix:
     """4x4 matrix of x -> p*x on (1,i,j,k) coordinates."""
     return Matrix.from_columns([(p * e).coords() for e in Q_BASIS])

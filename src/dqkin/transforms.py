@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Tuple
 
-from .errors import GeometryError
+from .errors import GeometryError, InvariantError
 from .linalg import Matrix, det, scalar_multiple_of, solve
 from .projgeom import ProjPoint, Subspace
 from .quadrics import null_cone, study_quadric
@@ -201,7 +201,8 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     assert not pivot.is_zero()
     l1 = Quaternion(*assoc.column(j0))
     r1 = Quaternion(*[x / pivot for x in assoc.row(i0)])
-    assert left_mul_matrix(l1) * right_mul_matrix(r1) == a
+    if left_mul_matrix(l1) * right_mul_matrix(r1) != a:
+        raise InvariantError("the SO(4) factors do not reproduce the matrix")
     first = next(c for c in l1.coords() if not c.is_zero())
     if _gauge_sign(first) < 0:
         l1, r1 = -l1, -r1
@@ -234,7 +235,8 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         cols.append(_flatten(l1_left * e_right) + [ZERO, r1.dot(e)])
     rhs = _flatten(c) + [ZERO, ZERO]
     sol = solve(Matrix.from_columns(cols), rhs)
-    assert sol is not None, "dual-part system is always consistent here"
+    if sol is None:
+        raise InvariantError("the dual-part system of an admissible transform is inconsistent")
     l2 = Quaternion(*sol[:4])
     r2 = Quaternion(*sol[4:])
     return DualQuaternion(l1, l2), DualQuaternion(r1, r2)

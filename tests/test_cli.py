@@ -108,6 +108,22 @@ class TestExitCodes:
             main(["dyad", "--kind", "XX", path])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command, name", [("trace", "motion.json"),
+                                               ("verify-transform", "matrix.json")])
+    def test_bad_tolerance_is_parse_error(self, capsys, command, name, tolerance):
+        path = os.path.join(os.path.dirname(__file__), "data", "cli", name)
+        code, out, err = run_cli(capsys, command, path, "--scalar", "float",
+                                 "--tolerance", tolerance)
+        assert (code, out) == (2, "")
+        assert "--tolerance" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), "data", "cli", "matrix.json")
+        code, out, _ = run_cli(capsys, "verify-transform", path, "--scalar", "float",
+                               "--tolerance", "0")
+        assert code == 0 and "overall" in json.loads(out)
+
 
 class TestScalarModes:
     def test_rational_mode_rejects_complex(self, capsys, tmp_path):

@@ -292,6 +292,54 @@ class TestHandednessCertificate:
         assert "Traceback" not in proc.stderr
 
 
+class TestBuildVarietyCertificates:
+    """The dimension of a dyad's span and of its meet with the exceptional
+    generator are explicit checks: a failure raises InvariantError, also
+    under python -O, and CLI dyad exits 1 with the message."""
+
+    def test_span_dimension(self, monkeypatch):
+        real = dyads.span
+        monkeypatch.setattr(dyads, "span", lambda pts: real(pts[:3]))
+        with pytest.raises(InvariantError, match="span degenerated"):
+            build_variety(RR_SPEC)
+
+    @pytest.mark.parametrize("spec", [RR_SPEC, RP_SPEC])
+    def test_exceptional_meet(self, monkeypatch, spec):
+        monkeypatch.setattr(dyads, "meet", lambda a, b: a)
+        with pytest.raises(InvariantError, match="exceptional generator"):
+            build_variety(spec)
+
+    SCRIPT = (
+        "import sys\n"
+        "from dqkin import dyads\n"
+        "from dqkin.cli import main\n"
+        "from dqkin.errors import InvariantError\n"
+        "from dqkin.quaternions import DualQuaternion, Q_I, Q_K\n"
+        "span = dyads.span\n"
+        "dyads.span = lambda pts: span(pts[:3])\n"
+        "spec = dyads.DyadSpec(dyads.DyadKind.RR, DualQuaternion(Q_K), DualQuaternion(Q_I, Q_K))\n"
+        "try:\n"
+        "    dyads.build_variety(spec)\n"
+        "except InvariantError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('build_variety did not raise InvariantError')\n"
+        "sys.exit(main(['dyad', '--kind', 'RP', sys.argv[1]]))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_survive_python_o(self, flags):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        joints = os.path.join(root, "tests", "data", "cli", "joints.json")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT, joints],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "span degenerated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestNullQuadrilateral:
     def test_rr_lines_close_up(self):
         c = classify(build_variety(RR_SPEC).space)

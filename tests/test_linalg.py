@@ -642,3 +642,149 @@ class TestFloatKernelsAgainstScalarLoop:
         want_rows, want_pivots = _loop_rref(raised(row, 1e-6))
         assert (pivots, _rows_bits(red.rows)) == (want_pivots, _rows_bits(want_rows))
         assert pivots == (1,) and _loop_rref(row)[1] == (0,)
+
+
+# --- differential test of mixed exact kinds ----------------------------------
+#
+# A matrix that mixes ExactRational and GaussianRational entries runs the
+# fraction-free kernel over Z[i] with a kind mask.  The references are the
+# scalar loops rref and det ran on such input, _loop_rref and _loop_det
+# above: value and kind of every entry must agree, zeros of both kinds
+# included.
+
+MIXED_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (3, 5), (4, 4), (5, 3),
+                (5, 8), (6, 6), (8, 5), (8, 8), (8, 10)]
+
+
+def _mixed_exact_matrix(rng, nrows, ncols, r):
+    """A rank-r product of factors with some complex rows and columns.  Real
+    values take either kind, so zeros come as both; complex ones are Gaussian."""
+    b = [[_rand_pair(rng, gaussian_row) for _ in range(r)]
+         for gaussian_row in [rng.random() < 0.3 for _ in range(nrows)]]
+    c = [[_rand_pair(rng, rng.random() < 0.3) for _ in range(ncols)] for _ in range(r)]
+    pairs = [[_pdot(row, [c[k][j] for k in range(r)]) for j in range(ncols)] for row in b]
+    return pairs, [[GaussianRational if p[1] or rng.random() < 0.3 else ExactRational
+                    for p in row] for row in pairs]
+
+
+def _mixed_exact_cases(rng):
+    """Every rank of every shape, three times; square matrices also with a
+    zero corner, which makes elimination swap rows, and with a zero column 0,
+    and upper triangular ones whose pivots, the diagonal, are all rational."""
+    for nrows, ncols in MIXED_SHAPES:
+        for r in range(min(nrows, ncols) + 1):
+            for _ in range(3):
+                pairs, kinds = _mixed_exact_matrix(rng, nrows, ncols, r)
+                yield _matrix(pairs, kinds)
+                if nrows == ncols:
+                    yield _matrix([[_rand_pair(rng, j > i) if j >= i else PZERO
+                                    for j in range(ncols)] for i in range(nrows)],
+                                  [[GaussianRational if j > i or (j < i and rng.random() < 0.5)
+                                    else ExactRational for j in range(ncols)]
+                                   for i in range(nrows)])
+                if nrows == ncols > 1:
+                    pairs[0][0] = PZERO
+                    yield _matrix(pairs, kinds)
+                    for row in pairs:
+                        row[0] = PZERO
+                    yield _matrix(pairs, kinds)
+
+
+def _loop_kernel(m):
+    """nullspace read off the scalar loop's reduced form."""
+    rows, pivots = _loop_rref(m)
+    basis = []
+    for j in (j for j in range(m.ncols) if j not in pivots):
+        v = [rational(0)] * m.ncols
+        v[j] = rational(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[j]
+        basis.append(v)
+    return basis
+
+
+def _loop_solve(m, rhs):
+    rows, pivots = _loop_rref(Matrix([row + (b,) for row, b in zip(m.rows, rhs)]))
+    if m.ncols in pivots:
+        return None
+    x = [rational(0)] * m.ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[m.ncols]
+    return x
+
+
+def _loop_inverse(m):
+    n = m.nrows
+    eye = Matrix.identity(n)
+    rows, pivots = _loop_rref(Matrix([m.rows[i] + eye.rows[i] for i in range(n)]))
+    return [row[n:] for row in rows] if pivots == tuple(range(n)) else None
+
+
+class TestMixedExactKindsAgainstScalarLoop:
+    def test_elimination(self):
+        rng = random.Random(71)
+        seen = {"ranks": set(), "swaps": 0, "zero_column": 0, "mixed_rref": 0,
+                "det_kinds": set(), "zero_kinds": set(), "rational_mixed_det": 0}
+        for m in _mixed_exact_cases(rng):
+            n, ncols = m.nrows, m.ncols
+            red, pivots = rref(m)
+            want_rows, want_pivots = _loop_rref(m)
+            assert pivots == want_pivots
+            assert _rows_bits(red.rows) == _rows_bits(want_rows)  # padding rows too
+            seen["ranks"].add((n, ncols, len(pivots)))
+            kinds = {type(e) for row in red.rows for e in row}
+            seen["mixed_rref"] += kinds == {ExactRational, GaussianRational}
+            seen["zero_kinds"] |= {type(e) for row in red.rows for e in row if e.is_zero()}
+            if n == ncols:
+                got = det(m)
+                assert _bits(got) == _bits(_loop_det(m))
+                seen["det_kinds"].add((type(got), got.is_zero()))
+                seen["rational_mixed_det"] += (type(got) is ExactRational and GaussianRational
+                                               in {type(e) for row in m.rows for e in row})
+                zeros = [e.is_zero() for e in m.column(0)]
+                seen["swaps"] += zeros[0] and not all(zeros)
+                seen["zero_column"] += all(zeros)
+                inv, want = inverse(m), _loop_inverse(m)
+                assert (inv is None) == (want is None)
+                if inv is not None:
+                    assert _rows_bits(inv.rows) == _rows_bits(want)
+            assert [[_bits(e) for e in v] for v in nullspace(m)] == _rows_bits(_loop_kernel(m))
+            rhs = [_to_scalar(_rand_pair(rng, k is GaussianRational), k)
+                   for k in rng.choices((ExactRational, GaussianRational), k=n)]
+            sums = [_pdot([_pair(e) for e in row], [PONE] * ncols) for row in m.rows]
+            consistent = [_to_scalar(p, GaussianRational if p[1] or rng.random() < 0.5
+                                     else ExactRational) for p in sums]
+            for b in (rhs, consistent):
+                x, want = solve(m, b), _loop_solve(m, b)
+                assert (x is None) == (want is None)
+                if x is not None:
+                    assert [_bits(e) for e in x] == [_bits(e) for e in want]
+        # every rank of every shape, zeros and results of both kinds
+        assert seen["ranks"] >= {(n, c, r) for n, c in MIXED_SHAPES
+                                 for r in range(min(n, c) + 1)}
+        assert seen["swaps"] > 20 and seen["zero_column"] > 20 and seen["mixed_rref"] > 50
+        assert seen["rational_mixed_det"] > 20
+        assert seen["zero_kinds"] == {ExactRational, GaussianRational}
+        assert seen["det_kinds"] == {(k, z) for k in (ExactRational, GaussianRational)
+                                     for z in (False, True)}
+
+    def test_det_with_floats_runs_in_floats(self):
+        # exact entries among floats are promoted at the largest tolerance;
+        # the scalar loop pivoted on exact entries first, so the values agree
+        # at that tolerance, not bit for bit
+        rng = random.Random(72)
+        exact_loop_results = 0
+        for n in range(1, 7):
+            for _ in range(40):
+                tols = [rng.choice((1e-9, 1e-6)) for _ in range(n)]
+                m = Matrix([[_mixed_entry(rng, ("rational", "gaussian", "float"), t)
+                             for _ in range(n)] for t in tols])
+                floats = [e for row in m.rows for e in row if type(e) is ComplexFloat]
+                if not floats or len(floats) == n * n:
+                    continue
+                got, want = det(m), _loop_det(m)
+                assert type(got) is ComplexFloat
+                assert got.tolerance == max(e.tolerance for e in floats)
+                assert got == want
+                exact_loop_results += want.is_exact
+        assert exact_loop_results > 0

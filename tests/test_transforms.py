@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from dqkin.errors import GeometryError
+from dqkin import transforms
+from dqkin.errors import GeometryError, InvariantError
 from dqkin.linalg import Matrix, scalar_multiple_of
 from dqkin.projgeom import ProjPoint, fiber_projectivity
 from dqkin.quadrics import null_cone, study_quadric
@@ -186,6 +190,54 @@ class TestFactorTransform:
         report = exc.value.report
         assert isinstance(report, VerificationReport)
         assert not report.rulings_preserved
+
+
+class TestFactorCertificates:
+    """factor_so4's product check and the consistency of factor_transform's
+    dual-part system are explicit checks: they raise InvariantError, also
+    under python -O, and CLI factor-transform exits 1 with the message."""
+
+    def test_so4_product(self, monkeypatch):
+        a = left_mul_matrix(Quaternion(1, 2, 0, -1)) * right_mul_matrix(Quaternion(0, 1, 3, 1))
+        transforms._unit_matrices(True)  # build the constants before the patch
+        real = transforms.right_mul_matrix
+        monkeypatch.setattr(transforms, "right_mul_matrix", lambda r: real(r).scale(2))
+        with pytest.raises(InvariantError, match="do not reproduce the matrix"):
+            factor_so4(a)
+
+    def test_dual_part_system(self, monkeypatch):
+        t = build_transform(random_study_dq(random.Random(14)), DQ_ONE)
+        monkeypatch.setattr(transforms, "solve", lambda m, b: None)
+        with pytest.raises(InvariantError, match="dual-part system"):
+            factor_transform(t.matrix)
+
+    SCRIPT = (
+        "import sys\n"
+        "from dqkin import transforms\n"
+        "from dqkin.cli import main\n"
+        "from dqkin.errors import InvariantError\n"
+        "from dqkin.linalg import Matrix\n"
+        "transforms.solve = lambda m, b: None\n"
+        "try:\n"
+        "    transforms.factor_transform(Matrix.identity(8))\n"
+        "except InvariantError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('factor_transform did not raise InvariantError')\n"
+        "sys.exit(main(['factor-transform', sys.argv[1]]))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_survive_python_o(self, flags):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        matrix = os.path.join(root, "tests", "data", "cli", "matrix.json")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT, matrix],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "dual-part system" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGroupAction:
