@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import Matrix, nullspace, rref, scalar_multiple_of, vec_is_zero
+from .polys import split_quadratic
 from .projgeom import (
     Line,
     ProjPoint,
@@ -33,7 +34,6 @@ from .projgeom import (
 from .quadrics import (
     Handedness,
     QuadricForm,
-    _split_binary,
     common_lines,
     is_null_line,
     null_cone,
@@ -264,7 +264,7 @@ def classify(u: Subspace) -> Classification:
     if u.ambient != 8 or u.dim != 3 or not u.conjugation_closed():
         raise GeometryError("classification needs a real three-space")
     if not u.basis.is_exact():
-        raise GeometryError("classification needs exact scalars")
+        raise ExactnessError("classification needs exact scalars")
     u = _real_form(u)
     evidence: Dict[str, object] = {}
 
@@ -370,7 +370,7 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
         raise GeometryError("quadric has no two rulings through the base")
     j1, j2 = pivots
     try:
-        roots = _split_binary(conic[j1, j1], conic[j1, j2], conic[j2, j2])
+        roots = split_quadratic(conic[j1, j1], conic[j1, j2], conic[j2, j2])
     except ExactnessError:
         raise GeometryError("axes are not rational over the scalar field")
     if len(roots) != 2:
@@ -393,7 +393,8 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
         normalized = na and nb
         if u2.contains(ProjPoint(ha * hb)):
             return DyadSpec(DyadKind.RR, ha, hb, normalized)
-        assert u2.contains(ProjPoint(hb * ha))
+        if not u2.contains(ProjPoint(hb * ha)):
+            raise InvariantError("neither product of the recovered axes lies in the space")
         return DyadSpec(DyadKind.RR, hb, ha, normalized)
     if len(rotations) == 1 and len(translations) == 1:
         h, normalized = rotations[0]
@@ -403,7 +404,8 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
             return DyadSpec(DyadKind.C, h, eps_p, normalized)
         if u2.contains(ProjPoint(DualQuaternion(Quaternion(), h.primal * p))):
             return DyadSpec(DyadKind.RP, h, eps_p, normalized)
-        assert u2.contains(ProjPoint(DualQuaternion(Quaternion(), p * h.primal)))
+        if not u2.contains(ProjPoint(DualQuaternion(Quaternion(), p * h.primal))):
+            raise InvariantError("neither product of the recovered joints lies in the space")
         return DyadSpec(DyadKind.PR, h, eps_p, normalized)
     raise GeometryError("no rotation ruling through the base")
 

@@ -13,8 +13,8 @@ class ExactnessError(DqkinError):
     """An exact-only operation received inexact (float) data, or found no exact answer.
 
     ``polys.exact_div`` raises it for a division that leaves a remainder,
-    ``quadrics.common_lines`` for exact forms whose lines need a square
-    root outside the Gaussian rationals.
+    ``polys.split_quadratic`` (so ``quadrics.common_lines``) for a square
+    root outside the Gaussian rationals, ``dyads.classify`` for float input.
     """
 
 
@@ -30,5 +30,7 @@ class InvariantError(DqkinError):
     ``dyads.classify`` (ruling points that disagree on handedness),
     ``dyads.build_variety`` (a dyad span of the wrong shape),
     ``transforms.factor_so4`` and ``factor_transform`` (wrong factors),
-    ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions).
+    ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions),
+    ``dyads.recover_axes``, ``motions.darboux_invariants`` and
+    ``motions.c_space_from_line`` (their witnesses).
     """

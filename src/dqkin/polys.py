@@ -4,6 +4,9 @@ Coefficients are stored in ascending degree order.  The coefficient ring
 only needs +, -, * and is_zero, so quaternion and dual quaternion
 coefficients work; the parameter is always a central scalar.  Division,
 gcd and root extraction are restricted to exact scalar coefficients.
+``split_quadratic`` splits a binary quadratic form over exact and float
+scalars alike: it is where the package takes the square roots of its
+quadratics, and ``low_degree_roots`` is it dehomogenised.
 """
 
 from __future__ import annotations
@@ -155,6 +158,27 @@ def squarefree_part(p: Poly) -> Poly:
     return monic(exact_div(p, g))
 
 
+def split_quadratic(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scalar]]:
+    """Root pairs (alpha, beta) of a alpha^2 + 2 b alpha beta + c beta^2.
+
+    The package's one splitter of quadratics.  Float coefficients take the
+    float square root; exact ones raise ExactnessError when the roots
+    leave Q(i).
+    """
+    if a.is_zero():
+        if b.is_zero():
+            assert not c.is_zero()
+            return [(ONE, ZERO)]
+        return [(ONE, ZERO), (-c, 2 * b)]
+    disc = b * b - a * c
+    if disc.is_zero():
+        return [(-b, a)]
+    s = disc.sqrt()
+    if s is None:
+        raise ExactnessError("the square root of %s is not in Q(i)" % disc)
+    return [(-b + s, a), (-b - s, a)]
+
+
 def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
     """Distinct roots of a polynomial of degree at most two.
 
@@ -163,21 +187,14 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
     """
     _require_exact_scalars(p, "exact root extraction")
     assert not p.is_zero()
-    if p.degree == 0:
-        return []
-    if p.degree == 1:
-        c0, c1 = p.coeffs
-        return [-c0 / c1]
-    if p.degree != 2:
+    if p.degree > 2:
         return None
-    c0, c1, c2 = p.coeffs
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc.is_zero():
-        return [-c1 / (2 * c2)]
-    s = disc.sqrt()
-    if s is None:
+    c0, c1, c2 = (p.coeff(k) for k in range(3))
+    try:
+        pairs = split_quadratic(c2, c1 / 2, c0)
+    except ExactnessError:
         return None
-    return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
+    return [alpha / beta for alpha, beta in pairs if not beta.is_zero()]
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:

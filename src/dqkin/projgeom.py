@@ -24,9 +24,10 @@ of normalising both points.  A float coordinate anywhere sends the
 operation through the scalar loop, which compares at the floats'
 tolerance.  ``contains`` and ``chart_coords`` first scale the point to
 max-norm one (``scalars._unit_scale``) when it or the subspace's basis
-has a float coordinate, so their answer does not depend on the
-representative; ``ProjPoint.__eq__`` and ``meet`` still compare
-unscaled values.
+has a float coordinate, and float ``ProjPoint.__eq__`` divides both
+points by their coordinate where the first is largest, so these answers
+do not depend on the representative; ``meet`` still compares unscaled
+values.
 """
 
 from __future__ import annotations
@@ -78,9 +79,13 @@ class ProjPoint:
         ca, cb = _cleared(self.coords), _cleared(other.coords)
         if ca is not None and cb is not None:
             return _proportional(ca, cb)
-        a = self.normalized().coords
-        b = other.normalized().coords
-        return all(x == y for x, y in zip(a, b))
+        # scale both at self's largest coordinate, so the tolerance meets
+        # the same values whatever representatives were given
+        k = max(range(self.ambient), key=lambda j: abs(self.coords[j].to_complex()))
+        pa, pb = self.coords[k], other.coords[k]
+        if pb.to_complex() == 0:
+            return False
+        return all(x / pa == y / pb for x, y in zip(self.coords, other.coords))
 
     __hash__ = None
 

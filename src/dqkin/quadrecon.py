@@ -12,8 +12,8 @@ a linear system.
 Each object is built once: ``ProjectionCycle.spaces`` is the one
 definition of the four 4-spaces, and reconstruction inverts its frame
 once, since rescaling a frame row only divides the centres' coordinate
-for that row.  The closure of a cycle and the postconditions of a
-reconstruction are certificates: a failure raises
+for that row.  The closure of a cycle, the plane of a reconstruction's
+centres and its postconditions are certificates: a failure raises
 ``errors.InvariantError``, also under ``python -O``.
 
 Everything here is exact; float scalars are refused.
@@ -196,7 +196,8 @@ def reconstruct_quadrilateral(
     m2c = vec_scale(ONE / m2c[2], m2c)
     n2c = vec_scale(ONE / n2c[0], n2c)
     # the centres span a plane, which closes the cycle exactly
-    assert n2c == vec_sub(vec_add(m1c, m2c), n1c)
+    if n2c != vec_sub(vec_add(m1c, m2c), n1c):
+        raise InvariantError("the projection centres do not close up in a plane")
 
     adapted = frame * p.omega.gram * frame.transpose()
     a_block = _block(adapted, range(4), range(4))

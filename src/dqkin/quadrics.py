@@ -35,10 +35,10 @@ from .linalg import (
     vec_dot,
 )
 from .polys import (Poly, _horner, durand_kerner, low_degree_roots, poly_gcd,
-                    squarefree_part)
+                    split_quadratic, squarefree_part)
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
-from .scalars import ComplexFloat, Scalar, scalar, scalar_to_json, ONE, ZERO
+from .scalars import ComplexFloat, Scalar, scalar, scalar_to_json, ZERO
 
 
 class QuadricForm:
@@ -206,25 +206,6 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
     return _det_poly(rows)
 
 
-def _split_binary(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scalar]]:
-    """Root pairs (alpha, beta) of a alpha^2 + 2 b alpha beta + c beta^2.
-
-    Raises ExactnessError when the roots of exact coefficients leave Q(i).
-    """
-    if a.is_zero():
-        if b.is_zero():
-            assert not c.is_zero()
-            return [(ONE, ZERO)]
-        return [(ONE, ZERO), (-c, 2 * b)]
-    disc = b * b - a * c
-    if disc.is_zero():
-        return [(-b, a)]
-    s = disc.sqrt()
-    if s is None:
-        raise ExactnessError("the square root of %s is not in Q(i)" % disc)
-    return [(-b + s, a), (-b - s, a)]
-
-
 def _split_points(gram: Matrix, pivots: Sequence[int]) -> List[ProjPoint]:
     """Where the two hyperplanes of a rank-2 form cut the pivot-column line.
 
@@ -233,7 +214,7 @@ def _split_points(gram: Matrix, pivots: Sequence[int]) -> List[ProjPoint]:
     """
     j1, j2 = pivots
     points = []
-    for alpha, beta in _split_binary(gram[j1, j1], gram[j1, j2], gram[j2, j2]):
+    for alpha, beta in split_quadratic(gram[j1, j1], gram[j1, j2], gram[j2, j2]):
         coords = [ZERO] * gram.ncols
         coords[j1], coords[j2] = alpha, beta
         points.append(ProjPoint(coords))

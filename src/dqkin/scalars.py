@@ -486,11 +486,12 @@ ZERO = ExactRational(0)
 ONE = ExactRational(1)
 I_UNIT = GaussianRational(0, 1)
 
-_FRAC = r"[+-]?\d+(?:/\d+)?"
+_DENOM = r"0*[1-9]\d*"  # a denominator of zero is no literal
+_FRAC = r"[+-]?\d+(?:/%s)?" % _DENOM
 _FLOATBODY = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _INT_RE = re.compile(r"[+-]?\d+\Z")
-_FRAC_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
-_GAUSS_RE = re.compile(r"(%s)\s*([+-]\s*\d+(?:/\d+)?)\*i\Z" % _FRAC)
+_FRAC_RE = re.compile(r"([+-]?\d+)/(%s)\Z" % _DENOM)
+_GAUSS_RE = re.compile(r"(%s)\s*([+-]\s*\d+(?:/%s)?)\*i\Z" % (_FRAC, _DENOM))
 _CFLOAT_RE = re.compile(r"([+-]?%s)\s*([+-]%s)\*i\Z" % (_FLOATBODY, _FLOATBODY))
 _FLOAT_RE = re.compile(r"[+-]?%s\Z" % _FLOATBODY)
 

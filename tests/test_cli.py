@@ -1,8 +1,13 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
+import io
 import json
 import os
 import random
+import subprocess
+import sys
+import traceback
 
 import pytest
 
@@ -94,6 +99,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classify", path)
         assert code == 2
         assert "$[2].primal[1]" in err
+
+    @pytest.mark.parametrize("literal", ["1/0", "-3/00", "1/2+1/0*i"])
+    def test_zero_denominator_is_parse_error(self, capsys, tmp_path, literal):
+        doc = rr_fixture_doc()
+        doc[2]["primal"][1] = literal
+        path = write_json(tmp_path, "bad.json", doc)
+        code, out, err = run_cli(capsys, "classify", "--scalar", "gaussian", path)
+        assert (code, out) == (2, "")
+        assert "$[2].primal[1]" in err and "bad scalar literal" in err
+
+    def test_overflowing_float_trace_is_refused(self, capsys, tmp_path):
+        with open(os.path.join(GOLDEN_DIR, "motion.json")) as fh:
+            doc = json.load(fh)
+        doc["coefficients"][0]["primal"][0] = 1e308
+        path = write_json(tmp_path, "motion.json", doc)
+        code, out, err = run_cli(capsys, "trace", "--scalar", "float", path)
+        assert (code, out, err) == (1, "", "trajectory degree needs exact scalars\n")
 
     def test_domain_error_verbatim(self, capsys, tmp_path):
         path = write_json(tmp_path, "chi.json",
@@ -387,3 +409,109 @@ def test_golden_output(capsys, case):
             for a in case["argv"]]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# --- fuzz: one perturbed entry per case, exit codes 0/1/2 and no traceback
+
+def run_case(argv):
+    """Exit code and stderr of main(argv); what escapes main leaves its
+    traceback on stderr and no exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        except Exception:
+            code = None
+            err.write(traceback.format_exc())
+    return code, err.getvalue()
+
+
+FUZZ_SCRIPT = (
+    "import json, sys\n"
+    "from test_cli import run_case\n"
+    "with open(sys.argv[1]) as fh:\n"
+    "    print(json.dumps([run_case(argv) for argv in json.load(fh)]))\n"
+)
+
+
+def _fuzz_value(rng):
+    """One replacement entry: a valid literal of some scalar kind, or junk."""
+    pick = rng.randrange(12)
+    if pick < 3:
+        return "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 5))
+    if pick < 5:
+        return "%d/%d%+d/%d*i" % (rng.randint(-9, 9), rng.randint(1, 5),
+                                  rng.randint(-9, 9), rng.randint(1, 5))
+    if pick < 7:
+        return round(rng.uniform(-10, 10), 3)
+    return rng.choice(["0/1", 0, "1/0", "", "x", None, [], {}, True,
+                       1e308, "1e999", "nan", "-0.0", "3/4*i"])
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for k in sorted(doc):
+            yield from _leaf_paths(doc[k], path + (k,))
+    elif isinstance(doc, list):
+        for k, v in enumerate(doc):
+            yield from _leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+def _perturbed_argv(rng, template, workdir, index):
+    """The golden argv with one entry of its input changed."""
+    value = _fuzz_value(rng)
+    argv = list(template)
+    files = [k for k, a in enumerate(argv) if a.endswith(".json")]
+    if files:
+        with open(os.path.join(GOLDEN_DIR, argv[files[0]])) as fh:
+            doc = json.load(fh)
+        path = rng.choice(list(_leaf_paths(doc)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = os.path.join(workdir, "case%03d.json" % index)
+        with open(target, "w") as fh:
+            json.dump(doc, fh)
+        argv[files[0]] = target
+        return argv
+    text = value if isinstance(value, str) else json.dumps(value)
+    params = [k for k, a in enumerate(argv) if a.startswith(("--a=", "--b=", "--c="))]
+    if params:
+        k = rng.choice(params)
+        argv[k] = argv[k][:4] + text
+    else:
+        argv.append("--tolerance=" + text)
+    return argv
+
+
+def test_cli_fuzz(tmp_path):
+    """200 seeded cases over the golden inputs: every subcommand in every
+    scalar mode, with one input entry (or darboux parameter, or example2's
+    tolerance) replaced by another literal or by junk.  Each exits 0, 1 or
+    2 with no traceback, and python -O gives the same exit codes."""
+    rng = random.Random(2024)
+    templates = [c["argv"] for c in GOLDEN_CASES]
+    cases = [_perturbed_argv(rng, templates[k % len(templates)], str(tmp_path), k)
+             for k in range(200)]
+    results = [run_case(argv) for argv in cases]
+    for argv, (code, err) in zip(cases, results):
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+
+    case_file = tmp_path / "cases.json"
+    case_file.write_text(json.dumps(cases))
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    proc = subprocess.run([sys.executable, "-O", "-c", FUZZ_SCRIPT, str(case_file)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    for argv, (code, _), (o_code, o_err) in zip(cases, results, optimized):
+        assert "Traceback" not in o_err, (argv, o_err)
+        assert o_code == code, (argv, code, o_code, o_err)

@@ -18,11 +18,12 @@ from dqkin.dyads import (
     recover_axes,
 )
 from dqkin import quadrics
-from dqkin.errors import GeometryError, InvariantError
+from dqkin.errors import ExactnessError, GeometryError, InvariantError
 from dqkin.jsonio import point_to_json
-from dqkin.projgeom import Line, ProjPoint, chi_subspace, meet, span
+from dqkin.projgeom import Line, ProjPoint, Subspace, chi_subspace, meet, span
 from dqkin.quadrics import Handedness
 from dqkin.quaternions import DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
+from dqkin.scalars import ComplexFloat
 from dqkin.transforms import build_transform
 
 from helpers import dq, point, random_dyad_spec, random_study_dq
@@ -195,6 +196,12 @@ class TestClassify:
         u = span([point(Q_ONE), point(Quaternion(0, I, 1, 0)),
                   point(dual=Q_I), point(dual=Q_J)])
         with pytest.raises(GeometryError, match="real three-space"):
+            classify(u)
+
+    def test_float_input_is_refused(self):
+        rows = build_variety(RR_SPEC).space.basis.rows
+        u = span([ProjPoint([ComplexFloat(c.to_complex()) for c in row]) for row in rows])
+        with pytest.raises(ExactnessError, match="classification needs exact scalars"):
             classify(u)
 
     def test_conjugation_closed_complex_span_is_accepted(self):
@@ -425,6 +432,22 @@ class TestRecoverAxes:
         u = span([point(Q_ONE), point(Q_K), point(dual=Q_I), point(dual=Q_J)])
         with pytest.raises(GeometryError, match="singular"):
             recover_axes(u, ProjPoint(DQ_ONE))
+
+
+class TestRecoverAxesCertificates:
+    """The joint order of a recovered RR, RP or PR dyad rests on one of two
+    products lying in the space; that neither does is an explicit check,
+    also under python -O."""
+
+    @pytest.mark.parametrize("spec", [RR_SPEC, RP_SPEC])
+    def test_neither_product_in_space(self, monkeypatch, spec):
+        v, base = build_variety(spec), ProjPoint(DQ_ONE)
+        real = Subspace.contains
+        # only the base is found in the space
+        monkeypatch.setattr(Subspace, "contains",
+                            lambda self, p: p == base and real(self, p))
+        with pytest.raises(InvariantError, match="neither product"):
+            recover_axes(v, base)
 
 
 class TestExample2:

@@ -1,9 +1,17 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from dqkin.errors import ExactnessError, GeometryError
+from dqkin import motions
+from dqkin.dyads import Classification, Verdict
+from dqkin.errors import ExactnessError, GeometryError, InvariantError
+from dqkin.linalg import Matrix
 from dqkin.motions import (
     MotionLabel,
     MotionPoly,
@@ -17,7 +25,7 @@ from dqkin.motions import (
     trajectory,
 )
 from dqkin.projgeom import Line, ProjPoint, meet
-from dqkin.quadrics import Handedness, null_cone, quadric_y8, study_quadric
+from dqkin.quadrics import Handedness, QuadricForm, null_cone, quadric_y8, study_quadric
 from dqkin.quaternions import (
     DQ_ONE,
     DualQuaternion,
@@ -255,6 +263,66 @@ class TestDarbouxInvariants:
             darboux_invariants(0, 0, 0)
 
 
+class TestDarbouxCertificates:
+    """Each check of darboux_invariants raises InvariantError, also under
+    python -O, and CLI darboux exits 1 with the message."""
+
+    def test_curve_misses_y(self, monkeypatch):
+        monkeypatch.setattr(motions, "darboux", lambda a, b, c: MotionPoly([DQ_ONE, DQ_ONE]))
+        with pytest.raises(InvariantError, match="does not meet Y"):
+            darboux_invariants(1, 2, 3)
+
+    def test_point_off_y(self, monkeypatch):
+        z = Matrix.zeros(4, 4)
+        skewed = QuadricForm(Matrix.block2x2(z, z, z, Matrix.diagonal([2, 1, 1, 1])))
+        monkeypatch.setattr(motions, "quadric_y8", lambda: skewed)
+        with pytest.raises(InvariantError, match="off Y"):
+            darboux_invariants(1, 2, 3)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_curve_point_not_p_times_fiber_point(self, monkeypatch, mirror):
+        real = motions.darboux
+        monkeypatch.setattr(motions, "darboux", lambda a, b, c: real(a, b + 1, c))
+        with pytest.raises(InvariantError, match="not p times its fiber point"):
+            darboux_invariants(1, 2, 3, mirror=mirror)
+
+    def test_vertical_points_apart(self, monkeypatch):
+        real, calls = motions._eps_point, itertools.count()
+        # per root: curve point, fiber point, p times fiber point; the fiber
+        # point comes out as its complex conjugate, still on Y
+        monkeypatch.setattr(motions, "_eps_point", lambda v: (
+            real(v).scalar_conjugate() if next(calls) % 3 == 1 else real(v)))
+        with pytest.raises(InvariantError, match="a = 0"):
+            darboux_invariants(0, 2, 3)
+
+    def test_handedness_disagreement(self, monkeypatch):
+        sides = iter([Handedness.LeftRuling, Handedness.RightRuling])
+        monkeypatch.setattr(motions, "ruling_handedness", lambda a, b: next(sides))
+        with pytest.raises(InvariantError, match="disagree on handedness"):
+            darboux_invariants(1, 2, 3)
+
+    SCRIPT = (
+        "import itertools, sys\n"
+        "from dqkin import motions\n"
+        "from dqkin.cli import main\n"
+        "from dqkin.quadrics import Handedness\n"
+        "sides = itertools.cycle([Handedness.LeftRuling, Handedness.RightRuling])\n"
+        "motions.ruling_handedness = lambda a, b: next(sides)\n"
+        "sys.exit(main(['darboux', '--a', '1', '--b', '2', '--c', '3']))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_survive_python_o(self, flags):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "disagree on handedness" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def exact_random_line(rng):
     """A transported line through a displacement with rational null points."""
     direction = rational_unit_pure(rng)
@@ -345,10 +413,51 @@ class TestCSpace:
             c_space_from_line(l)
 
 
+class TestCSpaceCertificates:
+    """The witness checks and the C verdict of c_space_from_line raise
+    InvariantError, also under python -O."""
+
+    LINE = Line.through(p8(1, 0, 0, 0, 0, 0, 0, 0), p8(0, 0, 0, 1, 0, 1, 0, 0))
+
+    def test_witness_off_space(self, monkeypatch):
+        real = motions.span
+        # s2 swapped for a point off the C space: e1 = s1 s2 leaves the span
+        monkeypatch.setattr(motions, "span", lambda pts: real(
+            pts[:3] + [p8(1, 2, 3, 4, 5, 6, 7, 9)]))
+        with pytest.raises(InvariantError, match="witness e1"):
+            c_space_from_line(self.LINE)
+
+    def test_ruling_off_study_quadric(self, monkeypatch):
+        real, calls = study_quadric(), itertools.count(1)
+        # e1, l1, l2 pass; the fourth line tested on S is n
+        fake = types.SimpleNamespace(
+            contains_line=lambda a, b: next(calls) != 4 and real.contains_line(a, b))
+        monkeypatch.setattr(motions, "study_quadric", lambda: fake)
+        with pytest.raises(InvariantError, match="witness n is not a ruling"):
+            c_space_from_line(self.LINE)
+
+    def test_ruling_meets_e1(self, monkeypatch):
+        monkeypatch.setattr(motions, "meet", lambda a, b: a)
+        with pytest.raises(InvariantError, match="witness n is misplaced"):
+            c_space_from_line(self.LINE)
+
+    def test_verdict_not_c(self, monkeypatch):
+        monkeypatch.setattr(motions, "classify",
+                            lambda u: Classification(Verdict.TwoR, {}))
+        with pytest.raises(InvariantError, match="classifies as TwoR"):
+            c_space_from_line(self.LINE)
+
+
 class TestIsVerticalDarboux:
     def test_generic_line(self):
         l = Line.through(p8(1, 0, 0, 0, 0, 0, 0, 0),
                          p8(0, 0, 0, 1, 0, 1, 0, 0))
+        assert is_vertical_darboux(l)
+
+    def test_generic_line_float(self):
+        def pf(*coords):
+            return ProjPoint([ComplexFloat(c) for c in coords])
+        l = Line.through(pf(1, 0, 0, 0, 0, 0, 0, 0), pf(0, 0, 0, 1, 0, 1, 0, 0))
         assert is_vertical_darboux(l)
 
     def test_rotation_line_in_study_quadric(self):

@@ -12,6 +12,7 @@ from dqkin.polys import (
     monic,
     poly_divmod,
     poly_gcd,
+    split_quadratic,
     squarefree_part,
 )
 from dqkin.quaternions import Q_I, Q_J, Q_K, Quaternion
@@ -136,6 +137,10 @@ class TestRoots:
         assert low_degree_roots(Poly([1, 2])) == [rational(-1, 2)]
         assert low_degree_roots(Poly([5])) == []
 
+    def test_float_input_refused(self):
+        with pytest.raises(ExactnessError, match="exact root extraction"):
+            low_degree_roots(Poly([ComplexFloat(1.0), 0, 1]))
+
     def test_durand_kerner_simple_roots(self):
         p = [complex(-6), complex(11), complex(-6), complex(1)]  # (t-1)(t-2)(t-3)
         roots = sorted(durand_kerner(p), key=lambda z: z.real)
@@ -145,3 +150,49 @@ class TestRoots:
     def test_durand_kerner_complex_pair(self):
         roots = durand_kerner([complex(1), complex(0), complex(1)])  # t^2+1
         assert sorted(round(z.imag, 6) for z in roots) == [-1.0, 1.0]
+
+
+class TestSplitQuadratic:
+    """Root pairs (alpha, beta) of a alpha^2 + 2 b alpha beta + c beta^2."""
+
+    @staticmethod
+    def vanishes(a, b, c, pair):
+        alpha, beta = pair
+        return (a * alpha * alpha + 2 * b * alpha * beta + c * beta * beta).is_zero()
+
+    def test_exact_pairs(self):
+        one, zero = rational(1), rational(0)
+        for a, b, c in [(1, 0, 1), (1, 0, -4), (2, 3, 4), (0, 1, 5), (0, 0, 3),
+                        (1, -1, 1), (gaussian(0, 2), 0, 1)]:
+            a, b, c = (x if not isinstance(x, int) else rational(x) for x in (a, b, c))
+            pairs = split_quadratic(a, b, c)
+            assert pairs and all(self.vanishes(a, b, c, pq) for pq in pairs)
+        assert split_quadratic(zero, zero, one) == [(one, zero)]
+        assert split_quadratic(one, -one, one) == [(one, one)]
+        assert split_quadratic(one, zero, one) == [(gaussian(0, 1), one), (gaussian(0, -1), one)]
+
+    def test_message(self):
+        with pytest.raises(ExactnessError, match=r"the square root of 2/1 is not in Q\(i\)"):
+            split_quadratic(rational(1), rational(0), rational(-2))
+
+    def test_float_coefficients_take_the_float_root(self):
+        a, b, c = ComplexFloat(2.0), ComplexFloat(3.0), ComplexFloat(4.0)
+        pairs = split_quadratic(a, b, c)
+        assert len(pairs) == 2
+        assert all(isinstance(x, ComplexFloat) for pq in pairs for x in pq)
+        assert all(self.vanishes(a, b, c, pq) for pq in pairs)
+
+    def test_low_degree_roots_dehomogenised(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            cs = [rational(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+            if all(c.is_zero() for c in cs):
+                continue
+            p = Poly(cs)
+            roots = low_degree_roots(p)
+            if roots is None:
+                with pytest.raises(ExactnessError):
+                    split_quadratic(cs[2], cs[1] / 2, cs[0])
+                continue
+            assert all(p(r).is_zero() for r in roots)
+            assert len(roots) == len(set(str(r) for r in roots))

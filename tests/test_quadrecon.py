@@ -372,10 +372,10 @@ def shifted(p, k=4):
 
 
 class TestCertificates:
-    """The closure of run_cycle and the postconditions of
-    reconstruct_quadrilateral are explicit checks: a wrong projection or
-    solution raises InvariantError, also under python -O, and CLI
-    reconstruct exits 1 with the message."""
+    """The closure of run_cycle, the plane of the centres and the
+    postconditions of reconstruct_quadrilateral are explicit checks: a
+    wrong projection, centre or solution raises InvariantError, also under
+    python -O, and CLI reconstruct exits 1 with the message."""
 
     def test_cycle_closure(self, monkeypatch):
         real, calls = quadrecon.project_from_center, itertools.count(1)
@@ -384,6 +384,14 @@ class TestCertificates:
             shifted(real(x, c, t)) if next(calls) == 4 else real(x, c, t)))
         with pytest.raises(InvariantError, match="does not close up"):
             run_cycle(coordinate_cycle(), pt(2, 0, 0, 0, 3, -1, 5, 7))
+
+    def test_centres_off_their_plane(self, monkeypatch):
+        # m1 + m2 - n1 comes out shifted, so n2 is off the plane of the others
+        monkeypatch.setattr(quadrecon, "vec_sub",
+                            lambda u, v: tuple(a - b + 1 for a, b in zip(u, v)))
+        problem, _ = forward_instance(random.Random(49))
+        with pytest.raises(InvariantError, match="do not close up in a plane"):
+            reconstruct_quadrilateral(problem)
 
     def test_vertex_off_quadric(self, monkeypatch):
         real = quadrecon.solve
