@@ -32,5 +32,6 @@ class InvariantError(DqkinError):
     ``transforms.factor_so4`` and ``factor_transform`` (wrong factors),
     ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions),
     ``dyads.recover_axes``, ``motions.darboux_invariants`` and
-    ``motions.c_space_from_line`` (their witnesses).
+    ``motions.c_space_from_line`` (their witnesses), ``motions.act`` (a
+    displaced point that is not a point, as float overflow gives).
     """

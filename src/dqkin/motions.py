@@ -105,8 +105,8 @@ def _act_conjugate(q: DualQuaternion) -> DualQuaternion:
 
 
 def _extract_point(y: DualQuaternion) -> ProjPoint:
-    assert y.primal.vector_part().is_zero()
-    assert y.dual.scalar_part().is_zero()
+    if not (y.primal.vector_part().is_zero() and y.dual.scalar_part().is_zero()):
+        raise InvariantError("the displaced point is not a point of three-space")
     d = y.dual.coords()
     return ProjPoint([y.primal.scalar_part(), d[1], d[2], d[3]])
 

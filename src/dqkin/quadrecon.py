@@ -10,10 +10,15 @@ quadric whose sides pass through the centres is unique and drops out of
 a linear system.
 
 Each object is built once: ``ProjectionCycle.spaces`` is the one
-definition of the four 4-spaces, and reconstruction inverts its frame
-once, since rescaling a frame row only divides the centres' coordinate
-for that row.  The closure of a cycle, the plane of a reconstruction's
-centres and its postconditions are certificates: a failure raises
+definition of the four 4-spaces, joined from image-point spans the cycle
+builds once, and reconstruction inverts its frame once, since rescaling
+a frame row only divides the centres' coordinate for that row.  The
+steps of ``run_cycle`` need no elimination: from a point centre m onto a
+4-space T the image of x is x - lambda*m, with lambda read off the
+residues of x and m modulo T.  A cycle stores each centre's residue
+once, so a step is one residue, one proportionality test and one vector
+update.  The closure of a cycle, the plane of a reconstruction's centres
+and its postconditions are certificates: a failure raises
 ``errors.InvariantError``, also under ``python -O``.
 
 Everything here is exact; float scalars are refused.
@@ -21,14 +26,16 @@ Everything here is exact; float scalars are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, inverse, rank, solve, vec_add, vec_dot, vec_scale, vec_sub
+from .linalg import (Matrix, Vector, _Cleared, _cleared, _combination, inverse, rank, solve,
+                     vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub)
 from .projgeom import (
     ProjPoint,
     Subspace,
+    _proportional,
     join,
     meet,
     project_from_center,
@@ -44,6 +51,40 @@ def _exact_point(p: ProjPoint) -> bool:
     return all(c.is_exact for c in p.coords)
 
 
+class _Step(NamedTuple):
+    """A projection from a point centre: its coordinates, its residue
+    modulo the target 4-space, cleared, and a column k where that residue
+    is the nonzero ``pivot``."""
+
+    center: Vector
+    residue: _Cleared
+    k: int
+    pivot: Scalar
+
+
+def _step(center: ProjPoint, target: Subspace) -> _Step:
+    r = target._residue(center.coords)
+    # the centre plane misses every projection space, so r is nonzero
+    k = next(j for j, e in enumerate(r) if not e.is_zero())
+    return _Step(center.coords, _cleared(r), k, r[k])
+
+
+def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
+    """x projected from the step's centre m onto target.
+
+    On the line through x and m only x - lambda*m, lambda = r_x[k]/r_m[k],
+    can lie in target: it does exactly when x's residue r_x is lambda
+    times m's residue r_m, and it is a point unless x is m.  The image is
+    scaled so its first nonzero coordinate is one: the reduced row that a
+    meet returns, in value and kind.
+    """
+    r = target._residue(x.coords)
+    image = _combination(x.coords, [-(r[step.k] / step.pivot)], [step.center])
+    if not _proportional(step.residue, _cleared(r)) or vec_is_zero(image):
+        raise GeometryError("projection not well defined")
+    return ProjPoint(image).normalized()
+
+
 @dataclass(frozen=True)
 class ProjectionCycle:
     """A fixed 3-space, four image points and four projection centres.
@@ -57,6 +98,8 @@ class ProjectionCycle:
     e: Subspace
     f_points: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
     centers: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
+    _f_spans: Tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
+    _steps: Tuple[_Step, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f_points", tuple(self.f_points))
@@ -83,13 +126,23 @@ class ProjectionCycle:
         plane = span(self.centers)
         if plane.dim != 2:
             raise GeometryError("projection centres must span a plane")
-        for space in self.spaces():
+        object.__setattr__(self, "_f_spans", tuple(span([p]) for p in self.f_points))
+        spaces = self.spaces()
+        for space in spaces:
             if meet(plane, space).dim != -1:
                 raise GeometryError("centre plane meets a projection space")
+        object.__setattr__(self, "_steps", tuple(
+            _step(m, target) for m, target in zip(self.centers, _targets(spaces))))
 
     def spaces(self) -> Tuple[Subspace, Subspace, Subspace, Subspace]:
         """The four 4-spaces joining the fixed space with an image point."""
-        return tuple(join(self.e, span([p])) for p in self.f_points)
+        return tuple(join(self.e, f) for f in self._f_spans)
+
+
+def _targets(spaces):
+    """The target of each step: the centres m1, n1, m2, n2 project onto
+    the spaces of v1, u2, v2 and back onto u1's."""
+    return spaces[1:] + spaces[:1]
 
 
 def run_cycle(c: ProjectionCycle, start: ProjPoint) -> List[ProjPoint]:
@@ -97,19 +150,18 @@ def run_cycle(c: ProjectionCycle, start: ProjPoint) -> List[ProjPoint]:
     assert start.ambient == 8
     if not _exact_point(start):
         raise ExactnessError("projection cycles need exact scalars")
-    u1_space, v1_space, u2_space, v2_space = c.spaces()
+    spaces = c.spaces()
     if c.e.contains(start):
         raise GeometryError("start point lies in the fixed space")
-    if not u1_space.contains(start):
+    if not spaces[0].contains(start):
         raise GeometryError("start point outside the first projection space")
-    m1, n1, m2, n2 = c.centers
-    v1 = project_from_center(start, span([m1]), v1_space)
-    u2 = project_from_center(v1, span([n1]), u2_space)
-    v2 = project_from_center(u2, span([m2]), v2_space)
-    back = project_from_center(v2, span([n2]), u1_space)
-    if back != start:
+    points, x = [], start
+    for step, target in zip(c._steps, _targets(spaces)):
+        x = _project(x, step, target)
+        points.append(x)
+    if x != start:
         raise InvariantError("projection cycle does not close up at its start point")
-    return [v1, u2, v2, back]
+    return points
 
 
 @dataclass(frozen=True)

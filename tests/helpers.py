@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from dqkin.projgeom import ProjPoint, Subspace, span
+from dqkin.projgeom import ProjPoint
 from dqkin.quaternions import DualQuaternion, Quaternion
 from dqkin.scalars import GaussianRational, rational
 

@@ -115,6 +115,32 @@ class TestAct:
                    rng.randint(-5, 5))
             assert act(q * r, x) == act(q, act(r, x))
 
+    OVERFLOW = (
+        "import sys\n"
+        "from dqkin.errors import InvariantError\n"
+        "from dqkin.motions import act\n"
+        "from dqkin.projgeom import ProjPoint\n"
+        "from dqkin.quaternions import DualQuaternion, Quaternion\n"
+        "from dqkin.scalars import ComplexFloat as F\n"
+        "q = DualQuaternion(Quaternion(F(1e308), F(1e308), F(0.0), F(0.0)),\n"
+        "                   Quaternion(F(0.0), F(0.0), F(0.0), F(0.0)))\n"
+        "try:\n"
+        "    act(q, ProjPoint([F(1.0), F(1.0), F(2.0), F(3.0)]))\n"
+        "except InvariantError as exc:\n"
+        "    sys.exit(str(exc))\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_float_overflow_is_not_a_point(self, flags):
+        """The sandwich product of an overflowing float displacement holds
+        inf and nan, so it is no point: act raises, also under python -O."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run([sys.executable, *flags, "-c", self.OVERFLOW],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "the displaced point is not a point of three-space\n"
+
 
 class TestMotionPoly:
     def test_evaluation(self):

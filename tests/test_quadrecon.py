@@ -27,7 +27,7 @@ from dqkin.quadrecon import (
 )
 from dqkin.quadrics import QuadricForm, null_cone, study_quadric
 from dqkin.quaternions import Q_I, Q_K
-from dqkin.scalars import ComplexFloat
+from dqkin.scalars import ComplexFloat, GaussianRational
 
 from helpers import dq
 
@@ -196,6 +196,153 @@ class TestRunCycle:
         for space, point in zip((v1_space, u2_space, v2_space), out):
             assert space.contains(point)
             assert not c.e.contains(point)
+
+
+def meet_chain(cycle, start):
+    """run_cycle by general meets: each step projects from span([m]), with
+    the start checks of run_cycle and without its closure check."""
+    spaces = cycle.spaces()
+    if cycle.e.contains(start):
+        raise GeometryError("start point lies in the fixed space")
+    if not spaces[0].contains(start):
+        raise GeometryError("start point outside the first projection space")
+    x, out = start, []
+    for m, target in zip(cycle.centers, spaces[1:] + spaces[:1]):
+        x = project_from_center(x, span([m]), target)
+        out.append(x)
+    return out
+
+
+def mixed_transform(rng):
+    """An invertible 8x8 matrix, about a third of its entries Gaussian."""
+    while True:
+        m = Matrix([[GaussianRational(rand_frac(rng), nonzero_frac(rng))
+                     if rng.random() < 0.3 else rand_frac(rng) for _ in range(8)]
+                    for _ in range(8)])
+        if inverse(m) is not None:
+            return m
+
+
+def sided_cycle(rng, generic):
+    """A random cycle whose centres m1, n1, m2 sit on the sides of the hidden
+    quadrilateral, except the ones indexed in generic, which are random
+    points.  n2 closes the plane as in random_cycle, or is a random
+    combination of the other three when 3 is in generic.  With a generic
+    centre the step from it is undefined for every start that reaches it."""
+    while True:
+        rows = random_frame(rng).rows
+        e_part = lambda: combo(rows[4:], tuple(rand_frac(rng) for _ in range(4)))
+        alpha, beta = nonzero_frac(rng), nonzero_frac(rng)
+        sides = [(1, alpha, 0, 0), (0, 1, beta, 0), (0, 0, 1, nonzero_frac(rng))]
+        m1, n1, m2 = (tuple(rand_frac(rng) for _ in range(8)) if i in generic
+                      else vec_add(combo(rows, side), e_part())
+                      for i, side in enumerate(sides))
+        if 3 in generic:
+            weights = tuple(nonzero_frac(rng) for _ in range(3))
+        else:
+            weights = (1, -alpha, alpha * beta)
+        n2 = combo([m1, n1, m2], weights)
+        try:
+            cycle = ProjectionCycle(
+                span([ProjPoint(rows[i]) for i in range(4, 8)]),
+                tuple(ProjPoint(rows[i]) for i in range(4)),
+                tuple(ProjPoint(v) for v in (m1, n1, m2, n2)))
+        except GeometryError:
+            continue
+        return cycle, rows
+
+
+def transformed(cycle, m):
+    """The cycle moved by the matrix m, which keeps every incidence."""
+    move = lambda p: ProjPoint(m.apply(p.coords))
+    return ProjectionCycle(span([move(p) for p in cycle.e.points()]),
+                           tuple(move(p) for p in cycle.f_points),
+                           tuple(move(p) for p in cycle.centers)), move
+
+
+def typed(p):
+    return [(type(c), c) for c in p.coords]
+
+
+def outcome(run, cycle, start):
+    try:
+        return [typed(p) for p in run(cycle, start)]
+    except GeometryError as exc:
+        return "GeometryError: %s" % exc
+
+
+def closed_form_mismatches(seed, count):
+    """Starts on seeded cycles where run_cycle and meet_chain differ.
+
+    Each round draws a closing cycle or one with a generic centre (so one
+    step is undefined), and the same cycle under a mixed rational/Gaussian
+    transform.  Starts lie in the first space, in the fixed space (no
+    weight on the first image point) or off the first space.  Returns the
+    mismatches, and how many starts ran and raised.
+    """
+    rng = random.Random(seed)
+    mismatches, runs, raised = [], 0, 0
+    for _ in range(count):
+        generic = () if rng.random() < 0.5 else (rng.randrange(4),)
+        cycle, rows = sided_cycle(rng, generic)
+        moved, move = transformed(cycle, mixed_transform(rng))
+        for _ in range(5):
+            head = 0 if rng.random() < 0.1 else nonzero_frac(rng)
+            coords = vec_add(vec_scale(head, rows[0]),
+                             combo(rows[4:], tuple(nonzero_frac(rng) for _ in range(4))))
+            if rng.random() < 0.1:
+                coords = vec_add(coords, rows[1 + rng.randrange(3)])
+            start = ProjPoint(coords)
+            for c, s in ((cycle, start), (moved, move(start))):
+                got, want = outcome(run_cycle, c, s), outcome(meet_chain, c, s)
+                runs += 1
+                raised += isinstance(want, str)
+                if got != want:
+                    mismatches.append((generic, s, got, want))
+    return mismatches, runs, raised
+
+
+class TestClosedFormAgainstMeets:
+    """run_cycle's closed-form steps against the chain of general meets:
+    the same points, coordinate by coordinate in value and kind, and a
+    GeometryError with the same message exactly where the chain raises."""
+
+    def test_same_points_and_errors(self):
+        mismatches, runs, raised = closed_form_mismatches(61, 12)
+        assert mismatches == []
+        assert runs == 120 and 0 < raised < runs
+
+    def test_gaussian_coordinates_reach_the_output(self):
+        cycle, rows = random_cycle(random.Random(62))
+        moved, move = transformed(cycle, mixed_transform(random.Random(63)))
+        start = move(ProjPoint(vec_add(rows[0], rows[5])))
+        out = run_cycle(moved, start)
+        assert any(type(c) is GaussianRational for p in out for c in p.coords)
+        assert [typed(p) for p in out] == [typed(p) for p in meet_chain(moved, start)]
+
+    def test_start_at_a_centre(self):
+        """A step from m is undefined at m itself.  run_cycle never reaches
+        it, since each point lies in a space the centre plane misses, so
+        the step is called directly, at m and at a multiple of m."""
+        for c in (coordinate_cycle(), random_cycle(random.Random(64))[0]):
+            spaces = c.spaces()
+            for step, m, target in zip(c._steps, c.centers, spaces[1:] + spaces[:1]):
+                for x in (m, ProjPoint(vec_scale(Fraction(-3, 2), m.coords))):
+                    with pytest.raises(GeometryError, match="not well defined"):
+                        project_from_center(x, span([m]), target)
+                    with pytest.raises(GeometryError, match="not well defined"):
+                        quadrecon._project(x, step, target)
+
+    def test_under_python_o(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = ("import sys\n"
+                  "from test_quadrecon import closed_form_mismatches\n"
+                  "mismatches, runs, raised = closed_form_mismatches(61, 12)\n"
+                  "sys.exit('%d mismatches' % len(mismatches) if mismatches else 0)\n")
+        path = os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "tests")])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
 
 
 def forward_instance(rng, identity_config=False):
@@ -378,10 +525,10 @@ class TestCertificates:
     python -O, and CLI reconstruct exits 1 with the message."""
 
     def test_cycle_closure(self, monkeypatch):
-        real, calls = quadrecon.project_from_center, itertools.count(1)
-        # the fourth projection, back onto the first space, comes out wrong
-        monkeypatch.setattr(quadrecon, "project_from_center", lambda x, c, t: (
-            shifted(real(x, c, t)) if next(calls) == 4 else real(x, c, t)))
+        real, calls = quadrecon._project, itertools.count(1)
+        # the fourth step, back onto the first space, comes out wrong
+        monkeypatch.setattr(quadrecon, "_project", lambda x, s, t: (
+            shifted(real(x, s, t)) if next(calls) == 4 else real(x, s, t)))
         with pytest.raises(InvariantError, match="does not close up"):
             run_cycle(coordinate_cycle(), pt(2, 0, 0, 0, 3, -1, 5, 7))
 
@@ -437,18 +584,18 @@ class TestCertificates:
         "cycle = quadrecon.ProjectionCycle(\n"
         "    span([unit(k) for k in range(4, 8)]), tuple(unit(k) for k in range(4)),\n"
         "    tuple(ProjPoint([int(j in (k, (k + 1) % 4)) for j in range(8)]) for k in range(4)))\n"
-        "project, calls = quadrecon.project_from_center, itertools.count(1)\n"
-        "def wrong(x, c, t):\n"
-        "    y = project(x, c, t)\n"
+        "project, calls = quadrecon._project, itertools.count(1)\n"
+        "def wrong(x, s, t):\n"
+        "    y = project(x, s, t)\n"
         "    return ProjPoint(vec_add(y.coords, unit(4).coords)) if next(calls) == 4 else y\n"
-        "quadrecon.project_from_center = wrong\n"
+        "quadrecon._project = wrong\n"
         "try:\n"
         "    quadrecon.run_cycle(cycle, ProjPoint([2, 0, 0, 0, 3, -1, 5, 7]))\n"
         "except InvariantError:\n"
         "    pass\n"
         "else:\n"
         "    sys.exit('run_cycle did not raise InvariantError')\n"
-        "quadrecon.project_from_center = project\n"
+        "quadrecon._project = project\n"
         "solve = quadrecon.solve\n"
         "quadrecon.solve = lambda m, b: tuple(x + 1 for x in solve(m, b))\n"
         "sys.exit(main(['reconstruct', sys.argv[1]]))\n"

@@ -6,7 +6,6 @@ import pytest
 from dqkin.errors import GeometryError
 from dqkin.linalg import Matrix, scalar_multiple_of
 from dqkin.quaternions import (
-    DQ_BASIS,
     DQ_EPS,
     DQ_ONE,
     DualNumber,

@@ -24,7 +24,6 @@ from dqkin.quaternions import (
 )
 from dqkin.scalars import ComplexFloat
 from dqkin.transforms import (
-    AdmissibleTransform,
     VerificationReport,
     build_transform,
     conjugation_matrix,
