@@ -16,11 +16,11 @@ basis of the conjugate line.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, nullspace, rref, scalar_multiple_of, vec_is_zero
+from .linalg import Matrix, nullspace, rank, rref, scalar_multiple_of, vec_is_zero
 from .polys import split_quadratic
 from .projgeom import (
     Line,
@@ -191,26 +191,31 @@ def build_variety(spec: DyadSpec) -> ConstraintVariety:
 
 
 def null_quadrilateral(lines) -> Optional[Quadrilateral]:
-    """Order four null lines into a closed quadrilateral, if they form one."""
+    """Order four null lines into a closed quadrilateral, if they form one.
+
+    Incidence comes first: two lines meet in one point exactly when their
+    stacked bases have rank 3.  The cycles starting at the first line are
+    tried in the order of the permutations of the other three, and
+    ``meet`` runs only on the four edges of a cycle whose consecutive lines
+    all meet; the first such cycle with four distinct vertices is the
+    quadrilateral.
+    """
     lines = list(lines)
     if len(lines) != 4:
         return None
-    first = lines[0]
-    for rest in permutations(lines[1:]):
-        cycle = (first,) + rest
-        vertices = []
-        for i in range(4):
-            cut = meet(cycle[i], cycle[(i + 1) % 4])
-            if cut.dim != 0:
-                break
-            vertices.append(ProjPoint(cut.basis.row(0)))
-        if len(vertices) != 4:
+    incident = {frozenset((i, j)) for i, j in combinations(range(4), 2)
+                if rank(Matrix._of(lines[i].basis.rows + lines[j].basis.rows)) == 3}
+    for rest in permutations(range(1, 4)):
+        order = (0,) + rest
+        if any(frozenset((order[i - 1], order[i])) not in incident for i in range(4)):
             continue
-        distinct = all(
-            vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)
-        )
-        if distinct:
-            return Quadrilateral(cycle, tuple(vertices))
+        cycle = tuple(lines[k] for k in order)
+        cuts = [meet(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
+        if any(cut.dim != 0 for cut in cuts):  # float lines compare at tolerance
+            continue
+        vertices = tuple(ProjPoint(cut.basis.row(0)) for cut in cuts)
+        if all(vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)):
+            return Quadrilateral(cycle, vertices)
     return None
 
 

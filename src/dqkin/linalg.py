@@ -4,21 +4,31 @@ Everything is immutable and dimension-checked with asserts.  The path an
 operation takes follows the kinds of the entries; results are the same
 on every path, entry by entry and kind by kind.
 
-- Products (``Matrix.__mul__``, ``apply``) and ``vec_dot`` of exact
-  vectors clear each row and column to one integer vector (Gaussian
-  entries to a pair of integer vectors) over one denominator, so each
-  entry is one integer dot product and one ``Fraction``.
-- ``rref`` and ``det`` of an exact matrix clear each row and run
-  fraction-free Gauss-Jordan elimination (Bareiss 1968) over the
-  integers, or over the Gaussian integers Z[i] held as (re, im) pairs
-  when some entry is Gaussian, and divide by the pivot only to emit the
-  canonical reduced form.  Kinds are the scalar loop's: a pivot row turns
-  Gaussian where its pivot is, a row with a nonzero entry in the pivot
-  column turns Gaussian where that entry or the pivot row is, ``det`` is
-  Gaussian iff some pivot was, and a singular ``det`` is a zero of the
-  kind of the first pivot, or of entry (0, 0) if column 0 has none.
+- A cleared vector is one integer vector (Gaussian entries: a pair of
+  integer vectors) over one denominator (``_cleared``).  Since a
+  ``Matrix`` never changes, it keeps its rows cleared and its columns
+  cleared, each built on first use and ``None`` when an entry is a
+  float; a transpose starts with the two swapped.  ``Matrix(rows)``
+  converts every entry with ``scalars.scalar``; the trusted constructor
+  ``Matrix._of`` takes rows of Scalars as they are, for results built
+  here and in ``projgeom`` (``rref``, products, ``transpose``,
+  ``Subspace.from_rows``, meets).
+- Products (``Matrix.__mul__``, ``apply``) of exact matrices read the
+  kept forms, and ``vec_dot`` clears its two vectors, so each entry is
+  one integer dot product and one ``Fraction``.
+- ``rref``, ``rank`` and ``det`` of an exact matrix read the kept rows
+  and run fraction-free Gauss-Jordan elimination (Bareiss 1968) over
+  the integers, or over the Gaussian integers Z[i] held as (re, im)
+  pairs when some entry is Gaussian; ``rref`` divides by the pivot only
+  to emit the canonical reduced form, and ``rank`` emits nothing.
+  Kinds are the scalar loop's: a pivot row turns Gaussian where its
+  pivot is, a row with a nonzero entry in the pivot column turns
+  Gaussian where that entry or the pivot row is, ``det`` is Gaussian iff
+  some pivot was, and a singular ``det`` is a zero of the kind of the
+  first pivot, or of entry (0, 0) if column 0 has none.
 - One combination kernel, ``_combination``, computes ``v + sum c_k *
-  row_k`` on cleared integers for ``projgeom``.  An output entry is
+  row_k`` for ``projgeom`` and ``quadrecon``, clearing only v and the
+  coefficients and reading the rows' kept form.  An output entry is
   Gaussian exactly when the entry of ``v``, some coefficient ``c_k`` or
   some ``row_k`` entry in its column is Gaussian, which is the kind the
   scalar loop gives it.
@@ -121,12 +131,13 @@ def _cleared(u: Vector) -> Optional[_Cleared]:
             [f.numerator * (den // f.denominator) for f in im], den)
 
 
-def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
-    """vec_dot of two cleared vectors, of the kind vec_dot would return."""
-    (ur, ui, ud), (vr, vi, vd) = u, v
+def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
+    """vec_dot of two cleared vectors times both denominators, as integers
+    (re, im); im is None when neither vector has a Gaussian entry."""
+    (ur, ui, _), (vr, vi, _) = u, v
     re = sum(map(mul, ur, vr))
     if ui is None and vi is None:
-        return ExactRational(Fraction(re, ud * vd))
+        return re, None
     im = 0
     if vi is not None:
         im += sum(map(mul, ur, vi))
@@ -134,7 +145,38 @@ def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
         im += sum(map(mul, ui, vr))
         if vi is not None:
             re -= sum(map(mul, ui, vi))
-    return GaussianRational(Fraction(re, ud * vd), Fraction(im, ud * vd))
+    return re, im
+
+
+def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
+    """vec_dot of two cleared vectors, of the kind vec_dot would return."""
+    re, im = _dot_numerator(u, v)
+    den = u[2] * v[2]
+    if im is None:
+        return ExactRational(Fraction(re, den))
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _cleared_image(cols: Sequence[_Cleared], v: _Cleared) -> _Cleared:
+    """The matrix with cleared columns cols times v, cleared: the sum of
+    v[k] * cols[k] over the common denominator of v and the columns."""
+    vr, vi, vd = v
+    den = lcm(*[d for _, _, d in cols])
+    gaussian = vi is not None or any(ci is not None for _, ci, _ in cols)
+    re = [0] * len(cols[0][0])
+    im = [0] * len(re) if gaussian else None
+    for k, (cr, ci, d) in enumerate(cols):
+        s = den // d
+        xr, xi = vr[k] * s, 0 if vi is None else vi[k] * s
+        if xr:
+            re = [o + xr * c for o, c in zip(re, cr)]
+            if ci is not None:
+                im = [o + xr * c for o, c in zip(im, ci)]
+        if xi:
+            im = [o + xi * c for o, c in zip(im, cr)]
+            if ci is not None:
+                re = [o - xi * c for o, c in zip(re, ci)]
+    return re, im, den * vd
 
 
 def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
@@ -149,6 +191,11 @@ def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scala
     cleared_cols = None if cleared_rows is None else _all_cleared(cols)
     if cleared_cols is not None:
         return [[_cleared_dot(r, c) for c in cleared_cols] for r in cleared_rows]
+    return _float_products(rows, cols)
+
+
+def _float_products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
+    """_products of rows and columns with a float entry somewhere."""
     float_cols = [_floated(c) for c in cols]
     out = []
     for r in rows:
@@ -185,75 +232,91 @@ def _floated(u: Vector) -> Tuple[List[complex], float, int]:
     return values, tolerance, exact
 
 
-def _combination(v: Vector, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
-    """v + sum of coeffs[k]*rows[k]: on cleared integers when every entry is
-    exact, else by the scalar loop ``o + c*r``, row by row.
+def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
+    """v + sum of coeffs[k]*m.rows[k]: on cleared integers, m's rows taken
+    from its cached cleared form, when every entry is exact, else by the
+    scalar loop ``o + c*r``, row by row.
 
     On the integer path an entry is Gaussian exactly when v's entry, some
     coefficient or some row's entry in its column is Gaussian: the kind
     the scalar loop would give it.
     """
-    n, k = len(v), len(coeffs)
-    flat = list(v)
-    flat += coeffs
-    for row in rows:
-        flat += row
-    cleared = _cleared(flat)
-    if cleared is None:
+    n = len(v)
+    rows = m._cleared_rows()
+    head = None if rows is None else _cleared(tuple(v) + tuple(coeffs))
+    if head is None:
         out = tuple(v)
-        for c, row in zip(coeffs, rows):
+        for c, row in zip(coeffs, m.rows):
             out = tuple(o + c * r for o, r in zip(out, row))
         return out
-    re, im, den = cleared
-    # every input is over den, so every term and the result are over den**2
-    out_re = [x * den for x in re[:n]]
-    out_im = None if im is None else [x * den for x in im[:n]]
-    for j in range(k):
-        rr = re[n + k + j * n:n + k + (j + 1) * n]
-        cr = re[n + j]
-        if im is None:
-            out_re = [o + cr * x for o, x in zip(out_re, rr)]
-            continue
-        ri = im[n + k + j * n:n + k + (j + 1) * n]
-        ci = im[n + j]
-        out_re = [o + cr * x - ci * y for o, x, y in zip(out_re, rr, ri)]
-        out_im = [o + cr * y + ci * x for o, x, y in zip(out_im, rr, ri)]
-    den *= den
-    if out_im is None:
-        return tuple(ExactRational(Fraction(x, den)) for x in out_re)
+    re, im, den = head
+    # v is over den and the sum of the rows over sum_den, a multiple of den
+    sum_re, sum_im, sum_den = _cleared_image(rows, (re[n:], None if im is None else im[n:], den))
+    s = sum_den // den
+    out_re = [x * s + y for x, y in zip(re, sum_re)]
+    if sum_im is None:
+        return tuple(ExactRational(Fraction(x, sum_den)) for x in out_re)
+    out_im = sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)]
     if any(type(c) is GaussianRational for c in coeffs):
         gaussian = [True] * n
     else:
         gaussian = [type(e) is GaussianRational for e in v]
-        for row in rows:
+        for row in m.rows:
             gaussian = [g or type(e) is GaussianRational for g, e in zip(gaussian, row)]
-    return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) if g
-                 else ExactRational(Fraction(x, den))
+    return tuple(GaussianRational(Fraction(x, sum_den), Fraction(y, sum_den)) if g
+                 else ExactRational(Fraction(x, sum_den))
                  for x, y, g in zip(out_re, out_im, gaussian))
 
 
+_UNSET = object()  # a cleared form not yet built
+
+
 class Matrix:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_row_form", "_column_form")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(scalar(e) for e in row) for row in rows)
-        assert self.rows, "empty matrix"
-        width = len(self.rows[0])
-        assert width > 0 and all(len(r) == width for r in self.rows)
+        self._set(tuple(tuple(scalar(e) for e in row) for row in rows))
+
+    @classmethod
+    def _of(cls, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
+        """The trusted constructor: rows whose entries are Scalars already."""
+        m = object.__new__(cls)
+        m._set(tuple(map(tuple, rows)))
+        return m
+
+    def _set(self, rows: Tuple[Vector, ...]) -> None:
+        assert rows, "empty matrix"
+        width = len(rows[0])
+        assert width > 0 and all(len(r) == width for r in rows)
+        self.rows = rows
+        self._row_form = self._column_form = _UNSET
+
+    def _cleared_rows(self) -> Optional[List[_Cleared]]:
+        """Every row cleared (``_cleared``), or None when an entry is a float;
+        built on first use and kept, as the matrix never changes."""
+        if self._row_form is _UNSET:
+            self._row_form = _all_cleared(self.rows)
+        return self._row_form
+
+    def _cleared_columns(self) -> Optional[List[_Cleared]]:
+        """Every column cleared, or None when an entry is a float; kept too."""
+        if self._column_form is _UNSET:
+            self._column_form = _all_cleared(list(zip(*self.rows)))
+        return self._column_form
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
+        return Matrix._of([[ZERO] * ncols for _ in range(nrows)])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "Matrix":
         es = [scalar(e) for e in entries]
         n = len(es)
-        return Matrix([[es[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of([[es[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
@@ -265,7 +328,7 @@ class Matrix:
         assert a.ncols == c.ncols and b.ncols == d.ncols
         rows = [ra + rb for ra, rb in zip(a.rows, b.rows)]
         rows += [rc + rd for rc, rd in zip(c.rows, d.rows)]
-        return Matrix(rows)
+        return Matrix._of(rows)
 
     @property
     def nrows(self) -> int:
@@ -286,32 +349,42 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)])
+        t = Matrix._of(zip(*self.rows))
+        t._row_form, t._column_form = self._column_form, self._row_form
+        return t
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix([vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([tuple(-e for e in r) for r in self.rows])
+        return Matrix._of([tuple(-e for e in r) for r in self.rows])
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix([vec_scale(c, r) for r in self.rows])
+        return Matrix._of([vec_scale(c, r) for r in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         assert self.ncols == other.nrows
-        return Matrix(_products(self.rows, list(zip(*other.rows))))
+        rows = self._cleared_rows()
+        cols = None if rows is None else other._cleared_columns()
+        if cols is None:
+            return Matrix._of(_float_products(self.rows, list(zip(*other.rows))))
+        return Matrix._of([[_cleared_dot(r, c) for c in cols] for r in rows])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         u = as_vector(v)
         assert len(u) == self.ncols
-        return tuple(row[0] for row in _products(self.rows, [u]))
+        rows = self._cleared_rows()
+        cleared = None if rows is None else _cleared(u)
+        if cleared is None:
+            return tuple(row[0] for row in _float_products(self.rows, [u]))
+        return tuple(_cleared_dot(r, cleared) for r in rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -462,18 +535,19 @@ def _fraction_free(a: List[list], step=_int_step, zero=0, one=1,
 _GAUSSIAN_ZERO = GaussianRational(0, 0)
 
 
-def _exact_elimination(m: Matrix, kinds: set):
-    """Clear each row and run ``_fraction_free`` over Z, or over Z[i] with the
-    Gaussian mask when some entry is Gaussian.  Returns the cleared rows,
-    the eliminated rows, the mask (None over Z) and ``_fraction_free``'s result."""
-    cleared = [_cleared(r) for r in m.rows]
-    if GaussianRational not in kinds:
+def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
+    """Run ``_fraction_free`` on the cleared rows of m over Z, or over Z[i]
+    with the Gaussian mask when some entry is Gaussian.  Returns the
+    eliminated rows, the mask (None over Z) and ``_fraction_free``'s result."""
+    if all(im is None for _, im, _ in cleared):
+        # _fraction_free replaces rows and never writes into one, so the
+        # matrix's kept rows can start the elimination
         a = [re for re, _, _ in cleared]
-        return cleared, a, None, _fraction_free(a)
+        return a, None, _fraction_free(a)
     a = [list(zip(re, im or [0] * len(re))) for re, im, _ in cleared]
     gaussian = [sum(1 << j for j, e in enumerate(r) if type(e) is GaussianRational)
                 for r in m.rows]
-    return cleared, a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
+    return a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -482,10 +556,10 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     An exact matrix is reduced fraction-free, an all-float one at its
     largest tolerance, one of exact and float entries by the scalar loop.
     """
-    kinds = {type(e) for r in m.rows for e in r}
-    if ComplexFloat not in kinds:
+    cleared = m._cleared_rows()
+    if cleared is not None:
         # scaling a row changes no reduced form, so each row is cleared alone
-        _, a, gaussian, (pivots, d, _, _) = _exact_elimination(m, kinds)
+        a, gaussian, (pivots, d, _, _) = _exact_elimination(m, cleared)
         r = len(pivots)
         if gaussian is None:
             rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
@@ -500,8 +574,8 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                      for j, (xr, xi) in enumerate(a[i])] for i, g in enumerate(gaussian[:r])]
             rows += [[_GAUSSIAN_ZERO if g >> j & 1 else ZERO for j in range(m.ncols)]
                      for g in gaussian[r:]]
-        return Matrix(rows), tuple(pivots)
-    if kinds == {ComplexFloat}:
+        return Matrix._of(rows), tuple(pivots)
+    if all(type(e) is ComplexFloat for r in m.rows for e in r):
         return _float_rref(m)
     rows = [list(r) for r in m.rows]
     pivots = []
@@ -520,7 +594,7 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-    return Matrix(rows), tuple(pivots)
+    return Matrix._of(rows), tuple(pivots)
 
 
 def _float_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -547,22 +621,27 @@ def _float_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], top)]
                 kept[i] = None
         pivots.append(col)
-    return Matrix([[_float_of(v + 0j, tolerance) for v in row] if k is None else k
-                   for row, k in zip(rows, kept)]), tuple(pivots)
+    return Matrix._of([[_float_of(v + 0j, tolerance) for v in row] if k is None else k
+                       for row, k in zip(rows, kept)]), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """The number of pivots of rref(m); an exact matrix is eliminated
+    without emitting its reduced form."""
+    cleared = m._cleared_rows()
+    if cleared is None:
+        return len(rref(m)[1])
+    return len(_exact_elimination(m, cleared)[2][0])
 
 
 def det(m: Matrix) -> Scalar:
     """Determinant: fraction-free for an exact matrix, of the kind the scalar
     loop gives it; in floats when some entry is a float."""
     assert m.nrows == m.ncols
-    kinds = {type(e) for r in m.rows for e in r}
-    if ComplexFloat in kinds:
+    cleared = m._cleared_rows()
+    if cleared is None:
         return _float_det(m)
-    cleared, _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(m, kinds)
+    _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(m, cleared)
     if len(pivots) < m.nrows:
         # a zero of the kind of the first pivot, or of entry (0, 0)
         first = next((r[0] for r in m.rows if not r[0].is_zero()), m.rows[0][0])
@@ -622,7 +701,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     """
     rhs = as_vector(b)
     assert len(rhs) == m.nrows
-    aug = Matrix([row + (rhs[i],) for i, row in enumerate(m.rows)])
+    aug = Matrix._of([row + (rhs[i],) for i, row in enumerate(m.rows)])
     red, pivots = rref(aug)
     if m.ncols in pivots:
         return None
@@ -636,11 +715,11 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     assert m.nrows == m.ncols
     n = m.nrows
     eye = Matrix.identity(n)
-    aug = Matrix([m.rows[i] + eye.rows[i] for i in range(n)])
+    aug = Matrix._of([m.rows[i] + eye.rows[i] for i in range(n)])
     red, pivots = rref(aug)
     if tuple(pivots) != tuple(range(n)):
         return None
-    return Matrix([r[n:] for r in red.rows])
+    return Matrix._of([r[n:] for r in red.rows])
 
 
 def scalar_multiple_of(a: Matrix, b: Matrix) -> Optional[Scalar]:

@@ -133,7 +133,7 @@ class Subspace:
         red, pivots = rref(mat)
         if not pivots:
             return Subspace(None, ambient)
-        return Subspace(Matrix(red.rows[:len(pivots)]), ambient)
+        return Subspace(Matrix._of(red.rows[:len(pivots)]), ambient)
 
     @staticmethod
     def empty(ambient: int) -> "Subspace":
@@ -159,7 +159,7 @@ class Subspace:
         The result vanishes at every pivot column, and everywhere exactly
         when v lies in the subspace.
         """
-        return _combination(v, [-v[j] for j in self._pivots], self.basis.rows)
+        return _combination(v, [-v[j] for j in self._pivots], self.basis)
 
     def _holds(self, p: ProjPoint) -> bool:
         """Whether p's residue vanishes, p taken at max-norm one when p or the
@@ -191,7 +191,7 @@ class Subspace:
         self._require_chart()
         assert chart_point.ambient == self.basis.nrows
         return ProjPoint(_combination((ZERO,) * self.ambient, chart_point.coords,
-                                      self.basis.rows))
+                                      self.basis))
 
     def chart_coords(self, p: ProjPoint) -> Optional[ProjPoint]:
         """Coordinates of p in this subspace's basis, or None if outside."""
@@ -252,10 +252,10 @@ def _meet_rows(rows: Sequence[Vector], b: Subspace) -> Subspace:
     spans the meet."""
     if b.basis is None:
         return Subspace.empty(b.ambient)
-    kernel = nullspace(Matrix.from_columns([b._residue(row) for row in rows]))
+    kernel = nullspace(Matrix._of(zip(*[b._residue(row) for row in rows])))
     if not kernel:
         return Subspace.empty(b.ambient)
-    return Subspace.from_rows((Matrix(kernel) * Matrix(rows)).rows, b.ambient)
+    return Subspace.from_rows((Matrix._of(kernel) * Matrix._of(rows)).rows, b.ambient)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:

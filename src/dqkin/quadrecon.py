@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, Vector, _Cleared, _cleared, _combination, inverse, rank, solve,
+from .linalg import (Matrix, _Cleared, _cleared, _combination, inverse, rank, solve,
                      vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub)
 from .projgeom import (
     ProjPoint,
@@ -52,11 +52,11 @@ def _exact_point(p: ProjPoint) -> bool:
 
 
 class _Step(NamedTuple):
-    """A projection from a point centre: its coordinates, its residue
-    modulo the target 4-space, cleared, and a column k where that residue
-    is the nonzero ``pivot``."""
+    """A projection from a point centre: its coordinates as a one-row
+    matrix, its residue modulo the target 4-space, cleared, and a column k
+    where that residue is the nonzero ``pivot``."""
 
-    center: Vector
+    center: Matrix
     residue: _Cleared
     k: int
     pivot: Scalar
@@ -66,7 +66,7 @@ def _step(center: ProjPoint, target: Subspace) -> _Step:
     r = target._residue(center.coords)
     # the centre plane misses every projection space, so r is nonzero
     k = next(j for j, e in enumerate(r) if not e.is_zero())
-    return _Step(center.coords, _cleared(r), k, r[k])
+    return _Step(Matrix._of([center.coords]), _cleared(r), k, r[k])
 
 
 def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
@@ -79,7 +79,7 @@ def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
     meet returns, in value and kind.
     """
     r = target._residue(x.coords)
-    image = _combination(x.coords, [-(r[step.k] / step.pivot)], [step.center])
+    image = _combination(x.coords, [-(r[step.k] / step.pivot)], step.center)
     if not _proportional(step.residue, _cleared(r)) or vec_is_zero(image):
         raise GeometryError("projection not well defined")
     return ProjPoint(image).normalized()

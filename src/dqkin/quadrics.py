@@ -6,16 +6,21 @@ surfaces in a 3-space chart are located through degenerate pencil
 members: a pencil whose base locus contains a line has a determinant
 form that is a perfect square, so every line sits inside a member at a
 multiple root (or at infinity when the far member is degenerate enough).
-Exact forms give exact lines, or ``ExactnessError`` where a needed
-square root leaves the Gaussian rationals; float forms give float lines
-at their tolerance.  Neither kind falls back on the other.
+One degenerate member is enough: every member q1 + s q2 vanishes on each
+common line, so the lines on the anchor q1 inside the first degenerate
+member, each checked against both forms, are all the common lines (a
+singular member contains the whole base locus; Hodge & Pedoe, *Methods
+of Algebraic Geometry* II, book IV, ch. XIII).  Exact forms give exact
+lines, or ``ExactnessError`` where a needed square root leaves the
+Gaussian rationals; float forms give float lines at their tolerance.
+Neither kind falls back on the other.
 
 A line lies on a quadric when the form restricted to two of its points
-vanishes (``QuadricForm.contains_line``); that one test verifies common
-lines and decides null lines, which lie on both S and N.  S and N are
-built once, at import.  The ruling family of a line in Y is read from
-quaternion ideals: for a null a, a H is where conj(a) b vanishes and
-H a where b conj(a) does.
+vanishes (``QuadricForm.contains_line``, integer sums on exact input);
+that one test verifies common lines and decides null lines, which lie
+on both S and N.  S and N are built once, at import.  The ruling family
+of a line in Y is read from quaternion ideals: for a null a, a H is
+where conj(a) b vanishes and H a where b conj(a) does.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from typing import List, Sequence, Tuple
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
     Matrix,
+    _cleared,
+    _cleared_image,
+    _dot_numerator,
     _kernel,
     nullspace,
     rank,
@@ -64,10 +72,22 @@ class QuadricForm:
         return self.value(p).is_zero()
 
     def contains_line(self, a: ProjPoint, b: ProjPoint) -> bool:
-        """Whether the form vanishes on the span of a and b: E G E^T = 0, E = [a; b]."""
+        """Whether the form vanishes on the span of a and b: E G E^T = 0, E = [a; b].
+
+        G is symmetric, so that is a.Ga = a.Gb = b.Gb = 0.  On exact input
+        Ga and Gb are integer vectors over one denominator, built from the
+        gram's cleared columns, and the three tests are integer sums.
+        """
         assert a.ambient == self.n and b.ambient == self.n
-        e = Matrix([a.coords, b.coords])
-        return (e * self.gram * e.transpose()).is_zero()
+        cols = self.gram._cleared_columns()
+        ca = None if cols is None else _cleared(a.coords)
+        cb = None if ca is None else _cleared(b.coords)
+        if cb is None:
+            e = Matrix._of([a.coords, b.coords])
+            return (e * self.gram * e.transpose()).is_zero()
+        ga, gb = _cleared_image(cols, ca), _cleared_image(cols, cb)
+        return not any(x for u, v in ((ca, ga), (ca, gb), (cb, gb))
+                       for x in _dot_numerator(u, v))
 
     def rank(self) -> int:
         return rank(self.gram)
@@ -322,8 +342,9 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     """All lines lying on both quadric surfaces of a 3-space chart.
 
     q1 anchors the pencil and must be regular.  Exact forms give exact
-    lines, and raise ExactnessError when a pencil root or a line pair
-    needs a square root outside the Gaussian rationals.  Forms with any
+    lines, and raise ExactnessError when a pencil root, or a line pair of
+    the first degenerate member, needs a square root outside the Gaussian
+    rationals.  Forms with any
     float entry are taken as float forms at the largest tolerance among
     their entries and give float lines (``Line.approx``), verified at
     that tolerance.
@@ -345,11 +366,14 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     else:
         members = _exact_member_grams(det_poly, q1.gram, q2.gram)
 
+    if not members:
+        return []
+    # every member contains each common line, so the first degenerate
+    # member's lines on the anchor hold them all
     lines: List[Line] = []
-    for member in members:
-        for a, b in _member_line_pairs(member, q1):
-            if _line_verified(q1, q2, a, b):
-                line = Line.through(a, b)
-                if not any(line == seen for seen in lines):
-                    lines.append(line)
+    for a, b in _member_line_pairs(members[0], q1):
+        if _line_verified(q1, q2, a, b):
+            line = Line.through(a, b)
+            if not any(line == seen for seen in lines):
+                lines.append(line)
     return sorted(lines, key=_line_sort_key)

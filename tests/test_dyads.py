@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -19,11 +20,11 @@ from dqkin.dyads import (
 )
 from dqkin import quadrics
 from dqkin.errors import ExactnessError, GeometryError, InvariantError
-from dqkin.jsonio import point_to_json
+from dqkin.jsonio import matrix_to_json, point_to_json
 from dqkin.projgeom import Line, ProjPoint, Subspace, chi_subspace, meet, span
 from dqkin.quadrics import Handedness
 from dqkin.quaternions import DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
-from dqkin.scalars import ComplexFloat
+from dqkin.scalars import ComplexFloat, scalar_to_json
 from dqkin.transforms import build_transform
 
 from helpers import dq, point, random_dyad_spec, random_study_dq
@@ -374,6 +375,60 @@ class TestNullQuadrilateral:
                 assert meet(lines[i], lines[j]).dim == -1
         assert null_quadrilateral(lines) is None
 
+    @staticmethod
+    def meet_search(lines):
+        """The definition: the first cycle from lines[0], over the permutations
+        of the rest, whose consecutive lines meet in four distinct points."""
+        lines = list(lines)
+        if len(lines) != 4:
+            return None
+        for rest in permutations(lines[1:]):
+            cycle = (lines[0],) + rest
+            cuts = [meet(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
+            if any(cut.dim != 0 for cut in cuts):
+                continue
+            vertices = [ProjPoint(cut.basis.row(0)) for cut in cuts]
+            if all(vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)):
+                return cycle, vertices
+        return None
+
+    def assert_matches_meet_search(self, lines):
+        got, want = null_quadrilateral(lines), self.meet_search(lines)
+        if want is None:
+            assert got is None
+            return
+        assert all(g is w for g, w in zip(got.lines, want[0]))
+        assert [[(type(c), c) for c in v.coords] for v in got.vertices] == \
+            [[(type(c), c) for c in v.coords] for v in want[1]]
+
+    def test_every_order_of_seeded_rr_lines(self):
+        for seed in range(3):
+            u = build_variety(random_dyad_spec(random.Random(3200 + seed), DyadKind.RR)).space
+            lines = classify(u).evidence["null_lines"]
+            for order in permutations(lines):
+                self.assert_matches_meet_search(order)
+
+    @staticmethod
+    def unit_line(j, k):
+        e = [[1 if i == c else 0 for i in range(8)] for c in (j, k)]
+        return Line.through(ProjPoint(e[0]), ProjPoint(e[1]))
+
+    def test_three_concurrent_lines(self):
+        # three lines through e0 and one through e1 and e3: every closed
+        # cycle repeats the vertex e0
+        lines = [self.unit_line(0, 1), self.unit_line(0, 2), self.unit_line(0, 3),
+                 self.unit_line(1, 3)]
+        for order in permutations(lines):
+            assert null_quadrilateral(order) is None
+            self.assert_matches_meet_search(order)
+
+    def test_two_disjoint_pairs(self):
+        lines = [self.unit_line(0, 1), self.unit_line(0, 2), self.unit_line(4, 5),
+                 self.unit_line(4, 6)]
+        for order in permutations(lines):
+            assert null_quadrilateral(order) is None
+            self.assert_matches_meet_search(order)
+
 
 class TestRecoverAxes:
     def test_rr_fixture(self):
@@ -460,3 +515,54 @@ class TestExample2:
             "substituted_span_contains": True,
             "samples_on_study": True,
         }
+
+
+CLASSIFY_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "classify", "expected.json")
+
+
+def golden_spans():
+    """Seeded spans of every kind, and chi images of the RP ones, from seeds
+    no other test draws."""
+    spans = []
+    for offset, kind in enumerate((DyadKind.RR, DyadKind.RP, DyadKind.PR, DyadKind.C)):
+        for k in range(4):
+            seed = 3300 + 10 * offset + k
+            u = build_variety(random_dyad_spec(random.Random(seed), kind)).space
+            spans.append(("%s-%d" % (kind.value, seed), u))
+            if kind is DyadKind.RP:
+                spans.append(("chi-%d" % seed, chi_subspace(u)))
+    return spans
+
+
+def classify_record(u):
+    """The verdict, the null lines' canonical bases and the quadrilateral (its
+    cycle as indices into the null lines, and its vertices) of classify(u),
+    every scalar in its jsonio encoding, which shows its kind."""
+    c = classify(u)
+    lines = c.evidence.get("null_lines")
+    quad = c.evidence.get("quadrilateral")
+    return {
+        "span": matrix_to_json(u.basis),
+        "verdict": c.verdict.value,
+        "null_lines": None if lines is None else [matrix_to_json(l.basis) for l in lines],
+        "quadrilateral": None if quad is None else {
+            "cycle": [next(i for i, l in enumerate(lines) if l is q) for q in quad.lines],
+            "vertices": [[scalar_to_json(x) for x in v.coords] for v in quad.vertices]},
+    }
+
+
+class TestClassifyGolden:
+    """classify's evidence on seeded spans, recorded in
+    tests/data/classify/expected.json by ``classify_record`` before
+    common_lines and null_quadrilateral took their current shape."""
+
+    def test_evidence_matches_recording(self):
+        with open(CLASSIFY_GOLDEN) as fh:
+            expected = json.load(fh)
+        spans = golden_spans()
+        assert [name for name, _ in spans] == list(expected)
+        verdicts = set()
+        for name, u in spans:
+            assert classify_record(u) == expected[name], name
+            verdicts.add(expected[name]["verdict"])
+        assert verdicts == {"TwoR", "RP", "PR", "C"}

@@ -6,6 +6,8 @@ import pytest
 from dqkin.errors import GeometryError
 from dqkin.linalg import (
     Matrix,
+    _cleared,
+    _products,
     det,
     inverse,
     nullspace,
@@ -788,3 +790,65 @@ class TestMixedExactKindsAgainstScalarLoop:
                 assert got == want
                 exact_loop_results += want.is_exact
         assert exact_loop_results > 0
+
+
+class TestCachedClearedForm:
+    """Each matrix keeps its rows and its columns cleared (``_cleared``), built
+    on first use; products and ``apply`` read them."""
+
+    @staticmethod
+    def mixed_matrix(rng, nrows, ncols, kinds=("rational", "gaussian")):
+        return Matrix([[_mixed_entry(rng, kinds, 1e-9) for _ in range(ncols)]
+                       for _ in range(nrows)])
+
+    def test_cache_equals_cleared(self):
+        rng = random.Random(81)
+        gaussian_rows = 0
+        for m in _mixed_exact_cases(rng):
+            rows = m._cleared_rows()
+            assert rows == [_cleared(r) for r in m.rows]
+            assert m._cleared_columns() == [_cleared(c) for c in zip(*m.rows)]
+            assert m._cleared_rows() is rows
+            t = m.transpose()
+            assert t._cleared_rows() == [_cleared(r) for r in t.rows]
+            assert t._cleared_columns() == rows
+            gaussian_rows += sum(im is not None for _, im, _ in rows)
+        assert gaussian_rows > 100
+
+    def test_float_entry_has_no_cleared_form(self):
+        rng = random.Random(82)
+        for _ in range(50):
+            m = self.mixed_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+            rows = [list(r) for r in m.rows]
+            rows[i][j] = ComplexFloat(rng.uniform(-2, 2), tolerance=1e-9)
+            f = Matrix(rows)
+            assert f._cleared_rows() is None and f._cleared_columns() is None
+            assert f.transpose()._cleared_rows() is None
+
+    def test_products_and_apply_read_the_cache(self):
+        rng = random.Random(83)
+        floats = 0
+        for _ in range(150):
+            kinds = rng.choice([("rational",), ("rational", "gaussian"),
+                                ("rational", "gaussian", "float")])
+            nrows, inner, ncols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            a = self.mixed_matrix(rng, nrows, inner, kinds)
+            b = self.mixed_matrix(rng, inner, ncols, kinds)
+            v = [_mixed_entry(rng, kinds, 1e-9) for _ in range(inner)]
+            want = _rows_bits(_products(a.rows, list(zip(*b.rows))))
+            want_apply = [_bits(r[0]) for r in _products(a.rows, [tuple(v)])]
+            want_t = _rows_bits(_products(list(zip(*b.rows)), a.rows))
+            for _ in range(2):  # the second pass reads the kept forms
+                assert _rows_bits((a * b).rows) == want
+                assert [_bits(e) for e in a.apply(v)] == want_apply
+                # transposes start from the forms a and b have kept, swapped
+                assert _rows_bits((b.transpose() * a.transpose()).rows) == want_t
+            floats += a._cleared_rows() is None
+        assert floats > 10
+
+    def test_public_constructor_refuses_raw_floats(self):
+        with pytest.raises(TypeError):
+            Matrix([[1, 2.5], [0, 1]])
+        with pytest.raises(TypeError):
+            Matrix([[complex(1, 1)]])

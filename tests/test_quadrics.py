@@ -5,13 +5,17 @@ import pytest
 
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
-from dqkin.linalg import Matrix, solve
+from dqkin.linalg import Matrix, rank, solve
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
     QuadricForm,
     _conic_line_pairs,
+    _exact_member_grams,
+    _float_member_grams,
+    _line_sort_key,
     _member_line_pairs,
+    _pencil_det,
     common_lines,
     is_null_line,
     null_cone,
@@ -483,3 +487,86 @@ class TestMemberBranches:
         pairs = _conic_line_pairs(conic)
         assert len(pairs) == 1
         assert as_lines(pairs) == [chart_line(*line)]
+
+
+def _line_bits(line):
+    return [[(type(e).__name__, str(e)) for e in row] for row in line.basis.rows]
+
+
+class TestOneMemberSuffices:
+    """common_lines reads its lines off the first degenerate member of the
+    pencil: each member contains every common line, so the first one's lines
+    on the anchor, checked against both forms, are all of them."""
+
+    @staticmethod
+    def union_over_members(q1, q2):
+        """The definition: the checked lines on the anchor of every degenerate
+        member, in member order, the first copy of each kept, sorted.  Also
+        returns how many lines the members after the first found."""
+        det_poly = _pencil_det(q1.gram, q2.gram)
+        floats = [e.tolerance for g in (q1.gram, q2.gram) for row in g.rows for e in row
+                  if type(e) is ComplexFloat]
+        if floats:
+            members = _float_member_grams(det_poly, q1.gram, q2.gram, max(floats))
+        else:
+            members = _exact_member_grams(det_poly, q1.gram, q2.gram)
+        lines, later = [], 0
+        for index, member in enumerate(members):
+            for a, b in _member_line_pairs(member, q1):
+                if a != b and q1.contains_line(a, b) and q2.contains_line(a, b):
+                    later += index > 0
+                    line = Line.through(a, b)
+                    if not any(line == seen for seen in lines):
+                        lines.append(line)
+        return sorted(lines, key=_line_sort_key), later
+
+    def assert_same(self, q1, q2):
+        """common_lines equals the union in value and kind, or raises the
+        union's error; returns the number of lines the later members found."""
+        try:
+            want, later = self.union_over_members(q1, q2)
+        except (ExactnessError, GeometryError) as err:
+            with pytest.raises(type(err)) as raised:
+                common_lines(q1, q2)
+            assert str(raised.value) == str(err)
+            return 0
+        got = common_lines(q1, q2)
+        assert [_line_bits(l) for l in got] == [_line_bits(l) for l in want]
+        return later
+
+    def seeded_pairs(self):
+        """Restricted S and N of seeded dyads, their images under a seeded
+        change of chart with Gaussian entries, and float copies."""
+        for seed in range(12):
+            rng = random.Random(3100 + seed)
+            kind = (DyadKind.RR, DyadKind.RP, DyadKind.PR)[seed % 3]
+            u = build_variety(random_dyad_spec(rng, kind)).space
+            s_u, n_u = restrict(study_quadric(), u), restrict(null_cone(), u)
+            yield s_u, n_u
+            while True:
+                p = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                             + I * rng.choice((0, 0, 1, -2)) for _ in range(4)]
+                            for _ in range(4)])
+                if rank(p) == 4:
+                    break
+            yield (QuadricForm(p * s_u.gram * p.transpose()),
+                   QuadricForm(p * n_u.gram * p.transpose()))
+            yield float_form(s_u), float_form(n_u)
+
+    def test_seeded_spans(self):
+        later = [self.assert_same(q1, q2) for q1, q2 in self.seeded_pairs()]
+        # each RR pencil has a second member that finds the four lines again
+        assert sum(n > 0 for n in later) >= 12
+
+    def test_member_branch_fixtures(self):
+        anchor = TestMemberBranches.ANCHOR
+        cone_on = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+        cases = [
+            (anchor, QuadricForm(cone_on)),                         # vertex on the anchor
+            (QuadricForm(Matrix.diagonal([1, 1, -1, -1])),
+             QuadricForm(Matrix.diagonal([1, 1, 1, 0]))),          # vertex off the anchor
+            (anchor, QuadricForm(Matrix.diagonal([1, 0, 0, 0]))),   # the double plane
+        ]
+        for q1, q2 in cases:
+            self.assert_same(q1, q2)
+            self.assert_same(q1, QuadricForm(q1.gram + q2.gram.scale(3)))
