@@ -5,9 +5,12 @@ numbers, so exact data round-trips bit for bit.  Decoders track a JSON
 pointer style path and report it on failure.  A scalar mode restricts
 what the decoders accept: "rational" admits only rational literals,
 "gaussian" admits complex rational ones as well, and "float" converts
-everything to floating point with the given comparison tolerance.
+everything to floating point with the given comparison tolerance,
+refusing a value that is not a finite float (NaN, infinities, exact
+values beyond the float range).
 """
 
+import cmath
 import enum
 from typing import List, Optional
 
@@ -36,7 +39,13 @@ def parse_scalar_at(value, path: str, mode: str = "rational",
     except ParseError as err:
         _fail(path, str(err))
     if mode == "float":
-        c = s.to_complex()
+        try:
+            c = s.to_complex()
+            finite = cmath.isfinite(c)
+        except OverflowError:  # an exact value beyond the float range
+            finite = False
+        if not finite:
+            _fail(path, "float scalar must be finite")
         return ComplexFloat(c.real, c.imag, tolerance)
     if isinstance(s, ComplexFloat):
         _fail(path, "float scalar not allowed in %s mode" % mode)

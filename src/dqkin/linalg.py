@@ -21,17 +21,18 @@ on every path, entry by entry and kind by kind.
   the integers, or over the Gaussian integers Z[i] held as (re, im)
   pairs when some entry is Gaussian; ``rref`` divides by the pivot only
   to emit the canonical reduced form, and ``rank`` emits nothing.
-  Kinds are the scalar loop's: a pivot row turns Gaussian where its
-  pivot is, a row with a nonzero entry in the pivot column turns
-  Gaussian where that entry or the pivot row is, ``det`` is Gaussian iff
-  some pivot was, and a singular ``det`` is a zero of the kind of the
-  first pivot, or of entry (0, 0) if column 0 has none.
 - One combination kernel, ``_combination``, computes ``v + sum c_k *
   row_k`` for ``projgeom`` and ``quadrecon``, clearing only v and the
-  coefficients and reading the rows' kept form.  An output entry is
-  Gaussian exactly when the entry of ``v``, some coefficient ``c_k`` or
-  some ``row_k`` entry in its column is Gaussian, which is the kind the
-  scalar loop gives it.
+  coefficients and reading the rows' kept form.
+- The kinds of every integer path are the scalar loop's.  ``_kinds``
+  reads a vector's Gaussian positions as a bitmask, and ``_scalars``
+  alone turns integer numerators into scalars, Gaussian where the mask
+  is set, with the shared zeros.  A dot or Hamilton product is Gaussian
+  when an input is; a combination entry when v's entry, a row's entry in
+  its column or any coefficient is; in elimination a pivot row where its
+  pivot is, another where its pivot-column entry or the pivot row is.
+  ``det`` is Gaussian iff some pivot was; a singular one is a zero of
+  the first pivot's kind, or of entry (0, 0)'s if column 0 has none.
 - Float input runs float kernels: each converts its operands to plain
   Python ``complex`` once, runs the scalar loop's operations in the
   scalar loop's order, and wraps each result once in a ComplexFloat.
@@ -59,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
-from operator import add, mul
+from operator import add, mul, or_
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
@@ -148,13 +149,57 @@ def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
     return re, im
 
 
-def _cleared_dot(u: _Cleared, v: _Cleared) -> Scalar:
-    """vec_dot of two cleared vectors, of the kind vec_dot would return."""
-    re, im = _dot_numerator(u, v)
-    den = u[2] * v[2]
-    if im is None:
-        return ExactRational(Fraction(re, den))
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+def _proportional(a: _Cleared, b: _Cleared) -> bool:
+    """Whether two cleared nonzero vectors span the same point: a_k*b_p == b_k*a_p
+    for every k, p the first nonzero coordinate of a (denominators cancel)."""
+    (ar, ai, _), (br, bi, _) = a, b
+    if ai is None and bi is None:
+        p = next(k for k, x in enumerate(ar) if x)
+        x, y = ar[p], br[p]
+        return all(s * y == t * x for s, t in zip(ar, br))
+    ai = ai or [0] * len(ar)
+    bi = bi or [0] * len(br)
+    p = next(k for k in range(len(ar)) if ar[k] or ai[k])
+    xr, xi, yr, yi = ar[p], ai[p], br[p], bi[p]
+    return all(sr * yr - si * yi == tr * xr - ti * xi and sr * yi + si * yr == tr * xi + ti * xr
+               for sr, si, tr, ti in zip(ar, ai, br, bi))
+
+
+def _kinds(entries: Sequence[Scalar]) -> int:
+    """The bitmask of the positions of entries that are GaussianRational."""
+    return sum(1 << k for k, e in enumerate(entries) if type(e) is GaussianRational)
+
+
+_GAUSSIAN_ZERO = GaussianRational(0, 0)  # read by _scalars only
+
+
+def _scalars(re: Sequence[int], im: Optional[Sequence[int]], den: int, mask: int) -> Vector:
+    """The entries (re[k] + i*im[k]) / den, GaussianRational where bit k of
+    mask is set and ExactRational (im[k] zero) elsewhere; im None stands
+    for zeros.  A zero entry is the shared zero of its kind."""
+    if not mask:
+        return tuple([ExactRational(Fraction(x, den)) if x else ZERO for x in re])
+    return tuple([(GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y
+                   else _GAUSSIAN_ZERO) if mask >> k & 1
+                  else ExactRational(Fraction(x, den)) if x else ZERO
+                  for k, (x, y) in enumerate(zip(re, im or [0] * len(re)))])
+
+
+def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> List[Vector]:
+    """vec_dot of every cleared row with every cleared column, a vector per
+    row over one denominator; an entry is Gaussian when its row or its
+    column has a Gaussian entry, the kind vec_dot would return."""
+    den = lcm(*[d for _, _, d in cols])
+    scales = [den // d for _, _, d in cols]
+    kinds = sum(1 << k for k, (_, ci, _) in enumerate(cols) if ci is not None)
+    out = []
+    for r in rows:
+        dots = [_dot_numerator(r, c) for c in cols]
+        mask = (1 << len(cols)) - 1 if r[1] is not None else kinds
+        out.append(_scalars([x * s for (x, _), s in zip(dots, scales)],
+                            [(y or 0) * s for (_, y), s in zip(dots, scales)] if mask else None,
+                            r[2] * den, mask))
+    return out
 
 
 def _cleared_image(cols: Sequence[_Cleared], v: _Cleared) -> _Cleared:
@@ -190,7 +235,7 @@ def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scala
     cleared_rows = _all_cleared(rows)
     cleared_cols = None if cleared_rows is None else _all_cleared(cols)
     if cleared_cols is not None:
-        return [[_cleared_dot(r, c) for c in cleared_cols] for r in cleared_rows]
+        return _cleared_products(cleared_rows, cleared_cols)
     return _float_products(rows, cols)
 
 
@@ -235,12 +280,7 @@ def _floated(u: Vector) -> Tuple[List[complex], float, int]:
 def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
     """v + sum of coeffs[k]*m.rows[k]: on cleared integers, m's rows taken
     from its cached cleared form, when every entry is exact, else by the
-    scalar loop ``o + c*r``, row by row.
-
-    On the integer path an entry is Gaussian exactly when v's entry, some
-    coefficient or some row's entry in its column is Gaussian: the kind
-    the scalar loop would give it.
-    """
+    scalar loop ``o + c*r``, row by row."""
     n = len(v)
     rows = m._cleared_rows()
     head = None if rows is None else _cleared(tuple(v) + tuple(coeffs))
@@ -255,17 +295,10 @@ def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
     s = sum_den // den
     out_re = [x * s + y for x, y in zip(re, sum_re)]
     if sum_im is None:
-        return tuple(ExactRational(Fraction(x, sum_den)) for x in out_re)
+        return _scalars(out_re, None, sum_den, 0)
     out_im = sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)]
-    if any(type(c) is GaussianRational for c in coeffs):
-        gaussian = [True] * n
-    else:
-        gaussian = [type(e) is GaussianRational for e in v]
-        for row in m.rows:
-            gaussian = [g or type(e) is GaussianRational for g, e in zip(gaussian, row)]
-    return tuple(GaussianRational(Fraction(x, sum_den), Fraction(y, sum_den)) if g
-                 else ExactRational(Fraction(x, sum_den))
-                 for x, y, g in zip(out_re, out_im, gaussian))
+    mask = (1 << n) - 1 if _kinds(coeffs) else reduce(or_, map(_kinds, m.rows), _kinds(v))
+    return _scalars(out_re, out_im, sum_den, mask)
 
 
 _UNSET = object()  # a cleared form not yet built
@@ -374,7 +407,7 @@ class Matrix:
         cols = None if rows is None else other._cleared_columns()
         if cols is None:
             return Matrix._of(_float_products(self.rows, list(zip(*other.rows))))
-        return Matrix._of([[_cleared_dot(r, c) for c in cols] for r in rows])
+        return Matrix._of(_cleared_products(rows, cols))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
@@ -384,7 +417,7 @@ class Matrix:
         cleared = None if rows is None else _cleared(u)
         if cleared is None:
             return tuple(row[0] for row in _float_products(self.rows, [u]))
-        return tuple(_cleared_dot(r, cleared) for r in rows)
+        return _cleared_products([cleared], rows)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -532,9 +565,6 @@ def _fraction_free(a: List[list], step=_int_step, zero=0, one=1,
     return pivots, prev, sign, gaussian_pivot
 
 
-_GAUSSIAN_ZERO = GaussianRational(0, 0)
-
-
 def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
     """Run ``_fraction_free`` on the cleared rows of m over Z, or over Z[i]
     with the Gaussian mask when some entry is Gaussian.  Returns the
@@ -545,8 +575,7 @@ def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
         a = [re for re, _, _ in cleared]
         return a, None, _fraction_free(a)
     a = [list(zip(re, im or [0] * len(re))) for re, im, _ in cleared]
-    gaussian = [sum(1 << j for j, e in enumerate(r) if type(e) is GaussianRational)
-                for r in m.rows]
+    gaussian = [_kinds(r) for r in m.rows]
     return a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
 
 
@@ -560,20 +589,14 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     if cleared is not None:
         # scaling a row changes no reduced form, so each row is cleared alone
         a, gaussian, (pivots, d, _, _) = _exact_elimination(m, cleared)
-        r = len(pivots)
         if gaussian is None:
-            rows = [[ExactRational(Fraction(x, d)) if x else ZERO for x in a[i]]
-                    for i in range(r)]
-            rows += [[ZERO] * m.ncols] * (m.nrows - r)
+            rows = [_scalars(row, None, d, 0) for row in a]
         else:
+            # a Z[i] row over d is the row times conj(d) over |d|^2
             dr, di = d
-            nd = dr * dr + di * di
-            rows = [[GaussianRational(Fraction(xr * dr + xi * di, nd),
-                                      Fraction(xi * dr - xr * di, nd))
-                     if g >> j & 1 else ExactRational(Fraction(xr * dr + xi * di, nd))
-                     for j, (xr, xi) in enumerate(a[i])] for i, g in enumerate(gaussian[:r])]
-            rows += [[_GAUSSIAN_ZERO if g >> j & 1 else ZERO for j in range(m.ncols)]
-                     for g in gaussian[r:]]
+            rows = [_scalars([xr * dr + xi * di for xr, xi in row],
+                             [xi * dr - xr * di for xr, xi in row], dr * dr + di * di, g)
+                    for row, g in zip(a, gaussian)]
         return Matrix._of(rows), tuple(pivots)
     if all(type(e) is ComplexFloat for r in m.rows for e in r):
         return _float_rref(m)
@@ -645,12 +668,9 @@ def det(m: Matrix) -> Scalar:
     if len(pivots) < m.nrows:
         # a zero of the kind of the first pivot, or of entry (0, 0)
         first = next((r[0] for r in m.rows if not r[0].is_zero()), m.rows[0][0])
-        return _GAUSSIAN_ZERO if type(first) is GaussianRational else ZERO
-    den = prod(c[2] for c in cleared)
+        return _scalars((0,), None, 1, _kinds((first,)))[0]
     dr, di = (d, 0) if gaussian is None else d
-    if gaussian_pivot:
-        return GaussianRational(Fraction(sign * dr, den), Fraction(sign * di, den))
-    return ExactRational(Fraction(sign * dr, den))
+    return _scalars((sign * dr,), (sign * di,), prod(c[2] for c in cleared), gaussian_pivot)[0]
 
 
 def _float_det(m: Matrix) -> ComplexFloat:

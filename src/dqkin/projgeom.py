@@ -19,15 +19,15 @@ import.
 Exact vectors (rational or Gaussian entries, mixed or not) take integer
 paths: residues (so ``contains``, ``chart_coords``, ``meet`` and
 projections) and ``lift`` go through ``linalg._combination``, and
-``ProjPoint.__eq__`` cross-multiplies the cleared coordinates instead
-of normalising both points.  A float coordinate anywhere sends the
-operation through the scalar loop, which compares at the floats'
-tolerance.  ``contains`` and ``chart_coords`` first scale the point to
-max-norm one (``scalars._unit_scale``) when it or the subspace's basis
-has a float coordinate, and float ``ProjPoint.__eq__`` divides both
-points by their coordinate where the first is largest, so these answers
-do not depend on the representative; ``meet`` still compares unscaled
-values.
+``ProjPoint.__eq__`` cross-multiplies the cleared coordinates
+(``linalg._proportional``) instead of normalising both points.  A float
+coordinate anywhere sends the operation through the scalar loop, which
+compares at the floats' tolerance.  ``contains`` and ``chart_coords``
+first scale the point to max-norm one (``scalars._unit_scale``) when it
+or the subspace's basis has a float coordinate, and float
+``ProjPoint.__eq__`` divides both points by their coordinate where the
+first is largest, so these answers do not depend on the representative;
+``meet`` still compares unscaled values.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from itertools import chain
 from typing import List, Optional, Sequence
 
 from .errors import GeometryError
-from .linalg import (Matrix, Vector, _cleared, _combination, as_vector, nullspace, rref,
-                     vec_is_zero, vec_scale)
+from .linalg import (Matrix, Vector, _cleared, _combination, _proportional, as_vector,
+                     nullspace, rref, vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
 from .scalars import ComplexFloat, Scalar, ONE, ZERO, _unit_scale
 
@@ -91,22 +91,6 @@ class ProjPoint:
 
     def __repr__(self):
         return "ProjPoint[%s]" % ", ".join(str(c) for c in self.coords)
-
-
-def _proportional(a, b) -> bool:
-    """Whether two cleared nonzero vectors span the same point: a_k*b_p == b_k*a_p
-    for every k, p the first nonzero coordinate of a (denominators cancel)."""
-    (ar, ai, _), (br, bi, _) = a, b
-    if ai is None and bi is None:
-        p = next(k for k, x in enumerate(ar) if x)
-        x, y = ar[p], br[p]
-        return all(s * y == t * x for s, t in zip(ar, br))
-    ai = ai or [0] * len(ar)
-    bi = bi or [0] * len(br)
-    p = next(k for k in range(len(ar)) if ar[k] or ai[k])
-    xr, xi, yr, yi = ar[p], ai[p], br[p], bi[p]
-    return all(sr * yr - si * yi == tr * xr - ti * xi and sr * yi + si * yr == tr * xi + ti * xr
-               for sr, si, tr, ti in zip(ar, ai, br, bi))
 
 
 class Subspace:

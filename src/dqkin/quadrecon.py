@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, _Cleared, _cleared, _combination, inverse, rank, solve,
-                     vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub)
+from .linalg import (Matrix, _Cleared, _cleared, _combination, _proportional, inverse, rank,
+                     solve, vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub)
 from .projgeom import (
     ProjPoint,
     Subspace,
-    _proportional,
     join,
     meet,
     project_from_center,

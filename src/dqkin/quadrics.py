@@ -26,7 +26,7 @@ where conj(a) b vanishes and H a where b conj(a) does.
 from __future__ import annotations
 
 import enum
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
@@ -297,8 +297,10 @@ def _line_sort_key(line: Line) -> str:
     return ";".join(",".join(fmt(c) for c in row) for row in line.basis.rows)
 
 
-def _exact_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix) -> List[Matrix]:
-    members = []
+def _first_exact_member(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
+    """The first degenerate member of an exact pencil g1 + s*g2: at the first
+    repeated root of its determinant, else g2 when the far member is
+    degenerate, else None."""
     if det_poly.degree >= 1:
         g = poly_gcd(det_poly, det_poly.derivative())
         if g.degree >= 1:
@@ -306,11 +308,9 @@ def _exact_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix) -> List[Matrix]:
             if roots is None:
                 raise ExactnessError(
                     "the repeated roots of the pencil determinant are not in Q(i)")
-            for s0 in roots:
-                members.append(g1 + g2.scale(s0))
-    if 4 - det_poly.degree >= 2:
-        members.append(g2)
-    return members
+            if roots:
+                return g1 + g2.scale(roots[0])
+    return g2 if 4 - det_poly.degree >= 2 else None
 
 
 def _float_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix,
@@ -363,15 +363,16 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
         tolerance = max(tolerances)
         q1, q2 = _float_form(q1, tolerance), _float_form(q2, tolerance)
         members = _float_member_grams(det_poly, q1.gram, q2.gram, tolerance)
+        member = members[0] if members else None
     else:
-        members = _exact_member_grams(det_poly, q1.gram, q2.gram)
+        member = _first_exact_member(det_poly, q1.gram, q2.gram)
 
-    if not members:
+    if member is None:
         return []
     # every member contains each common line, so the first degenerate
     # member's lines on the anchor hold them all
     lines: List[Line] = []
-    for a, b in _member_line_pairs(members[0], q1):
+    for a, b in _member_line_pairs(member, q1):
         if _line_verified(q1, q2, a, b):
             line = Line.through(a, b)
             if not any(line == seen for seen in lines):

@@ -13,12 +13,11 @@ products and the multiplication matrices are built from it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix, _cleared
-from .scalars import ExactRational, GaussianRational, Scalar, scalar, ZERO
+from .linalg import Matrix, _cleared, _scalars
+from .scalars import Scalar, scalar, ZERO
 
 
 class Quaternion:
@@ -127,10 +126,9 @@ def _cleared_product(a, b) -> Quaternion:
     Gaussian exactly when an input is, as in the scalar product.
     """
     (ar, ai, ad), (br, bi, bd) = a, b
-    den = ad * bd
     re = _hamilton(ar, br)
     if ai is None and bi is None:
-        return Quaternion(*[ExactRational(Fraction(x, den)) for x in re])
+        return Quaternion(*_scalars(re, None, ad * bd, 0))
     # (ar + i ai)(br + i bi), the scalar i commuting with the units
     im = (0, 0, 0, 0)
     if bi is not None:
@@ -139,8 +137,7 @@ def _cleared_product(a, b) -> Quaternion:
         im = [x + y for x, y in zip(im, _hamilton(ai, br))]
         if bi is not None:
             re = [x - y for x, y in zip(re, _hamilton(ai, bi))]
-    return Quaternion(*[GaussianRational(Fraction(x, den), Fraction(y, den))
-                        for x, y in zip(re, im)])
+    return Quaternion(*_scalars(re, im, ad * bd, 0b1111))
 
 
 Q_ONE = Quaternion(1, 0, 0, 0)

@@ -117,6 +117,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "trace", "--scalar", "float", path)
         assert (code, out, err) == (1, "", "trajectory degree needs exact scalars\n")
 
+    BEYOND_FLOAT = "1" + "0" * 400  # an exact integer no float can hold
+
+    @pytest.mark.parametrize("token", ['"%s"' % BEYOND_FLOAT, "NaN", "1e999", '"1e999"'],
+                             ids=["beyond_range", "nan", "number_1e999", "literal_1e999"])
+    def test_non_finite_float_entry_is_parse_error(self, capsys, tmp_path, token):
+        """Float mode refuses a matrix entry that is no finite float: an exact
+        literal beyond the float range, JSON NaN, the JSON number 1e999 and
+        the literal "1e999" each exit 2 at the entry's pointer."""
+        with open(os.path.join(GOLDEN_DIR, "matrix.json")) as fh:
+            doc = json.load(fh)
+        doc[1][2] = "@"
+        target = tmp_path / "matrix.json"
+        target.write_text(json.dumps(doc).replace('"@"', token))
+        code, out, err = run_cli(capsys, "verify-transform", "--scalar", "float", str(target))
+        assert (code, out) == (2, "")
+        assert err == "$[1][2]: float scalar must be finite\n"
+
+    @pytest.mark.parametrize("literal", [BEYOND_FLOAT, "1e999"],
+                             ids=["beyond_range", "literal_1e999"])
+    def test_non_finite_float_parameter_is_parse_error(self, capsys, literal):
+        code, out, err = run_cli(capsys, "darboux", "--a", literal, "--b", "1", "--c", "1",
+                                 "--scalar", "float")
+        assert (code, out, err) == (2, "", "--a: float scalar must be finite\n")
+
     def test_domain_error_verbatim(self, capsys, tmp_path):
         path = write_json(tmp_path, "chi.json",
                           matrix_to_json(conjugation_matrix()))
@@ -447,7 +471,7 @@ def _fuzz_value(rng):
     if pick < 7:
         return round(rng.uniform(-10, 10), 3)
     return rng.choice(["0/1", 0, "1/0", "", "x", None, [], {}, True,
-                       1e308, "1e999", "nan", "-0.0", "3/4*i"])
+                       1e308, "1e999", "nan", "-0.0", "3/4*i", "1" + "0" * 400])
 
 
 def _leaf_paths(doc, path=()):

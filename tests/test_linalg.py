@@ -7,7 +7,9 @@ from dqkin.errors import GeometryError
 from dqkin.linalg import (
     Matrix,
     _cleared,
+    _kinds,
     _products,
+    _scalars,
     det,
     inverse,
     nullspace,
@@ -19,7 +21,8 @@ from dqkin.linalg import (
     vec_dot,
     vec_is_zero,
 )
-from dqkin.scalars import ComplexFloat, ExactRational, GaussianRational, gaussian, rational
+from dqkin.scalars import (ZERO, ComplexFloat, ExactRational, GaussianRational, gaussian,
+                           rational)
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -852,3 +855,44 @@ class TestCachedClearedForm:
             Matrix([[1, 2.5], [0, 1]])
         with pytest.raises(TypeError):
             Matrix([[complex(1, 1)]])
+
+
+class TestKindReaderAndWriter:
+    """``_kinds`` reads the Gaussian positions of a vector, ``_scalars`` writes
+    integer numerators back as scalars; together they undo ``_cleared``."""
+
+    @staticmethod
+    def mixed_vector(rng, n):
+        """Rational and Gaussian entries, zeros of both kinds and Gaussian
+        entries with a zero imaginary part."""
+        def entry():
+            q = Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else 0
+            if rng.random() < 0.5:
+                return rational(q)
+            return gaussian(q, rng.choice((0, 0, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))))
+        return tuple(entry() for _ in range(n))
+
+    def test_kinds_marks_gaussian_positions(self):
+        u = (ZERO, gaussian(0, 0), rational(3), gaussian(2, 0), gaussian(0, 1))
+        assert _kinds(u) == 0b11010
+        assert _kinds(u[:1] + u[2:3]) == 0
+
+    def test_round_trip_keeps_value_kind_and_shared_zeros(self):
+        rng = random.Random(91)
+        seen, gaussian_zeros = set(), set()
+        for _ in range(300):
+            u = self.mixed_vector(rng, rng.randint(1, 8))
+            got = _scalars(*_cleared(u), _kinds(u))
+            assert [_bits(e) for e in got] == [_bits(e) for e in u]
+            zeros = [e for e in got if e.is_zero()]
+            assert all(z is ZERO for z in zeros if type(z) is ExactRational)
+            gaussian_zeros.update(id(z) for z in zeros if type(z) is GaussianRational)
+            seen.update((type(e), e.is_zero()) for e in u)
+        assert len(seen) == 4 and len(gaussian_zeros) == 1
+
+    def test_mask_alone_sets_the_kind(self):
+        """im None stands for zero imaginary parts; the mask decides each kind."""
+        assert [_bits(e) for e in _scalars([0, 2, -4], None, 4, 0b101)] == [
+            ("gaussian", 0, 0), ("rational", Fraction(1, 2)), ("gaussian", -1, 0)]
+        assert [_bits(e) for e in _scalars([3, 0], [1, 0], 6, 0b11)] == [
+            ("gaussian", Fraction(1, 2), Fraction(1, 6)), ("gaussian", 0, 0)]

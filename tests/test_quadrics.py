@@ -6,12 +6,12 @@ import pytest
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
 from dqkin.linalg import Matrix, rank, solve
+from dqkin.polys import low_degree_roots, poly_gcd, squarefree_part
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
     QuadricForm,
     _conic_line_pairs,
-    _exact_member_grams,
     _float_member_grams,
     _line_sort_key,
     _member_line_pairs,
@@ -499,7 +499,25 @@ class TestOneMemberSuffices:
     on the anchor, checked against both forms, are all of them."""
 
     @staticmethod
-    def union_over_members(q1, q2):
+    def exact_members(det_poly, g1, g2):
+        """Every degenerate member of an exact pencil g1 + s*g2: one at each
+        repeated root of the determinant, in root order, then g2 when the far
+        member is degenerate."""
+        members = []
+        if det_poly.degree >= 1:
+            g = poly_gcd(det_poly, det_poly.derivative())
+            if g.degree >= 1:
+                roots = low_degree_roots(squarefree_part(g))
+                if roots is None:
+                    raise ExactnessError(
+                        "the repeated roots of the pencil determinant are not in Q(i)")
+                members += [g1 + g2.scale(s0) for s0 in roots]
+        if 4 - det_poly.degree >= 2:
+            members.append(g2)
+        return members
+
+    @classmethod
+    def union_over_members(cls, q1, q2):
         """The definition: the checked lines on the anchor of every degenerate
         member, in member order, the first copy of each kept, sorted.  Also
         returns how many lines the members after the first found."""
@@ -509,7 +527,7 @@ class TestOneMemberSuffices:
         if floats:
             members = _float_member_grams(det_poly, q1.gram, q2.gram, max(floats))
         else:
-            members = _exact_member_grams(det_poly, q1.gram, q2.gram)
+            members = cls.exact_members(det_poly, q1.gram, q2.gram)
         lines, later = [], 0
         for index, member in enumerate(members):
             for a, b in _member_line_pairs(member, q1):

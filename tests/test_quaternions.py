@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, scalar_multiple_of
+from dqkin.linalg import Matrix, _cleared, scalar_multiple_of
 from dqkin.quaternions import (
     DQ_EPS,
     DQ_ONE,
@@ -15,6 +15,7 @@ from dqkin.quaternions import (
     Q_K,
     Q_ONE,
     Quaternion,
+    _cleared_product,
     left_mul_matrix,
     left_mul_matrix8,
     right_mul_matrix,
@@ -236,6 +237,25 @@ def assert_same(got, want):
 
 
 class TestIntegerProductKeepsKinds:
+    def test_cleared_product_masks(self):
+        """Both masks of the integer product: all four coordinates rational
+        when both inputs are, all four Gaussian when either has a Gaussian
+        coordinate, each equal to the scalar Hamilton formula."""
+        rng = random.Random(63)
+        masks = []
+        for _ in range(300):
+            a, b = random_mixed_quaternion(rng), random_mixed_quaternion(rng)
+            if rng.random() < 0.3:
+                a, b = [Quaternion(*[c if type(c) is ExactRational else rational(c.re)
+                                     for c in q.coords()]) for q in (a, b)]
+            got = _cleared_product(_cleared(a.coords()), _cleared(b.coords())).coords()
+            assert_same(got, ref_product(a, b))
+            gaussian_input = any(type(c) is GaussianRational for c in a.coords() + b.coords())
+            assert {type(c) for c in got} == {GaussianRational if gaussian_input
+                                              else ExactRational}
+            masks.append(gaussian_input)
+        assert sum(masks) > 50 and len(masks) - sum(masks) > 50
+
     def test_product(self):
         rng = random.Random(61)
         seen = set()
