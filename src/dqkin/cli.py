@@ -4,7 +4,13 @@ One binary with subcommands; JSON files in, JSON or CSV on stdout.
 Exact scalars stay exact end to end.  Exit codes: 0 on success, 1 on a
 domain error (the library message goes to stderr verbatim), 2 on a
 parse error (the message carries a JSON pointer to the offending
-element).
+element), on an input file that cannot be read or is not UTF-8 JSON,
+and on an ``--out`` file that cannot be written.
+
+Each subcommand imports the library modules it uses when it runs, so a
+process loads only those: at module level this file needs just
+``jsonio``, ``errors`` and ``scalars``.  Start-up then compiles only
+those sources when no bytecode cache can be written.
 """
 
 import argparse
@@ -14,14 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .dyads import DyadKind, DyadSpec, build_variety, classify, example2_checks
 from .errors import DqkinError, ParseError
-from .motions import MotionPoly, darboux_invariants, trajectory
-from .projgeom import ProjPoint, span
-from .quadrecon import (ProjectionCycle, ReconstructionProblem,
-                        reconstruct_quadrilateral)
 from .scalars import DEFAULT_TOLERANCE, scalar_to_json
-from .transforms import factor_transform, verify_admissible
 
 
 def _dumps(obj) -> str:
@@ -29,15 +29,26 @@ def _dumps(obj) -> str:
 
 
 def _load_json(path: str):
+    """The JSON document in the file at path, read as UTF-8 (RFC 8259)."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError("cannot read %s: %s" % (path, err))
+    except UnicodeDecodeError as err:
+        raise ParseError("%s: malformed JSON: %s" % (path, err))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError("%s: malformed JSON: %s" % (path, err))
+
+
+def _write_out(path: str, payload: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as err:
+        raise ParseError("cannot write %s: %s" % (path, err))
 
 
 def _field(doc, key: str, path: str = "$"):
@@ -54,6 +65,9 @@ def _csv_cell(value) -> str:
 
 
 def cmd_classify(args) -> str:
+    from .dyads import classify
+    from .projgeom import span
+
     doc = _load_json(args.file)
     pts = jsonio.parse_points(doc, "$", args.scalar, args.tolerance, count=4)
     result = classify(span(pts))
@@ -62,6 +76,8 @@ def cmd_classify(args) -> str:
 
 
 def cmd_dyad(args) -> str:
+    from .dyads import DyadKind, DyadSpec, build_variety
+
     doc = _load_json(args.file)
     h1 = jsonio.parse_dq(_field(doc, "h1"), "$.h1", args.scalar, args.tolerance)
     h2 = jsonio.parse_dq(_field(doc, "h2"), "$.h2", args.scalar, args.tolerance)
@@ -73,6 +89,8 @@ def cmd_dyad(args) -> str:
 
 
 def cmd_factor_transform(args) -> str:
+    from .transforms import factor_transform
+
     doc = _load_json(args.file)
     matrix = jsonio.parse_matrix(doc, "$", 8, args.scalar, args.tolerance)
     left, right = factor_transform(matrix)
@@ -81,12 +99,17 @@ def cmd_factor_transform(args) -> str:
 
 
 def cmd_verify_transform(args) -> str:
+    from .transforms import verify_admissible
+
     doc = _load_json(args.file)
     matrix = jsonio.parse_matrix(doc, "$", 8, args.scalar, args.tolerance)
     return _dumps(verify_admissible(matrix).as_dict())
 
 
 def cmd_trace(args) -> str:
+    from .motions import MotionPoly, trajectory
+    from .projgeom import ProjPoint
+
     doc = _load_json(args.file)
     raw = _field(doc, "coefficients")
     if not isinstance(raw, list) or not raw:
@@ -109,6 +132,8 @@ def cmd_trace(args) -> str:
 
 
 def cmd_darboux(args) -> str:
+    from .motions import darboux_invariants
+
     a = jsonio.parse_scalar_at(args.a, "--a", args.scalar, args.tolerance)
     b = jsonio.parse_scalar_at(args.b, "--b", args.scalar, args.tolerance)
     c = jsonio.parse_scalar_at(args.c, "--c", args.scalar, args.tolerance)
@@ -122,6 +147,8 @@ def cmd_darboux(args) -> str:
 
 
 def cmd_reconstruct(args) -> str:
+    from .quadrecon import ProjectionCycle, ReconstructionProblem, reconstruct_quadrilateral
+
     doc = _load_json(args.file)
     quadric = jsonio.parse_quadric(_field(doc, "quadric"), "$.quadric",
                                    args.scalar, args.tolerance)
@@ -139,6 +166,8 @@ def cmd_reconstruct(args) -> str:
 
 
 def cmd_example2(args) -> str:
+    from .dyads import example2_checks
+
     return _dumps(example2_checks())
 
 
@@ -164,8 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyad", parents=[shared],
                        help="constraint variety of a dyad")
-    p.add_argument("--kind", required=True,
-                   choices=[k.value for k in DyadKind])
+    # dyads.DyadKind's values, spelled out so the parser loads no dyads
+    p.add_argument("--kind", required=True, choices=("RR", "RP", "PR", "C"))
     p.add_argument("file", help='JSON object {"h1": ..., "h2": ...}')
     p.set_defaults(func=cmd_dyad)
 
@@ -232,16 +261,15 @@ def main(argv=None) -> int:
         if not 0 <= args.tolerance < float("inf"):  # false for nan too
             raise ParseError("--tolerance: expected a finite number >= 0")
         payload = args.func(args)
+        if args.out:
+            _write_out(args.out, payload)
     except ParseError as err:
         print(str(err), file=sys.stderr)
         return 2
     except DqkinError as err:
         print(str(err), file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
     return 0
 

@@ -12,12 +12,12 @@ values beyond the float range).
 
 import cmath
 import enum
+import sys
 from typing import List, Optional
 
 from .errors import GeometryError, ParseError
 from .linalg import Matrix
 from .projgeom import ProjPoint, Subspace, span
-from .dyads import Quadrilateral
 from .quadrics import (QuadricForm, null_cone, pencil_member, quadric_y8,
                        study_quadric)
 from .quaternions import DualQuaternion, Quaternion
@@ -167,7 +167,9 @@ def encode(obj):
         return point_to_json(obj)
     if isinstance(obj, Subspace):
         return subspace_to_json(obj)
-    if isinstance(obj, Quadrilateral):
+    # a Quadrilateral exists only once dyads is loaded; encoding needs no more
+    dyads = sys.modules.get(__package__ + ".dyads")
+    if dyads is not None and isinstance(obj, dyads.Quadrilateral):
         return {"lines": [encode(l) for l in obj.lines],
                 "vertices": [encode(v) for v in obj.vertices]}
     if isinstance(obj, QuadricForm):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -169,6 +170,40 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "verify-transform", path, "--scalar", "float",
                                "--tolerance", "0")
         assert code == 0 and "overall" in json.loads(out)
+
+
+def file_error_cases(tmp_path):
+    """(argv, start of the stderr message) for input and output files that
+    cannot be used: bytes that are no UTF-8, nesting deeper than the JSON
+    decoder recurses, an --out path in a missing directory, an --out path
+    that is a directory."""
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe[\x00]\x00")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    missing = tmp_path / "missing" / "report.json"
+    return [(["classify", str(undecodable)], "%s: malformed JSON: " % undecodable),
+            (["classify", str(deep)], "%s: malformed JSON: " % deep),
+            (["example2", "--out", str(missing)], "cannot write %s: " % missing),
+            (["example2", "--out", str(tmp_path)], "cannot write %s: " % tmp_path)]
+
+
+class TestFileErrors:
+    def test_in_process(self, capsys, tmp_path):
+        for argv, message in file_error_cases(tmp_path):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(message) and err.count("\n") == 1, (argv, err)
+
+    def test_subprocess_has_no_traceback(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        for argv, message in file_error_cases(tmp_path):
+            proc = subprocess.run([sys.executable, "-m", "dqkin.cli", *argv],
+                                  capture_output=True, text=True, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=src))
+            assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+            assert proc.stderr.startswith(message), (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
 
 
 class TestScalarModes:
@@ -433,6 +468,72 @@ def test_golden_output(capsys, case):
             for a in case["argv"]]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# --- each process loads only the modules its subcommand uses
+
+LOADED_SCRIPT = (
+    "import contextlib, io, json, sys\n"
+    "from dqkin import cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "code = None\n"
+    "if argv:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = cli.main(argv)\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('dqkin.'))]))\n"
+)
+
+
+def loaded_modules(argv):
+    """Exit code of cli.main(argv) in a fresh interpreter (None for an
+    empty argv, which only imports dqkin.cli), and the dqkin modules
+    loaded after it returns."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60, cwd=GOLDEN_DIR,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, {m[len("dqkin."):] for m in modules}
+
+
+LIGHT_MODULES = {"dyads", "motions", "transforms", "quadrecon"}
+
+# subcommand -> the one of LIGHT_MODULES it uses, or None
+SUBCOMMAND_MODULE = {"verify-transform": "transforms", "factor-transform": "transforms",
+                     "reconstruct": "quadrecon", "classify": "dyads", "dyad": "dyads",
+                     "example2": "dyads", "darboux": "motions", "trace": "motions"}
+
+
+def test_importing_cli_loads_no_heavy_module():
+    code, modules = loaded_modules([])
+    assert code is None
+    assert {"cli", "jsonio", "errors", "scalars"} <= modules
+    assert not modules & LIGHT_MODULES
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN_CASES if c["argv"][2] == "rational"],
+                         ids=lambda c: c["argv"][0])
+def test_subcommand_loads_only_its_modules(case):
+    """verify/factor load transforms, reconstruct quadrecon, classify, dyad
+    and example2 dyads, darboux and trace motions (which imports dyads);
+    none loads another of dyads, motions, transforms and quadrecon."""
+    command = case["argv"][0]
+    code, modules = loaded_modules(case["argv"])
+    assert code == 0
+    used = {SUBCOMMAND_MODULE[command]}
+    if "motions" in used:
+        used.add("dyads")
+    assert modules & LIGHT_MODULES == used
+
+
+def test_kind_choices_match_dyad_kind():
+    from dqkin.cli import _build_parser
+    from dqkin.dyads import DyadKind
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in commands.choices["dyad"]._actions if a.dest == "kind")
+    assert list(kind.choices) == [k.value for k in DyadKind]
 
 
 # --- fuzz: one perturbed entry per case, exit codes 0/1/2 and no traceback
