@@ -399,7 +399,7 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
         if u2.contains(ProjPoint(ha * hb)):
             return DyadSpec(DyadKind.RR, ha, hb, normalized)
         if not u2.contains(ProjPoint(hb * ha)):
-            raise InvariantError("neither product of the recovered axes lies in the space")
+            raise GeometryError("neither product of the recovered axes lies in the space")
         return DyadSpec(DyadKind.RR, hb, ha, normalized)
     if len(rotations) == 1 and len(translations) == 1:
         h, normalized = rotations[0]
@@ -410,7 +410,7 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
         if u2.contains(ProjPoint(DualQuaternion(Quaternion(), h.primal * p))):
             return DyadSpec(DyadKind.RP, h, eps_p, normalized)
         if not u2.contains(ProjPoint(DualQuaternion(Quaternion(), p * h.primal))):
-            raise InvariantError("neither product of the recovered joints lies in the space")
+            raise GeometryError("neither product of the recovered joints lies in the space")
         return DyadSpec(DyadKind.PR, h, eps_p, normalized)
     raise GeometryError("no rotation ruling through the base")
 

@@ -19,7 +19,11 @@ class ExactnessError(DqkinError):
 
 
 class GeometryError(DqkinError):
-    """Input violates a geometric precondition of the requested operation."""
+    """Input violates a geometric precondition of the requested operation.
+
+    ``dyads.recover_axes`` raises it for a space that is not a dyad space
+    (neither product of the recovered joints lies in it).
+    """
 
 
 class InvariantError(DqkinError):
@@ -31,7 +35,7 @@ class InvariantError(DqkinError):
     ``dyads.build_variety`` (a dyad span of the wrong shape),
     ``transforms.factor_so4`` and ``factor_transform`` (wrong factors),
     ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions),
-    ``dyads.recover_axes``, ``motions.darboux_invariants`` and
-    ``motions.c_space_from_line`` (their witnesses), ``motions.act`` (a
-    displaced point that is not a point, as float overflow gives).
+    ``motions.darboux_invariants`` and ``motions.c_space_from_line`` (their
+    witnesses), ``motions.act`` (a displaced point that is not a point, as
+    float overflow gives).
     """

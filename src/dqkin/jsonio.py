@@ -159,10 +159,6 @@ def encode(obj):
     """Recursive JSON view of evidence and witness structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Scalar):
-        return scalar_to_json(obj)
     if isinstance(obj, ProjPoint):
         return point_to_json(obj)
     if isinstance(obj, Subspace):
@@ -172,14 +168,8 @@ def encode(obj):
     if dyads is not None and isinstance(obj, dyads.Quadrilateral):
         return {"lines": [encode(l) for l in obj.lines],
                 "vertices": [encode(v) for v in obj.vertices]}
-    if isinstance(obj, QuadricForm):
-        return quadric_to_json(obj)
-    if isinstance(obj, DualQuaternion):
-        return dq_to_json(obj)
     if isinstance(obj, Quaternion):
         return [scalar_to_json(c) for c in obj.coords()]
-    if isinstance(obj, Matrix):
-        return matrix_to_json(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):

@@ -390,13 +390,6 @@ class Matrix:
         assert self.nrows == other.nrows and self.ncols == other.ncols
         return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of([tuple(-e for e in r) for r in self.rows])
-
     def scale(self, c) -> "Matrix":
         c = scalar(c)
         return Matrix._of([vec_scale(c, r) for r in self.rows])

@@ -53,9 +53,6 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented

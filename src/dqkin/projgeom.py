@@ -123,10 +123,6 @@ class Subspace:
     def empty(ambient: int) -> "Subspace":
         return Subspace(None, ambient)
 
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(Matrix.identity(ambient), ambient)
-
     @property
     def dim(self) -> int:
         """Projective dimension."""
@@ -257,6 +253,7 @@ class Line(Subspace):
         super().__init__(basis, ambient)
         assert self.dim == 1
 
+    # bench/tracing.py reads this by name to count float lines
     @property
     def approx(self) -> bool:
         """Whether the line holds float coordinates, so is known only at tolerance."""

@@ -29,11 +29,6 @@ class Quaternion:
         self.y = scalar(y)
         self.z = scalar(z)
 
-    @staticmethod
-    def from_coords(coords: Sequence) -> "Quaternion":
-        assert len(coords) == 4
-        return Quaternion(*coords)
-
     def coords(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.w, self.x, self.y, self.z)
 
@@ -65,6 +60,7 @@ class Quaternion:
             return NotImplemented
         return Quaternion(self.w * c, self.x * c, self.y * c, self.z * c)
 
+    # bench/tracing.py binds __rmul__ by name, so it stays though no caller uses it
     def __rmul__(self, other):
         # scalars commute with everything, so one implementation serves
         try:
@@ -148,20 +144,14 @@ Q_BASIS = (Q_ONE, Q_I, Q_J, Q_K)
 
 
 class DualNumber:
-    """Scalar + epsilon * scalar, with epsilon squared zero."""
+    """The value re + epsilon * du (epsilon squared zero) of a dual quaternion
+    norm, compared by its two parts; it carries no arithmetic."""
 
     __slots__ = ("re", "du")
 
     def __init__(self, re=0, du=0):
         self.re = scalar(re)
         self.du = scalar(du)
-
-    def __add__(self, other: "DualNumber") -> "DualNumber":
-        return DualNumber(self.re + other.re, self.du + other.du)
-
-    def __mul__(self, other: "DualNumber") -> "DualNumber":
-        return DualNumber(self.re * other.re,
-                          self.re * other.du + self.du * other.re)
 
     def __eq__(self, other):
         if not isinstance(other, DualNumber):
@@ -199,26 +189,20 @@ class DualQuaternion:
     def __sub__(self, other: "DualQuaternion") -> "DualQuaternion":
         return DualQuaternion(self.primal - other.primal, self.dual - other.dual)
 
-    def __neg__(self) -> "DualQuaternion":
-        return DualQuaternion(-self.primal, -self.dual)
-
     def __mul__(self, other):
         if isinstance(other, DualQuaternion):
             # (p + eps d)(p' + eps d') = pp' + eps(pd' + dp')
             return DualQuaternion(
                 self.primal * other.primal,
                 self.primal * other.dual + self.dual * other.primal)
-        if isinstance(other, Quaternion):
-            return self * DualQuaternion(other)
         try:
             c = scalar(other)
         except TypeError:
             return NotImplemented
         return DualQuaternion(self.primal * c, self.dual * c)
 
+    # bench/tracing.py binds __rmul__ by name, so it stays though no caller uses it
     def __rmul__(self, other):
-        if isinstance(other, Quaternion):
-            return DualQuaternion(other) * self
         try:
             c = scalar(other)
         except TypeError:

@@ -205,9 +205,6 @@ class ExactRational(Scalar):
     def __neg__(self):
         return ExactRational(-self.value)
 
-    def __abs__(self):
-        return ExactRational(abs(self.value))
-
     def __hash__(self):
         return hash(self.value)
 
@@ -217,24 +214,6 @@ class ExactRational(Scalar):
         if not isinstance(o, ExactRational):
             return NotImplemented
         return self.value < o.value
-
-    def __le__(self, other):
-        o = as_scalar(other)
-        if not isinstance(o, ExactRational):
-            return NotImplemented
-        return self.value <= o.value
-
-    def __gt__(self, other):
-        o = as_scalar(other)
-        if not isinstance(o, ExactRational):
-            return NotImplemented
-        return self.value > o.value
-
-    def __ge__(self, other):
-        o = as_scalar(other)
-        if not isinstance(o, ExactRational):
-            return NotImplemented
-        return self.value >= o.value
 
     def __str__(self):
         return "%d/%d" % (self.value.numerator, self.value.denominator)
@@ -254,14 +233,6 @@ class GaussianRational(Scalar):
             raise TypeError("no implicit floats; use ComplexFloat")
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
-
-    @property
-    def real(self) -> ExactRational:
-        return ExactRational(self.re)
-
-    @property
-    def imag(self) -> ExactRational:
-        return ExactRational(self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -346,14 +317,6 @@ class ComplexFloat(Scalar):
             self.value = complex(float(real), float(imag))
         self.tolerance = float(tolerance)
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
-
     def is_zero(self) -> bool:
         return abs(self.value) <= self.tolerance
 
@@ -392,9 +355,6 @@ class ComplexFloat(Scalar):
 
     def __neg__(self):
         return ComplexFloat(-self.value, tolerance=self.tolerance)
-
-    def __abs__(self):
-        return ComplexFloat(abs(self.value), tolerance=self.tolerance)
 
     def __str__(self):
         if self.value.imag == 0.0:

@@ -44,7 +44,7 @@ def _positive_real(s: Scalar) -> bool:
     if isinstance(s, ExactRational):
         return s.sign() > 0
     if isinstance(s, GaussianRational):
-        return s.imag.is_zero() and s.real.sign() > 0
+        return s.im == 0 and s.re > 0
     z = s.to_complex()
     return abs(z.imag) <= s.tolerance and z.real > s.tolerance
 

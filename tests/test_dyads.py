@@ -21,13 +21,15 @@ from dqkin.dyads import (
 from dqkin import quadrics
 from dqkin.errors import ExactnessError, GeometryError, InvariantError
 from dqkin.jsonio import matrix_to_json, point_to_json
+from dqkin.linalg import Matrix, rank
 from dqkin.projgeom import Line, ProjPoint, Subspace, chi_subspace, meet, span
 from dqkin.quadrics import Handedness
 from dqkin.quaternions import DQ_ONE, DualQuaternion, Q_I, Q_J, Q_K, Q_ONE, Quaternion
 from dqkin.scalars import ComplexFloat, scalar_to_json
 from dqkin.transforms import build_transform
 
-from helpers import dq, point, random_dyad_spec, random_study_dq
+from helpers import (dq, half_turn_about, point, random_dyad_spec, random_study_dq,
+                     rational_unit_pure)
 
 RR_SPEC = DyadSpec(DyadKind.RR, dq(Q_K), dq(Q_I, Q_K))
 RP_SPEC = DyadSpec(DyadKind.RP, dq(Q_K), dq(dual=Q_I + Q_K))
@@ -254,6 +256,83 @@ class TestClassify:
             assert got.verdict is Verdict.NotADyadSpace
             assert "not in Q(i)" in got.evidence["inexact"]
             assert "null_lines" not in got.evidence
+
+
+def small_pure(rng) -> Quaternion:
+    while True:
+        p = Quaternion(0, *[rng.randint(-3, 3) for _ in range(3)])
+        if not p.is_zero():
+            return p
+
+
+def near_miss_span(rng) -> Subspace:
+    """span(1, h, eps p, eps (u p + q)), h a half turn about an axis along u.
+
+    With q = 0 it is the RP span of h and the translation p.  Here the dual
+    plane of p and u p + q is closed under neither left nor right
+    multiplication by u, so it is no RP, PR or C span about that axis; in
+    general it still holds a conjugate pair of null lines and a real one."""
+    u = rational_unit_pure(rng)
+    h = half_turn_about(rng, axis_dir=u)
+    while True:
+        p, q = small_pure(rng), small_pure(rng)
+        plane = [p.coords(), (u * p + q).coords()]
+        if all(rank(Matrix(plane + [w.coords()])) == 3 for w in (u * p, p * u)):
+            return span([point(Q_ONE), ProjPoint(h), point(dual=p), point(dual=u * p + q)])
+
+
+def point_meet_span(rng) -> Subspace:
+    """Rows [1,0,0,0|*], [*|*], [*|*], [0,0,0,0|*]: in general a three-space
+    meeting the exceptional generator in one point."""
+    def r():
+        return rng.randint(-3, 3)
+    rows = [[1, 0, 0, 0] + [r() for _ in range(4)],
+            [r() for _ in range(8)],
+            [r() for _ in range(8)],
+            [0, 0, 0, 0] + [r() for _ in range(4)]]
+    return Subspace.from_rows(rows, 8)
+
+
+class TestNearMissSpaces:
+    """A conjugate pair of null lines plus a real line does not make an RP or
+    PR space: the ruling family the pair selects decides.  Seeded spaces that
+    miss it, or that meet the exceptional generator in a point, are no dyad
+    spaces."""
+
+    SEEDS = range(4100, 4120)
+
+    def test_conjugate_pair_and_real_line_do_not_suffice(self):
+        reached = 0
+        for seed in self.SEEDS:
+            c = classify(near_miss_span(random.Random(seed)))
+            assert c.verdict is Verdict.NotADyadSpace, seed
+            if "handedness" in c.evidence:
+                assert c.evidence["exceptional_meet_dim"] == 1
+                assert len(c.evidence["null_lines"]) == 3
+                assert c.evidence["handedness"] is Handedness.NotARuling, seed
+                reached += 1
+        assert reached >= 18
+
+    def test_point_meet_with_exceptional_generator(self):
+        reached = 0
+        for seed in self.SEEDS:
+            u = point_meet_span(random.Random(seed))
+            if u.dim != 3:
+                continue
+            c = classify(u)
+            assert c.verdict is Verdict.NotADyadSpace, seed
+            if c.evidence["signature"] == (2, 2, 0) and c.evidence["exceptional_meet_dim"] == 0:
+                assert "null_lines" not in c.evidence
+                reached += 1
+        assert reached >= 15
+
+    def test_recover_axes_refuses_them(self):
+        messages = []
+        for seed in self.SEEDS:
+            with pytest.raises(GeometryError) as info:
+                recover_axes(near_miss_span(random.Random(seed)), ProjPoint(DQ_ONE))
+            messages.append(str(info.value))
+        assert sum("neither product" in m for m in messages) >= 18
 
 
 class TestHandednessCertificate:
@@ -491,8 +570,8 @@ class TestRecoverAxes:
 
 class TestRecoverAxesCertificates:
     """The joint order of a recovered RR, RP or PR dyad rests on one of two
-    products lying in the space; that neither does is an explicit check,
-    also under python -O."""
+    products lying in the space; that neither does marks a space that is no
+    dyad space, a GeometryError from an explicit check, also under python -O."""
 
     @pytest.mark.parametrize("spec", [RR_SPEC, RP_SPEC])
     def test_neither_product_in_space(self, monkeypatch, spec):
@@ -501,7 +580,7 @@ class TestRecoverAxesCertificates:
         # only the base is found in the space
         monkeypatch.setattr(Subspace, "contains",
                             lambda self, p: p == base and real(self, p))
-        with pytest.raises(InvariantError, match="neither product"):
+        with pytest.raises(GeometryError, match="neither product"):
             recover_axes(v, base)
 
 

@@ -1,6 +1,7 @@
 """The package root's API: every public name and submodule, loaded on first use."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -90,3 +91,37 @@ def test_submodules_after_bare_import():
     bare, names = json.loads(proc.stdout)
     assert bare == ["dqkin"]
     assert names == ["dqkin." + m for m in SUBMODULES]
+
+
+def load_bench_tracing():
+    """bench/tracing.py, loaded from its file without changing it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_bench_tracer_binds_exist():
+    """A traced benchmark run (``bench/run.py --trace 1``) replaces these by
+    name, so deleting one breaks it even where no caller in dqkin is left."""
+    tracing = load_bench_tracing()
+    for layer in tracing.LAYERS:
+        importlib.import_module("dqkin." + layer)
+    for layer, names in tracing.PRIVATE.items():
+        module = importlib.import_module("dqkin." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, name)
+    for layer, classes in tracing.METHODS.items():
+        module = importlib.import_module("dqkin." + layer)
+        for cls_name, methods in classes.items():
+            for method in methods:
+                assert method in vars(getattr(module, cls_name)), (layer, cls_name, method)
+    # read or counted by name outside METHODS
+    scalars = importlib.import_module("dqkin.scalars")
+    for cls in (scalars.ExactRational, scalars.GaussianRational, scalars.ComplexFloat):
+        for worker in tracing.SCALAR_WORKERS:
+            assert worker in vars(cls), (cls.__name__, worker)
+    assert "__mul__" in vars(importlib.import_module("dqkin.quaternions").DualQuaternion)
+    assert isinstance(vars(importlib.import_module("dqkin.projgeom").Line).get("approx"), property)

@@ -22,7 +22,7 @@ from dqkin.quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from dqkin.scalars import ComplexFloat
+from dqkin.scalars import ComplexFloat, GaussianRational
 from dqkin.transforms import (
     VerificationReport,
     build_transform,
@@ -189,6 +189,30 @@ class TestFactorTransform:
         report = exc.value.report
         assert isinstance(report, VerificationReport)
         assert not report.rulings_preserved
+
+
+class TestGaussianRealEntries:
+    """Real matrices whose entries are of Gaussian kind: the positivity and
+    sign tests read each entry's real and imaginary parts."""
+
+    @staticmethod
+    def gaussian_copy(m):
+        return Matrix([[GaussianRational(e.value, 0) for e in row] for row in m.rows])
+
+    def test_verify_and_factor(self):
+        rng = random.Random(15)
+        for _ in range(3):
+            t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+            g = self.gaussian_copy(t)
+            assert verify_admissible(g).overall
+            l, r = factor_transform(g)
+            assert all(isinstance(c, GaussianRational) for c in l.coords() + r.coords())
+            assert (l, r) == factor_transform(t)
+
+    def test_conjugation_map_fails_only_rulings(self):
+        report = verify_admissible(self.gaussian_copy(conjugation_matrix()))
+        assert (report.pencil_fixed, report.shape_ok, report.rulings_preserved) == (
+            True, True, False)
 
 
 class TestFactorCertificates:
