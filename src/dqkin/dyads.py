@@ -211,7 +211,7 @@ def null_quadrilateral(lines) -> Optional[Quadrilateral]:
             continue
         cycle = tuple(lines[k] for k in order)
         cuts = [meet(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
-        if any(cut.dim != 0 for cut in cuts):  # float lines compare at tolerance
+        if any(cut.dim != 0 for cut in cuts):
             continue
         vertices = tuple(ProjPoint(cut.basis.row(0)) for cut in cuts)
         if all(vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)):
@@ -303,9 +303,13 @@ def classify(u: Subspace) -> Classification:
         lines = _null_lines(u, s_u, n_u, evidence)
         if lines is None:
             return Classification(Verdict.NotADyadSpace, evidence)
+        # S_u is regular and N_u is the conjugate pair of planes through e1.
+        # Each plane cuts S_u in e1 and one other line; that line is not real,
+        # for it would lie in both planes and so be e1.  So the null lines are
+        # always e1 and one conjugate pair.
         pair = [l for l in lines if not l.conjugation_closed()]
         if len(lines) != 3 or len(pair) != 2 or _conjugate_line(pair[0]) != pair[1]:
-            return Classification(Verdict.NotADyadSpace, evidence)
+            raise InvariantError("the null lines through e1 are not e1 and a conjugate pair")
         l1, l2 = pair
         s1 = _single_point(meet(l1, e1))
         s2 = _single_point(meet(l2, e1))

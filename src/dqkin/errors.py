@@ -14,7 +14,8 @@ class ExactnessError(DqkinError):
 
     ``polys.exact_div`` raises it for a division that leaves a remainder,
     ``polys.split_quadratic`` (so ``quadrics.common_lines``) for a square
-    root outside the Gaussian rationals, ``dyads.classify`` for float input.
+    root outside the Gaussian rationals, ``quadrics.common_lines`` for a
+    form with a float entry, ``dyads.classify`` for float input.
     """
 
 
@@ -31,7 +32,8 @@ class InvariantError(DqkinError):
 
     Raised by explicit checks, not asserts, so it survives ``python -O``:
     ``quadrics.ruling_handedness`` (a point in both ruling families),
-    ``dyads.classify`` (ruling points that disagree on handedness),
+    ``dyads.classify`` (null lines through e1 that are not e1 and a
+    conjugate pair; ruling points that disagree on handedness),
     ``dyads.build_variety`` (a dyad span of the wrong shape),
     ``transforms.factor_so4`` and ``factor_transform`` (wrong factors),
     ``quadrecon.run_cycle`` and ``reconstruct_quadrilateral`` (postconditions),

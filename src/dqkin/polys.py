@@ -193,46 +193,3 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
         return None
     return [alpha / beta for alpha, beta in pairs if not beta.is_zero()]
 
-
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Value at z of a float polynomial, ascending coefficients."""
-    out = 0j
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
-_DK_MAX_ITER = 200
-_DK_STEP_TOL = 1e-13
-
-
-def durand_kerner(coeffs: Sequence[complex]) -> List[complex]:
-    """All complex roots of a float polynomial, ascending coefficients.
-
-    Iterates until no root moves by more than _DK_STEP_TOL, or at most
-    _DK_MAX_ITER times.
-    """
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) == 0.0:
-        cs.pop()
-    assert len(cs) >= 2, "need positive degree"
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    n = len(cs) - 1
-    seed = complex(0.4, 0.9)
-    roots = [seed ** (k + 1) for k in range(n)]
-    for _ in range(_DK_MAX_ITER):
-        shift = 0.0
-        new = list(roots)
-        for i in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= roots[i] - roots[j]
-            step = _horner(cs, roots[i]) / denom
-            new[i] = roots[i] - step
-            shift = max(shift, abs(step))
-        roots = new
-        if shift < _DK_STEP_TOL:
-            break
-    return roots

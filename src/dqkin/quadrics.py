@@ -12,8 +12,8 @@ member, each checked against both forms, are all the common lines (a
 singular member contains the whole base locus; Hodge & Pedoe, *Methods
 of Algebraic Geometry* II, book IV, ch. XIII).  Exact forms give exact
 lines, or ``ExactnessError`` where a needed square root leaves the
-Gaussian rationals; float forms give float lines at their tolerance.
-Neither kind falls back on the other.
+Gaussian rationals; forms with a float entry raise ``ExactnessError``
+too.
 
 A line lies on a quadric when the form restricted to two of its points
 vanishes (``QuadricForm.contains_line``, integer sums on exact input);
@@ -26,7 +26,7 @@ where conj(a) b vanishes and H a where b conj(a) does.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
@@ -42,11 +42,10 @@ from .linalg import (
     signature as matrix_signature,
     vec_dot,
 )
-from .polys import (Poly, _horner, durand_kerner, low_degree_roots, poly_gcd,
-                    split_quadratic, squarefree_part)
+from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
-from .scalars import ComplexFloat, Scalar, scalar, scalar_to_json, ZERO
+from .scalars import Scalar, scalar, scalar_to_json, ZERO
 
 
 class QuadricForm:
@@ -282,12 +281,7 @@ def _line_verified(q1: QuadricForm, q2: QuadricForm, a: ProjPoint,
 
 
 def _line_sort_key(line: Line) -> str:
-    def fmt(c: Scalar) -> str:
-        if isinstance(c, ComplexFloat):
-            z = c.to_complex()
-            return "%.9g%+.9gi" % (z.real, z.imag)
-        return str(c)
-    return ";".join(",".join(fmt(c) for c in row) for row in line.basis.rows)
+    return ";".join(",".join(str(c) for c in row) for row in line.basis.rows)
 
 
 def _first_exact_member(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
@@ -306,44 +300,24 @@ def _first_exact_member(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[Matr
     return g2 if 4 - det_poly.degree >= 2 else None
 
 
-# bench/tracing.py binds this by name: the float tier's one traced entry point
-def _float_member_grams(det_poly: Poly, g1: Matrix, g2: Matrix,
-                        tolerance: float) -> List[Matrix]:
-    """Degenerate members of a float pencil: at the roots of p' where p vanishes too."""
-    coeffs = [c.to_complex() for c in det_poly.coeffs]
-    members = []
-    if len(coeffs) >= 3:
-        slope = [k * c for k, c in enumerate(coeffs)][1:]
-        residual_tol = max(tolerance, 1e-10) ** 0.5 * max(abs(c) for c in coeffs)
-        roots = durand_kerner(slope)
-        worst = max(abs(_horner(slope, z)) for z in roots)
-        if worst > residual_tol:
-            raise GeometryError("root isolation failed; residual %.3e" % worst)
-        for z in roots:
-            if abs(_horner(coeffs, z)) <= residual_tol:
-                members.append(g1 + g2.scale(ComplexFloat(z, tolerance=tolerance)))
-    if 4 - det_poly.degree >= 2:
-        members.append(g2)
-    return members
-
-
-def _float_form(q: QuadricForm, tolerance: float) -> QuadricForm:
-    return QuadricForm(Matrix([[ComplexFloat(e.to_complex(), tolerance=tolerance)
-                                for e in row] for row in q.gram.rows]))
+# bench/tracing.py binds this by name: a traced run counts its calls as the
+# float forms that reached common_lines
+def _float_member_grams() -> NoReturn:
+    """Refuse a pencil with any float entry: its common lines are not exact."""
+    raise ExactnessError("common lines need exact scalars")
 
 
 def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     """All lines lying on both quadric surfaces of a 3-space chart.
 
-    q1 anchors the pencil and must be regular.  Exact forms give exact
-    lines, and raise ExactnessError when a pencil root, or a line pair of
-    the first degenerate member, needs a square root outside the Gaussian
-    rationals.  Forms with any
-    float entry are taken as float forms at the largest tolerance among
-    their entries and give float lines (``Line.approx``), verified at
-    that tolerance.
+    q1 anchors the pencil and must be regular.  The lines are exact, and
+    ExactnessError is raised when a form has a float entry, or when a
+    pencil root, or a line pair of the first degenerate member, needs a
+    square root outside the Gaussian rationals.
     """
     assert q1.n == 4 and q2.n == 4
+    if not (q1.gram.is_exact() and q2.gram.is_exact()):
+        _float_member_grams()
     if rank(q1.gram) != 4:
         raise GeometryError("pencil anchor must be regular")
     if scalar_multiple_of(q2.gram, q1.gram) is not None:
@@ -351,16 +325,7 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     det_poly = _pencil_det(q1.gram, q2.gram)
     assert not det_poly.is_zero()
 
-    tolerances = [e.tolerance for g in (q1.gram, q2.gram) for row in g.rows for e in row
-                  if isinstance(e, ComplexFloat)]
-    if tolerances:
-        tolerance = max(tolerances)
-        q1, q2 = _float_form(q1, tolerance), _float_form(q2, tolerance)
-        members = _float_member_grams(det_poly, q1.gram, q2.gram, tolerance)
-        member = members[0] if members else None
-    else:
-        member = _first_exact_member(det_poly, q1.gram, q2.gram)
-
+    member = _first_exact_member(det_poly, q1.gram, q2.gram)
     if member is None:
         return []
     # every member contains each common line, so the first degenerate

@@ -61,6 +61,23 @@ def _gauge_sign(c: Scalar) -> int:
     return 1 if v > 0 else -1
 
 
+def _positive_orthogonal(a: Matrix) -> Tuple[bool, bool]:
+    """Whether a^T a = lam I with lam > 0, and whether det(a) > 0.
+
+    Both are read on a divided by its first nonzero entry p, that is on
+    lam / p^2 and det(a) / p^4, so every nonzero rescaling of a, complex
+    ones included, gives the same answers.
+    """
+    p = next((e for row in a.rows for e in row if not e.is_zero()), None)
+    if p is None:
+        return False, False
+    ata = a.transpose() * a
+    lam = ata[0, 0]
+    p2 = p * p
+    orthogonal = ata == Matrix.identity(4).scale(lam) and _positive_real(lam / p2)
+    return orthogonal, _positive_real(det(a) / (p2 * p2))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the three invariant checks on an 8x8 matrix."""
@@ -137,8 +154,9 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     block, skew compatibility of the lower-left block).
     rulings_preserved: positive determinant of the diagonal block; the
     conjugation map is the shape-passing matrix that fails exactly here.
-    Float input is checked at max-norm one, so a nonzero rescaling of t
-    does not change the report.
+    The diagonal block's signs are read on it divided by its first nonzero
+    entry, and float input is checked at max-norm one, so no nonzero
+    rescaling of t, complex ones included, changes the report.
     """
     assert t.nrows == 8 and t.ncols == 8
     if not t.is_exact():
@@ -149,17 +167,10 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     pencil = (factor is not None and not factor.is_zero()
               and _congruence_factor(t, study_quadric().gram) == factor)
     a = _block(t, 0, 0)
-    b = _block(t, 0, 4)
     c = _block(t, 4, 0)
-    d = _block(t, 4, 4)
-    shape = b.is_zero() and d == a
-    if shape:
-        ata = a.transpose() * a
-        lam = ata[0, 0]
-        shape = ata == Matrix.identity(4).scale(lam) and _positive_real(lam)
-    if shape:
-        shape = (c.transpose() * a + a.transpose() * c).is_zero()
-    rulings = _positive_real(det(a))
+    orthogonal, rulings = _positive_orthogonal(a)
+    shape = (orthogonal and _block(t, 0, 4).is_zero() and _block(t, 4, 4) == a
+             and (c.transpose() * a + a.transpose() * c).is_zero())
     return VerificationReport(pencil, shape, rulings)
 
 
@@ -180,11 +191,10 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     first nonzero coordinate of l is positive.
     """
     assert a.nrows == 4 and a.ncols == 4
-    ata = a.transpose() * a
-    lam = ata[0, 0]
-    if not (ata == Matrix.identity(4).scale(lam) and _positive_real(lam)):
+    orthogonal, positive = _positive_orthogonal(a)
+    if not orthogonal:
         raise GeometryError("not a positive scalar-orthogonal matrix")
-    if not _positive_real(det(a)):
+    if not positive:
         raise GeometryError("orientation-reversing, not in the group")
 
     # bilinear coefficient extraction: entry (i, j) of the associate matrix

@@ -379,6 +379,27 @@ class TestHandednessCertificate:
         assert "Traceback" not in proc.stderr
 
 
+class TestNullLinePatternCertificate:
+    """A regular space meeting the exceptional generator in a line e1 has the
+    null lines e1 and one conjugate pair, always; any other pattern raises
+    InvariantError."""
+
+    @pytest.mark.parametrize("spec", [RP_SPEC, PR_SPEC])
+    def test_dropped_line(self, monkeypatch, spec):
+        real = dyads.common_lines
+        monkeypatch.setattr(dyads, "common_lines", lambda q1, q2: real(q1, q2)[1:])
+        with pytest.raises(InvariantError, match="not e1 and a conjugate pair"):
+            classify(build_variety(spec).space)
+
+    @pytest.mark.parametrize("spec", [RP_SPEC, PR_SPEC])
+    def test_added_line(self, monkeypatch, spec):
+        real = dyads.common_lines
+        extra = Line.through(ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0]))
+        monkeypatch.setattr(dyads, "common_lines", lambda q1, q2: real(q1, q2) + [extra])
+        with pytest.raises(InvariantError, match="not e1 and a conjugate pair"):
+            classify(build_variety(spec).space)
+
+
 class TestBuildVarietyCertificates:
     """The dimension of a dyad's span and of its meet with the exceptional
     generator are explicit checks: a failure raises InvariantError, also

@@ -6,7 +6,6 @@ import pytest
 from dqkin.errors import ExactnessError
 from dqkin.polys import (
     Poly,
-    durand_kerner,
     exact_div,
     low_degree_roots,
     monic,
@@ -140,16 +139,6 @@ class TestRoots:
     def test_float_input_refused(self):
         with pytest.raises(ExactnessError, match="exact root extraction"):
             low_degree_roots(Poly([ComplexFloat(1.0), 0, 1]))
-
-    def test_durand_kerner_simple_roots(self):
-        p = [complex(-6), complex(11), complex(-6), complex(1)]  # (t-1)(t-2)(t-3)
-        roots = sorted(durand_kerner(p), key=lambda z: z.real)
-        for got, want in zip(roots, (1.0, 2.0, 3.0)):
-            assert abs(got - want) < 1e-9
-
-    def test_durand_kerner_complex_pair(self):
-        roots = durand_kerner([complex(1), complex(0), complex(1)])  # t^2+1
-        assert sorted(round(z.imag, 6) for z in roots) == [-1.0, 1.0]
 
 
 class TestSplitQuadratic:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dqkin import quadrics
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
 from dqkin.linalg import Matrix, rank, solve
@@ -12,7 +13,6 @@ from dqkin.quadrics import (
     Handedness,
     QuadricForm,
     _conic_line_pairs,
-    _float_member_grams,
     _line_sort_key,
     _member_line_pairs,
     _pencil_det,
@@ -358,16 +358,6 @@ class TestCommonLines2R:
             pts = [lift_via(FRAME_2R, row) for row in line.basis.rows]
             assert is_null_line(pts[0], pts[1])
 
-    def test_float_tier(self):
-        def to_cf(m):
-            return Matrix([[ComplexFloat(float(e.value), tolerance=1e-6)
-                            for e in row] for row in m.rows])
-        got = common_lines(QuadricForm(to_cf(S_2R)), QuadricForm(to_cf(N_2R)))
-        assert len(got) == 4
-        assert all(g.approx for g in got)
-        for w in self.expected_lines():
-            assert any(g == w for g in got)
-
 
 class TestCommonLinesRP:
     def test_three_lines(self):
@@ -411,33 +401,53 @@ class TestCommonLinesEdges:
         g2 = Matrix.diagonal([1, 2, 3, -1])
         with pytest.raises(ExactnessError, match="not in Q"):
             common_lines(QuadricForm(g1), QuadricForm(g2))
-        assert common_lines(float_form(QuadricForm(g1)), float_form(QuadricForm(g2))) == []
 
     def test_irrational_members_rational_line(self):
-        # both quadrics contain the line x2 = x3 = 0; the degenerate pencil
-        # members sit at s = +-sqrt(2), outside the exact tower
+        # both quadrics contain the line x2 = x3 = 0, yet the degenerate
+        # pencil members sit at s = +-sqrt(2), outside the exact tower
         g1 = Matrix([[0, 0, 0, 1], [0, 0, 2, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
         g2 = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+        a, b = chart_line([1, 0, 0, 0], [0, 1, 0, 0]).points()
+        assert QuadricForm(g1).contains_line(a, b) and QuadricForm(g2).contains_line(a, b)
         with pytest.raises(ExactnessError, match="not in Q"):
             common_lines(QuadricForm(g1), QuadricForm(g2))
-        got = common_lines(float_form(QuadricForm(g1)), float_form(QuadricForm(g2)))
-        shared = chart_line([1, 0, 0, 0], [0, 1, 0, 0])
-        assert any(g == shared and g.approx for g in got)
 
 
 class TestFloatTier:
+    """common_lines is exact-only: a form with any float entry, on either
+    side, is refused with ExactnessError by _float_member_grams, the one
+    float branch, before any other check."""
+
     @pytest.mark.parametrize("kind, count", [
         (DyadKind.RR, 4), (DyadKind.RP, 3), (DyadKind.PR, 3)])
-    def test_float_copies_of_dyad_forms(self, kind, count):
-        # the pencil members at double roots come from the roots of p',
-        # which Durand-Kerner finds to full precision
-        for seed in range(24):
+    def test_float_copies_of_dyad_forms(self, monkeypatch, kind, count):
+        calls = []
+        refuse = quadrics._float_member_grams
+
+        def counted():
+            calls.append(None)
+            return refuse()
+
+        monkeypatch.setattr(quadrics, "_float_member_grams", counted)
+        for seed in range(6):
             u = build_variety(random_dyad_spec(random.Random(seed), kind)).space
             s_u, n_u = restrict(study_quadric(), u), restrict(null_cone(), u)
-            exact = common_lines(s_u, n_u)
-            got = common_lines(float_form(s_u), float_form(n_u))
-            assert len(exact) == len(got) == count, seed
-            assert all(g.approx and any(g == e for e in exact) for g in got), seed
+            assert len(common_lines(s_u, n_u)) == count, seed
+            assert calls == []
+            one = [list(row) for row in n_u.gram.rows]
+            one[0][0] = ComplexFloat(one[0][0].to_complex())
+            for q1, q2 in [(float_form(s_u), n_u), (s_u, float_form(n_u)),
+                           (float_form(s_u), float_form(n_u)),
+                           (s_u, QuadricForm(Matrix(one)))]:
+                with pytest.raises(ExactnessError, match="common lines need exact scalars"):
+                    common_lines(q1, q2)
+                assert len(calls) == 1, seed
+                calls.clear()
+
+    def test_refused_before_the_anchor_check(self):
+        singular = float_form(QuadricForm(N_RP))
+        with pytest.raises(ExactnessError, match="common lines need exact scalars"):
+            common_lines(singular, QuadricForm(S_RP))
 
 
 def as_lines(pairs):
@@ -522,14 +532,8 @@ class TestOneMemberSuffices:
         member, in member order, the first copy of each kept, sorted.  Also
         returns how many lines the members after the first found."""
         det_poly = _pencil_det(q1.gram, q2.gram)
-        floats = [e.tolerance for g in (q1.gram, q2.gram) for row in g.rows for e in row
-                  if type(e) is ComplexFloat]
-        if floats:
-            members = _float_member_grams(det_poly, q1.gram, q2.gram, max(floats))
-        else:
-            members = cls.exact_members(det_poly, q1.gram, q2.gram)
         lines, later = [], 0
-        for index, member in enumerate(members):
+        for index, member in enumerate(cls.exact_members(det_poly, q1.gram, q2.gram)):
             for a, b in _member_line_pairs(member, q1):
                 if a != b and q1.contains_line(a, b) and q2.contains_line(a, b):
                     later += index > 0
@@ -553,28 +557,29 @@ class TestOneMemberSuffices:
         return later
 
     def seeded_pairs(self):
-        """Restricted S and N of seeded dyads, their images under a seeded
-        change of chart with Gaussian entries, and float copies."""
+        """Restricted S and N of seeded dyads, and their images under a
+        seeded change of chart with Gaussian entries, each with its kind."""
         for seed in range(12):
             rng = random.Random(3100 + seed)
             kind = (DyadKind.RR, DyadKind.RP, DyadKind.PR)[seed % 3]
             u = build_variety(random_dyad_spec(rng, kind)).space
             s_u, n_u = restrict(study_quadric(), u), restrict(null_cone(), u)
-            yield s_u, n_u
+            yield kind, s_u, n_u
             while True:
                 p = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                              + I * rng.choice((0, 0, 1, -2)) for _ in range(4)]
                             for _ in range(4)])
                 if rank(p) == 4:
                     break
-            yield (QuadricForm(p * s_u.gram * p.transpose()),
+            yield (kind, QuadricForm(p * s_u.gram * p.transpose()),
                    QuadricForm(p * n_u.gram * p.transpose()))
-            yield float_form(s_u), float_form(n_u)
 
     def test_seeded_spans(self):
-        later = [self.assert_same(q1, q2) for q1, q2 in self.seeded_pairs()]
-        # each RR pencil has a second member that finds the four lines again
-        assert sum(n > 0 for n in later) >= 12
+        for kind, q1, q2 in self.seeded_pairs():
+            later = self.assert_same(q1, q2)
+            # each RR pencil has a second member that finds the four lines again
+            if kind is DyadKind.RR:
+                assert later > 0
 
     def test_member_branch_fixtures(self):
         anchor = TestMemberBranches.ANCHOR

@@ -2,8 +2,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqkin import transforms
 from dqkin.errors import GeometryError, InvariantError
@@ -22,7 +24,7 @@ from dqkin.quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from dqkin.scalars import ComplexFloat, GaussianRational
+from dqkin.scalars import ComplexFloat, GaussianRational, gaussian, rational
 from dqkin.transforms import (
     VerificationReport,
     build_transform,
@@ -213,6 +215,30 @@ class TestGaussianRealEntries:
         report = verify_admissible(self.gaussian_copy(conjugation_matrix()))
         assert (report.pencil_fixed, report.shape_ok, report.rulings_preserved) == (
             True, True, False)
+
+
+nonzero_scalars = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)).map(rational),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda t: gaussian(*t)))
+
+
+class TestRescaledRepresentatives:
+    """A transform is a projective map: each nonzero multiple c t, c in Q or
+    Q(i), gets the report of t, and factors that rebuild c t exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 16), nonzero_scalars)
+    @example(0, rational(-3))
+    @example(0, gaussian(0, 1))
+    @example(0, gaussian(2, 1))
+    @example(0, gaussian(-1, 0))
+    def test_verify_and_factor(self, seed, c):
+        rng = random.Random(seed)
+        t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+        for m in (t, conjugation_matrix()):
+            assert verify_admissible(m.scale(c)) == verify_admissible(m)
+        l, r = factor_transform(t.scale(c))
+        assert left_mul_matrix8(l) * right_mul_matrix8(r) == t.scale(c)
 
 
 class TestFactorCertificates:
