@@ -358,6 +358,20 @@ class TestCommonLines2R:
             pts = [lift_via(FRAME_2R, row) for row in line.basis.rows]
             assert is_null_line(pts[0], pts[1])
 
+    def test_float_tier(self):
+        # Float copies of the 2R forms give no float lines: common_lines
+        # is exact-only and refuses them, while the exact forms still
+        # give the quadrilateral.
+        def to_cf(m):
+            return Matrix([[ComplexFloat(float(e.value), tolerance=1e-6)
+                            for e in row] for row in m.rows])
+        s_f, n_f = QuadricForm(to_cf(S_2R)), QuadricForm(to_cf(N_2R))
+        for q1, q2 in [(s_f, n_f), (s_f, QuadricForm(N_2R)),
+                       (QuadricForm(S_2R), n_f)]:
+            with pytest.raises(ExactnessError, match="common lines need exact scalars"):
+                common_lines(q1, q2)
+        assert len(common_lines(QuadricForm(S_2R), QuadricForm(N_2R))) == 4
+
 
 class TestCommonLinesRP:
     def test_three_lines(self):
