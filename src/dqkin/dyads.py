@@ -20,8 +20,7 @@ from itertools import combinations, permutations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, nullspace, rank, rref, scalar_multiple_of, vec_is_zero
-from .polys import split_quadratic
+from .linalg import Matrix, rank, scalar_multiple_of
 from .projgeom import (
     Line,
     ProjPoint,
@@ -34,6 +33,7 @@ from .projgeom import (
 from .quadrics import (
     Handedness,
     QuadricForm,
+    _lines_through,
     common_lines,
     is_null_line,
     null_cone,
@@ -223,7 +223,7 @@ def _real_form(u: Subspace) -> Subspace:
     """u with its real canonical basis demoted to ExactRational entries."""
     # conjugation_closed has shown every entry of the canonical basis real
     rows = [[as_exact_real(c) for c in row] for row in u.basis.rows]
-    return Subspace(Matrix(rows), u.ambient)
+    return Subspace._of(Matrix._of(rows), u._pivots, u.ambient)
 
 
 def _lift_line(u: Subspace, chart: Line) -> Line:
@@ -233,7 +233,8 @@ def _lift_line(u: Subspace, chart: Line) -> Line:
 
 def _conjugate_line(l: Line) -> Line:
     # conjugating a canonical basis gives the canonical basis of the conjugate
-    return Line(Matrix([[c.conjugate() for c in row] for row in l.basis.rows]), l.ambient)
+    return Line._of(Matrix._of([[c.conjugate() for c in row] for row in l.basis.rows]),
+                    l._pivots, l.ambient)
 
 
 def _single_point(sub: Subspace) -> ProjPoint:
@@ -363,33 +364,19 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
         [(binv * DualQuaternion.from_coords(row)).coords() for row in u.basis.rows], 8
     )
 
-    gram = restrict(study_quadric(), u2).gram
     e = u2.chart_coords(ProjPoint(DQ_ONE))
     assert e is not None
-    polar = gram.apply(e.coords)
-    if vec_is_zero(polar):
-        raise GeometryError("base is a singular point of the quadric")
-
-    tangent = Matrix(nullspace(Matrix([polar])))
-    conic = tangent * gram * tangent.transpose()
-    # a line pair needs a one-point radical; the line through the unit
-    # points at the two pivot columns complements it
-    _, pivots = rref(conic)
-    if len(pivots) != 2:
-        raise GeometryError("quadric has no two rulings through the base")
-    j1, j2 = pivots
     try:
-        roots = split_quadratic(conic[j1, j1], conic[j1, j2], conic[j2, j2])
+        rulings = _lines_through(restrict(study_quadric(), u2), e)
     except ExactnessError:
         raise GeometryError("axes are not rational over the scalar field")
-    if len(roots) != 2:
+    if len(rulings) != 2:
         raise GeometryError("quadric has no two rulings through the base")
 
     rotations = []
     translations = []
-    for alpha, beta in roots:
-        chart = [alpha * a + beta * b2 for a, b2 in zip(tangent.row(j1), tangent.row(j2))]
-        w = DualQuaternion.from_coords(u2.lift(ProjPoint(chart)).coords)
+    for _, chart in rulings:
+        w = DualQuaternion.from_coords(u2.lift(chart).coords)
         if w.primal.vector_part().is_zero():
             trans = w - _scalar_dq(w.primal.scalar_part())
             assert trans.primal.is_zero() and _pure(trans.dual)

@@ -42,17 +42,15 @@ on every path, entry by entry and kind by kind.
     scalar loop starts at ZERO, and an entry carries the largest float
     tolerance in its row and column.  An entry with a term of two exact
     factors keeps the scalar loop, which multiplies that term exactly.
-  - ``det`` and ``rref`` (so ``nullspace``, ``solve`` and
-    ``Subspace.from_rows``) of a matrix whose entries are all floats
-    pivot, as the scalar loop does, on the largest magnitude above the
-    tolerance, with ``1+0j`` for the exact constants.  The matrix has one
-    tolerance, the largest among its entries, so the results are the
-    scalar loop's whenever the entries share one tolerance, as the
-    floats of one parsed input do.  ``det`` of exact and float entries
-    promotes the exact ones at it; ``rref`` of them keeps the scalar loop.
+  - ``det`` pivots, as the scalar loop does, on the largest magnitude
+    above the tolerance, with ``1+0j`` for the exact constants and the
+    exact entries promoted.  The matrix has one tolerance, the largest
+    among its floats, so the result is the scalar loop's whenever its
+    floats share one, as the floats of one parsed input do.
   - ``scalar_multiple_of`` with a float multiple compares every entry
     at the tolerances the scalar loop compares it at.
-  Single scalars keep ComplexFloat's own arithmetic.
+  Single scalars keep ComplexFloat's own arithmetic, and ``rref`` (so
+  ``nullspace``, ``solve`` and ``Subspace.from_rows``) the scalar loop.
 """
 
 from __future__ import annotations
@@ -461,14 +459,6 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
     return best
 
 
-def _float_rows(m: Matrix) -> Tuple[List[List[complex]], float]:
-    """The rows of a matrix with float entries as plain complex numbers, and
-    the largest tolerance among its floats, the one the kernels compare at;
-    exact entries are promoted as ``_coerce`` promotes them."""
-    return ([[e.to_complex() for e in r] for r in m.rows],
-            max(e.tolerance for r in m.rows for e in r if type(e) is ComplexFloat))
-
-
 def _float_pivot(rows: List[List[complex]], col: int, start: int,
                  tolerance: float) -> Optional[int]:
     """_pivot_row on plain complex rows: the largest magnitude above tolerance."""
@@ -575,8 +565,8 @@ def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
-    An exact matrix is reduced fraction-free, an all-float one at its
-    largest tolerance, one of exact and float entries by the scalar loop.
+    An exact matrix is reduced fraction-free; one with a float entry by
+    the scalar loop, which compares each entry at its own tolerance.
     """
     cleared = m._cleared_rows()
     if cleared is not None:
@@ -591,8 +581,6 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                              [xi * dr - xr * di for xr, xi in row], dr * dr + di * di, g)
                     for row, g in zip(a, gaussian)]
         return Matrix._of(rows), tuple(pivots)
-    if all(type(e) is ComplexFloat for r in m.rows for e in r):
-        return _float_rref(m)
     rows = [list(r) for r in m.rows]
     pivots = []
     for col in range(m.ncols):
@@ -611,34 +599,6 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
     return Matrix._of(rows), tuple(pivots)
-
-
-def _float_rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """The scalar loop of rref on plain complex rows.  A row the loop never
-    rewrites is returned as it came in, as the scalar loop returns it."""
-    rows, tolerance = _float_rows(m)
-    kept = list(m.rows)  # a row's input entries until the loop rewrites it
-    pivots = []
-    for col in range(m.ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        p = _float_pivot(rows, col, r, tolerance)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        kept[p] = kept[r]
-        kept[r] = None
-        inv = (1 + 0j) / rows[r][col]
-        top = rows[r] = [inv * e for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and abs(rows[i][col]) > tolerance:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
-                kept[i] = None
-        pivots.append(col)
-    return Matrix._of([[_float_of(v + 0j, tolerance) for v in row] if k is None else k
-                       for row, k in zip(rows, kept)]), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -667,8 +627,10 @@ def det(m: Matrix) -> Scalar:
 
 
 def _float_det(m: Matrix) -> ComplexFloat:
-    """The scalar loop of det on plain complex rows."""
-    rows, tolerance = _float_rows(m)
+    """The scalar loop of det on plain complex rows, exact entries promoted
+    as ``_coerce`` promotes them, at the largest tolerance among the floats."""
+    rows = [[e.to_complex() for e in r] for r in m.rows]
+    tolerance = max(e.tolerance for r in m.rows for e in r if type(e) is ComplexFloat)
     n = len(rows)
     sign, out = 1, 1 + 0j
     for col in range(n):

@@ -33,7 +33,7 @@ first is largest, so these answers do not depend on the representative;
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
 from .linalg import (Matrix, Vector, _cleared, _combination, _proportional, as_vector,
@@ -102,22 +102,31 @@ class Subspace:
     __slots__ = ("basis", "ambient", "_pivots")
 
     def __init__(self, basis: Optional[Matrix], ambient: int):
+        """basis must be in reduced row echelon form (floats compared at
+        their tolerance), or GeometryError is raised."""
+        pivots = ()
         if basis is not None:
             assert basis.ncols == ambient
-        self.basis = basis
-        self.ambient = ambient
-        self._pivots = () if basis is None else tuple(
-            next(j for j, e in enumerate(row) if not e.is_zero()) for row in basis.rows)
+            red, pivots = rref(basis)
+            if len(pivots) < basis.nrows or red != basis:
+                raise GeometryError("a subspace basis must be in reduced row echelon form")
+        self.basis, self.ambient, self._pivots = basis, ambient, pivots
+
+    @classmethod
+    def _of(cls, basis: Matrix, pivots: Tuple[int, ...], ambient: int) -> "Subspace":
+        """The trusted constructor: a reduced basis and its pivot columns."""
+        u = object.__new__(cls)
+        u.basis, u.ambient, u._pivots = basis, ambient, pivots
+        return u
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ambient: int) -> "Subspace":
-        mat = Matrix(rows) if len(rows) else None
-        if mat is None:
+        if not len(rows):
             return Subspace(None, ambient)
-        red, pivots = rref(mat)
+        red, pivots = rref(Matrix(rows))
         if not pivots:
             return Subspace(None, ambient)
-        return Subspace(Matrix._of(red.rows[:len(pivots)]), ambient)
+        return Subspace._of(Matrix._of(red.rows[:len(pivots)]), pivots, ambient)
 
     @staticmethod
     def empty(ambient: int) -> "Subspace":
@@ -251,7 +260,8 @@ class Line(Subspace):
 
     def __init__(self, basis: Matrix, ambient: int):
         super().__init__(basis, ambient)
-        assert self.dim == 1
+        if self.dim != 1:
+            raise GeometryError("a line has a basis of two rows")
 
     # bench/tracing.py reads this by name to count float lines
     @property
@@ -264,12 +274,12 @@ class Line(Subspace):
         s = span([x, y])
         if s.dim != 1:
             raise GeometryError("coincident points do not span a line")
-        return Line(s.basis, s.ambient)
+        return Line._of(s.basis, s._pivots, s.ambient)
 
     @staticmethod
     def of(sub: Subspace) -> "Line":
         assert sub.dim == 1
-        return Line(sub.basis, sub.ambient)
+        return Line._of(sub.basis, sub._pivots, sub.ambient)
 
 
 # --- the exceptional generator and the fiber projectivity ---------------

@@ -15,6 +15,11 @@ lines, or ``ExactnessError`` where a needed square root leaves the
 Gaussian rationals; forms with a float entry raise ``ExactnessError``
 too.
 
+One splitter, ``_components``, splits every form of rank one or two:
+the planes of a degenerate member, the lines of a degenerate conic, and
+the lines through a point of a quadric, a conic in its tangent plane
+(``_lines_through``, for a cone vertex and for ``dyads.recover_axes``).
+
 A line lies on a quadric when the form restricted to two of its points
 vanishes (``QuadricForm.contains_line``, integer sums on exact input);
 that one test verifies common lines and decides null lines, which lie
@@ -26,11 +31,12 @@ where conj(a) b vanishes and H a where b conj(a) does.
 from __future__ import annotations
 
 import enum
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
     Matrix,
+    Vector,
     _cleared,
     _cleared_image,
     _dot_numerator,
@@ -41,6 +47,7 @@ from .linalg import (
     scalar_multiple_of,
     signature as matrix_signature,
     vec_dot,
+    vec_is_zero,
 )
 from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
@@ -218,61 +225,60 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
     return _det_poly(rows)
 
 
-def _split_points(gram: Matrix, pivots: Sequence[int]) -> List[ProjPoint]:
-    """Where the two hyperplanes of a rank-2 form cut the pivot-column line.
+def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:
+    """The kernel of a form, and the spanning vectors of its linear
+    components when its rank is one (the kernel) or two; none otherwise.
 
-    The unit points at the two pivot columns span a line that complements
-    the kernel, so each hyperplane is the kernel joined with one point.
+    At rank two the unit points at the two pivot columns span a line
+    that complements the kernel, so each hyperplane is the kernel joined
+    with one root of the form on that line.
     """
+    red, pivots = rref(form)
+    kern = _kernel(red, pivots)
+    if len(pivots) == 1:
+        return kern, [kern]
+    if len(pivots) != 2:
+        return kern, []
     j1, j2 = pivots
-    points = []
-    for alpha, beta in split_quadratic(gram[j1, j1], gram[j1, j2], gram[j2, j2]):
-        coords = [ZERO] * gram.ncols
+    components = []
+    for alpha, beta in split_quadratic(form[j1, j1], form[j1, j2], form[j2, j2]):
+        coords = [ZERO] * form.ncols
         coords[j1], coords[j2] = alpha, beta
-        points.append(ProjPoint(coords))
-    return points
+        components.append(kern + [tuple(coords)])
+    return kern, components
 
 
 def _conic_line_pairs(conic: Matrix) -> List[Tuple[ProjPoint, ProjPoint]]:
     """Lines of a degenerate conic in a plane chart, as point pairs."""
     assert conic.nrows == 3
-    red, pivots = rref(conic)
-    kern = _kernel(red, pivots)
-    if len(pivots) == 3:
-        return []
-    if len(pivots) == 2:
-        vertex = ProjPoint(kern[0])
-        return [(vertex, d) for d in _split_points(conic, pivots)]
-    if len(pivots) == 1:
-        return [(ProjPoint(kern[0]), ProjPoint(kern[1]))]
-    raise GeometryError("degenerate conic extraction")
+    return [(ProjPoint(a), ProjPoint(b)) for a, b in _components(conic)[1]]
+
+
+def _plane_lines(form: QuadricForm, plane: Matrix) -> List[Tuple[ProjPoint, ProjPoint]]:
+    """The lines of a quadric in the plane spanned by the rows of plane, as
+    point pairs: the line pairs of the conic it cuts, lifted by those rows."""
+    conic = plane * form.gram * plane.transpose()
+    return [tuple(map(ProjPoint, (Matrix._of([a.coords, b.coords]) * plane).rows))
+            for a, b in _conic_line_pairs(conic)]
+
+
+def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Tuple[ProjPoint, ProjPoint]]:
+    """The lines of a quadric through a point p of it, as point pairs: the
+    lines of the conic it cuts in the tangent plane at p, singular at p."""
+    polar = form.gram.apply(p.coords)
+    if vec_is_zero(polar):
+        raise GeometryError("a singular point of the quadric has no tangent plane")
+    return _plane_lines(form, Matrix._of(nullspace(Matrix._of([polar]))))
 
 
 def _member_line_pairs(member: Matrix, anchor: QuadricForm):
-    """Candidate common lines contributed by one degenerate member."""
-    red, pivots = rref(member)
-    kern = _kernel(red, pivots)
-    if len(pivots) == 4:
-        return []
-    if len(pivots) == 3:
+    """Candidate common lines contributed by one degenerate member: the
+    anchor's lines in each plane of the member, or through its vertex."""
+    kern, planes = _components(member)
+    if len(kern) == 1:
         vertex = ProjPoint(kern[0])
-        if not anchor.value(vertex).is_zero():
-            return []
-        # lines on the anchor through the vertex live in its polar plane
-        polar_row = anchor.gram.apply(vertex.coords)
-        planes = [Subspace.from_rows(nullspace(Matrix([polar_row])), 4)]
-    elif len(pivots) == 2:
-        # a pair of planes through the kernel line
-        planes = [Subspace.from_rows(list(kern) + [d.coords], 4)
-                  for d in _split_points(member, pivots)]
-    else:
-        planes = [Subspace.from_rows(kern, 4)]
-    pairs = []
-    for plane in planes:
-        conic = restrict(anchor, plane)
-        for pa, pb in _conic_line_pairs(conic.gram):
-            pairs.append((plane.lift(pa), plane.lift(pb)))
-    return pairs
+        return _lines_through(anchor, vertex) if anchor.contains(vertex) else []
+    return [pair for plane in planes for pair in _plane_lines(anchor, Matrix._of(plane))]
 
 
 def _line_verified(q1: QuadricForm, q2: QuadricForm, a: ProjPoint,

@@ -188,10 +188,12 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
 
     Returns quaternions (l, r) with left_mul_matrix(l) * right_mul_matrix(r)
     equal to a.  The pair is unique up to a shared sign, pinned so the
-    first nonzero coordinate of l is positive.
+    first nonzero coordinate of l is positive.  Float input is checked at
+    max-norm one, as ``verify_admissible`` checks it.
     """
     assert a.nrows == 4 and a.ncols == 4
-    orthogonal, positive = _positive_orthogonal(a)
+    checked = a if a.is_exact() else a.scale(_unit_scale(_flatten(a)))
+    orthogonal, positive = _positive_orthogonal(checked)
     if not orthogonal:
         raise GeometryError("not a positive scalar-orthogonal matrix")
     if not positive:

@@ -588,6 +588,34 @@ class TestRecoverAxes:
         with pytest.raises(GeometryError, match="singular"):
             recover_axes(u, ProjPoint(DQ_ONE))
 
+    # the tangent plane at the identity is spanned by it and the two middle
+    # points; eps pairs with the identity, so the quadric on the span is
+    # regular when the conic on the middle points is
+    @pytest.mark.parametrize("a, b, message", [
+        # the conic 2x^2 + 4y^2 splits over Q(sqrt(-2)) only
+        (point(Q_I, Q_I), point(Q_J, Q_J * 2), "axes are not rational over the scalar field"),
+        # a cone: the conic 2x^2 is one double line
+        (point(Q_I, Q_I), point(Q_J), "quadric has no two rulings through the base"),
+        # the tangent plane lies on the quadric
+        (point(Q_I), point(Q_J), "quadric has no two rulings through the base"),
+    ])
+    def test_tangent_conic_without_two_rulings(self, a, b, message):
+        u = span([ProjPoint(DQ_ONE), a, b, point(dual=Q_ONE)])
+        with pytest.raises(GeometryError, match=message):
+            recover_axes(u, ProjPoint(DQ_ONE))
+
+    def test_no_rotation_ruling(self):
+        # two rulings through the identity whose primal vector parts vanish
+        # span a plane on the quadric, so exact ones never both do; float
+        # ones can, within the tolerance: here each is 5e-10 next to 1e6
+        def fpoint(*coords):
+            return ProjPoint([ComplexFloat(c) for c in coords])
+
+        u = span([fpoint(1, 0, 0, 0, 0, 0, 0, 0), fpoint(0, 5e-10, 0, 0, 0, 0, 1, 1e6),
+                  fpoint(0, 0, 0, 5e-10, 0, 1, 0, 0), fpoint(0, 0, 0, 0, 1, 0, 0, 0)])
+        with pytest.raises(GeometryError, match="no rotation ruling through the base"):
+            recover_axes(u, ProjPoint(DQ_ONE))
+
 
 class TestRecoverAxesCertificates:
     """The joint order of a recovered RR, RP or PR dyad rests on one of two

@@ -631,22 +631,27 @@ class TestFloatKernelsAgainstScalarLoop:
                 assert _bits(got) == _bits(want)
         assert floats > 50
 
-    def test_mixed_tolerances_take_the_largest(self):
-        # det and rref of an all-float matrix compare at its largest
-        # tolerance: 1e-7 is nonzero at its own 1e-9 but zero at 1e-6
-        def raised(m, tolerance):
-            return Matrix([[ComplexFloat(e.value, tolerance=tolerance) for e in r]
-                           for r in m.rows])
+    # 1e-7 is nonzero at its own tolerance 1e-9 but zero at 1e-6
+    MIXED_ROW = [ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(1.0, 0.0, 1e-6)]
 
+    def test_mixed_tolerances_take_the_largest(self):
+        # det compares at the matrix's largest tolerance; rref is the scalar
+        # loop, which compares each entry at its own
         m = Matrix([[ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(0.0, 0.0, 1e-6)],
                     [ComplexFloat(0.0, 0.0, 1e-6), ComplexFloat(1.0, 0.0, 1e-6)]])
-        assert _bits(det(m)) == _bits(_loop_det(raised(m, 1e-6)))
+        raised = Matrix([[ComplexFloat(e.value, tolerance=1e-6) for e in r] for r in m.rows])
+        assert _bits(det(m)) == _bits(_loop_det(raised))
         assert det(m).value == 0 and _loop_det(m).value == 1e-7
-        row = Matrix([[ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(1.0, 0.0, 1e-6)]])
+        row = Matrix([self.MIXED_ROW])
         red, pivots = rref(row)
-        want_rows, want_pivots = _loop_rref(raised(row, 1e-6))
+        want_rows, want_pivots = _loop_rref(row)
         assert (pivots, _rows_bits(red.rows)) == (want_pivots, _rows_bits(want_rows))
-        assert pivots == (1,) and _loop_rref(row)[1] == (0,)
+        assert pivots == (0,)
+
+    def test_rref_pivots_do_not_depend_on_an_exact_entry(self):
+        # one rule for every matrix with a float entry, exact entries or not
+        floats = rref(Matrix([self.MIXED_ROW]))[1]
+        assert floats == rref(Matrix([self.MIXED_ROW + [ZERO]]))[1] == (0,)
 
 
 # --- differential test of mixed exact kinds ----------------------------------

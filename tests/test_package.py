@@ -1,5 +1,7 @@
 """The package root's API: every public name and submodule, loaded on first use."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import json
@@ -125,3 +127,27 @@ def test_names_the_bench_tracer_binds_exist():
             assert worker in vars(cls), (cls.__name__, worker)
     assert "__mul__" in vars(importlib.import_module("dqkin.quaternions").DualQuaternion)
     assert isinstance(vars(importlib.import_module("dqkin.projgeom").Line).get("approx"), property)
+
+
+def unused_imports(path):
+    """The names a module's top-level imports bind and no other line of it reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    """A deletion leaves no import behind in dqkin."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "src", "dqkin", "*.py")))
+    assert paths
+    unused = {os.path.basename(p): unused_imports(p) for p in paths}
+    assert {name: found for name, found in unused.items() if found} == {}

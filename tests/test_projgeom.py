@@ -118,6 +118,31 @@ class TestSubspaceLattice:
         assert a == b
         assert a.basis == b.basis
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [0, 0, 0]],  # a zero row
+        [[1, 1, 0], [0, 1, 0]],  # a pivot column not cleared above
+        [[0, 1, 0], [1, 0, 0]],  # pivots out of order
+        [[2, 0, 0]],  # a pivot that is not one
+        [[1, 0, 0], [1, 0, 0]],  # a repeated row
+        [[ComplexFloat(1.0), ComplexFloat(1e-3), 0], [0, ComplexFloat(1.0), 0]],
+    ])
+    def test_public_constructor_refuses_unreduced_bases(self, rows):
+        with pytest.raises(GeometryError, match="reduced row echelon form"):
+            Subspace(Matrix(rows), 3)
+        with pytest.raises(GeometryError, match="reduced row echelon form"):
+            Line(Matrix(rows + [[0, 0, 1]] * (2 - len(rows))), 3)
+
+    def test_public_constructor_accepts_reduced_bases(self):
+        # floats compare at their tolerance, and a Gaussian one is a pivot
+        u = Subspace(Matrix([[ComplexFloat(1 + 1e-12), ComplexFloat(-1e-12), 2],
+                             [ComplexFloat(1e-12), gaussian(1, 0), I]]), 3)
+        assert u.contains(ProjPoint([1, 1, 2 + I]))
+        assert not u.contains(ProjPoint([1, 0, 0]))
+        line = Line(Matrix([[1, 0, 3], [0, 1, 4]]), 3)
+        assert line == span([ProjPoint([1, 0, 3]), ProjPoint([0, 1, 4])])
+        with pytest.raises(GeometryError, match="two rows"):
+            Line(Matrix([[1, 0, 0]]), 3)
+
     def test_conjugation_closed(self):
         real_space = span([point(Q_ONE), point(Q_K)])
         assert real_space.conjugation_closed()

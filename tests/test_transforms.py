@@ -185,6 +185,19 @@ class TestFactorTransform:
             assert build_transform(l2, r2).matrix == t.matrix
             assert proportional(l2, l) and proportional(r2, r)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_float_factors_ignore_scale(self, scale):
+        # the diagonal block is checked at max-norm one, as verify_admissible
+        # checks it, so a verified float transform factors at every scale
+        for seed in range(20):
+            rng = random.Random(seed)
+            t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+            f = Matrix([[ComplexFloat(scale * e.to_complex().real) for e in row]
+                        for row in t.rows])
+            assert verify_admissible(f).overall
+            l, r = factor_transform(f)
+            assert left_mul_matrix8(l) * right_mul_matrix8(r) == f, seed
+
     def test_inadmissible_carries_report(self):
         with pytest.raises(GeometryError, match="not admissible") as exc:
             factor_transform(conjugation_matrix())
