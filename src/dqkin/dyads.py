@@ -42,7 +42,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_I, Quaternion
-from .scalars import as_exact_real, gaussian
+from .scalars import ComplexFloat, _unit_scale, as_exact_real, gaussian
 
 
 class DyadKind(Enum):
@@ -377,6 +377,8 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
     translations = []
     for _, chart in rulings:
         w = DualQuaternion.from_coords(u2.lift(chart).coords)
+        if ComplexFloat in map(type, w.coords()):  # the tolerant split, at max-norm one
+            w = w * _unit_scale(w.coords())
         if w.primal.vector_part().is_zero():
             trans = w - _scalar_dq(w.primal.scalar_part())
             assert trans.primal.is_zero() and _pure(trans.dual)

@@ -24,8 +24,8 @@ A line lies on a quadric when the form restricted to two of its points
 vanishes (``QuadricForm.contains_line``, integer sums on exact input);
 that one test verifies common lines and decides null lines, which lie
 on both S and N.  S and N are built once, at import.  The ruling family
-of a line in Y is read from quaternion ideals: for a null a, a H is
-where conj(a) b vanishes and H a where b conj(a) does.
+of a line in Y is decided by one quaternion product: for a null a, a H
+is where conj(a) b vanishes and H a where b conj(a) does.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     rulings the orbits b = q a; both points must lie on Y inside the
     exceptional generator.  For a null quaternion a the orbit a H is the
     right annihilator of conj(a) and H a the left one, both planes, so
-    membership is one product each.
+    membership is one product each.  Neither vanishes for nonzero a and b
+    unless both are null, since any other quaternion is invertible.
     """
     assert a.ambient == 8 and b.ambient == 8
     if a == b:
@@ -185,13 +186,8 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     for p in (a, b):
         if not all(c.is_zero() for c in p.coords[:4]):
             return Handedness.NotARuling
-    da = Quaternion(*a.coords[4:])
-    db = Quaternion(*b.coords[4:])
-    if not (da.norm().is_zero() and db.norm().is_zero()):
-        return Handedness.NotARuling
-    ca = da.conjugate()
-    right = (ca * db).is_zero()
-    left = (db * ca).is_zero()
+    ca, db = Quaternion(*a.coords[4:]).conjugate(), Quaternion(*b.coords[4:])
+    right, left = (ca * db).is_zero(), (db * ca).is_zero()
     if right and left:
         # a H intersects H a in the span of a only, so distinct points
         # never lie in both

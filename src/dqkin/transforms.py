@@ -7,13 +7,16 @@ projective maps that fix the quadric pencil and both ruling families.
 This module builds such maps from their two factors, checks the
 characterising invariants of an arbitrary 8x8 matrix, and recovers the
 factors constructively.  The pencil is fixed exactly when congruence by
-the matrix scales N and S by one and the same nonzero factor; the
-pencil is spanned by the two, so no third member needs checking.
+the matrix scales N and S, which span it, by one nonzero factor lam.  For
+t = [[a, b], [c, d]] that says a^T a = lam I and a^T b = 0, so b = 0,
+then a^T d = a^T a, so d = a, and a^T c + c^T a = 0; conversely these
+give both congruences, and t^T S t = lam S makes t regular, as S is.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
+from math import frexp
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
@@ -91,12 +94,7 @@ class VerificationReport:
         return self.pencil_fixed and self.shape_ok and self.rulings_preserved
 
     def as_dict(self) -> dict:
-        return {
-            "pencil_fixed": self.pencil_fixed,
-            "shape_ok": self.shape_ok,
-            "rulings_preserved": self.rulings_preserved,
-            "overall": self.overall,
-        }
+        return {**asdict(self), "overall": self.overall}
 
 
 @dataclass(frozen=True)
@@ -138,20 +136,17 @@ def build_transform(l: DualQuaternion, r: DualQuaternion) -> AdmissibleTransform
     return AdmissibleTransform(left_mul_matrix8(l) * right_mul_matrix8(r), (l, r))
 
 
-def _congruence_factor(t: Matrix, gram: Matrix) -> Optional[Scalar]:
-    """c with t^T gram t = c gram, if any."""
-    return scalar_multiple_of(t.transpose() * gram * t, gram)
-
-
 def verify_admissible(t: Matrix) -> VerificationReport:
     """Run the three invariant checks that characterise frame changes.
 
     pencil_fixed: congruence by t maps N and S to the same nonzero
     multiple of themselves, which by linearity fixes every member of the
     pencil.
-    shape_ok: the block conditions forced on such a matrix (zero
-    upper-right block, equal diagonal blocks, scalar-orthogonal diagonal
-    block, skew compatibility of the lower-left block).
+    shape_ok: the block conditions (zero upper-right block, equal
+    diagonal blocks, a^T a = lam I, skew compatibility of the lower-left
+    block); a fixed pencil forces all but lam > 0 (module docstring), so
+    this reads pencil_fixed and lam > 0.  A singular t raises
+    GeometryError; only one that moves the pencil needs its determinant.
     rulings_preserved: positive determinant of the diagonal block; the
     conjugation map is the shape-passing matrix that fails exactly here.
     The diagonal block's signs are read on it divided by its first nonzero
@@ -161,17 +156,14 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     assert t.nrows == 8 and t.ncols == 8
     if not t.is_exact():
         t = t.scale(_unit_scale(_flatten(t)))
-    if det(t).is_zero():
-        raise GeometryError("singular transform")
-    factor = _congruence_factor(t, null_cone().gram)
+    tt, n, s = t.transpose(), null_cone().gram, study_quadric().gram
+    factor = scalar_multiple_of(tt * n * t, n)
     pencil = (factor is not None and not factor.is_zero()
-              and _congruence_factor(t, study_quadric().gram) == factor)
-    a = _block(t, 0, 0)
-    c = _block(t, 4, 0)
-    orthogonal, rulings = _positive_orthogonal(a)
-    shape = (orthogonal and _block(t, 0, 4).is_zero() and _block(t, 4, 4) == a
-             and (c.transpose() * a + a.transpose() * c).is_zero())
-    return VerificationReport(pencil, shape, rulings)
+              and scalar_multiple_of(tt * s * t, s) == factor)
+    if not pencil and det(t).is_zero():
+        raise GeometryError("singular transform")
+    orthogonal, rulings = _positive_orthogonal(_block(t, 0, 0))
+    return VerificationReport(pencil, pencil and orthogonal, rulings)
 
 
 @cache
@@ -188,11 +180,12 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
 
     Returns quaternions (l, r) with left_mul_matrix(l) * right_mul_matrix(r)
     equal to a.  The pair is unique up to a shared sign, pinned so the
-    first nonzero coordinate of l is positive.  Float input is checked at
-    max-norm one, as ``verify_admissible`` checks it.
+    first nonzero coordinate of l is positive.  Float input is checked,
+    and the product of its factors compared, at max-norm one.
     """
     assert a.nrows == 4 and a.ncols == 4
-    checked = a if a.is_exact() else a.scale(_unit_scale(_flatten(a)))
+    unit = None if a.is_exact() else _unit_scale(_flatten(a))
+    checked = a if unit is None else a.scale(unit)
     orthogonal, positive = _positive_orthogonal(checked)
     if not orthogonal:
         raise GeometryError("not a positive scalar-orthogonal matrix")
@@ -213,7 +206,8 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     assert not pivot.is_zero()
     l1 = Quaternion(*assoc.column(j0))
     r1 = Quaternion(*[x / pivot for x in assoc.row(i0)])
-    if left_mul_matrix(l1) * right_mul_matrix(r1) != a:
+    product = left_mul_matrix(l1) * right_mul_matrix(r1)
+    if (product if unit is None else product.scale(unit)) != checked:
         raise InvariantError("the SO(4) factors do not reproduce the matrix")
     first = next(c for c in l1.coords() if not c.is_zero())
     if _gauge_sign(first) < 0:
@@ -228,7 +222,9 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
     linear system: sixteen bilinear equations from the lower-left block
     plus one orthogonality constraint per factor, which removes the
     one-parameter shift along the primal pair and makes the solution
-    unique.
+    unique.  The gauge puts the scale of t into l1, so float input scales
+    r2's columns and the right side to max-norm about one by powers of two:
+    the zero tests then hold at every scale of t, and no mantissa changes.
     """
     report = verify_admissible(t)
     if not report.overall:
@@ -236,7 +232,6 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         err.report = report
         raise err
     l1, r1 = factor_so4(_block(t, 0, 0))
-    c = _block(t, 4, 0)
 
     lefts, rights = _unit_matrices(False)
     l1_left, r1_right = left_mul_matrix(l1), right_mul_matrix(r1)
@@ -245,10 +240,16 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         cols.append(_flatten(e_left * r1_right) + [l1.dot(e), ZERO])
     for e, e_right in zip(Q_BASIS, rights):
         cols.append(_flatten(l1_left * e_right) + [ZERO, r1.dot(e)])
-    rhs = _flatten(c) + [ZERO, ZERO]
+    rhs = _flatten(_block(t, 4, 0)) + [ZERO, ZERO]
+    if not t.is_exact():
+        sr, sc = (rational(Fraction(2) ** -frexp(max(abs(e.to_complex()) for e in x))[1])
+                  for x in (l1.coords(), rhs))
+        cols[4:] = [[sr * x for x in col] for col in cols[4:]]
+        rhs = [sc * x for x in rhs]
     sol = solve(Matrix.from_columns(cols), rhs)
     if sol is None:
         raise InvariantError("the dual-part system of an admissible transform is inconsistent")
-    l2 = Quaternion(*sol[:4])
-    r2 = Quaternion(*sol[4:])
+    l2, r2 = Quaternion(*sol[:4]), Quaternion(*sol[4:])
+    if not t.is_exact():
+        l2, r2 = l2 * (1 / sc), r2 * (sr / sc)
     return DualQuaternion(l1, l2), DualQuaternion(r1, r2)

@@ -616,6 +616,26 @@ class TestRecoverAxes:
         with pytest.raises(GeometryError, match="no rotation ruling through the base"):
             recover_axes(u, ProjPoint(DQ_ONE))
 
+    def test_float_joints_ignore_the_lifted_representative(self, monkeypatch):
+        # rotation and translation are told apart on the lifted ruling point
+        # at max-norm one, so a tiny or a huge representative of it gives the
+        # same joints; ProjPoint refuses the tiny one as zero, so the patched
+        # lift builds it around the constructor
+        rows = build_variety(RP_SPEC).space.basis.rows
+        u = span([ProjPoint([ComplexFloat(c.to_complex()) for c in row]) for row in rows])
+        base = ProjPoint(DQ_ONE)
+        want = recover_axes(u, base)
+        assert want.kind is DyadKind.RP
+        real = Subspace.lift
+        for factor in (1e-12, 1e12):
+            def lift(self, chart, factor=factor):
+                p = object.__new__(ProjPoint)
+                p.coords = tuple(ComplexFloat(factor) * c for c in real(self, chart).coords)
+                return p
+
+            monkeypatch.setattr(Subspace, "lift", lift)
+            assert recover_axes(u, base) == want, factor
+
 
 class TestRecoverAxesCertificates:
     """The joint order of a recovered RR, RP or PR dyad rests on one of two

@@ -281,6 +281,34 @@ class TestRulingsAgainstSolve:
                     assert ruling_handedness(a, off) is Handedness.NotARuling
         assert seen == set(Handedness)
 
+    def test_pairs_with_a_point_off_the_cone(self):
+        # a quaternion that is not null is invertible, so neither ideal
+        # product of a pair with such a point vanishes: the family needs no
+        # norm test, and these pairs read NotARuling as the reference says
+        def as_float(x):
+            return Quaternion(*[ComplexFloat(c.to_complex()) for c in x.coords()])
+
+        rng = random.Random(64)
+        kinds = set()
+        for _ in range(20):
+            n = null_quaternion(rng)
+            q = random_rational_quaternion(rng)
+            g = q + random_rational_quaternion(rng) * I
+            full = [x for x in (q, g) if not x.norm().is_zero()]
+            pairs = [(x, y) for x in full for y in (n, x * random_rational_quaternion(rng), *full)]
+            pairs += [(as_float(x), as_float(y)) for x, y in pairs]
+            for x, y in pairs:
+                if y.is_zero():
+                    continue
+                a, b = point(dual=x), point(dual=y)
+                if a == b:
+                    continue
+                kinds.add(type(x.coords()[0]).__name__)
+                assert ref_handedness(a, b) is Handedness.NotARuling
+                assert ruling_handedness(a, b) is Handedness.NotARuling
+                assert ruling_handedness(b, a) is Handedness.NotARuling
+        assert kinds == {"ExactRational", "GaussianRational", "ComplexFloat"}
+
 
 class TestRulingHandedness:
     def test_left_ruling_from_motion_fibers(self):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dqkin import transforms
 from dqkin.errors import GeometryError, InvariantError
-from dqkin.linalg import Matrix, scalar_multiple_of
+from dqkin.linalg import Matrix, det, scalar_multiple_of
 from dqkin.projgeom import ProjPoint, fiber_projectivity
 from dqkin.quadrics import null_cone, study_quadric
 from dqkin.quaternions import (
@@ -24,7 +24,7 @@ from dqkin.quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from dqkin.scalars import ComplexFloat, GaussianRational, gaussian, rational
+from dqkin.scalars import ComplexFloat, GaussianRational, _unit_scale, gaussian, rational
 from dqkin.transforms import (
     VerificationReport,
     build_transform,
@@ -128,12 +128,88 @@ class TestVerifyAdmissible:
             assert verdict(t.matrix) == (True, True, True)
         assert verdict(conjugation_matrix()) == (True, True, False)
 
+    @pytest.mark.parametrize("length", [30, 1000])
+    def test_float_long_translation(self, length):
+        # at max-norm one the diagonal block of a long translation is small
+        # and det(t) is its eighth power, below the float tolerance; the
+        # pencil is fixed, so the matrix is regular and no det is taken
+        l = DualQuaternion(Q_ONE, Quaternion(0, length, 0, 0))
+        t = build_transform(l, DQ_ONE).matrix
+        f = Matrix([[ComplexFloat(e.to_complex().real) for e in row] for row in t.rows])
+        assert verify_admissible(f).overall
+        l2, r2 = factor_transform(f)
+        assert left_mul_matrix8(l2) * right_mul_matrix8(r2) == f
+
     def test_group_closure(self):
         rng = random.Random(10)
         for _ in range(5):
             t1 = build_transform(random_study_dq(rng), random_study_dq(rng))
             t2 = build_transform(random_study_dq(rng), random_study_dq(rng))
             assert verify_admissible(t1.matrix * t2.matrix).overall
+
+
+def block_shape(t):
+    """shape_ok by its definition on the 4x4 blocks t = [[a, b], [c, d]]:
+    b = 0, d = a, a^T a = lam I with lam > 0 (read on a over its first
+    nonzero entry), and a^T c + c^T a = 0; a singular t raises first."""
+    if det(t).is_zero():
+        raise GeometryError("singular transform")
+    a, b, c, d = (Matrix([list(row[j:j + 4]) for row in t.rows[i:i + 4]])
+                  for i in (0, 4) for j in (0, 4))
+    p = next((e for row in a.rows for e in row if not e.is_zero()), None)
+    if p is None:
+        return False
+    n = a.scale(1 / p)
+    lam = (n.transpose() * n)[0, 0]
+    positive = lam.to_complex().imag == 0 and lam.to_complex().real > 0
+    return (positive and n.transpose() * n == Matrix.identity(4).scale(lam)
+            and b.is_zero() and d == a and (a.transpose() * c + c.transpose() * a).is_zero())
+
+
+class TestShapeFromPencil:
+    """On exact input shape_ok is pencil_fixed with a positive scalar-
+    orthogonal diagonal block: the report agrees with the block definition,
+    and only singular matrices raise."""
+
+    @staticmethod
+    def near_misses(t, rng):
+        # one entry changed in each block
+        for i0, j0 in ((0, 0), (0, 4), (4, 0), (4, 4)):
+            rows = [list(row) for row in t.rows]
+            i, j = i0 + rng.randrange(4), j0 + rng.randrange(4)
+            rows[i][j] = rows[i][j] + rng.choice((1, -1, Fraction(1, 2)))
+            yield Matrix(rows)
+
+    def test_report_matches_block_definition(self):
+        rng = random.Random(19)
+        # diag(I, 0) fixes N exactly, but not S, and is singular
+        fixes_n = Matrix.diagonal([1, 1, 1, 1, 0, 0, 0, 0])
+        assert scalar_multiple_of(fixes_n.transpose() * null_cone().gram * fixes_n,
+                                  null_cone().gram) == 1
+        cases = [Matrix.diagonal([1, 1, 1, 1, 2, 2, 2, 2]), conjugation_matrix(), fixes_n,
+                 Matrix.zeros(8, 8)]
+        for _ in range(8):
+            t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+            g = Matrix([[GaussianRational(e.value, 0) for e in row] for row in t.rows])
+            cases += [t, g, *self.near_misses(t, rng), *self.near_misses(g, rng)]
+        # Gaussian factors: complex matrices whose a^T a is no positive multiple
+        primal = Quaternion(gaussian(1, 2), 3, gaussian(0, -1), 1)
+        complex_t = build_transform(DualQuaternion(primal, primal * Quaternion(0, 1, 2, -1)),
+                                    random_study_dq(rng)).matrix
+        cases += [complex_t, *self.near_misses(complex_t, rng)]
+        cases += [m.scale(c) for m in cases for c in (gaussian(0, 1), gaussian(2, 1), rational(-3))]
+        seen = set()
+        for m in cases:
+            try:
+                want = block_shape(m)
+            except GeometryError:
+                with pytest.raises(GeometryError, match="singular"):
+                    verify_admissible(m)
+                seen.add("singular")
+                continue
+            assert verify_admissible(m).shape_ok is want
+            seen.add(want)
+        assert seen == {True, False, "singular"}
 
 
 class TestFactorSo4:
@@ -185,10 +261,11 @@ class TestFactorTransform:
             assert build_transform(l2, r2).matrix == t.matrix
             assert proportional(l2, l) and proportional(r2, r)
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e5, 1e6])
     def test_float_factors_ignore_scale(self, scale):
-        # the diagonal block is checked at max-norm one, as verify_admissible
-        # checks it, so a verified float transform factors at every scale
+        # the diagonal block, the product of its factors and the dual-part
+        # system are read at max-norm one, as verify_admissible reads t, so a
+        # verified float transform factors at every scale
         for seed in range(20):
             rng = random.Random(seed)
             t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
@@ -196,7 +273,8 @@ class TestFactorTransform:
                         for row in t.rows])
             assert verify_admissible(f).overall
             l, r = factor_transform(f)
-            assert left_mul_matrix8(l) * right_mul_matrix8(r) == f, seed
+            unit = _unit_scale([e for row in f.rows for e in row])
+            assert (left_mul_matrix8(l) * right_mul_matrix8(r)).scale(unit) == f.scale(unit), seed
 
     def test_inadmissible_carries_report(self):
         with pytest.raises(GeometryError, match="not admissible") as exc:
