@@ -8,9 +8,11 @@ element), on an input file that cannot be read or is not UTF-8 JSON,
 and on an ``--out`` file that cannot be written.
 
 Each subcommand imports the library modules it uses when it runs, so a
-process loads only those: at module level this file needs just
-``jsonio``, ``errors`` and ``scalars``.  Start-up then compiles only
-those sources when no bytecode cache can be written.
+process loads only those beyond what every subcommand needs: at module
+level this file imports ``jsonio``, ``errors`` and ``scalars``, and
+``jsonio`` in turn imports ``linalg``, ``projgeom``, ``quadrics`` and
+``quaternions`` (with ``polys``, which ``quadrics`` uses).  Start-up then
+compiles only those sources when no bytecode cache can be written.
 """
 
 import argparse

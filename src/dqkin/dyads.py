@@ -12,6 +12,16 @@ already show instead of reducing again: a conjugation-closed space has
 a real canonical basis, so its real form is that basis with rational
 entries, and the conjugate of a line's canonical basis is the canonical
 basis of the conjugate line.
+
+The null lines are found in the 4-coordinate chart of the space
+(``quadrics.common_lines`` on the restricted forms), and an RR span's
+quadrilateral among those chart lines (``null_quadrilateral``, so every
+rank and meet it takes is on 4-vectors).  Only then are the lines and
+the four vertices lifted to P^7.  A lift is linear and injective, so
+incidence, meets and distinct vertices carry over, and it needs no
+reduction: with canonical bases C of a chart line and U of the space,
+C U is the canonical basis of the lifted line (``_lift_line``), and a
+canonical chart vertex lifts to the canonical row of its ambient meet.
 """
 
 from dataclasses import dataclass
@@ -227,8 +237,11 @@ def _real_form(u: Subspace) -> Subspace:
 
 
 def _lift_line(u: Subspace, chart: Line) -> Line:
-    pts = [u.lift(ProjPoint(row)) for row in chart.basis.rows]
-    return Line.through(pts[0], pts[1])
+    """The lift of a chart line into u, reduced already: row r of C U, for
+    canonical bases C and U, has its leading one at U's pivot at C's pivot
+    r, and U's pivot columns carry C's entries, zero at C's other pivots."""
+    return Line._of(chart.basis * u.basis, tuple(u._pivots[c] for c in chart._pivots),
+                    u.ambient)
 
 
 def _conjugate_line(l: Line) -> Line:
@@ -244,7 +257,8 @@ def _single_point(sub: Subspace) -> ProjPoint:
 
 def _null_lines(u: Subspace, s_u: QuadricForm, n_u: QuadricForm,
                 evidence: Dict[str, object]) -> Optional[List[Line]]:
-    """The common null lines of u, lifted and recorded in the evidence.
+    """The common null lines of u in its chart; their lifts are recorded in
+    the evidence, in the same order.
 
     None, with the reason under "inexact", where they leave Q(i).
     """
@@ -253,8 +267,8 @@ def _null_lines(u: Subspace, s_u: QuadricForm, n_u: QuadricForm,
     except ExactnessError as err:
         evidence["inexact"] = str(err)
         return None
-    lines = evidence["null_lines"] = [_lift_line(u, l) for l in chart_lines]
-    return lines
+    evidence["null_lines"] = [_lift_line(u, l) for l in chart_lines]
+    return chart_lines
 
 
 def classify(u: Subspace) -> Classification:
@@ -285,10 +299,17 @@ def classify(u: Subspace) -> Classification:
     evidence["exceptional_meet_dim"] = inter.dim
 
     if inter.dim == -1:
-        lines = _null_lines(u, s_u, n_u, evidence)
-        if lines is None:
+        chart = _null_lines(u, s_u, n_u, evidence)
+        if chart is None:
             return Classification(Verdict.NotADyadSpace, evidence)
-        quad = null_quadrilateral(lines)
+        quad = null_quadrilateral(chart)
+        if quad is not None:
+            # a lift is linear and injective, so it keeps incidence, meets and
+            # distinct vertices: the chart's cycle, lifted, is the ambient one,
+            # and a reduced vertex lifts to the reduced row of its meet
+            lifted = {id(l): m for l, m in zip(chart, evidence["null_lines"])}
+            quad = Quadrilateral(tuple(lifted[id(l)] for l in quad.lines),
+                                 tuple(u.lift(v) for v in quad.vertices))
         evidence["quadrilateral"] = quad
         if quad is None:
             return Classification(Verdict.NotADyadSpace, evidence)
@@ -301,9 +322,9 @@ def classify(u: Subspace) -> Classification:
         evidence["fiber_image"] = fib
         if fib == inter:
             return Classification(Verdict.C, evidence)
-        lines = _null_lines(u, s_u, n_u, evidence)
-        if lines is None:
+        if _null_lines(u, s_u, n_u, evidence) is None:
             return Classification(Verdict.NotADyadSpace, evidence)
+        lines = evidence["null_lines"]
         # S_u is regular and N_u is the conjugate pair of planes through e1.
         # Each plane cuts S_u in e1 and one other line; that line is not real,
         # for it would lie in both planes and so be e1.  So the null lines are

@@ -13,7 +13,9 @@ singular member contains the whole base locus; Hodge & Pedoe, *Methods
 of Algebraic Geometry* II, book IV, ch. XIII).  Exact forms give exact
 lines, or ``ExactnessError`` where a needed square root leaves the
 Gaussian rationals; forms with a float entry raise ``ExactnessError``
-too.
+too.  The determinant det(q1 + s q2) is expanded by cofactors on the two
+grams' cleared integer rows (``_pencil_det``), over Z or over Z[i] when
+an entry is Gaussian, and written back with the scalar loop's kinds.
 
 One splitter, ``_components``, splits every form of rank one or two:
 the planes of a degenerate member, the lines of a degenerate conic, and
@@ -25,12 +27,14 @@ vanishes (``QuadricForm.contains_line``, integer sums on exact input);
 that one test verifies common lines and decides null lines, which lie
 on both S and N.  S and N are built once, at import.  The ruling family
 of a line in Y is decided by one quaternion product: for a null a, a H
-is where conj(a) b vanishes and H a where b conj(a) does.
+is where conj(a) b vanishes and H a where b conj(a) does; float points
+are tested at max-norm one.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import combinations, zip_longest
 from typing import List, NoReturn, Optional, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
@@ -41,6 +45,8 @@ from .linalg import (
     _cleared_image,
     _dot_numerator,
     _kernel,
+    _kinds,
+    _scalars,
     nullspace,
     rank,
     rref,
@@ -48,11 +54,12 @@ from .linalg import (
     signature as matrix_signature,
     vec_dot,
     vec_is_zero,
+    vec_scale,
 )
 from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
-from .scalars import Scalar, scalar, scalar_to_json, ZERO
+from .scalars import ComplexFloat, Scalar, ZERO, _unit_scale, scalar, scalar_to_json
 
 
 class QuadricForm:
@@ -179,10 +186,16 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     right annihilator of conj(a) and H a the left one, both planes, so
     membership is one product each.  Neither vanishes for nonzero a and b
     unless both are null, since any other quaternion is invertible.
+    Points with a float coordinate are tested at max-norm one, so the
+    answer does not depend on their representatives.
     """
     assert a.ambient == 8 and b.ambient == 8
     if a == b:
         raise GeometryError("coincident points do not span a line")
+    if ComplexFloat in map(type, a.coords + b.coords):
+        tolerance = max(c.tolerance for c in a.coords + b.coords if type(c) is ComplexFloat)
+        a, b = (ProjPoint(vec_scale(_unit_scale(p.coords, tolerance), p.coords))
+                for p in (a, b))
     for p in (a, b):
         if not all(c.is_zero() for c in p.coords[:4]):
             return Handedness.NotARuling
@@ -201,24 +214,100 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
 # --- common lines of two quadric surfaces in a 3-space chart -------------
 
-def _det_poly(rows: List[List[Poly]]) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = Poly([])
-    for j in range(n):
-        e = rows[0][j]
-        if e.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = e * _det_poly(minor)
-        out = out + term if j % 2 == 0 else out - term
+# An integer polynomial (re, im, kinds): the coefficients re[k] + i*im[k] in
+# ascending order with no trailing zero (im None over Z), and the bitmask of
+# the coefficients the scalar loop holds as Gaussian.
+_IntPoly = Tuple[List[int], Optional[List[int]], int]
+_NO_POLY: _IntPoly = ([], None, 0)
+
+
+def _convolve(a: List[int], b: List[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
+def _poly_product(a: _IntPoly, b: _IntPoly) -> _IntPoly:
+    """a*b; a coefficient is Gaussian when one of its terms has a Gaussian
+    factor.  Leading coefficients multiply to a nonzero one, so nothing is
+    stripped."""
+    (ar, ai, am), (br, bi, bm) = a, b
+    if not (ar and br):
+        return _NO_POLY
+    mask = 0
+    for k in range(len(ar)):
+        if am >> k & 1:
+            mask |= ((1 << len(br)) - 1) << k
+    for k in range(len(br)):
+        if bm >> k & 1:
+            mask |= ((1 << len(ar)) - 1) << k
+    re = _convolve(ar, br)
+    if ai is None:
+        return re, None, mask
+    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
+    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
+    return re, im, mask
+
+
+def _stripped(re: List[int], im: Optional[List[int]], mask: int) -> _IntPoly:
+    """The polynomial without its trailing zeros, whose kinds go with them."""
+    while re and not re[-1] and (im is None or not im[-1]):
+        re.pop()
+        if im is not None:
+            im.pop()
+    return re, im, mask & ((1 << len(re)) - 1)
+
+
+def _poly_sum(a: _IntPoly, b: _IntPoly, sign: int) -> _IntPoly:
+    """a + sign*b; a coefficient is Gaussian when one of its summands is."""
+    (ar, ai, am), (br, bi, bm) = a, b
+    re = [x + sign * y for x, y in zip_longest(ar, br, fillvalue=0)]
+    im = None if ai is None and bi is None else [
+        x + sign * y for x, y in zip_longest(ai or (), bi or (), fillvalue=0)]
+    return _stripped(re, im, am | bm)
+
+
 def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
-    rows = [[Poly([g1[i, j], g2[i, j]]) for j in range(4)] for i in range(4)]
-    return _det_poly(rows)
+    """det(g1 + s*g2) of two exact 4x4 grams, expanded by cofactors along the
+    first row on their cleared rows: over Z, or over Z[i] as (re, im) pairs
+    when an entry is Gaussian.
+
+    Row i of the pencil is taken over d1*d2, the denominators of the two
+    cleared rows, which scales the determinant by their product and changes
+    no zero, so every coefficient equals the scalar loop's cofactor
+    expansion over ``Poly`` entries [g1[i, j], g2[i, j]] in value, and in
+    kind: the expansion here skips zero entries, strips trailing zeros
+    and spreads Gaussian kinds where that loop does.
+    """
+    rows1, rows2 = g1._cleared_rows(), g2._cleared_rows()
+    gaussian = any(im is not None for _, im, _ in rows1 + rows2)
+    entries, den = [], 1
+    for (r1, i1, d1), (r2, i2, d2), k1, k2 in zip(rows1, rows2, map(_kinds, g1.rows),
+                                                    map(_kinds, g2.rows)):
+        den *= d1 * d2
+        row = []
+        for j in range(4):
+            im = [i1[j] * d2 if i1 else 0, i2[j] * d1 if i2 else 0] if gaussian else None
+            row.append(_stripped([r1[j] * d2, r2[j] * d1], im,
+                                 (k1 >> j & 1) | (k2 >> j & 1) << 1))
+        entries.append(row)
+
+    # the minor on the last len(cols) rows and the columns cols, bottom up
+    minors = {(j,): entries[3][j] for j in range(4)}
+    for size in (2, 3, 4):
+        row = entries[4 - size]
+        for cols in combinations(range(4), size):
+            out = _NO_POLY
+            for k, j in enumerate(cols):
+                if row[j][0]:
+                    term = _poly_product(row[j], minors[cols[:k] + cols[k + 1:]])
+                    out = _poly_sum(out, term, -1 if k % 2 else 1)
+            minors[cols] = out
+    re, im, mask = minors[(0, 1, 2, 3)]
+    return Poly(_scalars(re, im, den, mask))
 
 
 def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:

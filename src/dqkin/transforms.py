@@ -20,7 +20,7 @@ from math import frexp
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
-from .linalg import Matrix, det, scalar_multiple_of, solve
+from .linalg import Matrix, det, rank, scalar_multiple_of, solve
 from .projgeom import ProjPoint, Subspace
 from .quadrics import null_cone, study_quadric
 from .quaternions import (
@@ -146,7 +146,9 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     diagonal blocks, a^T a = lam I, skew compatibility of the lower-left
     block); a fixed pencil forces all but lam > 0 (module docstring), so
     this reads pencil_fixed and lam > 0.  A singular t raises
-    GeometryError; only one that moves the pencil needs its determinant.
+    GeometryError; only one that moves the pencil needs its rank, which
+    on float input, unlike the determinant, does not shrink with the
+    entries (a product of eight small pivots reads as zero).
     rulings_preserved: positive determinant of the diagonal block; the
     conjugation map is the shape-passing matrix that fails exactly here.
     The diagonal block's signs are read on it divided by its first nonzero
@@ -160,7 +162,7 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     factor = scalar_multiple_of(tt * n * t, n)
     pencil = (factor is not None and not factor.is_zero()
               and scalar_multiple_of(tt * s * t, s) == factor)
-    if not pencil and det(t).is_zero():
+    if not pencil and rank(t) < 8:
         raise GeometryError("singular transform")
     orthogonal, rulings = _positive_orthogonal(_block(t, 0, 0))
     return VerificationReport(pencil, pencil and orthogonal, rulings)
@@ -175,13 +177,20 @@ def _unit_matrices(conjugated: bool) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, 
             tuple(right_mul_matrix(e) for e in units))
 
 
+def _power_of_two_scale(entries) -> ExactRational:
+    """The power of two that brings the largest magnitude among entries into
+    [1/2, 1): scaling floats by it is exact."""
+    return rational(Fraction(2) ** -frexp(max(abs(e.to_complex()) for e in entries))[1])
+
+
 def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     """Split a positive scalar-orthogonal 4x4 matrix into l*x*r form.
 
     Returns quaternions (l, r) with left_mul_matrix(l) * right_mul_matrix(r)
     equal to a.  The pair is unique up to a shared sign, pinned so the
     first nonzero coordinate of l is positive.  Float input is checked,
-    and the product of its factors compared, at max-norm one.
+    and the product of its factors compared, at max-norm one; its
+    associate matrix is read at max-norm about one too, by a power of two.
     """
     assert a.nrows == 4 and a.ncols == 4
     unit = None if a.is_exact() else _unit_scale(_flatten(a))
@@ -193,25 +202,33 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
         raise GeometryError("orientation-reversing, not in the group")
 
     # bilinear coefficient extraction: entry (i, j) of the associate matrix
-    # recovers l_i * r_j, so the whole matrix is the rank-one outer product
+    # recovers l_i * r_j, so the whole matrix is the rank-one outer product.
+    # Float input is read at max-norm about one, by a power of two that
+    # changes no mantissa, so its entries clear the absolute tolerance.
+    power = None if unit is None else _power_of_two_scale(_flatten(a))
+    scaled = a if power is None else a.scale(power)
     quarter = rational(Fraction(1, 4))
     lefts, rights = _unit_matrices(True)
-    products = [li * a for li in lefts]
+    products = [li * scaled for li in lefts]
     assoc = Matrix([[(la * rj).trace() * quarter for rj in rights] for la in products])
     i0, j0 = max(
         ((i, j) for i in range(4) for j in range(4)),
         key=lambda ij: abs(assoc[ij].to_complex()),
     )
     pivot = assoc[i0, j0]
-    assert not pivot.is_zero()
+    if pivot.is_zero():
+        raise InvariantError("the associate matrix of an orthogonal matrix vanishes")
     l1 = Quaternion(*assoc.column(j0))
     r1 = Quaternion(*[x / pivot for x in assoc.row(i0)])
-    product = left_mul_matrix(l1) * right_mul_matrix(r1)
-    if (product if unit is None else product.scale(unit)) != checked:
-        raise InvariantError("the SO(4) factors do not reproduce the matrix")
+    # the pivot is a nonzero coordinate of l1 at this scale
     first = next(c for c in l1.coords() if not c.is_zero())
     if _gauge_sign(first) < 0:
         l1, r1 = -l1, -r1
+    if power is not None:
+        l1 = l1 * (1 / power)
+    product = left_mul_matrix(l1) * right_mul_matrix(r1)
+    if (product if unit is None else product.scale(unit)) != checked:
+        raise InvariantError("the SO(4) factors do not reproduce the matrix")
     return l1, r1
 
 
@@ -242,8 +259,7 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         cols.append(_flatten(l1_left * e_right) + [ZERO, r1.dot(e)])
     rhs = _flatten(_block(t, 4, 0)) + [ZERO, ZERO]
     if not t.is_exact():
-        sr, sc = (rational(Fraction(2) ** -frexp(max(abs(e.to_complex()) for e in x))[1])
-                  for x in (l1.coords(), rhs))
+        sr, sc = (_power_of_two_scale(x) for x in (l1.coords(), rhs))
         cols[4:] = [[sr * x for x in col] for col in cols[4:]]
         rhs = [sc * x for x in rhs]
     sol = solve(Matrix.from_columns(cols), rhs)

@@ -530,6 +530,63 @@ class TestNullQuadrilateral:
             self.assert_matches_meet_search(order)
 
 
+def point_bits(points):
+    return [[(type(c).__name__, c) for c in p.coords] for p in points]
+
+
+class TestChartSideEvidence:
+    """classify finds the quadrilateral of an RR span among the null lines
+    of its chart and lifts it, and lifts every null line by one product."""
+
+    @staticmethod
+    def seeded_spans(kinds):
+        rng = random.Random(3600)
+        for kind in kinds:
+            for _ in range(4):
+                u = build_variety(random_dyad_spec(rng, kind)).space
+                yield u
+                yield build_transform(random_study_dq(rng), random_study_dq(rng)).apply_subspace(u)
+
+    def test_quadrilateral_is_the_ambient_meet_search(self):
+        for u in self.seeded_spans([DyadKind.RR]):
+            c = classify(u)
+            assert c.verdict is Verdict.TwoR
+            quad = c.evidence["quadrilateral"]
+            cycle, vertices = TestNullQuadrilateral.meet_search(c.evidence["null_lines"])
+            assert all(g is w for g, w in zip(quad.lines, cycle))
+            assert point_bits(quad.vertices) == point_bits(vertices)
+
+    def test_lifted_lines_are_canonical(self):
+        for u in self.seeded_spans([DyadKind.RR, DyadKind.RP, DyadKind.PR]):
+            chart = quadrics.common_lines(quadrics.restrict(quadrics.study_quadric(), u),
+                                          quadrics.restrict(quadrics.null_cone(), u))
+            lifted = classify(u).evidence["null_lines"]
+            assert len(lifted) == len(chart) > 0
+            for c, l in zip(chart, lifted):
+                assert Line(l.basis, 8) == l  # the checking constructor accepts it
+                through = Line.through(*(u.lift(ProjPoint(row)) for row in c.basis.rows))
+                assert point_bits(through.points()) == point_bits(l.points())
+                assert through._pivots == l._pivots
+
+    def test_rr_meets_only_chart_lines(self, monkeypatch):
+        calls = []
+
+        def recorded(f, size):
+            def wrapper(*args):
+                calls.append((f.__name__, size(args[0])))
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(dyads, "meet", recorded(meet, lambda s: s.ambient))
+        monkeypatch.setattr(dyads, "rank", recorded(rank, lambda m: m.ncols))
+        for u in self.seeded_spans([DyadKind.RR]):
+            calls.clear()
+            assert classify(u).verdict is Verdict.TwoR
+            # the one ambient meet is with the exceptional generator
+            assert calls[0] == ("meet", 8)
+            assert len(calls) > 1 and all(n == 4 for _, n in calls[1:])
+
+
 class TestRecoverAxes:
     def test_rr_fixture(self):
         rec = recover_axes(build_variety(RR_SPEC), ProjPoint(DQ_ONE))

@@ -7,7 +7,7 @@ from dqkin import quadrics
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
 from dqkin.linalg import Matrix, rank, solve
-from dqkin.polys import low_degree_roots, poly_gcd, squarefree_part
+from dqkin.polys import Poly, low_degree_roots, poly_gcd, squarefree_part
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
@@ -82,6 +82,81 @@ class TestPencil:
         assert quadric_e().gram == Matrix.identity(4)
         assert quadric_y().gram == Matrix.identity(4)
         assert quadric_y8().rank() == 4
+
+
+def cofactor_det(g1, g2):
+    """det(g1 + s*g2) by the scalar loop: cofactor expansion along the first
+    row over Poly entries [g1[i, j], g2[i, j]], skipping zero entries."""
+    def expand(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        out = Poly([])
+        for j, e in enumerate(rows[0]):
+            if e.is_zero():
+                continue
+            term = e * expand([r[:j] + r[j + 1:] for r in rows[1:]])
+            out = out + term if j % 2 == 0 else out - term
+        return out
+    return expand([[Poly([g1[i, j], g2[i, j]]) for j in range(4)] for i in range(4)])
+
+
+class TestPencilDet:
+    """_pencil_det expands on cleared integers; its coefficients equal the
+    scalar loop's in value and in kind, which can differ coefficient by
+    coefficient when the kinds of the two grams differ."""
+
+    @staticmethod
+    def coefficient_bits(p):
+        return [(type(c).__name__, c) for c in p.coeffs]
+
+    @staticmethod
+    def random_entry(rng, kinds):
+        is_gaussian = kinds == "gaussian" or (kinds == "mixed" and rng.random() < 0.4)
+        if rng.random() < 0.45:  # sparse, with Gaussian zeros
+            return gaussian(0, 0) if is_gaussian else rational(0)
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if not is_gaussian:
+            return rational(re)
+        # imaginary parts are often zero: real values of Gaussian kind
+        return gaussian(re, Fraction(rng.choice((0, 0, 1, -1, 2)), rng.randint(1, 3)))
+
+    def random_gram(self, rng, kinds):
+        rows = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                rows[i][j] = rows[j][i] = self.random_entry(rng, kinds)
+        return Matrix(rows)
+
+    def assert_same(self, g1, g2):
+        want = cofactor_det(g1, g2)
+        assert self.coefficient_bits(_pencil_det(g1, g2)) == self.coefficient_bits(want)
+        return want
+
+    def test_seeded_pencils(self):
+        kinds_seen = set()
+        for seed in range(300):
+            rng = random.Random(3400 + seed)
+            kinds = ("rational", "gaussian", "mixed")
+            g1 = self.random_gram(rng, kinds[seed % 3])
+            g2 = self.random_gram(rng, rng.choice(kinds))
+            want = self.assert_same(g1, g2)
+            kinds_seen.add(tuple(sorted({type(c).__name__ for c in want.coeffs})))
+        # every kind pattern occurs: none, all rational, all Gaussian, mixed
+        assert kinds_seen == {(), ("ExactRational",), ("GaussianRational",),
+                              ("ExactRational", "GaussianRational")}
+
+    def test_vanishing_pencil(self):
+        # a common kernel vector e3, with a Gaussian zero on it
+        g1 = Matrix([[1, 2, 0, 0], [2, I, 0, 0], [0, 0, 3, 0], [0, 0, 0, gaussian(0, 0)]])
+        g2 = Matrix.diagonal([1, 0, 2, 0])
+        assert self.assert_same(g1, g2).is_zero()
+
+    def test_dyad_pencils(self):
+        for seed in range(9):
+            rng = random.Random(3500 + seed)
+            kind = (DyadKind.RR, DyadKind.RP, DyadKind.PR)[seed % 3]
+            u = build_variety(random_dyad_spec(rng, kind)).space
+            self.assert_same(restrict(study_quadric(), u).gram, restrict(null_cone(), u).gram)
 
 
 class TestRestrict:
@@ -347,6 +422,25 @@ class TestRulingHandedness:
         for a, b in pairs:
             assert ruling_handedness(a, b) is Handedness.RightRuling
             assert ruling_handedness(chi_point(a), chi_point(b)) is Handedness.LeftRuling
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-5, 1e-2, 1.0, 1e2, 1e5, 1e8])
+    def test_float_points_ignore_scale(self, scale):
+        # the ideal products are tested at max-norm one, so at the absolute
+        # tolerance the answer is the exact one at every scale
+        def floated(p):
+            return ProjPoint([ComplexFloat(scale * c.to_complex().real,
+                                           scale * c.to_complex().imag) for c in p.coords])
+        s = Quaternion(I, 0, 0, -1)
+        cases = [
+            (point(dual=Q_ONE), point(dual=Q_I)),                      # not null
+            (point(dual=s), point(dual=s * Q_I)),                      # right
+            (point(dual=s), point(dual=s * Quaternion(2, 1, -1, 3))),  # right
+            (chi_point(point(dual=s)), chi_point(point(dual=s * Q_I))),  # left
+        ]
+        for a, b in cases:
+            want = ruling_handedness(a, b)
+            assert ruling_handedness(floated(a), floated(b)) is want
+            assert ruling_handedness(floated(a), b) is want
 
     def test_coincident_error(self):
         s = Quaternion(I, 0, 0, -1)

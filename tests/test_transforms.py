@@ -140,6 +140,18 @@ class TestVerifyAdmissible:
         l2, r2 = factor_transform(f)
         assert left_mul_matrix8(l2) * right_mul_matrix8(r2) == f
 
+    @pytest.mark.parametrize("small", [Fraction(1, 1000), Fraction(1, 10 ** 5)])
+    def test_float_small_block_is_regular(self, small):
+        # t moves the pencil, so its regularity is tested: det(t) = small^4
+        # falls below the float tolerance, its rank does not
+        exact = Matrix.diagonal([small] * 4 + [1] * 4)
+        f = Matrix.diagonal([ComplexFloat(float(small))] * 4 + [ComplexFloat(1.0)] * 4)
+        assert verify_admissible(f) == verify_admissible(exact)
+        assert not verify_admissible(exact).pencil_fixed
+        singular = Matrix.diagonal([ComplexFloat(1.0)] * 7 + [ComplexFloat(0.0)])
+        with pytest.raises(GeometryError, match="singular"):
+            verify_admissible(singular)
+
     def test_group_closure(self):
         rng = random.Random(10)
         for _ in range(5):
@@ -261,7 +273,7 @@ class TestFactorTransform:
             assert build_transform(l2, r2).matrix == t.matrix
             assert proportional(l2, l) and proportional(r2, r)
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e5, 1e6])
     def test_float_factors_ignore_scale(self, scale):
         # the diagonal block, the product of its factors and the dual-part
         # system are read at max-norm one, as verify_admissible reads t, so a
