@@ -10,8 +10,9 @@ and on an ``--out`` file that cannot be written.
 Each subcommand imports the library modules it uses when it runs, so a
 process loads only those beyond what every subcommand needs: at module
 level this file imports ``jsonio``, ``errors`` and ``scalars``, and
-``jsonio`` in turn imports ``linalg``, ``projgeom``, ``quadrics`` and
-``quaternions`` (with ``polys``, which ``quadrics`` uses).  Start-up then
+``jsonio`` in turn imports ``linalg``, ``projgeom`` and ``quaternions``;
+``quadrics`` (with ``polys``) loads with the subcommands that use it, not
+with ``verify-transform`` or ``factor-transform``.  Start-up then
 compiles only those sources when no bytecode cache can be written.
 """
 

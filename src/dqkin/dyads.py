@@ -16,7 +16,7 @@ basis of the conjugate line.
 The null lines are found in the 4-coordinate chart of the space
 (``quadrics.common_lines`` on the restricted forms), and an RR span's
 quadrilateral among those chart lines (``null_quadrilateral``, so every
-rank and meet it takes is on 4-vectors).  Only then are the lines and
+meet it takes is on 4-vectors).  Only then are the lines and
 the four vertices lifted to P^7.  A lift is linear and injective, so
 incidence, meets and distinct vertices carry over, and it needs no
 reduction: with canonical bases C of a chart line and U of the space,
@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, rank, scalar_multiple_of
+from .linalg import Matrix, scalar_multiple_of
 from .projgeom import (
     Line,
     ProjPoint,
@@ -203,29 +203,24 @@ def build_variety(spec: DyadSpec) -> ConstraintVariety:
 def null_quadrilateral(lines) -> Optional[Quadrilateral]:
     """Order four null lines into a closed quadrilateral, if they form one.
 
-    Incidence comes first: two lines meet in one point exactly when their
-    stacked bases have rank 3.  The cycles starting at the first line are
-    tried in the order of the permutations of the other three, and
-    ``meet`` runs only on the four edges of a cycle whose consecutive lines
-    all meet; the first such cycle with four distinct vertices is the
+    Each pair of lines is met once; two lines are incident when they meet
+    in a point.  The cycles starting at the first line are tried in the
+    order of the permutations of the other three, and the first one whose
+    consecutive lines all meet, in four distinct vertices, is the
     quadrilateral.
     """
     lines = list(lines)
     if len(lines) != 4:
         return None
-    incident = {frozenset((i, j)) for i, j in combinations(range(4), 2)
-                if rank(Matrix._of(lines[i].basis.rows + lines[j].basis.rows)) == 3}
+    cuts = {frozenset((i, j)): meet(lines[i], lines[j]) for i, j in combinations(range(4), 2)}
     for rest in permutations(range(1, 4)):
         order = (0,) + rest
-        if any(frozenset((order[i - 1], order[i])) not in incident for i in range(4)):
+        edges = [cuts[frozenset((order[i], order[(i + 1) % 4]))] for i in range(4)]
+        if any(cut.dim != 0 for cut in edges):
             continue
-        cycle = tuple(lines[k] for k in order)
-        cuts = [meet(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
-        if any(cut.dim != 0 for cut in cuts):
-            continue
-        vertices = tuple(ProjPoint(cut.basis.row(0)) for cut in cuts)
+        vertices = tuple(ProjPoint(cut.basis.row(0)) for cut in edges)
         if all(vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)):
-            return Quadrilateral(cycle, vertices)
+            return Quadrilateral(tuple(lines[k] for k in order), vertices)
     return None
 
 

@@ -18,8 +18,6 @@ from typing import List, Optional
 from .errors import GeometryError, ParseError
 from .linalg import Matrix
 from .projgeom import ProjPoint, Subspace, span
-from .quadrics import (QuadricForm, null_cone, pencil_member, quadric_y8,
-                       study_quadric)
 from .quaternions import DualQuaternion, Quaternion
 from .scalars import (DEFAULT_TOLERANCE, ComplexFloat, GaussianRational,
                       Scalar, parse_scalar, scalar_to_json)
@@ -108,14 +106,15 @@ def parse_matrix(value, path: str, size: int, mode: str,
     return Matrix(rows)
 
 
-_QUADRICS_8 = {"S": study_quadric, "N": null_cone, "Y": quadric_y8}
+def parse_quadric(value, path: str, mode: str, tolerance: float):
+    """A quadric is a label ("S", "N", "Y", "pencil(nu,sigma)") or a Gram
+    matrix.  This parser alone loads ``quadrics`` (and so ``polys``)."""
+    from .quadrics import QuadricForm, null_cone, pencil_member, quadric_y8, study_quadric
 
-
-def parse_quadric(value, path: str, mode: str, tolerance: float) -> QuadricForm:
-    """A quadric is a label ("S", "N", "Y", "pencil(nu,sigma)") or a Gram matrix."""
+    quadrics_8 = {"S": study_quadric, "N": null_cone, "Y": quadric_y8}
     if isinstance(value, str):
-        if value in _QUADRICS_8:
-            return _QUADRICS_8[value]()
+        if value in quadrics_8:
+            return quadrics_8[value]()
         if value.startswith("pencil(") and value.endswith(")"):
             parts = value[len("pencil("):-1].split(",")
             if len(parts) == 2:
@@ -149,7 +148,7 @@ def matrix_to_json(m: Matrix) -> list:
 _NAMED_LABELS = ("S", "N", "E", "Y")
 
 
-def quadric_to_json(q: QuadricForm):
+def quadric_to_json(q):
     if q.label in _NAMED_LABELS or q.label.startswith("pencil("):
         return q.label
     return {"label": q.label, "gram": matrix_to_json(q.gram)}

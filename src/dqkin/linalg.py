@@ -47,10 +47,10 @@ on every path, entry by entry and kind by kind.
     exact entries promoted.  The matrix has one tolerance, the largest
     among its floats, so the result is the scalar loop's whenever its
     floats share one, as the floats of one parsed input do.
-  - ``scalar_multiple_of`` with a float multiple compares every entry
-    at the tolerances the scalar loop compares it at.
   Single scalars keep ComplexFloat's own arithmetic, and ``rref`` (so
-  ``nullspace``, ``solve`` and ``Subspace.from_rows``) the scalar loop.
+  ``nullspace``, ``solve`` and ``Subspace.from_rows``) and
+  ``scalar_multiple_of``, whose float callers compare 1x4 rows, the
+  scalar loop.
 """
 
 from __future__ import annotations
@@ -710,21 +710,8 @@ def scalar_multiple_of(a: Matrix, b: Matrix) -> Optional[Scalar]:
             break
     if c is None:
         return None
-    if type(c) is ComplexFloat:
-        # x == c*y for every entry, as the scalar loop compares it: at the
-        # largest tolerance among x, y and c
-        cv, ct = c.value, c.tolerance
-        xs, ys = _entry_floats(a), _entry_floats(b)
-        ok = all(abs(x - cv * y) <= max(xt, yt, ct) for (x, xt), (y, yt) in zip(xs, ys))
-    else:
-        ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
     return c if ok else None
-
-
-def _entry_floats(m: Matrix) -> List[Tuple[complex, float]]:
-    """Each entry of m as a plain complex number with its tolerance (0.0 if exact)."""
-    return [(e.value, e.tolerance) if type(e) is ComplexFloat else (e.to_complex(), 0.0)
-            for r in m.rows for e in r]
 
 
 def signature(gram: Matrix) -> Tuple[int, int, int]:

@@ -20,9 +20,8 @@ from math import frexp
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
-from .linalg import Matrix, det, rank, scalar_multiple_of, solve
+from .linalg import Matrix, det, rank, solve
 from .projgeom import ProjPoint, Subspace
-from .quadrics import null_cone, study_quadric
 from .quaternions import (
     DualQuaternion,
     Q_BASIS,
@@ -32,7 +31,7 @@ from .quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from .scalars import ExactRational, GaussianRational, Scalar, ZERO, _unit_scale, rational
+from .scalars import ExactRational, GaussianRational, Scalar, ZERO, rational
 
 
 def _block(m: Matrix, i0: int, j0: int) -> Matrix:
@@ -139,32 +138,35 @@ def build_transform(l: DualQuaternion, r: DualQuaternion) -> AdmissibleTransform
 def verify_admissible(t: Matrix) -> VerificationReport:
     """Run the three invariant checks that characterise frame changes.
 
+    They are read on the 4x4 blocks of t = [[a, b], [c, d]].
     pencil_fixed: congruence by t maps N and S to the same nonzero
     multiple of themselves, which by linearity fixes every member of the
-    pencil.
-    shape_ok: the block conditions (zero upper-right block, equal
-    diagonal blocks, a^T a = lam I, skew compatibility of the lower-left
-    block); a fixed pencil forces all but lam > 0 (module docstring), so
-    this reads pencil_fixed and lam > 0.  A singular t raises
-    GeometryError; only one that moves the pencil needs its rank, which
-    on float input, unlike the determinant, does not shrink with the
-    entries (a product of eight small pivots reads as zero).
+    pencil; by the module docstring that is a^T a = lam I with lam != 0,
+    b = 0, d = a and a^T c skew.
+    shape_ok: those block conditions with lam > 0, so pencil_fixed and
+    lam > 0.  A singular t raises GeometryError; only one that moves the
+    pencil needs its rank, which on float input, unlike the determinant,
+    does not shrink with the entries (a product of eight small pivots
+    reads as zero).
     rulings_preserved: positive determinant of the diagonal block; the
     conjugation map is the shape-passing matrix that fails exactly here.
     The diagonal block's signs are read on it divided by its first nonzero
-    entry, and float input is checked at max-norm one, so no nonzero
-    rescaling of t, complex ones included, changes the report.
+    entry, and float input is read at max-norm about one, by a power of
+    two, so no nonzero rescaling of t, complex ones included, changes the
+    report.
     """
     assert t.nrows == 8 and t.ncols == 8
     if not t.is_exact():
-        t = t.scale(_unit_scale(_flatten(t)))
-    tt, n, s = t.transpose(), null_cone().gram, study_quadric().gram
-    factor = scalar_multiple_of(tt * n * t, n)
-    pencil = (factor is not None and not factor.is_zero()
-              and scalar_multiple_of(tt * s * t, s) == factor)
+        t = t.scale(_power_of_two_scale(_flatten(t)))
+    a, b, c, d = (_block(t, i, j) for i in (0, 4) for j in (0, 4))
+    at = a.transpose()
+    ata, atc = at * a, at * c
+    lam = ata[0, 0]
+    pencil = (not lam.is_zero() and ata == Matrix.identity(4).scale(lam) and b.is_zero()
+              and d == a and (atc + atc.transpose()).is_zero())
     if not pencil and rank(t) < 8:
         raise GeometryError("singular transform")
-    orthogonal, rulings = _positive_orthogonal(_block(t, 0, 0))
+    orthogonal, rulings = _positive_orthogonal(a)
     return VerificationReport(pencil, pencil and orthogonal, rulings)
 
 
@@ -188,25 +190,23 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
 
     Returns quaternions (l, r) with left_mul_matrix(l) * right_mul_matrix(r)
     equal to a.  The pair is unique up to a shared sign, pinned so the
-    first nonzero coordinate of l is positive.  Float input is checked,
-    and the product of its factors compared, at max-norm one; its
-    associate matrix is read at max-norm about one too, by a power of two.
+    first nonzero coordinate of l is positive.  Float input is read at
+    max-norm about one, by a power of two that changes no mantissa: its
+    orthogonality is checked, its associate matrix read and the product
+    of its factors compared there, so its entries clear the absolute
+    tolerance, and l is divided by the power at the end.
     """
     assert a.nrows == 4 and a.ncols == 4
-    unit = None if a.is_exact() else _unit_scale(_flatten(a))
-    checked = a if unit is None else a.scale(unit)
-    orthogonal, positive = _positive_orthogonal(checked)
+    power = None if a.is_exact() else _power_of_two_scale(_flatten(a))
+    scaled = a if power is None else a.scale(power)
+    orthogonal, positive = _positive_orthogonal(scaled)
     if not orthogonal:
         raise GeometryError("not a positive scalar-orthogonal matrix")
     if not positive:
         raise GeometryError("orientation-reversing, not in the group")
 
     # bilinear coefficient extraction: entry (i, j) of the associate matrix
-    # recovers l_i * r_j, so the whole matrix is the rank-one outer product.
-    # Float input is read at max-norm about one, by a power of two that
-    # changes no mantissa, so its entries clear the absolute tolerance.
-    power = None if unit is None else _power_of_two_scale(_flatten(a))
-    scaled = a if power is None else a.scale(power)
+    # recovers l_i * r_j, so the whole matrix is the rank-one outer product
     quarter = rational(Fraction(1, 4))
     lefts, rights = _unit_matrices(True)
     products = [li * scaled for li in lefts]
@@ -224,12 +224,9 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     first = next(c for c in l1.coords() if not c.is_zero())
     if _gauge_sign(first) < 0:
         l1, r1 = -l1, -r1
-    if power is not None:
-        l1 = l1 * (1 / power)
-    product = left_mul_matrix(l1) * right_mul_matrix(r1)
-    if (product if unit is None else product.scale(unit)) != checked:
+    if left_mul_matrix(l1) * right_mul_matrix(r1) != scaled:
         raise InvariantError("the SO(4) factors do not reproduce the matrix")
-    return l1, r1
+    return (l1, r1) if power is None else (l1 * (1 / power), r1)
 
 
 def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:

@@ -499,6 +499,9 @@ def loaded_modules(argv):
 
 LIGHT_MODULES = {"dyads", "motions", "transforms", "quadrecon"}
 
+# quadrics and the polynomial module it uses
+QUADRIC_MODULES = {"quadrics", "polys"}
+
 # subcommand -> the one of LIGHT_MODULES it uses, or None
 SUBCOMMAND_MODULE = {"verify-transform": "transforms", "factor-transform": "transforms",
                      "reconstruct": "quadrecon", "classify": "dyads", "dyad": "dyads",
@@ -517,7 +520,8 @@ def test_importing_cli_loads_no_heavy_module():
 def test_subcommand_loads_only_its_modules(case):
     """verify/factor load transforms, reconstruct quadrecon, classify, dyad
     and example2 dyads, darboux and trace motions (which imports dyads);
-    none loads another of dyads, motions, transforms and quadrecon."""
+    none loads another of dyads, motions, transforms and quadrecon.  The
+    quadric modules load with every subcommand but verify and factor."""
     command = case["argv"][0]
     code, modules = loaded_modules(case["argv"])
     assert code == 0
@@ -525,6 +529,7 @@ def test_subcommand_loads_only_its_modules(case):
     if "motions" in used:
         used.add("dyads")
     assert modules & LIGHT_MODULES == used
+    assert bool(modules & QUADRIC_MODULES) is ("transforms" not in used)
 
 
 def test_kind_choices_match_dyad_kind():

@@ -578,13 +578,14 @@ class TestChartSideEvidence:
             return wrapper
 
         monkeypatch.setattr(dyads, "meet", recorded(meet, lambda s: s.ambient))
-        monkeypatch.setattr(dyads, "rank", recorded(rank, lambda m: m.ncols))
         for u in self.seeded_spans([DyadKind.RR]):
             calls.clear()
             assert classify(u).verdict is Verdict.TwoR
             # the one ambient meet is with the exceptional generator
             assert calls[0] == ("meet", 8)
             assert len(calls) > 1 and all(n == 4 for _, n in calls[1:])
+            # null_quadrilateral meets each of the six pairs of chart lines once
+            assert len(calls) == 1 + 6
 
 
 class TestRecoverAxes:

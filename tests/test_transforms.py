@@ -114,12 +114,8 @@ class TestVerifyAdmissible:
 
     @pytest.mark.parametrize("scale", [1e-4, 1e3, 1e5])
     def test_float_verdict_ignores_scale(self, scale):
-        def float_copy(m):
-            return Matrix([[ComplexFloat(scale * e.to_complex().real) for e in row]
-                           for row in m.rows])
-
         def verdict(m):
-            report = verify_admissible(float_copy(m))
+            report = verify_admissible(float_copy(m, scale))
             return report.pencil_fixed, report.shape_ok, report.rulings_preserved
 
         rng = random.Random(12)
@@ -178,10 +174,28 @@ def block_shape(t):
             and b.is_zero() and d == a and (a.transpose() * c + c.transpose() * a).is_zero())
 
 
+def pencil_by_congruence(t):
+    """pencil_fixed by the paper's definition: congruence by t maps N and S
+    to one nonzero multiple of themselves.  Float input is read at max-norm
+    one, where the absolute tolerance means the same at every scale."""
+    if not t.is_exact():
+        t = t.scale(_unit_scale([e for row in t.rows for e in row]))
+    n, s = null_cone().gram, study_quadric().gram
+    factor = scalar_multiple_of(t.transpose() * n * t, n)
+    return (factor is not None and not factor.is_zero()
+            and scalar_multiple_of(t.transpose() * s * t, s) == factor)
+
+
+def float_copy(m, scale=1.0):
+    return Matrix([[ComplexFloat(scale * e.to_complex().real, scale * e.to_complex().imag)
+                    for e in row] for row in m.rows])
+
+
 class TestShapeFromPencil:
     """On exact input shape_ok is pencil_fixed with a positive scalar-
     orthogonal diagonal block: the report agrees with the block definition,
-    and only singular matrices raise."""
+    and only singular matrices raise.  pencil_fixed, read on the blocks,
+    agrees with the congruences that define it."""
 
     @staticmethod
     def near_misses(t, rng):
@@ -192,24 +206,32 @@ class TestShapeFromPencil:
             rows[i][j] = rows[i][j] + rng.choice((1, -1, Fraction(1, 2)))
             yield Matrix(rows)
 
-    def test_report_matches_block_definition(self):
+    @classmethod
+    def cases(cls):
+        """Admissible matrices, near misses, moved pencils and singular ones,
+        real and complex, before their nonzero rescalings."""
         rng = random.Random(19)
         # diag(I, 0) fixes N exactly, but not S, and is singular
-        fixes_n = Matrix.diagonal([1, 1, 1, 1, 0, 0, 0, 0])
-        assert scalar_multiple_of(fixes_n.transpose() * null_cone().gram * fixes_n,
-                                  null_cone().gram) == 1
-        cases = [Matrix.diagonal([1, 1, 1, 1, 2, 2, 2, 2]), conjugation_matrix(), fixes_n,
-                 Matrix.zeros(8, 8)]
+        cases = [Matrix.diagonal([1, 1, 1, 1, 2, 2, 2, 2]), conjugation_matrix(),
+                 Matrix.diagonal([1, 1, 1, 1, 0, 0, 0, 0]), Matrix.zeros(8, 8)]
         for _ in range(8):
             t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
             g = Matrix([[GaussianRational(e.value, 0) for e in row] for row in t.rows])
-            cases += [t, g, *self.near_misses(t, rng), *self.near_misses(g, rng)]
+            cases += [t, g, *cls.near_misses(t, rng), *cls.near_misses(g, rng)]
         # Gaussian factors: complex matrices whose a^T a is no positive multiple
         primal = Quaternion(gaussian(1, 2), 3, gaussian(0, -1), 1)
         complex_t = build_transform(DualQuaternion(primal, primal * Quaternion(0, 1, 2, -1)),
                                     random_study_dq(rng)).matrix
-        cases += [complex_t, *self.near_misses(complex_t, rng)]
-        cases += [m.scale(c) for m in cases for c in (gaussian(0, 1), gaussian(2, 1), rational(-3))]
+        return cases + [complex_t, *cls.near_misses(complex_t, rng)]
+
+    RESCALINGS = (gaussian(0, 1), gaussian(2, 1), rational(-3))
+
+    def test_report_matches_block_definition(self):
+        fixes_n = Matrix.diagonal([1, 1, 1, 1, 0, 0, 0, 0])
+        assert scalar_multiple_of(fixes_n.transpose() * null_cone().gram * fixes_n,
+                                  null_cone().gram) == 1
+        cases = self.cases()
+        cases += [m.scale(c) for m in cases for c in self.RESCALINGS]
         seen = set()
         for m in cases:
             try:
@@ -222,6 +244,26 @@ class TestShapeFromPencil:
             assert verify_admissible(m).shape_ok is want
             seen.add(want)
         assert seen == {True, False, "singular"}
+
+    def test_pencil_matches_congruences(self):
+        cases = self.cases()
+        cases += [m.scale(c) for m in cases for c in self.RESCALINGS]
+        cases += [float_copy(m, scale) for m in self.cases()
+                  for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8)]
+        seen = set()
+        for m in cases:
+            want = pencil_by_congruence(m)
+            try:
+                got = verify_admissible(m).pencil_fixed
+            except GeometryError:
+                # t^T S t = lam S with lam != 0 makes t regular, as S is
+                assert not want
+                seen.add("singular")
+                continue
+            assert got is want
+            seen.add((m.is_exact(), want))
+        assert seen == {(True, True), (True, False), (False, True), (False, False),
+                        "singular"}
 
 
 class TestFactorSo4:
@@ -342,6 +384,37 @@ class TestRescaledRepresentatives:
             assert verify_admissible(m.scale(c)) == verify_admissible(m)
         l, r = factor_transform(t.scale(c))
         assert left_mul_matrix8(l) * right_mul_matrix8(r) == t.scale(c)
+
+
+def float_bits(q):
+    return [(c.value.real.hex(), c.value.imag.hex(), c.tolerance) for c in q.coords()]
+
+
+class TestPowerOfTwoScaling:
+    """Float input is read at max-norm about one by a power of two, which
+    changes no mantissa: a float transform rescaled by 2**k gets the same
+    report, and its diagonal block factors into l times exactly 2**k and
+    the same r."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(-40, 40))
+    @example(0, -40)
+    @example(0, 40)
+    def test_verify_and_factor(self, seed, k):
+        rng = random.Random(seed)
+        power = rational(Fraction(2) ** k)
+        f = float_copy(build_transform(random_study_dq(rng), random_study_dq(rng)).matrix)
+        for m in (f, float_copy(conjugation_matrix())):
+            assert verify_admissible(m.scale(power)) == verify_admissible(m)
+        l0, r0 = factor_so4(transforms._block(f, 0, 0))
+        l, r = factor_so4(transforms._block(f.scale(power), 0, 0))
+        assert float_bits(l) == float_bits(l0 * power)
+        assert float_bits(r) == float_bits(r0)
+        # the primal parts of factor_transform are these factors; its dual
+        # parts come from a solve that pivots on magnitude, so they are only
+        # checked to rebuild the matrix (test_float_factors_ignore_scale)
+        lt, rt = factor_transform(f.scale(power))
+        assert float_bits(lt.primal) == float_bits(l) and float_bits(rt.primal) == float_bits(r)
 
 
 class TestFactorCertificates:
