@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, scalar_multiple_of
+from .linalg import Matrix, vec_scale
 from .projgeom import (
     Line,
     ProjPoint,
@@ -52,7 +52,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_I, Quaternion
-from .scalars import ComplexFloat, _unit_scale, as_exact_real, gaussian
+from .scalars import ComplexFloat, _power_of_two_scale, _unit_scale, as_exact_real, gaussian
 
 
 class DyadKind(Enum):
@@ -113,7 +113,18 @@ def _pure(q: Quaternion) -> bool:
 
 
 def _proportional(a: Quaternion, b: Quaternion) -> bool:
-    return scalar_multiple_of(Matrix([a.coords()]), Matrix([b.coords()])) is not None
+    """Whether two nonzero quaternions are points of one line through the
+    origin; float ones are first scaled by a power of two to max-norm about
+    one, so no representative reads as zero."""
+    return _scaled_point(a.coords()) == _scaled_point(b.coords())
+
+
+def _scaled_point(coords) -> ProjPoint:
+    """The point of coords, scaled by a power of two to max-norm about one
+    when a coordinate is a float."""
+    if ComplexFloat in map(type, coords):
+        coords = vec_scale(_power_of_two_scale(coords), coords)
+    return ProjPoint(coords)
 
 
 def _check_half_turn(h: DualQuaternion, require_unit: bool) -> None:
@@ -364,10 +375,13 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
     The base point is moved to the identity by the group action, the two
     rulings of the quadric through it are split off the tangent-plane
     conic, and each ruling yields one joint: a rotation axis if it misses
-    the exceptional generator, a translation if it meets it.
+    the exceptional generator, a translation if it meets it.  A float
+    base is read at max-norm about one, by a power of two, so its scale
+    does not matter.
     """
     u = v.space if isinstance(v, ConstraintVariety) else v
     assert u.dim == 3
+    base = _scaled_point(base.coords)
     b = base.dq()
     if b.primal.is_zero():
         raise GeometryError("base has no displacement")

@@ -33,24 +33,21 @@ on every path, entry by entry and kind by kind.
   pivot is, another where its pivot-column entry or the pivot row is.
   ``det`` is Gaussian iff some pivot was; a singular one is a zero of
   the first pivot's kind, or of entry (0, 0)'s if column 0 has none.
-- Float input runs float kernels: each converts its operands to plain
-  Python ``complex`` once, runs the scalar loop's operations in the
-  scalar loop's order, and wraps each result once in a ComplexFloat.
+- Products (``Matrix.__mul__``, ``apply`` and ``vec_dot``) are the one
+  float kernel: with a float entry anywhere they convert their operands
+  to plain Python ``complex`` once, run the scalar loop's operations in
+  the scalar loop's order, and wrap each result once in a ComplexFloat.
   The results equal the scalar loop's bit for bit (value, signed zeros,
-  kind and tolerance):
-  - Products, ``apply`` and ``vec_dot`` start each sum at ``0j``, as the
-    scalar loop starts at ZERO, and an entry carries the largest float
-    tolerance in its row and column.  An entry with a term of two exact
-    factors keeps the scalar loop, which multiplies that term exactly.
-  - ``det`` pivots, as the scalar loop does, on the largest magnitude
-    above the tolerance, with ``1+0j`` for the exact constants and the
-    exact entries promoted.  The matrix has one tolerance, the largest
-    among its floats, so the result is the scalar loop's whenever its
-    floats share one, as the floats of one parsed input do.
-  Single scalars keep ComplexFloat's own arithmetic, and ``rref`` (so
-  ``nullspace``, ``solve`` and ``Subspace.from_rows``) and
-  ``scalar_multiple_of``, whose float callers compare 1x4 rows, the
-  scalar loop.
+  kind and tolerance): each sum starts at ``0j``, as the scalar loop
+  starts at ZERO, and an entry carries the largest float tolerance in its
+  row and column.  An entry with a term of two exact factors keeps the
+  scalar loop, which multiplies that term exactly.
+- ``det``, ``rref`` (so ``nullspace``, ``solve`` and
+  ``Subspace.from_rows``) of a matrix with a float entry run the scalar
+  loop on the scalars' own arithmetic, each entry compared at its own
+  tolerance, with one pivot rule (``_pivot_row``): the first exact
+  nonzero entry of the column, else its largest float that is not zero
+  at its tolerance.
 """
 
 from __future__ import annotations
@@ -128,6 +125,18 @@ def _cleared(u: Vector) -> Optional[_Cleared]:
     den = lcm(*[f.denominator for f in re], *[f.denominator for f in im])
     return ([f.numerator * (den // f.denominator) for f in re],
             [f.numerator * (den // f.denominator) for f in im], den)
+
+
+def _flat_cleared(m: "Matrix") -> _Cleared:
+    """The entries of an exact matrix, row by row, over one denominator,
+    read from its kept cleared rows."""
+    rows = m._cleared_rows()
+    den = lcm(*[d for _, _, d in rows])
+    scales = [den // d for _, _, d in rows]
+    re = [x * s for (r, _, _), s in zip(rows, scales) for x in r]
+    if all(im is None for _, im, _ in rows):
+        return re, None, den
+    return re, [x * s for (r, im, _), s in zip(rows, scales) for x in im or [0] * len(r)], den
 
 
 def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
@@ -459,17 +468,6 @@ def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
     return best
 
 
-def _float_pivot(rows: List[List[complex]], col: int, start: int,
-                 tolerance: float) -> Optional[int]:
-    """_pivot_row on plain complex rows: the largest magnitude above tolerance."""
-    best, best_mag = None, 0.0
-    for i in range(start, len(rows)):
-        mag = abs(rows[i][col])
-        if mag > tolerance and mag > best_mag:
-            best, best_mag = i, mag
-    return best
-
-
 def _int_step(a: List[List[int]], r: int, col: int, prev: int) -> int:
     """Reduce every row but r against row r, dividing by prev; the new pivot."""
     top = a[r]
@@ -612,11 +610,28 @@ def rank(m: Matrix) -> int:
 
 def det(m: Matrix) -> Scalar:
     """Determinant: fraction-free for an exact matrix, of the kind the scalar
-    loop gives it; in floats when some entry is a float."""
+    loop gives it; with a float entry the scalar loop itself, forward
+    elimination on ``rref``'s pivot rule."""
     assert m.nrows == m.ncols
     cleared = m._cleared_rows()
     if cleared is None:
-        return _float_det(m)
+        rows = [list(r) for r in m.rows]
+        sign, out = 1, ONE
+        for col in range(len(rows)):
+            p = _pivot_row(rows, col, col)
+            if p is None:
+                return ZERO * rows[0][0]
+            if p != col:
+                rows[col], rows[p] = rows[p], rows[col]
+                sign = -sign
+            pivot = rows[col][col]
+            out = out * pivot
+            inv = ONE / pivot
+            for i in range(col + 1, len(rows)):
+                if not rows[i][col].is_zero():
+                    f = rows[i][col] * inv
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+        return out if sign > 0 else -out
     _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(m, cleared)
     if len(pivots) < m.nrows:
         # a zero of the kind of the first pivot, or of entry (0, 0)
@@ -624,31 +639,6 @@ def det(m: Matrix) -> Scalar:
         return _scalars((0,), None, 1, _kinds((first,)))[0]
     dr, di = (d, 0) if gaussian is None else d
     return _scalars((sign * dr,), (sign * di,), prod(c[2] for c in cleared), gaussian_pivot)[0]
-
-
-def _float_det(m: Matrix) -> ComplexFloat:
-    """The scalar loop of det on plain complex rows, exact entries promoted
-    as ``_coerce`` promotes them, at the largest tolerance among the floats."""
-    rows = [[e.to_complex() for e in r] for r in m.rows]
-    tolerance = max(e.tolerance for r in m.rows for e in r if type(e) is ComplexFloat)
-    n = len(rows)
-    sign, out = 1, 1 + 0j
-    for col in range(n):
-        p = _float_pivot(rows, col, col, tolerance)
-        if p is None:
-            return ComplexFloat(0j * rows[0][0], tolerance=tolerance)
-        if p != col:
-            rows[col], rows[p] = rows[p], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        out = out * pivot
-        inv = (1 + 0j) / pivot
-        for i in range(col + 1, n):
-            if abs(rows[i][col]) <= tolerance:
-                continue
-            f = rows[i][col] * inv
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return ComplexFloat(out if sign > 0 else -out, tolerance=tolerance)
 
 
 def nullspace(m: Matrix) -> List[Vector]:
@@ -695,23 +685,6 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     if tuple(pivots) != tuple(range(n)):
         return None
     return Matrix._of([r[n:] for r in red.rows])
-
-
-def scalar_multiple_of(a: Matrix, b: Matrix) -> Optional[Scalar]:
-    """c with a = c·b, if any.  b must be nonzero."""
-    assert a.nrows == b.nrows and a.ncols == b.ncols
-    c = None
-    for ra, rb in zip(a.rows, b.rows):
-        for x, y in zip(ra, rb):
-            if not y.is_zero():
-                c = x / y
-                break
-        if c is not None:
-            break
-    if c is None:
-        return None
-    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
-    return c if ok else None
 
 
 def signature(gram: Matrix) -> Tuple[int, int, int]:

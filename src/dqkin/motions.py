@@ -28,7 +28,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_K, Q_ONE, Quaternion
-from .scalars import ComplexFloat, I_UNIT, ONE, Scalar, ZERO, _unit_scale, scalar
+from .scalars import ComplexFloat, I_UNIT, ONE, Scalar, ZERO, _power_of_two_scale, scalar
 
 
 class MotionLabel(Enum):
@@ -268,9 +268,9 @@ def c_space_from_line(l: Line) -> CSpaceReport:
     assert l.ambient == 8 and l.dim == 1
     p0, p1 = (DualQuaternion.from_coords(row) for row in l.basis.rows)
     if not l.basis.is_exact():
-        # the witness formulas are homogeneous; unit-scale representatives
-        # keep the residuals commensurate with the absolute tolerance
-        p0, p1 = (p * _unit_scale(p.coords()) for p in (p0, p1))
+        # the witness formulas are homogeneous; representatives at max-norm
+        # about one keep the residuals commensurate with the absolute tolerance
+        p0, p1 = (p * _power_of_two_scale(p.coords()) for p in (p0, p1))
     if p0.primal.is_zero() and p1.primal.is_zero():
         raise GeometryError("line inside exceptional generator")
     prim = Matrix([list(p0.primal.coords()), list(p1.primal.coords())])

@@ -22,12 +22,14 @@ projections) and ``lift`` go through ``linalg._combination``, and
 ``ProjPoint.__eq__`` cross-multiplies the cleared coordinates
 (``linalg._proportional``) instead of normalising both points.  A float
 coordinate anywhere sends the operation through the scalar loop, which
-compares at the floats' tolerance.  ``contains`` and ``chart_coords``
-first scale the point to max-norm one (``scalars._unit_scale``) when it
-or the subspace's basis has a float coordinate, and float
-``ProjPoint.__eq__`` divides both points by their coordinate where the
-first is largest, so these answers do not depend on the representative;
-``meet`` still compares unscaled values.
+compares each float at its own tolerance.  ``contains`` and
+``chart_coords`` first scale the point to max-norm about one by a power
+of two (``scalars._power_of_two_scale``, exact, so every representative
+that differs by a power of two meets the same bits) when it or the
+subspace's basis has a float coordinate, and float ``ProjPoint.__eq__``
+divides both points by their coordinate where the first is largest, so
+these answers do not depend on the representative; ``meet`` still
+compares unscaled values.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import GeometryError
 from .linalg import (Matrix, Vector, _cleared, _combination, _proportional, as_vector,
                      nullspace, rref, vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
-from .scalars import ComplexFloat, Scalar, ONE, ZERO, _unit_scale
+from .scalars import ComplexFloat, Scalar, ONE, ZERO, _power_of_two_scale
 
 
 class ProjPoint:
@@ -151,14 +153,12 @@ class Subspace:
         return _combination(v, [-v[j] for j in self._pivots], self.basis)
 
     def _holds(self, p: ProjPoint) -> bool:
-        """Whether p's residue vanishes, p taken at max-norm one when p or the
-        basis has a float coordinate, by a factor at their largest tolerance."""
+        """Whether p's residue vanishes, p taken at max-norm about one, by a
+        power of two, when p or the basis has a float coordinate."""
         assert p.ambient == self.ambient
         coords = p.coords
         if ComplexFloat in map(type, chain(coords, *self.basis.rows)):
-            tolerance = max(e.tolerance for e in chain(coords, *self.basis.rows)
-                            if type(e) is ComplexFloat)
-            coords = vec_scale(_unit_scale(coords, tolerance), coords)
+            coords = vec_scale(_power_of_two_scale(coords), coords)
         return vec_is_zero(self._residue(coords))
 
     def contains(self, p: ProjPoint) -> bool:

@@ -28,7 +28,8 @@ that one test verifies common lines and decides null lines, which lie
 on both S and N.  S and N are built once, at import.  The ruling family
 of a line in Y is decided by one quaternion product: for a null a, a H
 is where conj(a) b vanishes and H a where b conj(a) does; float points
-are tested at max-norm one.
+are tested at max-norm about one, scaled by a power of two, so each
+float keeps its own tolerance.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ from .linalg import (
     _cleared,
     _cleared_image,
     _dot_numerator,
+    _flat_cleared,
     _kernel,
     _kinds,
+    _proportional,
     _scalars,
     nullspace,
     rank,
     rref,
-    scalar_multiple_of,
     signature as matrix_signature,
     vec_dot,
     vec_is_zero,
@@ -59,7 +61,7 @@ from .linalg import (
 from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
-from .scalars import ComplexFloat, Scalar, ZERO, _unit_scale, scalar, scalar_to_json
+from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
 
 
 class QuadricForm:
@@ -186,20 +188,20 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     right annihilator of conj(a) and H a the left one, both planes, so
     membership is one product each.  Neither vanishes for nonzero a and b
     unless both are null, since any other quaternion is invertible.
-    Points with a float coordinate are tested at max-norm one, so the
-    answer does not depend on their representatives.
+    Points with a float coordinate are tested at max-norm about one, each
+    scaled by a power of two, so the answer does not depend on their
+    representatives.
     """
     assert a.ambient == 8 and b.ambient == 8
     if a == b:
         raise GeometryError("coincident points do not span a line")
-    if ComplexFloat in map(type, a.coords + b.coords):
-        tolerance = max(c.tolerance for c in a.coords + b.coords if type(c) is ComplexFloat)
-        a, b = (ProjPoint(vec_scale(_unit_scale(p.coords, tolerance), p.coords))
-                for p in (a, b))
-    for p in (a, b):
-        if not all(c.is_zero() for c in p.coords[:4]):
+    x, y = a.coords, b.coords
+    if ComplexFloat in map(type, x + y):
+        x, y = (vec_scale(_power_of_two_scale(v), v) for v in (x, y))
+    for v in (x, y):
+        if not all(c.is_zero() for c in v[:4]):
             return Handedness.NotARuling
-    ca, db = Quaternion(*a.coords[4:]).conjugate(), Quaternion(*b.coords[4:])
+    ca, db = Quaternion(*x[4:]).conjugate(), Quaternion(*y[4:])
     right, left = (ca * db).is_zero(), (db * ca).is_zero()
     if right and left:
         # a H intersects H a in the span of a only, so distinct points
@@ -411,7 +413,8 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
         _float_member_grams()
     if rank(q1.gram) != 4:
         raise GeometryError("pencil anchor must be regular")
-    if scalar_multiple_of(q2.gram, q1.gram) is not None:
+    # the grams as points of P^15; a zero q2 reads as the point of q1
+    if _proportional(_flat_cleared(q1.gram), _flat_cleared(q2.gram)):
         raise GeometryError("identical quadrics")
     det_poly = _pencil_det(q1.gram, q2.gram)
     assert not det_poly.is_zero()

@@ -14,10 +14,10 @@ themselves.  Exact constructors keep a ``Fraction`` argument as it is,
 since a Fraction is already in lowest terms; ints and strings are
 normalised.
 
-The ComplexFloat workers serve single scalars.  Float vectors and
-matrices run in ``linalg``'s float kernels on plain ``complex`` values,
-which wrap each result once (``_float_of``) and give the same bits as
-these workers would.
+The ComplexFloat workers serve every float operation but one: float
+products of vectors and matrices run in ``linalg``'s float kernel on
+plain ``complex`` values, which wraps each result once (``_float_of``)
+and gives the same bits as these workers would.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ class ComplexFloat(Scalar):
 
 def _float_of(value: complex, tolerance: float) -> ComplexFloat:
     """``ComplexFloat(value, tolerance=tolerance)`` without the constructor's
-    conversions, for the float kernels of ``linalg``.
+    conversions, for the float product kernel of ``linalg``.
 
     The constructor adds 0j to a complex value, which turns a -0.0 part
     into 0.0; the caller passes a value that has no -0.0 part (a sum
@@ -427,18 +427,26 @@ def as_exact_real(s: Scalar) -> Optional[ExactRational]:
     return None
 
 
-def _unit_scale(entries, tolerance: Optional[float] = None) -> ComplexFloat:
-    """The float that scales a homogeneous object to max-norm one.
+def _power_of_two_scale(entries) -> ExactRational:
+    """The power of two that brings the largest magnitude among entries into
+    [1/2, 1); a zero object keeps its scale.
 
     Tolerant tests compare against an absolute tolerance, so tests of a
     homogeneous object only mean the same on every representative once it
-    is scaled; the factor carries the given tolerance, by default the
-    largest of the entries' floats, so the products keep it.  A zero
-    object keeps its scale.
+    is scaled.  Scaling by a power of two is exact: each float keeps its
+    own tolerance, and representatives that differ by a power of two
+    scale to the same bits.
     """
+    return ExactRational(Fraction(2) ** -math.frexp(max(abs(e.to_complex()) for e in entries))[1])
+
+
+def _unit_scale(entries) -> ComplexFloat:
+    """The float, at the largest tolerance among the entries' floats, that
+    scales a homogeneous object to max-norm exactly one, for an output read
+    off the scaled object; it rounds, unlike ``_power_of_two_scale``.  A
+    zero object keeps its scale."""
     top = max(abs(e.to_complex()) for e in entries)
-    if tolerance is None:
-        tolerance = max(e.tolerance for e in entries if isinstance(e, ComplexFloat))
+    tolerance = max(e.tolerance for e in entries if isinstance(e, ComplexFloat))
     return ComplexFloat(1.0 / top if top else 1.0, 0.0, tolerance)
 
 

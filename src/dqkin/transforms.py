@@ -16,7 +16,6 @@ give both congruences, and t^T S t = lam S makes t regular, as S is.
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from math import frexp
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
@@ -31,7 +30,7 @@ from .quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from .scalars import ExactRational, GaussianRational, Scalar, ZERO, rational
+from .scalars import ExactRational, GaussianRational, Scalar, ZERO, _power_of_two_scale, rational
 
 
 def _block(m: Matrix, i0: int, j0: int) -> Matrix:
@@ -63,21 +62,22 @@ def _gauge_sign(c: Scalar) -> int:
     return 1 if v > 0 else -1
 
 
-def _positive_orthogonal(a: Matrix) -> Tuple[bool, bool]:
-    """Whether a^T a = lam I with lam > 0, and whether det(a) > 0.
+def _positive_orthogonal(a: Matrix, ata: Matrix) -> Tuple[bool, bool, bool]:
+    """Given ata = a^T a: whether ata = lam I with lam != 0, whether
+    moreover lam > 0, and whether det(a) > 0.
 
-    Both are read on a divided by its first nonzero entry p, that is on
-    lam / p^2 and det(a) / p^4, so every nonzero rescaling of a, complex
-    ones included, gives the same answers.
+    The signs are read on a divided by its first nonzero entry p, that is
+    on lam / p^2 and det(a) / p^4, so every nonzero rescaling of a,
+    complex ones included, gives the same answers.
     """
     p = next((e for row in a.rows for e in row if not e.is_zero()), None)
     if p is None:
-        return False, False
-    ata = a.transpose() * a
+        return False, False, False
     lam = ata[0, 0]
     p2 = p * p
-    orthogonal = ata == Matrix.identity(4).scale(lam) and _positive_real(lam / p2)
-    return orthogonal, _positive_real(det(a) / (p2 * p2))
+    orthogonal = not lam.is_zero() and ata == Matrix.identity(4).scale(lam)
+    return (orthogonal, orthogonal and _positive_real(lam / p2),
+            _positive_real(det(a) / (p2 * p2)))
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,12 @@ def verify_admissible(t: Matrix) -> VerificationReport:
         t = t.scale(_power_of_two_scale(_flatten(t)))
     a, b, c, d = (_block(t, i, j) for i in (0, 4) for j in (0, 4))
     at = a.transpose()
-    ata, atc = at * a, at * c
-    lam = ata[0, 0]
-    pencil = (not lam.is_zero() and ata == Matrix.identity(4).scale(lam) and b.is_zero()
-              and d == a and (atc + atc.transpose()).is_zero())
+    atc = at * c
+    orthogonal, positive, rulings = _positive_orthogonal(a, at * a)
+    pencil = orthogonal and b.is_zero() and d == a and (atc + atc.transpose()).is_zero()
     if not pencil and rank(t) < 8:
         raise GeometryError("singular transform")
-    orthogonal, rulings = _positive_orthogonal(a)
-    return VerificationReport(pencil, pencil and orthogonal, rulings)
+    return VerificationReport(pencil, pencil and positive, rulings)
 
 
 @cache
@@ -177,12 +175,6 @@ def _unit_matrices(conjugated: bool) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, 
     units = [e.conjugate() for e in Q_BASIS] if conjugated else Q_BASIS
     return (tuple(left_mul_matrix(e) for e in units),
             tuple(right_mul_matrix(e) for e in units))
-
-
-def _power_of_two_scale(entries) -> ExactRational:
-    """The power of two that brings the largest magnitude among entries into
-    [1/2, 1): scaling floats by it is exact."""
-    return rational(Fraction(2) ** -frexp(max(abs(e.to_complex()) for e in entries))[1])
 
 
 def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
@@ -199,7 +191,7 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     assert a.nrows == 4 and a.ncols == 4
     power = None if a.is_exact() else _power_of_two_scale(_flatten(a))
     scaled = a if power is None else a.scale(power)
-    orthogonal, positive = _positive_orthogonal(scaled)
+    _, orthogonal, positive = _positive_orthogonal(scaled, scaled.transpose() * scaled)
     if not orthogonal:
         raise GeometryError("not a positive scalar-orthogonal matrix")
     if not positive:

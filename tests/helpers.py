@@ -36,6 +36,24 @@ def lift_via(frame, chart_coords) -> ProjPoint:
     return ProjPoint(out)
 
 
+def scalar_multiple_of(a, b):
+    """c with a = c*b for matrices a and b, if any; b must be nonzero.  The
+    scalar loop on the entries' own arithmetic, each compared at its own
+    tolerance: the one reference for proportional matrices in the tests."""
+    c = None
+    for ra, rb in zip(a.rows, b.rows):
+        for x, y in zip(ra, rb):
+            if not y.is_zero():
+                c = x / y
+                break
+        if c is not None:
+            break
+    if c is None:
+        return None
+    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    return c if ok else None
+
+
 def rational_unit_pure(rng) -> Quaternion:
     """Random rational pure quaternion of unit norm, via q k conj(q)."""
     while True:

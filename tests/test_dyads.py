@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from math import ldexp
 
 import pytest
 
@@ -693,6 +694,46 @@ class TestRecoverAxes:
 
             monkeypatch.setattr(Subspace, "lift", lift)
             assert recover_axes(u, base) == want, factor
+
+
+    @pytest.mark.parametrize("spec", [RR_SPEC, RP_SPEC, C_SPEC])
+    def test_float_base_ignores_its_scale(self, spec):
+        # the base is read at max-norm about one, by a power of two, before
+        # the membership and Study tests and its inversion; unscaled, the
+        # identity at 1e-6 had a norm of 1e-12 and read as not invertible
+        rows = build_variety(spec).space.basis.rows
+        u = span([ProjPoint([ComplexFloat(c.to_complex()) for c in row]) for row in rows])
+        want = recover_axes(u, ProjPoint(DQ_ONE))
+        assert want.kind is spec.kind
+        for e in range(-8, 9):
+            base = ProjPoint([ComplexFloat(10.0 ** e) * c for c in DQ_ONE.coords()])
+            assert recover_axes(u, base) == want, e
+
+
+class TestProportionalIgnoresScale:
+    """Joint directions are compared as points, float ones first scaled by a
+    power of two to max-norm about one: 50 seeded float quaternions, a
+    multiple of each and an unrelated one, each rescaled by 2**k for k in
+    [-40, 40].  A multiple is proportional at every pair of scales, also
+    where every coordinate is below the tolerance, and the unrelated one
+    never is."""
+
+    def test_rescaled_multiples(self):
+        rng = random.Random(41)
+
+        def fquat(values, k=0):
+            return Quaternion(*[ComplexFloat(ldexp(x, k)) for x in values])
+
+        for _ in range(50):
+            a = [rng.uniform(-1, 1) for _ in range(4)]
+            c = rng.uniform(0.5, 2) * rng.choice((-1, 1))
+            multiple = [c * x for x in a]
+            other = [rng.uniform(-1, 1) for _ in range(4)]
+            for k in range(-40, 41, 4):
+                for j in (-40, 0, 40):
+                    assert dyads._proportional(fquat(a, k), fquat(multiple, j)), (k, j)
+                    assert dyads._proportional(fquat(multiple, j), fquat(a, k)), (k, j)
+                    assert not dyads._proportional(fquat(a, k), fquat(other, j)), (k, j)
 
 
 class TestRecoverAxesCertificates:

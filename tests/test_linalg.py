@@ -15,7 +15,6 @@ from dqkin.linalg import (
     nullspace,
     rank,
     rref,
-    scalar_multiple_of,
     signature,
     solve,
     vec_dot,
@@ -23,6 +22,8 @@ from dqkin.linalg import (
 )
 from dqkin.scalars import (ZERO, ComplexFloat, ExactRational, GaussianRational, gaussian,
                            rational)
+
+from helpers import scalar_multiple_of
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -479,21 +480,6 @@ def _loop_det(m):
     return out if sign > 0 else -out
 
 
-def _loop_multiple(a, b):
-    c = None
-    for ra, rb in zip(a.rows, b.rows):
-        for x, y in zip(ra, rb):
-            if not y.is_zero():
-                c = x / y
-                break
-        if c is not None:
-            break
-    if c is None:
-        return None
-    ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
-    return c if ok else None
-
-
 def _float_entry(rng, tolerance):
     """A float with zero, -0.0, integer or fractional parts."""
     def part():
@@ -596,52 +582,16 @@ class TestFloatKernelsAgainstScalarLoop:
         # singular and rank-deficient matrices are among the cases
         assert {0, 1, 2, 3} <= nullities
 
-    def test_scalar_multiple(self):
-        # every entry compares at its own tolerances, so they may differ
-        rng = random.Random(63)
-        tols = (1e-9, 1e-6)
-        floats = 0
-        for _ in range(300):
-            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-            kinds = _row_kinds(rng)
-            b = Matrix([[_mixed_entry(rng, kinds, rng.choice(tols)) for _ in range(ncols)]
-                        for _ in range(nrows)])
-            c = (_float_entry(rng, rng.choice(tols)) if rng.random() < 0.8
-                 else _mixed_entry(rng, ("rational", "gaussian"), 0.0))
-            rows = []
-            for r in b.rows:
-                row = []
-                for y in r:
-                    x = c * y
-                    roll = rng.random()
-                    if roll < 0.05:
-                        x = x + ComplexFloat(1e-3, 0.0, rng.choice(tols))
-                    elif roll < 0.15:
-                        # zero at 1e-6, nonzero at 1e-9
-                        x = x + ComplexFloat(1e-7, 0.0, rng.choice(tols))
-                    if type(x) is ComplexFloat:
-                        x = ComplexFloat(x.value, tolerance=rng.choice(tols))
-                    row.append(x)
-                rows.append(row)
-            a = Matrix(rows)
-            got, want = scalar_multiple_of(a, b), _loop_multiple(a, b)
-            assert (got is None) == (want is None)
-            if got is not None:
-                floats += type(got) is ComplexFloat
-                assert _bits(got) == _bits(want)
-        assert floats > 50
-
     # 1e-7 is nonzero at its own tolerance 1e-9 but zero at 1e-6
     MIXED_ROW = [ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(1.0, 0.0, 1e-6)]
 
-    def test_mixed_tolerances_take_the_largest(self):
-        # det compares at the matrix's largest tolerance; rref is the scalar
-        # loop, which compares each entry at its own
+    def test_mixed_tolerances_compare_each_at_its_own(self):
+        # det and rref both run the scalar loop, which compares each entry
+        # at its own tolerance, so 1e-7 is a pivot at its 1e-9
         m = Matrix([[ComplexFloat(1e-7, 0.0, 1e-9), ComplexFloat(0.0, 0.0, 1e-6)],
                     [ComplexFloat(0.0, 0.0, 1e-6), ComplexFloat(1.0, 0.0, 1e-6)]])
-        raised = Matrix([[ComplexFloat(e.value, tolerance=1e-6) for e in r] for r in m.rows])
-        assert _bits(det(m)) == _bits(_loop_det(raised))
-        assert det(m).value == 0 and _loop_det(m).value == 1e-7
+        assert _bits(det(m)) == _bits(_loop_det(m))
+        assert det(m).value == 1e-7 and det(m).tolerance == 1e-6
         row = Matrix([self.MIXED_ROW])
         red, pivots = rref(row)
         want_rows, want_pivots = _loop_rref(row)
@@ -778,10 +728,10 @@ class TestMixedExactKindsAgainstScalarLoop:
         assert seen["det_kinds"] == {(k, z) for k in (ExactRational, GaussianRational)
                                      for z in (False, True)}
 
-    def test_det_with_floats_runs_in_floats(self):
-        # exact entries among floats are promoted at the largest tolerance;
-        # the scalar loop pivoted on exact entries first, so the values agree
-        # at that tolerance, not bit for bit
+    def test_det_with_floats_runs_the_scalar_loop(self):
+        # exact entries among floats stay exact and are pivoted on first, as
+        # in rref, so det is the scalar loop's bit for bit, an exact value
+        # where every pivot and product was exact
         rng = random.Random(72)
         exact_loop_results = 0
         for n in range(1, 7):
@@ -789,14 +739,11 @@ class TestMixedExactKindsAgainstScalarLoop:
                 tols = [rng.choice((1e-9, 1e-6)) for _ in range(n)]
                 m = Matrix([[_mixed_entry(rng, ("rational", "gaussian", "float"), t)
                              for _ in range(n)] for t in tols])
-                floats = [e for row in m.rows for e in row if type(e) is ComplexFloat]
-                if not floats or len(floats) == n * n:
+                if m.is_exact():
                     continue
-                got, want = det(m), _loop_det(m)
-                assert type(got) is ComplexFloat
-                assert got.tolerance == max(e.tolerance for e in floats)
-                assert got == want
-                exact_loop_results += want.is_exact
+                got = det(m)
+                assert _bits(got) == _bits(_loop_det(m))
+                exact_loop_results += got.is_exact
         assert exact_loop_results > 0
 
 

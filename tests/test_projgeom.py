@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ldexp
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,6 +646,41 @@ class TestFloatContainmentAtUnitScale:
                 p = _float_point(off, scale)
                 assert not u.contains(p), scale
                 assert u.chart_coords(p) is None
+
+
+class TestFloatAnswersIgnorePowersOfTwo:
+    """A float point is read at max-norm about one by a power of two, so its
+    rescalings by 2**k, k in [-40, 40] even, meet the same bits: contains gives
+    one answer and chart_coords the same coordinates times 2**k.  20 seeded
+    float 3-spaces of P^7, with a point of each, combined from the reduced
+    rows, and a point 1e-2 off it; the points carry the tolerance 1e-13, so
+    every rescaling is a nonzero point."""
+
+    def test_rescaled_points(self):
+        tol = 1e-13
+        rng = random.Random(707)
+
+        def rescaled(values, k):
+            return ProjPoint([ComplexFloat(ldexp(x, k), 0.0, tol) for x in values])
+
+        for _ in range(20):
+            u = Subspace.from_rows([[ComplexFloat(rng.uniform(-1, 1)) for _ in range(8)]
+                                    for _ in range(4)], 8)
+            assert u.dim == 3
+            coeffs = [rng.uniform(0.5, 1) * rng.choice((-1, 1)) for _ in range(4)]
+            inside = [sum((c * row[j].value.real for c, row in zip(coeffs, u.basis.rows)), 0.0)
+                      for j in range(8)]
+            off = [x + 1e-2 * rng.uniform(-1, 1) for x in inside]
+            chart = u.chart_coords(rescaled(inside, 0))
+            assert chart is not None
+            for k in range(-40, 41, 2):
+                got = u.chart_coords(rescaled(inside, k))
+                assert u.contains(rescaled(inside, k)), k
+                assert [c.value for c in got.coords] == [
+                    complex(ldexp(c.value.real, k), ldexp(c.value.imag, k))
+                    for c in chart.coords], k
+                assert not u.contains(rescaled(off, k)), k
+                assert u.chart_coords(rescaled(off, k)) is None, k
 
 
 class TestExactPointsInFloatSpaces:

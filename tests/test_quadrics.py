@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ldexp
 
 import pytest
 
@@ -441,6 +442,36 @@ class TestRulingHandedness:
             want = ruling_handedness(a, b)
             assert ruling_handedness(floated(a), floated(b)) is want
             assert ruling_handedness(floated(a), b) is want
+
+    def test_float_points_ignore_powers_of_two(self):
+        # each point is read at max-norm about one, by a power of two, so its
+        # rescalings by 2**k meet the same bits: 10 seeded float null points
+        # of Y with a right and a left partner and a point of neither orbit,
+        # every pair rescaled by 2**j and 2**k, j and k in [-40, 40]; the
+        # tolerance 1e-13 keeps the smallest rescalings nonzero points
+        tol = 1e-13
+
+        def rescaled(q, k):
+            return ProjPoint([ComplexFloat(0.0, 0.0, tol)] * 4 + [
+                ComplexFloat(ldexp(c.value.real, k), ldexp(c.value.imag, k), tol)
+                for c in q.coords()])
+
+        def fquat(rng):
+            return Quaternion(*[ComplexFloat(rng.uniform(-1, 1), rng.uniform(-1, 1), tol)
+                                for _ in range(4)])
+
+        rng = random.Random(53)
+        null = Quaternion(ComplexFloat(1.0, 0.0, tol), ComplexFloat(0.0, 1.0, tol), 0, 0)
+        for _ in range(10):
+            a = null * fquat(rng)
+            q = fquat(rng)
+            cases = [(a * q, Handedness.RightRuling), (q * a, Handedness.LeftRuling),
+                     (fquat(rng) * null * fquat(rng), Handedness.NotARuling)]
+            for b, want in cases:
+                assert ruling_handedness(rescaled(a, 0), rescaled(b, 0)) is want
+                for j in range(-40, 41, 20):
+                    for k in range(-40, 41, 4):
+                        assert ruling_handedness(rescaled(a, j), rescaled(b, k)) is want, (j, k)
 
     def test_coincident_error(self):
         s = Quaternion(I, 0, 0, -1)

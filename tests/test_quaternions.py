@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, _cleared, scalar_multiple_of
+from dqkin.linalg import Matrix, _cleared
 from dqkin.quaternions import (
     DQ_EPS,
     DQ_ONE,
@@ -22,6 +22,8 @@ from dqkin.quaternions import (
     right_mul_matrix8,
 )
 from dqkin.scalars import ExactRational, GaussianRational, gaussian, rational
+
+from helpers import scalar_multiple_of
 
 
 def random_quaternion(rng, lo=-9, hi=9):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dqkin import transforms
 from dqkin.errors import GeometryError, InvariantError
-from dqkin.linalg import Matrix, det, scalar_multiple_of
+from dqkin.linalg import Matrix, det
 from dqkin.projgeom import ProjPoint, fiber_projectivity
 from dqkin.quadrics import null_cone, study_quadric
 from dqkin.quaternions import (
@@ -34,7 +34,7 @@ from dqkin.transforms import (
     verify_admissible,
 )
 
-from helpers import dq, point, random_rational_quaternion, random_study_dq
+from helpers import dq, point, random_rational_quaternion, random_study_dq, scalar_multiple_of
 
 
 def proportional(p, q) -> bool:
