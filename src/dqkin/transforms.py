@@ -19,7 +19,7 @@ from functools import cache
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
-from .linalg import Matrix, det, rank, solve
+from .linalg import Matrix, _flat_cleared, _scalars, det, rank, solve
 from .projgeom import ProjPoint, Subspace
 from .quaternions import (
     DualQuaternion,
@@ -30,7 +30,15 @@ from .quaternions import (
     right_mul_matrix,
     right_mul_matrix8,
 )
-from .scalars import ExactRational, GaussianRational, Scalar, ZERO, _power_of_two_scale, rational
+from .scalars import (
+    ComplexFloat,
+    ExactRational,
+    GaussianRational,
+    Scalar,
+    ZERO,
+    _power_of_two_scale,
+    rational,
+)
 
 
 def _block(m: Matrix, i0: int, j0: int) -> Matrix:
@@ -177,16 +185,116 @@ def _unit_matrices(conjugated: bool) -> Tuple[Tuple[Matrix, ...], Tuple[Matrix, 
             tuple(right_mul_matrix(e) for e in units))
 
 
+# A term (sign, k) stands for sign, 1 or -1, times entry k of a 4x4 source
+# matrix flattened row by row.  An index table gives the terms of each
+# entry of a result flattened row by row: four each for the associate
+# matrix, one each for a moved block.
+_Terms = Tuple[Tuple[int, int], ...]
+
+
+def _signed_permutation(m: Matrix) -> _Terms:
+    """(sign, column) of the one nonzero entry, 1 or -1, of each row of m."""
+    return tuple(next((e.sign(), k) for k, e in enumerate(row) if not e.is_zero())
+                 for row in m.rows)
+
+
+@cache
+def _associate_table() -> Tuple[_Terms, ...]:
+    """The index table of 4 times the associate matrix: entry (i, j) is
+    trace(L(conj e_i) a R(conj e_j)), and as L(conj e_i) and R(conj e_j)
+    are signed permutations, its terms are L(conj e_i)[m, p] a[p, q]
+    R(conj e_j)[q, m], one for each m."""
+    lefts, rights = _unit_matrices(True)
+    rows = [_signed_permutation(left) for left in lefts]
+    cols = [_signed_permutation(right.transpose()) for right in rights]
+    return tuple(tuple((s * t, 4 * p + q) for (s, p), (t, q) in zip(rp, cq))
+                 for rp in rows for cq in cols)
+
+
+@cache
+def _dual_part_tables() -> Tuple[_Terms, ...]:
+    """The index tables of L(e) R(r1) on R(r1), then of L(l1) R(e) on
+    L(l1), for the basis units e: L(e) moves and signs the rows of R(r1),
+    R(e) the columns of L(l1)."""
+    lefts, rights = _unit_matrices(False)
+    by_rows = tuple(tuple((s, 4 * p + n) for s, p in _signed_permutation(left) for n in range(4))
+                    for left in lefts)
+    by_cols = tuple(tuple((t, 4 * m + q) for m in range(4)
+                          for t, q in _signed_permutation(right.transpose()))
+                    for right in rights)
+    return by_rows + by_cols
+
+
+def _associate(a: Matrix) -> Matrix:
+    """The associate matrix of a 4x4 matrix a: entry (i, j) is
+    trace(L(conj e_i) a R(conj e_j)) / 4, which is l_i r_j when
+    a = L(l) R(r) (Van Elfrinkhof's formula).
+
+    Each entry is a signed sum of four entries of a (_associate_table),
+    equal to the trace of the matrix products in value and kind: exact a
+    is summed on its cleared integers, every entry Gaussian when one of
+    a's is; float a on plain complex values, each sum started at 0j in the
+    trace's order and carrying a's largest tolerance.
+    """
+    table = _associate_table()
+    if a.is_exact():
+        re, im, den = _flat_cleared(a)
+
+        def sums(v):
+            return [sum(s * v[k] for s, k in terms) for terms in table]
+
+        gaussian = im is not None
+        entries = _scalars(sums(re), sums(im) if gaussian else None, 4 * den,
+                           (1 << 16) - 1 if gaussian else 0)
+    else:
+        flat = _flatten(a)
+        values = [e.to_complex() for e in flat]
+        tolerance = max(e.tolerance for e in flat if type(e) is ComplexFloat)
+        quarter = rational(Fraction(1, 4))
+        entries = []
+        for terms in table:
+            v = 0j
+            for s, k in terms:
+                v = v + values[k] if s > 0 else v - values[k]
+            entries.append(ComplexFloat(v, 0.0, tolerance) * quarter)
+    return Matrix._of([entries[i:i + 4] for i in range(0, 16, 4)])
+
+
+def _moved(entries: list, table: _Terms) -> list:
+    """The entries moved and signed by an index table of one term each."""
+    return [entries[k] if s > 0 else -entries[k] for s, k in table]
+
+
+def _dual_part_columns(l1: Quaternion, r1: Quaternion) -> list:
+    """The eight columns of factor_transform's dual-part system: L(e) R(r1)
+    flattened over l1 . e and 0, then L(l1) R(e) flattened over 0 and
+    r1 . e, for the basis units e, moved by _dual_part_tables.
+
+    They equal the matrix products entry for entry, bit for bit: every
+    coordinate of a Hamilton product involves all four coordinates of
+    each factor, so all entries of L(l1), and all of R(r1), have one kind
+    and one tolerance, which a negation keeps.
+    """
+    tables = _dual_part_tables()
+    right, left = _flatten(right_mul_matrix(r1)), _flatten(left_mul_matrix(l1))
+    return ([_moved(right, table) + [l1.dot(e), ZERO] for e, table in zip(Q_BASIS, tables[:4])]
+            + [_moved(left, table) + [ZERO, r1.dot(e)] for e, table in zip(Q_BASIS, tables[4:])])
+
+
 def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     """Split a positive scalar-orthogonal 4x4 matrix into l*x*r form.
 
     Returns quaternions (l, r) with left_mul_matrix(l) * right_mul_matrix(r)
     equal to a.  The pair is unique up to a shared sign, pinned so the
-    first nonzero coordinate of l is positive.  Float input is read at
-    max-norm about one, by a power of two that changes no mantissa: its
-    orthogonality is checked, its associate matrix read and the product
-    of its factors compared there, so its entries clear the absolute
-    tolerance, and l is divided by the power at the end.
+    first nonzero coordinate of l is positive.  It is read off the
+    associate matrix of a, whose entry (i, j) is l_i r_j (Van Elfrinkhof's
+    formula; Mebius, arXiv:math/0501249), each entry a signed sum of four
+    entries of a, and the product of the factors must give a back, else
+    InvariantError.  Float input is read at max-norm about one, by a power
+    of two that changes no mantissa: its orthogonality is checked, its
+    associate matrix read and the product of its factors compared there,
+    so its entries clear the absolute tolerance, and l is divided by the
+    power at the end.
     """
     assert a.nrows == 4 and a.ncols == 4
     power = None if a.is_exact() else _power_of_two_scale(_flatten(a))
@@ -197,12 +305,9 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     if not positive:
         raise GeometryError("orientation-reversing, not in the group")
 
-    # bilinear coefficient extraction: entry (i, j) of the associate matrix
-    # recovers l_i * r_j, so the whole matrix is the rank-one outer product
-    quarter = rational(Fraction(1, 4))
-    lefts, rights = _unit_matrices(True)
-    products = [li * scaled for li in lefts]
-    assoc = Matrix([[(la * rj).trace() * quarter for rj in rights] for la in products])
+    # by Van Elfrinkhof's formula the associate matrix is the rank-one outer
+    # product of l and r, so a row and a column give both up to scale
+    assoc = _associate(scaled)
     i0, j0 = max(
         ((i, j) for i in range(4) for j in range(4)),
         key=lambda ij: abs(assoc[ij].to_complex()),
@@ -228,9 +333,13 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
     linear system: sixteen bilinear equations from the lower-left block
     plus one orthogonality constraint per factor, which removes the
     one-parameter shift along the primal pair and makes the solution
-    unique.  The gauge puts the scale of t into l1, so float input scales
-    r2's columns and the right side to max-norm about one by powers of two:
-    the zero tests then hold at every scale of t, and no mantissa changes.
+    unique.  Its columns L(e) R(r1) and L(l1) R(e), for the basis units e,
+    are the rows of R(r1) and the columns of L(l1) moved and signed, as
+    L(e) and R(e) are signed permutations; an inconsistent system raises
+    InvariantError.  The gauge puts the scale of t into l1, so float input
+    scales r2's columns and the right side to max-norm about one by powers
+    of two: the zero tests then hold at every scale of t, and no mantissa
+    changes.
     """
     report = verify_admissible(t)
     if not report.overall:
@@ -239,13 +348,7 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         raise err
     l1, r1 = factor_so4(_block(t, 0, 0))
 
-    lefts, rights = _unit_matrices(False)
-    l1_left, r1_right = left_mul_matrix(l1), right_mul_matrix(r1)
-    cols = []
-    for e, e_left in zip(Q_BASIS, lefts):
-        cols.append(_flatten(e_left * r1_right) + [l1.dot(e), ZERO])
-    for e, e_right in zip(Q_BASIS, rights):
-        cols.append(_flatten(l1_left * e_right) + [ZERO, r1.dot(e)])
+    cols = _dual_part_columns(l1, r1)
     rhs = _flatten(_block(t, 4, 0)) + [ZERO, ZERO]
     if not t.is_exact():
         sr, sc = (_power_of_two_scale(x) for x in (l1.coords(), rhs))

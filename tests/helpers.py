@@ -2,9 +2,17 @@
 
 from fractions import Fraction
 
+from dqkin.linalg import Matrix
 from dqkin.projgeom import ProjPoint
-from dqkin.quaternions import DualQuaternion, Quaternion
+from dqkin.quaternions import (
+    DualQuaternion,
+    Q_BASIS,
+    Quaternion,
+    left_mul_matrix,
+    right_mul_matrix,
+)
 from dqkin.scalars import GaussianRational, rational
+from dqkin.transforms import build_transform, factor_so4
 
 I = GaussianRational(0, 1)  # the complex unit, not the quaternion one
 
@@ -52,6 +60,38 @@ def scalar_multiple_of(a, b):
         return None
     ok = all(x == c * y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
     return c if ok else None
+
+
+def associate_by_traces(a) -> Matrix:
+    """The associate matrix of a 4x4 matrix by its definition on matrix
+    products: entry (i, j) is trace(L(conj e_i) a R(conj e_j)) / 4.  The
+    reference for transforms._associate."""
+    quarter = rational(Fraction(1, 4))
+    products = [left_mul_matrix(e.conjugate()) * a for e in Q_BASIS]
+    return Matrix([[(la * right_mul_matrix(e.conjugate())).trace() * quarter for e in Q_BASIS]
+                   for la in products])
+
+
+def dual_part_columns(l1, r1) -> list:
+    """The eight columns of factor_transform's dual-part system on matrix
+    products: L(e) R(r1) flattened over l1 . e and 0, then L(l1) R(e) over
+    0 and r1 . e.  The reference for transforms._dual_part_columns."""
+    cols = []
+    for e in Q_BASIS:
+        m = left_mul_matrix(e) * right_mul_matrix(r1)
+        cols.append([x for row in m.rows for x in row] + [l1.dot(e), rational(0)])
+    for e in Q_BASIS:
+        m = left_mul_matrix(l1) * right_mul_matrix(e)
+        cols.append([x for row in m.rows for x in row] + [rational(0), r1.dot(e)])
+    return cols
+
+
+def dual_part_system(rng) -> Matrix:
+    """The 18x9 augmented system factor_transform solves for the dual parts."""
+    t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+    l1, r1 = factor_so4(Matrix([row[:4] for row in t.rows[:4]]))
+    rhs = [x for row in t.rows[4:] for x in row[:4]] + [rational(0), rational(0)]
+    return Matrix.from_columns(dual_part_columns(l1, r1) + [rhs])
 
 
 def rational_unit_pure(rng) -> Quaternion:

@@ -23,7 +23,7 @@ from dqkin.linalg import (
 from dqkin.scalars import (ZERO, ComplexFloat, ExactRational, GaussianRational, gaussian,
                            rational)
 
-from helpers import scalar_multiple_of
+from helpers import dual_part_system, scalar_multiple_of
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -279,33 +279,13 @@ def _differential_cases(rng, kind):
                 yield pairs, [[kind] * ncols for _ in range(nrows)]
 
 
-def _dual_part_system(rng):
-    """The 18x9 augmented system factor_transform solves for the dual parts."""
-    from dqkin.quaternions import Q_BASIS, left_mul_matrix, right_mul_matrix
-    from dqkin.transforms import build_transform, factor_so4
-
-    from helpers import random_study_dq
-
-    t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
-    l1, r1 = factor_so4(Matrix([row[:4] for row in t.rows[:4]]))
-    cols = []
-    for e in Q_BASIS:
-        m = left_mul_matrix(e) * right_mul_matrix(r1)
-        cols.append([x for row in m.rows for x in row] + [l1.dot(e), rational(0)])
-    for e in Q_BASIS:
-        m = left_mul_matrix(l1) * right_mul_matrix(e)
-        cols.append([x for row in m.rows for x in row] + [rational(0), r1.dot(e)])
-    cols.append([x for row in t.rows[4:] for x in row[:4]] + [rational(0), rational(0)])
-    return Matrix.from_columns(cols)
-
-
 class TestExactKernelsAgainstReference:
     @pytest.mark.parametrize("kind", [ExactRational, GaussianRational])
     def test_elimination(self, kind):
         rng = random.Random(41 if kind is ExactRational else 42)
         cases = list(_differential_cases(rng, kind))
         if kind is ExactRational:
-            system = _dual_part_system(random.Random(43))
+            system = dual_part_system(random.Random(43))
             assert (system.nrows, system.ncols) == (18, 9)
             cases.append(([[_pair(e) for e in row] for row in system.rows],
                           [[ExactRational] * 9 for _ in range(18)]))

@@ -34,7 +34,15 @@ from dqkin.transforms import (
     verify_admissible,
 )
 
-from helpers import dq, point, random_rational_quaternion, random_study_dq, scalar_multiple_of
+from helpers import (
+    associate_by_traces,
+    dq,
+    dual_part_columns,
+    point,
+    random_rational_quaternion,
+    random_study_dq,
+    scalar_multiple_of,
+)
 
 
 def proportional(p, q) -> bool:
@@ -417,6 +425,65 @@ class TestPowerOfTwoScaling:
         assert float_bits(lt.primal) == float_bits(l) and float_bits(rt.primal) == float_bits(r)
 
 
+def entry_bits(e):
+    """An entry's kind and value, float parts by their bits, and tolerance."""
+    if type(e) is ComplexFloat:
+        return ComplexFloat, e.value.real.hex(), e.value.imag.hex(), e.tolerance
+    if type(e) is GaussianRational:
+        return GaussianRational, e.re, e.im
+    return type(e), e.value
+
+
+def random_entry(rng, kind):
+    """A rational, Gaussian or float entry, zeros included; "mixed" picks
+    one of the three, floats at one of two tolerances."""
+    if kind == "mixed":
+        kind = rng.choice(["rational", "gaussian", "float"])
+    frac = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if kind == "rational":
+        return rational(frac())
+    if kind == "gaussian":
+        return gaussian(frac(), frac())
+    part = lambda: rng.choice([0.0, rng.uniform(-3, 3)])
+    return ComplexFloat(part(), part(), rng.choice([1e-9, 1e-6]))
+
+
+KINDS = ("rational", "gaussian", "float", "mixed")
+
+
+class TestIndexTablesAgainstProducts:
+    """The associate matrix and the dual-part columns, read off index
+    tables of signed permutations, equal their definitions on matrix
+    products entry for entry, in value and kind, float bits and tolerances
+    included.  Both are linear in their input, so this holds on blocks that
+    are not orthogonal and on quaternions of any kind too."""
+
+    def test_associate(self):
+        rng = random.Random(31)
+        blocks = []
+        for _ in range(10):
+            a = (left_mul_matrix(random_rational_quaternion(rng))
+                 * right_mul_matrix(random_rational_quaternion(rng)))
+            blocks += [a, a.scale(gaussian(rng.randint(-3, 3), rng.randint(1, 3))),
+                       float_copy(a, 2.0 ** rng.randint(-20, 7)),
+                       float_copy(a.scale(gaussian(1, 2)))]
+            blocks += [Matrix([[random_entry(rng, kind) for _ in range(4)] for _ in range(4)])
+                       for kind in KINDS]
+        for a in blocks:
+            got, want = transforms._associate(a), associate_by_traces(a)
+            assert [entry_bits(e) for e in transforms._flatten(got)] == \
+                [entry_bits(e) for e in transforms._flatten(want)]
+
+    def test_dual_part_columns(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            for kind in KINDS:
+                l, r = (Quaternion(*[random_entry(rng, kind) for _ in range(4)]) for _ in "lr")
+                got, want = transforms._dual_part_columns(l, r), dual_part_columns(l, r)
+                assert [[entry_bits(e) for e in col] for col in got] == \
+                    [[entry_bits(e) for e in col] for col in want]
+
+
 class TestFactorCertificates:
     """factor_so4's product check and the consistency of factor_transform's
     dual-part system are explicit checks: they raise InvariantError, also
@@ -435,6 +502,45 @@ class TestFactorCertificates:
         monkeypatch.setattr(transforms, "solve", lambda m, b: None)
         with pytest.raises(InvariantError, match="dual-part system"):
             factor_transform(t.matrix)
+
+    def test_associate_sign(self, monkeypatch):
+        """One sign flipped in the associate table, in any term of an entry
+        of the pivot's row or column, which factor_so4 reads, breaks the
+        product check."""
+        a = left_mul_matrix(Quaternion(1, 2, 3, -1)) * right_mul_matrix(Quaternion(3, 1, 2, -5))
+        assert all(not e.is_zero() for e in transforms._flatten(a))
+        assoc = transforms._associate(a)
+        i0, j0 = max(((i, j) for i in range(4) for j in range(4)),
+                     key=lambda ij: abs(assoc[ij].to_complex()))
+        table = transforms._associate_table()
+        read = [4 * i + j for i in range(4) for j in range(4) if i == i0 or j == j0]
+        for entry in read:
+            for m in range(4):
+                terms = list(table[entry])
+                sign, k = terms[m]
+                terms[m] = (-sign, k)
+                flipped = table[:entry] + (tuple(terms),) + table[entry + 1:]
+                monkeypatch.setattr(transforms, "_associate_table", lambda: flipped)
+                with pytest.raises(InvariantError, match="do not reproduce the matrix"):
+                    factor_so4(a)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dual_part_row_sign(self, monkeypatch, seed):
+        """One row of one moved block with its sign flipped makes the
+        dual-part system inconsistent, when that block's unknown is not 0."""
+        rng = random.Random(seed)
+        t = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+        l, r = factor_transform(t)
+        assert all(not c.is_zero() for c in l.dual.coords() + r.dual.coords())
+        tables = transforms._dual_part_tables()
+        for block in range(8):
+            for row in range(4):
+                table = tuple((-s, k) if n // 4 == row else (s, k)
+                              for n, (s, k) in enumerate(tables[block]))
+                flipped = tables[:block] + (table,) + tables[block + 1:]
+                monkeypatch.setattr(transforms, "_dual_part_tables", lambda: flipped)
+                with pytest.raises(InvariantError, match="dual-part system"):
+                    factor_transform(t)
 
     SCRIPT = (
         "import sys\n"
