@@ -8,11 +8,22 @@ on every path, entry by entry and kind by kind.
   integer vectors) over one denominator (``_cleared``).  Since a
   ``Matrix`` never changes, it keeps its rows cleared and its columns
   cleared, each built on first use and ``None`` when an entry is a
-  float; a transpose starts with the two swapped.  ``Matrix(rows)``
-  converts every entry with ``scalars.scalar``; the trusted constructor
+  float, and its rows' kinds masks; a transpose starts with the two
+  forms swapped.  ``Matrix(rows)`` and ``Matrix.from_columns`` convert
+  every entry with ``scalars.scalar``; the trusted constructor
   ``Matrix._of`` takes rows of Scalars as they are, for results built
-  here and in ``projgeom`` (``rref``, products, ``transpose``,
-  ``Subspace.from_rows``, meets).
+  here, in ``projgeom`` and wherever the entries are Scalars already
+  (the quaternion multiplication matrices, the block readers of
+  ``transforms`` and ``quadrecon``, reconstruction's frames).
+- Exact results are born cleared: ``Matrix._of_cleared`` takes kept rows,
+  each reduced (``_reduced_form``) so that it equals ``_cleared`` of
+  its entries integer for integer, with its kinds mask, and makes the
+  rows of Scalars by ``_scalars`` only when ``rows`` is first read.
+  ``rref``'s exact path returns its eliminated rows so; a reduced basis
+  read only by integer steps (a join in ``quadrecon.run_cycle``) never
+  makes a Scalar.  ``_kernel_forms`` reads a nullspace basis off kept
+  rows as cleared vectors, for ``_kernel`` and for ``projgeom``'s meets,
+  and two matrices with kept rows compare as integers.
 - Products (``Matrix.__mul__``, ``apply``) of exact matrices read the
   kept forms, and ``vec_dot`` clears its two vectors, so each entry is
   one integer dot product and one ``Fraction``.
@@ -21,9 +32,11 @@ on every path, entry by entry and kind by kind.
   the integers, or over the Gaussian integers Z[i] held as (re, im)
   pairs when some entry is Gaussian; ``rref`` divides by the pivot only
   to emit the canonical reduced form, and ``rank`` emits nothing.
-- One combination kernel, ``_combination``, computes ``v + sum c_k *
-  row_k`` for ``projgeom`` and ``quadrecon``, clearing only v and the
-  coefficients and reading the rows' kept form.
+- One combination kernel, ``_combined``, computes ``v + sum c_k *
+  row_k`` on cleared integers from the rows' kept form, with
+  ``_combined_kinds`` for its kinds; ``_combination`` clears v and the
+  coefficients for it and makes the Scalars, and ``projgeom``'s
+  residues call it on kept forms directly.
 - The kinds of every integer path are the scalar loop's.  ``_kinds``
   reads a vector's Gaussian positions as a bitmask, and ``_scalars``
   alone turns integer numerators into scalars, Gaussian where the mask
@@ -54,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul, or_
 from typing import List, Optional, Sequence, Tuple
 
@@ -284,9 +297,29 @@ def _floated(u: Vector) -> Tuple[List[complex], float, int]:
     return values, tolerance, exact
 
 
+def _combined(head: _Cleared, n: int, rows: Sequence[_Cleared]) -> _Cleared:
+    """v + sum of c[k]*rows[k] on cleared integers, for head the entries of v
+    (n of them) and then of c, cleared together; not reduced."""
+    re, im, den = head
+    # v is over den and the sum of the rows over sum_den, a multiple of den
+    sum_re, sum_im, sum_den = _cleared_image(rows, (re[n:], None if im is None else im[n:], den))
+    s = sum_den // den
+    out_re = [x * s + y for x, y in zip(re, sum_re)]
+    if sum_im is None:
+        return out_re, None, sum_den
+    return out_re, sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)], sum_den
+
+
+def _combined_kinds(n: int, v: int, gaussian_coefficient: bool, rows: Sequence[int]) -> int:
+    """The kinds mask of a combination v + sum c_k*row_k of length n, from
+    the masks of v and the rows: every entry is Gaussian when a coefficient
+    is, else where v's entry or a row's entry in its column is."""
+    return (1 << n) - 1 if gaussian_coefficient else reduce(or_, rows, v)
+
+
 def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
     """v + sum of coeffs[k]*m.rows[k]: on cleared integers, m's rows taken
-    from its cached cleared form, when every entry is exact, else by the
+    from its kept cleared form, when every entry is exact, else by the
     scalar loop ``o + c*r``, row by row."""
     n = len(v)
     rows = m._cleared_rows()
@@ -296,23 +329,30 @@ def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
         for c, row in zip(coeffs, m.rows):
             out = tuple(o + c * r for o, r in zip(out, row))
         return out
-    re, im, den = head
-    # v is over den and the sum of the rows over sum_den, a multiple of den
-    sum_re, sum_im, sum_den = _cleared_image(rows, (re[n:], None if im is None else im[n:], den))
-    s = sum_den // den
-    out_re = [x * s + y for x, y in zip(re, sum_re)]
-    if sum_im is None:
-        return _scalars(out_re, None, sum_den, 0)
-    out_im = sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)]
-    mask = (1 << n) - 1 if _kinds(coeffs) else reduce(or_, map(_kinds, m.rows), _kinds(v))
-    return _scalars(out_re, out_im, sum_den, mask)
+    re, im, den = _combined(head, n, rows)
+    mask = 0 if im is None else _combined_kinds(n, _kinds(v), bool(_kinds(coeffs)),
+                                                m._kinds_by_row())
+    return _scalars(re, im, den, mask)
+
+
+def _reduced_form(re: List[int], im: Optional[List[int]], den: int) -> _Cleared:
+    """A cleared vector divided by the gcd of its integers and its
+    denominator, the denominator made positive: the form ``_cleared``
+    gives the entries it stands for, integer for integer (im None exactly
+    when every entry is to be an ExactRational)."""
+    g = gcd(*re, den) if im is None else gcd(*re, *im, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return re, im, den
+    return [x // g for x in re], None if im is None else [x // g for x in im], den // g
 
 
 _UNSET = object()  # a cleared form not yet built
 
 
 class Matrix:
-    __slots__ = ("rows", "_row_form", "_column_form")
+    __slots__ = ("rows", "_row_form", "_column_form", "_row_kinds")
 
     def __init__(self, rows: Sequence[Sequence]):
         self._set(tuple(tuple(scalar(e) for e in row) for row in rows))
@@ -324,12 +364,30 @@ class Matrix:
         m._set(tuple(map(tuple, rows)))
         return m
 
+    @classmethod
+    def _of_cleared(cls, forms: List[_Cleared], kinds: List[int]) -> "Matrix":
+        """The trusted constructor from kept rows: each row's cleared form,
+        equal to ``_cleared`` of its entries (see ``_reduced_form``), and
+        its kinds mask.  The rows of Scalars are made on first read."""
+        m = object.__new__(cls)
+        m._row_form, m._row_kinds, m._column_form = forms, kinds, _UNSET
+        return m
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, so for the rows of a matrix born
+        # from kept rows, made once here
+        if name != "rows":
+            raise AttributeError(name)
+        self.rows = rows = tuple([_scalars(re, im, den, mask) for (re, im, den), mask
+                                  in zip(self._row_form, self._row_kinds)])
+        return rows
+
     def _set(self, rows: Tuple[Vector, ...]) -> None:
         assert rows, "empty matrix"
         width = len(rows[0])
         assert width > 0 and all(len(r) == width for r in rows)
         self.rows = rows
-        self._row_form = self._column_form = _UNSET
+        self._row_form = self._column_form = self._row_kinds = _UNSET
 
     def _cleared_rows(self) -> Optional[List[_Cleared]]:
         """Every row cleared (``_cleared``), or None when an entry is a float;
@@ -343,6 +401,21 @@ class Matrix:
         if self._column_form is _UNSET:
             self._column_form = _all_cleared(list(zip(*self.rows)))
         return self._column_form
+
+    def _kinds_by_row(self) -> List[int]:
+        """Every row's kinds mask (``_kinds``); kept too."""
+        if self._row_kinds is _UNSET:
+            self._row_kinds = [_kinds(r) for r in self.rows]
+        return self._row_kinds
+
+    def _top(self, k: int) -> "Matrix":
+        """The first k rows, with their kept rows when the matrix has them."""
+        if k == self.nrows:
+            return self
+        forms = self._row_form
+        if type(forms) is list:
+            return Matrix._of_cleared(forms[:k], self._kinds_by_row()[:k])
+        return Matrix._of(self.rows[:k])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -372,11 +445,13 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        forms = self._row_form
+        return len(forms) if type(forms) is list else len(self.rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        forms = self._row_form
+        return len(forms[0][0]) if type(forms) is list else len(self.rows[0])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -424,6 +499,13 @@ class Matrix:
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
+        fa, fb = self._row_form, other._row_form
+        if type(fa) is list and type(fb) is list:
+            # kept forms are those of _cleared, one per value, with im None
+            # standing for zeros
+            return all(ra == rb and da == db
+                       and (ia == ib or (ia or [0] * len(ra)) == (ib or [0] * len(rb)))
+                       for (ra, ia, da), (rb, ib, db) in zip(fa, fb))
         return all(a == b for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
 
@@ -556,7 +638,7 @@ def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
         a = [re for re, _, _ in cleared]
         return a, None, _fraction_free(a)
     a = [list(zip(re, im or [0] * len(re))) for re, im, _ in cleared]
-    gaussian = [_kinds(r) for r in m.rows]
+    gaussian = list(m._kinds_by_row())  # _fraction_free updates it in place
     return a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
 
 
@@ -571,14 +653,16 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
         # scaling a row changes no reduced form, so each row is cleared alone
         a, gaussian, (pivots, d, _, _) = _exact_elimination(m, cleared)
         if gaussian is None:
-            rows = [_scalars(row, None, d, 0) for row in a]
-        else:
-            # a Z[i] row over d is the row times conj(d) over |d|^2
-            dr, di = d
-            rows = [_scalars([xr * dr + xi * di for xr, xi in row],
-                             [xi * dr - xr * di for xr, xi in row], dr * dr + di * di, g)
-                    for row, g in zip(a, gaussian)]
-        return Matrix._of(rows), tuple(pivots)
+            return (Matrix._of_cleared([_reduced_form(row, None, d) for row in a], [0] * len(a)),
+                    tuple(pivots))
+        # a Z[i] row over d is the row times conj(d) over |d|^2; a row the
+        # scalar loop holds as rational has imaginary parts zero
+        dr, di = d
+        forms = [_reduced_form([xr * dr + xi * di for xr, xi in row],
+                               [xi * dr - xr * di for xr, xi in row] if g else None,
+                               dr * dr + di * di)
+                 for row, g in zip(a, gaussian)]
+        return Matrix._of_cleared(forms, gaussian), tuple(pivots)
     rows = [list(r) for r in m.rows]
     pivots = []
     for col in range(m.ncols):
@@ -647,7 +731,11 @@ def nullspace(m: Matrix) -> List[Vector]:
 
 
 def _kernel(red: Matrix, pivots: Sequence[int]) -> List[Vector]:
-    """The nullspace basis read off a reduced row echelon form."""
+    """The nullspace basis read off a reduced row echelon form: for each
+    free column j, one at j and minus the pivot rows' entries in column j
+    at their pivots; from kept rows by ``_kernel_forms``."""
+    if type(red._row_form) is list:
+        return [_scalars(*form, kinds) for form, kinds in _kernel_forms(red, pivots)]
     free = [j for j in range(red.ncols) if j not in pivots]
     basis = []
     for j in free:
@@ -657,6 +745,31 @@ def _kernel(red: Matrix, pivots: Sequence[int]) -> List[Vector]:
             v[pc] = -red.rows[r][j]
         basis.append(tuple(v))
     return basis
+
+
+def _kernel_forms(red: Matrix, pivots: Sequence[int]) -> List[Tuple[_Cleared, int]]:
+    """``_kernel`` of a reduced form with kept rows, each vector cleared over
+    the pivot rows' common denominator, with its kinds mask: its one is
+    rational, and an entry read off a row has that entry's kind."""
+    n, rank = red.ncols, len(pivots)
+    forms, kinds = red._row_form[:rank], red._kinds_by_row()[:rank]
+    den = lcm(*[d for _, _, d in forms])
+    scales = [den // d for _, _, d in forms]
+    out = []
+    for j in (j for j in range(n) if j not in pivots):
+        mask = sum(1 << pc for pc, g in zip(pivots, kinds) if g >> j & 1)
+        re = [0] * n
+        re[j] = den
+        for pc, (row, _, _), s in zip(pivots, forms, scales):
+            re[pc] = -row[j] * s
+        im = None
+        if mask:
+            im = [0] * n
+            for pc, (_, row, _), s in zip(pivots, forms, scales):
+                if row is not None:
+                    im[pc] = -row[j] * s
+        out.append(((re, im, den), mask))
+    return out
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:

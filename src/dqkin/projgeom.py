@@ -16,36 +16,44 @@ point's row and the centre's rows directly, without canonicalising
 their join first.  The exceptional generator [eps H] is built once, at
 import.
 
-Exact vectors (rational or Gaussian entries, mixed or not) take integer
-paths: residues (so ``contains``, ``chart_coords``, ``meet`` and
-projections) and ``lift`` go through ``linalg._combination``, and
-``ProjPoint.__eq__`` cross-multiplies the cleared coordinates
-(``linalg._proportional``) instead of normalising both points.  A float
+Exact vectors (rational or Gaussian entries, mixed or not) take one
+integer path, their kinds masks travelling with them.  A ``ProjPoint``
+keeps its cleared coordinates and their kinds mask (``_kept``), built on
+first use or handed over at birth (``ProjPoint._of``), and a reduced
+basis keeps the rows ``rref`` computed it in.  ``span`` and ``join``
+hand those kept rows to ``rref`` with no re-wrap and no re-clearing;
+``contains`` and ``chart_coords`` decide membership by an integer
+residue (``_residue_of``), and ``ProjPoint.__eq__`` cross-multiplies the
+kept coordinates (``linalg._proportional``), so neither makes a Scalar.
+Meets, so central projections, run on integers too: the residues of the
+rows' numerators, their kernel (``linalg._kernel_forms``) and its
+combinations of the rows, so only the reduced meet makes Scalars, when
+read.  ``lift`` goes through ``linalg._combination``.  A float
 coordinate anywhere sends the operation through the scalar loop, which
 compares each float at its own tolerance.  ``contains`` and
-``chart_coords`` first scale the point to max-norm about one by a power
-of two (``scalars._power_of_two_scale``, exact, so every representative
-that differs by a power of two meets the same bits) when it or the
-subspace's basis has a float coordinate, and float ``ProjPoint.__eq__``
-divides both points by their coordinate where the first is largest, so
-these answers do not depend on the representative; ``meet`` still
-compares unscaled values.
+``chart_coords`` then read the point at max-norm about one, scaled by a
+power of two (``scalars._power_of_two_scale``, exact, so every
+representative that differs by a power of two meets the same bits), and
+``chart_coords`` returns its coordinates at that scale; float
+``ProjPoint.__eq__`` divides both points by their coordinate where the
+first is largest, so these answers do not depend on the representative;
+``meet`` still compares unscaled values.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import (Matrix, Vector, _cleared, _combination, _proportional, as_vector,
-                     nullspace, rref, vec_is_zero, vec_scale)
+from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _combination,
+                     _combined, _combined_kinds, _kernel_forms, _kinds, _proportional,
+                     _reduced_form, as_vector, nullspace, rref, vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
-from .scalars import ComplexFloat, Scalar, ONE, ZERO, _power_of_two_scale
+from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
 
 class ProjPoint:
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_form")
 
     def __init__(self, coords: Sequence):
         if isinstance(coords, DualQuaternion):
@@ -54,7 +62,23 @@ class ProjPoint:
         assert len(cs) >= 2
         if vec_is_zero(cs):
             raise GeometryError("zero vector is not a projective point")
-        self.coords = cs
+        self.coords, self._form = cs, _UNSET
+
+    @classmethod
+    def _of(cls, coords: Vector, form: _Cleared, kinds: int) -> "ProjPoint":
+        """The trusted constructor: nonzero Scalars with their kept form,
+        as ``_kept`` would build it."""
+        p = object.__new__(cls)
+        p.coords, p._form = coords, (form, kinds)
+        return p
+
+    def _kept(self) -> Optional[Tuple[_Cleared, int]]:
+        """The coordinates cleared (``linalg._cleared``) with their kinds
+        mask, or None when one is a float; built on first use and kept."""
+        if self._form is _UNSET:
+            form = _cleared(self.coords)
+            self._form = None if form is None else (form, _kinds(self.coords))
+        return self._form
 
     @property
     def ambient(self) -> int:
@@ -78,9 +102,9 @@ class ProjPoint:
             return NotImplemented
         if self.ambient != other.ambient:
             return False
-        ca, cb = _cleared(self.coords), _cleared(other.coords)
-        if ca is not None and cb is not None:
-            return _proportional(ca, cb)
+        ka, kb = self._kept(), other._kept()
+        if ka is not None and kb is not None:
+            return _proportional(ka[0], kb[0])
         # scale both at self's largest coordinate, so the tolerance meets
         # the same values whatever representatives were given
         k = max(range(self.ambient), key=lambda j: abs(self.coords[j].to_complex()))
@@ -125,10 +149,7 @@ class Subspace:
     def from_rows(rows: Sequence[Sequence], ambient: int) -> "Subspace":
         if not len(rows):
             return Subspace(None, ambient)
-        red, pivots = rref(Matrix(rows))
-        if not pivots:
-            return Subspace(None, ambient)
-        return Subspace._of(Matrix._of(red.rows[:len(pivots)]), pivots, ambient)
+        return _reduced(Matrix(rows), ambient)
 
     @staticmethod
     def empty(ambient: int) -> "Subspace":
@@ -152,17 +173,35 @@ class Subspace:
         """
         return _combination(v, [-v[j] for j in self._pivots], self.basis)
 
-    def _holds(self, p: ProjPoint) -> bool:
-        """Whether p's residue vanishes, p taken at max-norm about one, by a
-        power of two, when p or the basis has a float coordinate."""
+    def _residue_of(self, v: _Cleared) -> _Cleared:
+        """``_residue`` of a cleared vector, cleared (not reduced), for an
+        exact basis; the basis rows are read in their kept form."""
+        re, im, den = v
+        pivots = self._pivots
+        head = (re + [-re[j] for j in pivots],
+                None if im is None else im + [-im[j] for j in pivots], den)
+        return _combined(head, len(re), self.basis._cleared_rows())
+
+    def _residue_kinds(self, kinds: int) -> int:
+        """The kinds mask of ``_residue`` of a vector with the kinds mask given."""
+        return _combined_kinds(self.ambient, kinds, any(kinds >> j & 1 for j in self._pivots),
+                               self.basis._kinds_by_row())
+
+    def _read(self, p: ProjPoint) -> Optional[Vector]:
+        """p's coordinates as membership reads them, or None when p lies
+        outside.  An exact p in an exact subspace is tested on integers and
+        read as it is; otherwise p is taken at max-norm about one, by a power
+        of two, and its residue compared at each float's tolerance."""
         assert p.ambient == self.ambient
-        coords = p.coords
-        if ComplexFloat in map(type, chain(coords, *self.basis.rows)):
-            coords = vec_scale(_power_of_two_scale(coords), coords)
-        return vec_is_zero(self._residue(coords))
+        kept = p._kept()
+        if kept is not None and self.basis._cleared_rows() is not None:
+            re, im, _ = self._residue_of(kept[0])
+            return None if any(re) or im is not None and any(im) else p.coords
+        coords = vec_scale(_power_of_two_scale(p.coords), p.coords)
+        return coords if vec_is_zero(self._residue(coords)) else None
 
     def contains(self, p: ProjPoint) -> bool:
-        return self.basis is not None and self._holds(p)
+        return self.basis is not None and self._read(p) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.basis is None:
@@ -187,9 +226,10 @@ class Subspace:
         if self.basis is None:
             return None
         self._require_chart()
-        if not self._holds(p):
+        coords = self._read(p)
+        if coords is None:
             return None
-        return ProjPoint([p.coords[j] for j in self._pivots])
+        return ProjPoint([coords[j] for j in self._pivots])
 
     def conjugation_closed(self) -> bool:
         # the conjugate rows are the canonical basis of the conjugate space
@@ -217,40 +257,96 @@ class Subspace:
         return "Subspace[%s]" % rows
 
 
+def _reduced(m: Matrix, ambient: int) -> Subspace:
+    """The row space of m, on its reduced nonzero rows."""
+    red, pivots = rref(m)
+    if not pivots:
+        return Subspace.empty(ambient)
+    return Subspace._of(red._top(len(pivots)), pivots, ambient)
+
+
+def _point_rows(points: Sequence[ProjPoint]) -> Matrix:
+    """The points' coordinates as rows, kept cleared when all are exact."""
+    kept = [p._kept() for p in points]
+    if any(k is None for k in kept):
+        return Matrix._of([p.coords for p in points])
+    return Matrix._of_cleared([f for f, _ in kept], [k for _, k in kept])
+
+
+def _stacked(parts: Sequence[Matrix]) -> Matrix:
+    """The rows of the matrices one below the other, kept cleared when all
+    are exact."""
+    forms = [m._cleared_rows() for m in parts]
+    if any(f is None for f in forms):
+        return Matrix._of([r for m in parts for r in m.rows])
+    return Matrix._of_cleared([r for f in forms for r in f],
+                              [k for m in parts for k in m._kinds_by_row()])
+
+
 def span(points: Sequence[ProjPoint]) -> Subspace:
     assert points
     ambient = points[0].ambient
     assert all(p.ambient == ambient for p in points)
-    return Subspace.from_rows([p.coords for p in points], ambient)
+    return _reduced(_point_rows(points), ambient)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
+    """The span of both; exact bases are eliminated from their kept rows."""
     assert a.ambient == b.ambient
-    rows = []
-    if a.basis is not None:
-        rows += list(a.basis.rows)
-    if b.basis is not None:
-        rows += list(b.basis.rows)
-    return Subspace.from_rows(rows, a.ambient)
+    bases = [u.basis for u in (a, b) if u.basis is not None]
+    if not bases:
+        return Subspace.empty(a.ambient)
+    return _reduced(_stacked(bases), a.ambient)
 
 
-def _meet_rows(rows: Sequence[Vector], b: Subspace) -> Subspace:
+def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
     """The meet of b with the span of independent rows: a combination of
     the rows lies in b exactly when the same combination of their residues
     modulo b vanishes, so the kernel of the residues, one column per row,
-    spans the meet."""
+    spans the meet.
+
+    Exact rows and basis run on integers: the rows' numerators (a row's
+    scale moves neither the meet nor any kind) have residues over one
+    denominator, which the kernel does not see, and only the reduced
+    meet makes Scalars, when read.
+    """
     if b.basis is None:
         return Subspace.empty(b.ambient)
-    kernel = nullspace(Matrix._of(zip(*[b._residue(row) for row in rows])))
+    forms = rows._cleared_rows()
+    if forms is None or b.basis._cleared_rows() is None:
+        kernel = nullspace(Matrix._of(zip(*[b._residue(row) for row in rows.rows])))
+        if not kernel:
+            return Subspace.empty(b.ambient)
+        return _reduced(Matrix._of(kernel) * rows, b.ambient)
+    numerators = [(re, im, 1) for re, im, _ in forms]
+    residues = [b._residue_of(v) for v in numerators]
+    masks = [b._residue_kinds(k) for k in rows._kinds_by_row()]
+    # the matrix with the residues as columns, times their one denominator:
+    # row j holds the residues' integers at j, so is its own cleared form
+    by_row, by_row_kinds = [], []
+    for j in range(b.ambient):
+        kinds = sum(1 << k for k, mask in enumerate(masks) if mask >> j & 1)
+        by_row.append(([re[j] for re, _, _ in residues],
+                       [0 if im is None else im[j] for _, im, _ in residues] if kinds else None,
+                       1))
+        by_row_kinds.append(kinds)
+    kernel = _kernel_forms(*rref(Matrix._of_cleared(by_row, by_row_kinds)))
     if not kernel:
         return Subspace.empty(b.ambient)
-    return Subspace.from_rows((Matrix._of(kernel) * Matrix._of(rows)).rows, b.ambient)
+    out, out_kinds = [], []
+    for c, c_kinds in kernel:
+        # the kinds of sum c_k*row_k, as of a combination with v zero
+        kinds = _combined_kinds(b.ambient, 0, bool(c_kinds), rows._kinds_by_row())
+        re, im, den = _cleared_image(numerators, c)
+        out.append(_reduced_form(re, im if kinds else None, den))
+        out_kinds.append(kinds)
+    return _reduced(Matrix._of_cleared(out, out_kinds), b.ambient)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of row spaces; the empty subspace when disjoint."""
     assert a.ambient == b.ambient
-    return Subspace.empty(a.ambient) if a.basis is None else _meet_rows(a.basis.rows, b)
+    return Subspace.empty(a.ambient) if a.basis is None else _meet_rows(a.basis, b)
 
 
 class Line(Subspace):
@@ -310,7 +406,7 @@ def fiber_image(u: Subspace) -> Subspace:
     if not rows:
         raise GeometryError(
             "fiber projectivity undefined on the exceptional generator")
-    return Subspace.from_rows(rows, 8)
+    return _reduced(Matrix._of(rows), 8)
 
 
 def fiber_line(x: ProjPoint) -> Line:
@@ -321,8 +417,8 @@ def project_from_center(x: ProjPoint, center: Subspace, target: Subspace) -> Pro
     if center.contains(x):
         raise GeometryError("projection not well defined")
     # x off the centre keeps x and the centre's rows independent
-    rows = (x.coords,) if center.basis is None else (x.coords,) + center.basis.rows
-    image = _meet_rows(rows, target)
+    rows = _point_rows([x])
+    image = _meet_rows(rows if center.basis is None else _stacked([rows, center.basis]), target)
     if image.dim != 0:
         raise GeometryError("projection not well defined")
     return image.points()[0]
@@ -341,5 +437,5 @@ def chi_subspace(u: Subspace) -> Subspace:
     assert u.ambient == 8
     if u.basis is None:
         return u
-    return Subspace.from_rows([(w, -x, -y, -z, dw, -dx, -dy, -dz)
-                               for w, x, y, z, dw, dx, dy, dz in u.basis.rows], 8)
+    return _reduced(Matrix._of([(w, -x, -y, -z, dw, -dx, -dy, -dz)
+                                for w, x, y, z, dw, dx, dy, dz in u.basis.rows]), 8)

@@ -15,11 +15,17 @@ builds once, and reconstruction inverts its frame once, since rescaling
 a frame row only divides the centres' coordinate for that row.  The
 steps of ``run_cycle`` need no elimination: from a point centre m onto a
 4-space T the image of x is x - lambda*m, with lambda read off the
-residues of x and m modulo T.  A cycle stores each centre's residue
-once, so a step is one residue, one proportionality test and one vector
-update.  The closure of a cycle, the plane of a reconstruction's centres
-and its postconditions are certificates: a failure raises
-``errors.InvariantError``, also under ``python -O``.
+residues of x and m modulo T.  A cycle stores each centre's cleared
+coordinates and residue once, so a step is one integer residue, one
+proportionality test and the image x*r_m[k] - r_x[k]*m on integers;
+Scalars are made once per output point, normalized so its first
+nonzero coordinate is one, of the kinds the scalar loop gives it.  The
+four 4-spaces are joined again on every call, from kept rows and with
+no Scalar made: a cache of them waits on the benchmark's pin of four
+joins per cycle (``quadrecon.joins_per_cycle`` in
+``bench/tests/test_bench.py``).  The closure of a cycle, the plane of a
+reconstruction's centres and its postconditions are certificates: a
+failure raises ``errors.InvariantError``, also under ``python -O``.
 
 Everything here is exact; float scalars are refused.
 """
@@ -30,8 +36,9 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, _Cleared, _cleared, _combination, _proportional, inverse, rank,
-                     solve, vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub)
+from .linalg import (Matrix, _Cleared, _cleared_image, _combined_kinds, _proportional,
+                     _reduced_form, _scalars, inverse, rank, solve, vec_add, vec_dot, vec_scale,
+                     vec_sub)
 from .projgeom import (
     ProjPoint,
     Subspace,
@@ -46,26 +53,24 @@ from .scalars import Scalar, scalar, ONE, ZERO
 HALF = scalar(1) / scalar(2)
 
 
-def _exact_point(p: ProjPoint) -> bool:
-    return all(c.is_exact for c in p.coords)
-
-
 class _Step(NamedTuple):
-    """A projection from a point centre: its coordinates as a one-row
-    matrix, its residue modulo the target 4-space, cleared, and a column k
-    where that residue is the nonzero ``pivot``."""
+    """A projection from a point centre m: m cleared with its kinds mask,
+    m's residue modulo the target 4-space, cleared, a column k where that
+    residue is nonzero, and whether its entry there is Gaussian."""
 
-    center: Matrix
+    center: _Cleared
+    center_kinds: int
     residue: _Cleared
     k: int
-    pivot: Scalar
+    gaussian_pivot: bool
 
 
 def _step(center: ProjPoint, target: Subspace) -> _Step:
-    r = target._residue(center.coords)
+    m, kinds = center._kept()
+    r = target._residue_of(m)
     # the centre plane misses every projection space, so r is nonzero
-    k = next(j for j, e in enumerate(r) if not e.is_zero())
-    return _Step(Matrix._of([center.coords]), _cleared(r), k, r[k])
+    k = next(j for j, x in enumerate(r[0]) if x or r[1] is not None and r[1][j])
+    return _Step(m, kinds, r, k, bool(target._residue_kinds(kinds) >> k & 1))
 
 
 def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
@@ -73,15 +78,37 @@ def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
 
     On the line through x and m only x - lambda*m, lambda = r_x[k]/r_m[k],
     can lie in target: it does exactly when x's residue r_x is lambda
-    times m's residue r_m, and it is a point unless x is m.  The image is
-    scaled so its first nonzero coordinate is one: the reduced row that a
-    meet returns, in value and kind.
+    times m's residue r_m, and it is a point unless x is m.  All of this
+    runs on cleared integers, the image as x*r_m[k] - r_x[k]*m times the
+    denominators.  The image is scaled so its first nonzero coordinate is
+    one, the reduced row that a meet returns, and only then made Scalars,
+    of the kinds the scalar loop gives them.
     """
-    r = target._residue(x.coords)
-    image = _combination(x.coords, [-(r[step.k] / step.pivot)], step.center)
-    if not _proportional(step.residue, _cleared(r)) or vec_is_zero(image):
+    xf, x_kinds = x._kept()
+    rx = target._residue_of(xf)
+    if not _proportional(step.residue, rx):
         raise GeometryError("projection not well defined")
-    return ProjPoint(image).normalized()
+    k = step.k
+    # the scalar loop's kinds: those of x + c*m with c = -r_x[k]/r_m[k]; then
+    # dividing by image[p] changes none, as p is a pivot column of target, so
+    # where x or m is Gaussian at p its residue is Gaussian throughout, and c
+    gaussian_c = step.gaussian_pivot or target._residue_kinds(x_kinds) >> k & 1
+    kinds = _combined_kinds(len(xf[0]), x_kinds, gaussian_c, (step.center_kinds,))
+    # the image r_m[k]*x - r_x[k]*m, times both residues' denominators
+    (ar, ai, ad), (br, bi, bd) = ((r[0][k], 0 if r[1] is None else r[1][k], r[2])
+                                  for r in (rx, step.residue))
+    re, im, _ = _cleared_image([xf, step.center], ([br * ad, -ar * bd],
+                                                   [bi * ad, -ai * bd] if gaussian_c else None, 1))
+    p = next((j for j in range(len(re)) if re[j] or im is not None and im[j]), None)
+    if p is None:
+        raise GeometryError("projection not well defined")
+    # divided by image[p], or when it is Gaussian, times its conjugate over its norm
+    if im is None:
+        form = _reduced_form(re, None, re[p])
+    else:
+        vr, vi = re[p], im[p]
+        form = _reduced_form(*_cleared_image([(re, im, 1)], ([vr], [-vi], vr * vr + vi * vi)))
+    return ProjPoint._of(_scalars(*form, kinds), form, kinds)
 
 
 @dataclass(frozen=True)
@@ -107,7 +134,7 @@ class ProjectionCycle:
         assert self.e.ambient == 8
         assert all(p.ambient == 8 for p in self.f_points + self.centers)
         exact = self.e.basis is not None and self.e.basis.is_exact()
-        if not (exact and all(_exact_point(p)
+        if not (exact and all(p._kept() is not None
                               for p in self.f_points + self.centers)):
             raise ExactnessError("projection cycles need exact scalars")
         if self.e.dim != 3:
@@ -147,7 +174,7 @@ def _targets(spaces):
 def run_cycle(c: ProjectionCycle, start: ProjPoint) -> List[ProjPoint]:
     """Chase a point around the four projections; the last point is start."""
     assert start.ambient == 8
-    if not _exact_point(start):
+    if start._kept() is None:
         raise ExactnessError("projection cycles need exact scalars")
     spaces = c.spaces()
     if c.e.contains(start):
@@ -181,7 +208,7 @@ class ReconstructionProblem:
 
 
 def _block(m: Matrix, rows, cols) -> Matrix:
-    return Matrix([[m[i, j] for j in cols] for i in rows])
+    return Matrix._of([[m[i, j] for j in cols] for i in rows])
 
 
 def _center_coords(to_frame: Matrix, centers, slots) -> List[List[Scalar]]:
@@ -223,12 +250,12 @@ def reconstruct_quadrilateral(
         if len(e_basis) != 4 or span(e_basis) != cycle.e:
             raise GeometryError(
                 "alternative basis does not span the fixed space")
-        if not all(_exact_point(q) for q in e_basis):
+        if not all(q._kept() is not None for q in e_basis):
             raise ExactnessError("reconstruction needs exact scalars")
         e_reps = [list(q.coords) for q in e_basis]
 
     f_reps = [list(pt.coords) for pt in cycle.f_points]
-    frame = Matrix(f_reps + e_reps)
+    frame = Matrix._of(f_reps + e_reps)
     to_frame = inverse(frame)
     assert to_frame is not None
     slots = ((0, 1), (1, 2), (2, 3), (3, 0))
@@ -239,7 +266,7 @@ def reconstruct_quadrilateral(
     sigma = [raw[0][0], raw[0][1], ZERO, ZERO]
     sigma[2] = sigma[1] * raw[1][2] / raw[1][1]
     sigma[3] = sigma[2] * raw[2][3] / raw[2][2]
-    frame = Matrix([vec_scale(sigma[i], f_reps[i]) for i in range(4)] + e_reps)
+    frame = Matrix._of([vec_scale(sigma[i], f_reps[i]) for i in range(4)] + e_reps)
     # scaling frame row k by sigma[k] divides each centre's coordinate k by it
     m1c, n1c, m2c, n2c = [[c / s for c, s in zip(cs, sigma)] + cs[4:] for cs in raw]
     m1c = vec_scale(ONE / m1c[0], m1c)

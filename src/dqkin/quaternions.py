@@ -251,19 +251,19 @@ DQ_BASIS = tuple([DualQuaternion(q) for q in Q_BASIS] +
 
 def left_mul_matrix(p: Quaternion) -> Matrix:
     """4x4 matrix of x -> p*x on (1,i,j,k) coordinates."""
-    return Matrix.from_columns([(p * e).coords() for e in Q_BASIS])
+    return Matrix._of(zip(*[(p * e).coords() for e in Q_BASIS]))
 
 
 def right_mul_matrix(p: Quaternion) -> Matrix:
     """4x4 matrix of x -> x*p on (1,i,j,k) coordinates."""
-    return Matrix.from_columns([(e * p).coords() for e in Q_BASIS])
+    return Matrix._of(zip(*[(e * p).coords() for e in Q_BASIS]))
 
 
 def left_mul_matrix8(h: DualQuaternion) -> Matrix:
     """8x8 matrix of q -> h*q on dual quaternion coordinates."""
-    return Matrix.from_columns([(h * e).coords() for e in DQ_BASIS])
+    return Matrix._of(zip(*[(h * e).coords() for e in DQ_BASIS]))
 
 
 def right_mul_matrix8(h: DualQuaternion) -> Matrix:
     """8x8 matrix of q -> q*h on dual quaternion coordinates."""
-    return Matrix.from_columns([(e * h).coords() for e in DQ_BASIS])
+    return Matrix._of(zip(*[(e * h).coords() for e in DQ_BASIS]))

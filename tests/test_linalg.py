@@ -750,6 +750,25 @@ class TestCachedClearedForm:
             gaussian_rows += sum(im is not None for _, im, _ in rows)
         assert gaussian_rows > 100
 
+    def test_rref_keeps_its_rows_cleared(self):
+        """rref of an exact matrix returns its eliminated rows in their kept
+        form, reduced: equal to ``_cleared`` and ``_kinds`` of the rows it
+        makes from them on first read.  Those rows are checked against the
+        scalar loop and the pair reference by the elimination tests."""
+        rng = random.Random(84)
+        cases = [_matrix(pairs, kinds) for kind in (ExactRational, GaussianRational)
+                 for pairs, kinds in _differential_cases(rng, kind)
+                 if len(pairs) <= 8 and len(pairs[0]) <= 8]
+        cases += list(_mixed_exact_cases(rng))
+        reduced_dens = 0
+        for m in cases:
+            red, pivots = rref(m)
+            forms, kinds = red._row_form, red._row_kinds  # read before the rows
+            assert forms == [_cleared(r) for r in red.rows]
+            assert kinds == [_kinds(r) for r in red.rows]
+            reduced_dens += any(d > 1 for _, _, d in forms)
+        assert reduced_dens > 100
+
     def test_float_entry_has_no_cleared_form(self):
         rng = random.Random(82)
         for _ in range(50):

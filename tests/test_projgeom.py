@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, det, nullspace, rank, solve, vec_is_zero
+from dqkin.linalg import (Matrix, _cleared, _kinds, det, nullspace, rank, solve, vec_is_zero,
+                          vec_scale)
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -23,9 +24,12 @@ from dqkin.projgeom import (
     span,
 )
 from dqkin.quaternions import Q_I, Q_J, Q_K, Q_ONE, Quaternion
-from dqkin.scalars import ComplexFloat, gaussian, rational
+from dqkin.scalars import (ComplexFloat, ExactRational, GaussianRational, _power_of_two_scale,
+                           gaussian, rational)
 
 from helpers import I, point, pt8
+from test_linalg import (_bits, _loop_dot, _loop_kernel, _loop_rref, _matrix, _mixed_exact_matrix,
+                         _rank_r_pairs, _rows_bits)
 
 
 def rand_point(rng):
@@ -195,7 +199,10 @@ class TestReadOffCanonicalBasis:
                 if b.dim == 0:
                     continue  # a ProjPoint needs two coordinates
                 chart = b.chart_coords(p)
-                sol = solve(b.basis.transpose(), p.coords)
+                # a float point is read at max-norm about one, by a power of two
+                read = p.coords if kind != "float" else vec_scale(
+                    _power_of_two_scale(p.coords), p.coords)
+                sol = solve(b.basis.transpose(), read)
                 assert (chart is None) == (sol is None) == (not member)
                 if member:
                     assert all(x == y for x, y in zip(chart.coords, sol))
@@ -641,17 +648,31 @@ class TestFloatContainmentAtUnitScale:
                 p = _float_point(inside, scale)
                 assert u.contains(p), scale
                 chart = u.chart_coords(p)
-                assert [c.value for c in chart.coords] == [p.coords[j].value for j in pivots]
+                read = vec_scale(_power_of_two_scale(p.coords), p.coords)
+                assert [c.value for c in chart.coords] == [read[j].value for j in pivots]
             for scale in self.OFF_SCALES:
                 p = _float_point(off, scale)
                 assert not u.contains(p), scale
                 assert u.chart_coords(p) is None
 
 
+    def test_chart_where_pivot_coordinates_are_below_tolerance(self):
+        """The point's pivot coordinates are below the tolerance while the
+        point is not, so its chart is read at the scale membership read it
+        at; unscaled, it would be the zero vector."""
+        u = Subspace.from_rows([[ComplexFloat(x) for x in row]
+                                for row in ((1, 0, 1e6, 0), (0, 1, 0, 1e6))], 4)
+        p = _float_point([1e-10, 1e-10, 1e-4, 1e-4], 1.0)
+        assert u.contains(p)
+        chart = u.chart_coords(p)
+        assert [c.value for c in chart.coords] == [ldexp(1e-10, 13)] * 2
+        assert u.lift(chart) == p
+
+
 class TestFloatAnswersIgnorePowersOfTwo:
     """A float point is read at max-norm about one by a power of two, so its
     rescalings by 2**k, k in [-40, 40] even, meet the same bits: contains gives
-    one answer and chart_coords the same coordinates times 2**k.  20 seeded
+    one answer and chart_coords the same coordinates, bit for bit.  20 seeded
     float 3-spaces of P^7, with a point of each, combined from the reduced
     rows, and a point 1e-2 off it; the points carry the tolerance 1e-13, so
     every rescaling is a nonzero point."""
@@ -676,9 +697,7 @@ class TestFloatAnswersIgnorePowersOfTwo:
             for k in range(-40, 41, 2):
                 got = u.chart_coords(rescaled(inside, k))
                 assert u.contains(rescaled(inside, k)), k
-                assert [c.value for c in got.coords] == [
-                    complex(ldexp(c.value.real, k), ldexp(c.value.imag, k))
-                    for c in chart.coords], k
+                assert [c.value for c in got.coords] == [c.value for c in chart.coords], k
                 assert not u.contains(rescaled(off, k)), k
                 assert u.chart_coords(rescaled(off, k)) is None, k
 
@@ -737,3 +756,117 @@ class TestFloatPointEqualityAtLargestCoordinate:
         p = _float_point([1.0, 0.5, 0, 0, 0, 0, 0, 0], 1.0)
         q = _float_point([0.0, 0.5, 0, 0, 0, 0, 0, 0], 1.0)
         assert p != q and q != p
+
+
+# --- kept forms -----------------------------------------------------------
+
+def _loop_meet_rows(rows, b):
+    """The scalar loop's meet of b with the span of independent rows:
+    residues, their kernel, the combinations and their reduced form."""
+    residues = [ref_residue(b, row) for row in rows]
+    kernel = _loop_kernel(Matrix(list(zip(*residues))))
+    if not kernel:
+        return []
+    combined = [[_loop_dot(c, col) for col in zip(*rows)] for c in kernel]
+    reduced, pivots = _loop_rref(Matrix(combined))
+    return reduced[:len(pivots)]
+
+
+def _loop_reduced(rows):
+    reduced, pivots = _loop_rref(Matrix(rows))
+    return reduced[:len(pivots)]
+
+
+class TestKeptForms:
+    """Exact results are born in the cleared integer form they are computed
+    in: the rows of a reduced basis are made from its kept rows on first
+    read, and the kept rows and kinds masks equal ``_cleared`` and ``_kinds``
+    of them.  Seeded rational, Gaussian and mixed inputs through from_rows,
+    span, join, meet and project_from_center; each result also equals the
+    scalar loop's in value and kind."""
+
+    @staticmethod
+    def rows(rng, kind, nrows, r):
+        if kind == "mixed":
+            pairs, kinds = _mixed_exact_matrix(rng, nrows, 8, r)
+        else:
+            t = GaussianRational if kind == "gaussian" else ExactRational
+            pairs = _rank_r_pairs(rng, nrows, 8, r, t is GaussianRational)
+            kinds = [[t] * 8 for _ in range(nrows)]
+        return [list(row) for row in _matrix(pairs, kinds).rows]
+
+    @staticmethod
+    def assert_kept(u, want_rows):
+        if u.basis is None:
+            assert want_rows == []
+            return
+        forms, kinds = u.basis._row_form, u.basis._row_kinds  # read before the rows
+        assert forms == [_cleared(r) for r in u.basis.rows]
+        assert kinds == [_kinds(r) for r in u.basis.rows]
+        assert _rows_bits(u.basis.rows) == _rows_bits(want_rows)
+
+    @pytest.mark.parametrize("kind", ("rational", "gaussian", "mixed"))
+    def test_reduced_bases(self, kind):
+        rng = random.Random({"rational": 31, "gaussian": 32, "mixed": 33}[kind])
+        seen = {"meets": 0, "gaussian_rows": 0}
+        for _ in range(20):
+            ra, rb = rng.randint(1, 5), rng.randint(3, 7)
+            a_rows = self.rows(rng, kind, ra + rng.randint(0, 2), ra)
+            # sharing a row of a, b meets a also where ra + rb <= 8
+            b_rows = self.rows(rng, kind, rb, rb) + a_rows[:rng.randint(0, 1)]
+            a, b = Subspace.from_rows(a_rows, 8), Subspace.from_rows(b_rows, 8)
+            self.assert_kept(a, _loop_reduced(a_rows))
+            self.assert_kept(b, _loop_reduced(b_rows))
+            points = [ProjPoint(row) for row in a_rows if not vec_is_zero(row)]
+            self.assert_kept(span(points), _loop_reduced([p.coords for p in points]))
+            self.assert_kept(join(a, b), _loop_reduced(list(a.basis.rows + b.basis.rows)))
+            m = meet(a, b)
+            self.assert_kept(m, _loop_meet_rows(a.basis.rows, b))
+            seen["meets"] += m.dim >= 0
+            for form in a.basis._row_form:
+                seen["gaussian_rows"] += form[1] is not None
+        assert seen["meets"] > 8
+        assert (seen["gaussian_rows"] > 0) == (kind != "rational")
+
+    def test_equality_reads_kept_rows(self):
+        """Bases with kept rows compare as integers, a rational row equal
+        to the same values held as GaussianRational: against entrywise
+        scalar equality, on equal, retyped and moved spaces."""
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(60):
+            rows = self.rows(rng, rng.choice(("rational", "mixed")), 4, 3)
+            u = Subspace.from_rows(rows, 8)
+            retyped = [[gaussian(c.value, 0) if type(c) is ExactRational else c for c in row]
+                       for row in rows]
+            moved = [list(row) for row in rows]
+            moved[0][rng.randrange(8)] += rng.choice((0, 1))
+            for w in (Subspace.from_rows(retyped, 8), Subspace.from_rows(moved, 8)):
+                want = u.dim == w.dim and all(a == b for ra, rb in zip(u.basis.rows, w.basis.rows)
+                                              for a, b in zip(ra, rb))
+                assert type(w.basis._row_form) is list and (u == w) == (w == u) == want
+                outcomes.add(want)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("kind", ("rational", "gaussian", "mixed"))
+    def test_projections(self, kind):
+        rng = random.Random({"rational": 34, "gaussian": 35, "mixed": 36}[kind])
+        done = 0
+        for _ in range(25):
+            d = rng.randint(1, 4)
+            center = Subspace.from_rows(self.rows(rng, kind, d, d), 8)
+            target = Subspace.from_rows(self.rows(rng, kind, 8 - d, 8 - d), 8)
+            x_row = self.rows(rng, kind, 1, 1)[0]
+            if vec_is_zero(x_row):
+                continue
+            x = ProjPoint(x_row)
+            if center.dim != d - 1 or target.dim != 7 - d or center.contains(x):
+                continue
+            want = _loop_meet_rows((x.coords,) + center.basis.rows, target)
+            if len(want) != 1:
+                continue
+            got = project_from_center(x, center, target)
+            assert [_bits(c) for c in got.coords] == [_bits(c) for c in want[0]]
+            assert got._kept() == (_cleared(got.coords), _kinds(got.coords))
+            done += 1
+        assert done > 20

@@ -11,7 +11,7 @@ from dqkin import quadrecon
 
 from dqkin.dyads import DyadKind, DyadSpec, build_variety, classify
 from dqkin.errors import ExactnessError, GeometryError, InvariantError
-from dqkin.linalg import Matrix, inverse, rank, vec_add, vec_scale
+from dqkin.linalg import Matrix, _cleared, _kinds, inverse, rank, vec_add, vec_scale
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -27,7 +27,7 @@ from dqkin.quadrecon import (
 )
 from dqkin.quadrics import QuadricForm, null_cone, study_quadric
 from dqkin.quaternions import Q_I, Q_K
-from dqkin.scalars import ComplexFloat, GaussianRational
+from dqkin.scalars import ComplexFloat, ExactRational, GaussianRational
 
 from helpers import dq
 
@@ -260,15 +260,25 @@ def transformed(cycle, m):
                            tuple(move(p) for p in cycle.centers)), move
 
 
+def retyped(p, rng, columns):
+    """p with its real coordinates in the columns given held as
+    GaussianRational, each about a third of the time."""
+    return ProjPoint([GaussianRational(c.value, 0) if j in columns and rng.random() < 0.3
+                      else c for j, c in enumerate(p.coords)])
+
+
 def typed(p):
     return [(type(c), c) for c in p.coords]
 
 
 def outcome(run, cycle, start):
+    """The points in value and kind, each with whether its kept cleared form
+    is that of its coordinates, or the GeometryError raised."""
     try:
-        return [typed(p) for p in run(cycle, start)]
+        points = run(cycle, start)
     except GeometryError as exc:
         return "GeometryError: %s" % exc
+    return [(typed(p), p._kept() == (_cleared(p.coords), _kinds(p.coords))) for p in points]
 
 
 def closed_form_mismatches(seed, count):
@@ -311,6 +321,39 @@ class TestClosedFormAgainstMeets:
         mismatches, runs, raised = closed_form_mismatches(61, 12)
         assert mismatches == []
         assert runs == 120 and 0 < raised < runs
+
+    def test_same_points_and_errors_second_seed(self):
+        mismatches, runs, raised = closed_form_mismatches(65, 12)
+        assert mismatches == []
+        assert runs == 120 and 0 < raised < runs
+
+    def test_kinds_on_some_coordinates_only(self):
+        """Rational cycles whose centres and starts hold some real coordinates
+        as GaussianRational, so the kinds masks cover some coordinates only:
+        run_cycle against the chain of meets, in value and kind.  A Gaussian
+        coordinate at a pivot column of the projection spaces (here columns
+        0 to 4) makes every later coordinate Gaussian, so most are put past
+        them."""
+        rng = random.Random(67)
+        mismatches, partial, full = [], 0, 0
+        for _ in range(12):
+            cycle, rows = random_cycle(rng)
+            assert all(s._pivots == (0, 1, 2, 3, 4) for s in cycle.spaces())
+            columns = (5, 6, 7) if rng.random() < 0.8 else range(8)
+            cycle = ProjectionCycle(cycle.e, cycle.f_points,
+                                    tuple(retyped(p, rng, columns) for p in cycle.centers))
+            for _ in range(5):
+                start = retyped(ProjPoint(vec_add(
+                    vec_scale(nonzero_frac(rng), rows[0]),
+                    combo(rows[4:], tuple(nonzero_frac(rng) for _ in range(4))))), rng, columns)
+                got, want = outcome(run_cycle, cycle, start), outcome(meet_chain, cycle, start)
+                if got != want:
+                    mismatches.append((start, got, want))
+                kinds = [{k for k, _ in point} for point, _ in got]
+                partial += sum(len(k) == 2 for k in kinds)
+                full += sum(k == {GaussianRational} for k in kinds)
+        assert mismatches == []
+        assert partial > 40 and full > 40
 
     def test_gaussian_coordinates_reach_the_output(self):
         cycle, rows = random_cycle(random.Random(62))
