@@ -380,7 +380,8 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
     does not matter.
     """
     u = v.space if isinstance(v, ConstraintVariety) else v
-    assert u.dim == 3
+    if u.dim != 3:
+        raise GeometryError("axis recovery needs a three-space")
     base = _scaled_point(base.coords)
     b = base.dq()
     if b.primal.is_zero():

@@ -5,20 +5,21 @@ operation takes follows the kinds of the entries; results are the same
 on every path, entry by entry and kind by kind.
 
 - A cleared vector is one integer vector (Gaussian entries: a pair of
-  integer vectors) over one denominator (``_cleared``).  Since a
-  ``Matrix`` never changes, it keeps its rows cleared and its columns
-  cleared, each built on first use and ``None`` when an entry is a
-  float, and its rows' kinds masks; a transpose starts with the two
-  forms swapped.  ``Matrix(rows)`` and ``Matrix.from_columns`` convert
-  every entry with ``scalars.scalar``; the trusted constructor
-  ``Matrix._of`` takes rows of Scalars as they are, for results built
-  here, in ``projgeom`` and wherever the entries are Scalars already
-  (the quaternion multiplication matrices, the block readers of
-  ``transforms`` and ``quadrecon``, reconstruction's frames).
+  integer vectors) over one denominator, with the bitmask of its
+  Gaussian entries: one value ``(re, im, den, kinds)`` (``_cleared``),
+  which every exact path passes on whole.  Since a ``Matrix`` never
+  changes, it keeps its rows cleared and its columns cleared, each built
+  on first use and ``None`` when an entry is a float; a transpose starts
+  with the two forms swapped.  ``Matrix(rows)`` and
+  ``Matrix.from_columns`` convert every entry with ``scalars.scalar``;
+  the trusted constructor ``Matrix._of`` takes rows of Scalars as they
+  are, for results built here, in ``projgeom`` and wherever the entries
+  are Scalars already (the quaternion multiplication matrices, the block
+  readers of ``transforms`` and ``quadrecon``, reconstruction's frames).
 - Exact results are born cleared: ``Matrix._of_cleared`` takes kept rows,
   each reduced (``_reduced_form``) so that it equals ``_cleared`` of
-  its entries integer for integer, with its kinds mask, and makes the
-  rows of Scalars by ``_scalars`` only when ``rows`` is first read.
+  its entries integer for integer and kind for kind, and makes the rows
+  of Scalars by ``_scalars`` only when ``rows`` is first read.
   ``rref``'s exact path returns its eliminated rows so; a reduced basis
   read only by integer steps (a join in ``quadrecon.run_cycle``) never
   makes a Scalar.  ``_kernel_forms`` reads a nullspace basis off kept
@@ -32,17 +33,16 @@ on every path, entry by entry and kind by kind.
   the integers, or over the Gaussian integers Z[i] held as (re, im)
   pairs when some entry is Gaussian; ``rref`` divides by the pivot only
   to emit the canonical reduced form, and ``rank`` emits nothing.
-- One combination kernel, ``_combined``, computes ``v + sum c_k *
-  row_k`` on cleared integers from the rows' kept form, with
-  ``_combined_kinds`` for its kinds; ``_combination`` clears v and the
-  coefficients for it and makes the Scalars, and ``projgeom``'s
-  residues call it on kept forms directly.
-- The kinds of every integer path are the scalar loop's.  ``_kinds``
-  reads a vector's Gaussian positions as a bitmask, and ``_scalars``
-  alone turns integer numerators into scalars, Gaussian where the mask
-  is set, with the shared zeros.  A dot or Hamilton product is Gaussian
-  when an input is; a combination entry when v's entry, a row's entry in
-  its column or any coefficient is; in elimination a pivot row where its
+- One combination kernel, ``_cleared_image``, computes ``sum c_k *
+  row_k`` on cleared integers from the rows' kept form, and
+  ``_combined`` adds a vector v to it, for ``projgeom``'s residues.
+- The kinds of every integer path are the scalar loop's.  ``_cleared``
+  reads a vector's Gaussian positions (``_kinds``), each integer step
+  writes its result's mask by that loop's rule, and ``_scalars`` alone
+  turns a cleared form into scalars, Gaussian where the mask is set,
+  with the shared zeros.  A dot or Hamilton product is Gaussian when an
+  input is; a combination entry when v's entry, a row's entry in its
+  column or any coefficient is; in elimination a pivot row where its
   pivot is, another where its pivot-column entry or the pivot row is.
   ``det`` is Gaussian iff some pivot was; a singular one is a zero of
   the first pivot's kind, or of entry (0, 0)'s if column 0 has none.
@@ -120,42 +120,45 @@ def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
 
-# A cleared vector (re, im, den) stands for the entries (re[k] + i*im[k]) / den,
-# with integer lists re and im; im is None when every entry is an ExactRational.
-_Cleared = Tuple[List[int], Optional[List[int]], int]
+# A cleared vector (re, im, den, kinds) stands for the entries (re[k] + i*im[k]) / den
+# of integer lists re and im, GaussianRational where bit k of kinds is set, else
+# ExactRational (im[k] zero); im is None exactly when kinds is 0.
+_Cleared = Tuple[List[int], Optional[List[int]], int, int]
 
 
 def _cleared(u: Vector) -> Optional[_Cleared]:
-    """u over one common denominator, or None when an entry is a float."""
+    """u over one common denominator with its kinds, or None when an entry
+    is a float."""
     if all(type(a) is ExactRational for a in u):
         re = [a.value for a in u]
         den = lcm(*[f.denominator for f in re])
-        return [f.numerator * (den // f.denominator) for f in re], None, den
+        return [f.numerator * (den // f.denominator) for f in re], None, den, 0
     if not all(a.is_exact for a in u):
         return None
     re = [a.value if type(a) is ExactRational else a.re for a in u]
     im = [0 if type(a) is ExactRational else a.im for a in u]
     den = lcm(*[f.denominator for f in re], *[f.denominator for f in im])
     return ([f.numerator * (den // f.denominator) for f in re],
-            [f.numerator * (den // f.denominator) for f in im], den)
+            [f.numerator * (den // f.denominator) for f in im], den, _kinds(u))
 
 
 def _flat_cleared(m: "Matrix") -> _Cleared:
     """The entries of an exact matrix, row by row, over one denominator,
     read from its kept cleared rows."""
     rows = m._cleared_rows()
-    den = lcm(*[d for _, _, d in rows])
-    scales = [den // d for _, _, d in rows]
-    re = [x * s for (r, _, _), s in zip(rows, scales) for x in r]
-    if all(im is None for _, im, _ in rows):
-        return re, None, den
-    return re, [x * s for (r, im, _), s in zip(rows, scales) for x in im or [0] * len(r)], den
+    den = lcm(*[d for _, _, d, _ in rows])
+    scales = [den // d for _, _, d, _ in rows]
+    re = [x * s for (r, _, _, _), s in zip(rows, scales) for x in r]
+    kinds = sum(k << i * len(r) for i, (r, _, _, k) in enumerate(rows))
+    im = ([x * s for (r, im, _, _), s in zip(rows, scales) for x in im or [0] * len(r)]
+          if kinds else None)
+    return re, im, den, kinds
 
 
 def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
     """vec_dot of two cleared vectors times both denominators, as integers
     (re, im); im is None when neither vector has a Gaussian entry."""
-    (ur, ui, _), (vr, vi, _) = u, v
+    (ur, ui, _, _), (vr, vi, _, _) = u, v
     re = sum(map(mul, ur, vr))
     if ui is None and vi is None:
         return re, None
@@ -172,7 +175,7 @@ def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
 def _proportional(a: _Cleared, b: _Cleared) -> bool:
     """Whether two cleared nonzero vectors span the same point: a_k*b_p == b_k*a_p
     for every k, p the first nonzero coordinate of a (denominators cancel)."""
-    (ar, ai, _), (br, bi, _) = a, b
+    (ar, ai, _, _), (br, bi, _, _) = a, b
     if ai is None and bi is None:
         p = next(k for k, x in enumerate(ar) if x)
         x, y = ar[p], br[p]
@@ -187,7 +190,11 @@ def _proportional(a: _Cleared, b: _Cleared) -> bool:
 
 def _kinds(entries: Sequence[Scalar]) -> int:
     """The bitmask of the positions of entries that are GaussianRational."""
-    return sum(1 << k for k, e in enumerate(entries) if type(e) is GaussianRational)
+    mask = 0
+    for k, e in enumerate(entries):
+        if type(e) is GaussianRational:
+            mask |= 1 << k
+    return mask
 
 
 _GAUSSIAN_ZERO = GaussianRational(0, 0)  # read by _scalars only
@@ -209,13 +216,13 @@ def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> Lis
     """vec_dot of every cleared row with every cleared column, a vector per
     row over one denominator; an entry is Gaussian when its row or its
     column has a Gaussian entry, the kind vec_dot would return."""
-    den = lcm(*[d for _, _, d in cols])
-    scales = [den // d for _, _, d in cols]
-    kinds = sum(1 << k for k, (_, ci, _) in enumerate(cols) if ci is not None)
+    den = lcm(*[d for _, _, d, _ in cols])
+    scales = [den // d for _, _, d, _ in cols]
+    kinds = sum(1 << k for k, (_, _, _, ck) in enumerate(cols) if ck)
     out = []
     for r in rows:
         dots = [_dot_numerator(r, c) for c in cols]
-        mask = (1 << len(cols)) - 1 if r[1] is not None else kinds
+        mask = (1 << len(cols)) - 1 if r[3] else kinds
         out.append(_scalars([x * s for (x, _), s in zip(dots, scales)],
                             [(y or 0) * s for (_, y), s in zip(dots, scales)] if mask else None,
                             r[2] * den, mask))
@@ -224,13 +231,16 @@ def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> Lis
 
 def _cleared_image(cols: Sequence[_Cleared], v: _Cleared) -> _Cleared:
     """The matrix with cleared columns cols times v, cleared: the sum of
-    v[k] * cols[k] over the common denominator of v and the columns."""
-    vr, vi, vd = v
-    den = lcm(*[d for _, _, d in cols])
-    gaussian = vi is not None or any(ci is not None for _, ci, _ in cols)
-    re = [0] * len(cols[0][0])
-    im = [0] * len(re) if gaussian else None
-    for k, (cr, ci, d) in enumerate(cols):
+    v[k] * cols[k] over the common denominator of v and the columns, with
+    the scalar loop's kinds: every entry Gaussian when a coefficient v[k]
+    is, else where some column is."""
+    vr, vi, vd, vk = v
+    den = lcm(*[d for _, _, d, _ in cols])
+    n = len(cols[0][0])
+    kinds = (1 << n) - 1 if vk else reduce(or_, [ck for _, _, _, ck in cols])
+    re = [0] * n
+    im = [0] * n if kinds else None
+    for k, (cr, ci, d, _) in enumerate(cols):
         s = den // d
         xr, xi = vr[k] * s, 0 if vi is None else vi[k] * s
         if xr:
@@ -241,7 +251,7 @@ def _cleared_image(cols: Sequence[_Cleared], v: _Cleared) -> _Cleared:
             im = [o + xi * c for o, c in zip(im, cr)]
             if ci is not None:
                 re = [o - xi * c for o, c in zip(re, ci)]
-    return re, im, den * vd
+    return re, im, den * vd, kinds
 
 
 def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
@@ -297,62 +307,38 @@ def _floated(u: Vector) -> Tuple[List[complex], float, int]:
     return values, tolerance, exact
 
 
-def _combined(head: _Cleared, n: int, rows: Sequence[_Cleared]) -> _Cleared:
-    """v + sum of c[k]*rows[k] on cleared integers, for head the entries of v
-    (n of them) and then of c, cleared together; not reduced."""
-    re, im, den = head
-    # v is over den and the sum of the rows over sum_den, a multiple of den
-    sum_re, sum_im, sum_den = _cleared_image(rows, (re[n:], None if im is None else im[n:], den))
+def _combined(v: _Cleared, c: _Cleared, rows: Sequence[_Cleared]) -> _Cleared:
+    """v + sum of c[k]*rows[k] on cleared integers, for c over v's
+    denominator; not reduced.  Its kinds are ``_cleared_image``'s, and
+    Gaussian also where v's entry is."""
+    re, im, den, kinds = v
+    sum_re, sum_im, sum_den, sum_kinds = _cleared_image(rows, c)
+    # the sum of the rows is over sum_den, a multiple of den
     s = sum_den // den
     out_re = [x * s + y for x, y in zip(re, sum_re)]
     if sum_im is None:
-        return out_re, None, sum_den
-    return out_re, sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)], sum_den
+        return out_re, None if im is None else [x * s for x in im], sum_den, kinds
+    return (out_re, sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)],
+            sum_den, kinds | sum_kinds)
 
 
-def _combined_kinds(n: int, v: int, gaussian_coefficient: bool, rows: Sequence[int]) -> int:
-    """The kinds mask of a combination v + sum c_k*row_k of length n, from
-    the masks of v and the rows: every entry is Gaussian when a coefficient
-    is, else where v's entry or a row's entry in its column is."""
-    return (1 << n) - 1 if gaussian_coefficient else reduce(or_, rows, v)
-
-
-def _combination(v: Vector, coeffs: Sequence[Scalar], m: "Matrix") -> Vector:
-    """v + sum of coeffs[k]*m.rows[k]: on cleared integers, m's rows taken
-    from its kept cleared form, when every entry is exact, else by the
-    scalar loop ``o + c*r``, row by row."""
-    n = len(v)
-    rows = m._cleared_rows()
-    head = None if rows is None else _cleared(tuple(v) + tuple(coeffs))
-    if head is None:
-        out = tuple(v)
-        for c, row in zip(coeffs, m.rows):
-            out = tuple(o + c * r for o, r in zip(out, row))
-        return out
-    re, im, den = _combined(head, n, rows)
-    mask = 0 if im is None else _combined_kinds(n, _kinds(v), bool(_kinds(coeffs)),
-                                                m._kinds_by_row())
-    return _scalars(re, im, den, mask)
-
-
-def _reduced_form(re: List[int], im: Optional[List[int]], den: int) -> _Cleared:
+def _reduced_form(re: List[int], im: Optional[List[int]], den: int, kinds: int) -> _Cleared:
     """A cleared vector divided by the gcd of its integers and its
     denominator, the denominator made positive: the form ``_cleared``
-    gives the entries it stands for, integer for integer (im None exactly
-    when every entry is to be an ExactRational)."""
+    gives the entries it stands for, integer for integer."""
     g = gcd(*re, den) if im is None else gcd(*re, *im, den)
     if den < 0:
         g = -g
     if g == 1:
-        return re, im, den
-    return [x // g for x in re], None if im is None else [x // g for x in im], den // g
+        return re, im, den, kinds
+    return [x // g for x in re], None if im is None else [x // g for x in im], den // g, kinds
 
 
 _UNSET = object()  # a cleared form not yet built
 
 
 class Matrix:
-    __slots__ = ("rows", "_row_form", "_column_form", "_row_kinds")
+    __slots__ = ("rows", "_row_form", "_column_form")
 
     def __init__(self, rows: Sequence[Sequence]):
         self._set(tuple(tuple(scalar(e) for e in row) for row in rows))
@@ -365,12 +351,12 @@ class Matrix:
         return m
 
     @classmethod
-    def _of_cleared(cls, forms: List[_Cleared], kinds: List[int]) -> "Matrix":
+    def _of_cleared(cls, forms: List[_Cleared]) -> "Matrix":
         """The trusted constructor from kept rows: each row's cleared form,
-        equal to ``_cleared`` of its entries (see ``_reduced_form``), and
-        its kinds mask.  The rows of Scalars are made on first read."""
+        equal to ``_cleared`` of its entries (see ``_reduced_form``).  The
+        rows of Scalars are made on first read."""
         m = object.__new__(cls)
-        m._row_form, m._row_kinds, m._column_form = forms, kinds, _UNSET
+        m._row_form, m._column_form = forms, _UNSET
         return m
 
     def __getattr__(self, name):
@@ -378,8 +364,7 @@ class Matrix:
         # from kept rows, made once here
         if name != "rows":
             raise AttributeError(name)
-        self.rows = rows = tuple([_scalars(re, im, den, mask) for (re, im, den), mask
-                                  in zip(self._row_form, self._row_kinds)])
+        self.rows = rows = tuple([_scalars(*form) for form in self._row_form])
         return rows
 
     def _set(self, rows: Tuple[Vector, ...]) -> None:
@@ -387,7 +372,7 @@ class Matrix:
         width = len(rows[0])
         assert width > 0 and all(len(r) == width for r in rows)
         self.rows = rows
-        self._row_form = self._column_form = self._row_kinds = _UNSET
+        self._row_form = self._column_form = _UNSET
 
     def _cleared_rows(self) -> Optional[List[_Cleared]]:
         """Every row cleared (``_cleared``), or None when an entry is a float;
@@ -402,19 +387,13 @@ class Matrix:
             self._column_form = _all_cleared(list(zip(*self.rows)))
         return self._column_form
 
-    def _kinds_by_row(self) -> List[int]:
-        """Every row's kinds mask (``_kinds``); kept too."""
-        if self._row_kinds is _UNSET:
-            self._row_kinds = [_kinds(r) for r in self.rows]
-        return self._row_kinds
-
     def _top(self, k: int) -> "Matrix":
         """The first k rows, with their kept rows when the matrix has them."""
         if k == self.nrows:
             return self
         forms = self._row_form
         if type(forms) is list:
-            return Matrix._of_cleared(forms[:k], self._kinds_by_row()[:k])
+            return Matrix._of_cleared(forms[:k])
         return Matrix._of(self.rows[:k])
 
     @staticmethod
@@ -505,7 +484,7 @@ class Matrix:
             # standing for zeros
             return all(ra == rb and da == db
                        and (ia == ib or (ia or [0] * len(ra)) == (ib or [0] * len(rb)))
-                       for (ra, ia, da), (rb, ib, db) in zip(fa, fb))
+                       for (ra, ia, da, _), (rb, ib, db, _) in zip(fa, fb))
         return all(a == b for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
 
@@ -628,17 +607,17 @@ def _fraction_free(a: List[list], step=_int_step, zero=0, one=1,
     return pivots, prev, sign, gaussian_pivot
 
 
-def _exact_elimination(m: Matrix, cleared: List[_Cleared]):
-    """Run ``_fraction_free`` on the cleared rows of m over Z, or over Z[i]
-    with the Gaussian mask when some entry is Gaussian.  Returns the
-    eliminated rows, the mask (None over Z) and ``_fraction_free``'s result."""
-    if all(im is None for _, im, _ in cleared):
+def _exact_elimination(cleared: List[_Cleared]):
+    """Run ``_fraction_free`` on cleared rows over Z, or over Z[i] with their
+    kinds masks when some entry is Gaussian.  Returns the eliminated rows,
+    the masks (None over Z) and ``_fraction_free``'s result."""
+    gaussian = [kinds for _, _, _, kinds in cleared]  # _fraction_free updates it in place
+    if not any(gaussian):
         # _fraction_free replaces rows and never writes into one, so the
         # matrix's kept rows can start the elimination
-        a = [re for re, _, _ in cleared]
+        a = [re for re, _, _, _ in cleared]
         return a, None, _fraction_free(a)
-    a = [list(zip(re, im or [0] * len(re))) for re, im, _ in cleared]
-    gaussian = list(m._kinds_by_row())  # _fraction_free updates it in place
+    a = [list(zip(re, im or [0] * len(re))) for re, im, _, _ in cleared]
     return a, gaussian, _fraction_free(a, _gaussian_step, (0, 0), (1, 0), gaussian)
 
 
@@ -651,18 +630,17 @@ def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     cleared = m._cleared_rows()
     if cleared is not None:
         # scaling a row changes no reduced form, so each row is cleared alone
-        a, gaussian, (pivots, d, _, _) = _exact_elimination(m, cleared)
+        a, gaussian, (pivots, d, _, _) = _exact_elimination(cleared)
         if gaussian is None:
-            return (Matrix._of_cleared([_reduced_form(row, None, d) for row in a], [0] * len(a)),
-                    tuple(pivots))
+            return Matrix._of_cleared([_reduced_form(row, None, d, 0) for row in a]), tuple(pivots)
         # a Z[i] row over d is the row times conj(d) over |d|^2; a row the
         # scalar loop holds as rational has imaginary parts zero
         dr, di = d
         forms = [_reduced_form([xr * dr + xi * di for xr, xi in row],
                                [xi * dr - xr * di for xr, xi in row] if g else None,
-                               dr * dr + di * di)
+                               dr * dr + di * di, g)
                  for row, g in zip(a, gaussian)]
-        return Matrix._of_cleared(forms, gaussian), tuple(pivots)
+        return Matrix._of_cleared(forms), tuple(pivots)
     rows = [list(r) for r in m.rows]
     pivots = []
     for col in range(m.ncols):
@@ -689,7 +667,7 @@ def rank(m: Matrix) -> int:
     cleared = m._cleared_rows()
     if cleared is None:
         return len(rref(m)[1])
-    return len(_exact_elimination(m, cleared)[2][0])
+    return len(_exact_elimination(cleared)[2][0])
 
 
 def det(m: Matrix) -> Scalar:
@@ -716,7 +694,7 @@ def det(m: Matrix) -> Scalar:
                     f = rows[i][col] * inv
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
         return out if sign > 0 else -out
-    _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(m, cleared)
+    _, gaussian, (pivots, d, sign, gaussian_pivot) = _exact_elimination(cleared)
     if len(pivots) < m.nrows:
         # a zero of the kind of the first pivot, or of entry (0, 0)
         first = next((r[0] for r in m.rows if not r[0].is_zero()), m.rows[0][0])
@@ -735,7 +713,7 @@ def _kernel(red: Matrix, pivots: Sequence[int]) -> List[Vector]:
     free column j, one at j and minus the pivot rows' entries in column j
     at their pivots; from kept rows by ``_kernel_forms``."""
     if type(red._row_form) is list:
-        return [_scalars(*form, kinds) for form, kinds in _kernel_forms(red, pivots)]
+        return [_scalars(*form) for form in _kernel_forms(red, pivots)]
     free = [j for j in range(red.ncols) if j not in pivots]
     basis = []
     for j in free:
@@ -747,28 +725,28 @@ def _kernel(red: Matrix, pivots: Sequence[int]) -> List[Vector]:
     return basis
 
 
-def _kernel_forms(red: Matrix, pivots: Sequence[int]) -> List[Tuple[_Cleared, int]]:
+def _kernel_forms(red: Matrix, pivots: Sequence[int]) -> List[_Cleared]:
     """``_kernel`` of a reduced form with kept rows, each vector cleared over
-    the pivot rows' common denominator, with its kinds mask: its one is
-    rational, and an entry read off a row has that entry's kind."""
-    n, rank = red.ncols, len(pivots)
-    forms, kinds = red._row_form[:rank], red._kinds_by_row()[:rank]
-    den = lcm(*[d for _, _, d in forms])
-    scales = [den // d for _, _, d in forms]
+    the pivot rows' common denominator: its one is rational, and an entry
+    read off a row has that entry's kind."""
+    n = red.ncols
+    forms = red._row_form[:len(pivots)]
+    den = lcm(*[d for _, _, d, _ in forms])
+    scales = [den // d for _, _, d, _ in forms]
     out = []
     for j in (j for j in range(n) if j not in pivots):
-        mask = sum(1 << pc for pc, g in zip(pivots, kinds) if g >> j & 1)
+        mask = sum(1 << pc for pc, (_, _, _, g) in zip(pivots, forms) if g >> j & 1)
         re = [0] * n
         re[j] = den
-        for pc, (row, _, _), s in zip(pivots, forms, scales):
+        for pc, (row, _, _, _), s in zip(pivots, forms, scales):
             re[pc] = -row[j] * s
         im = None
         if mask:
             im = [0] * n
-            for pc, (_, row, _), s in zip(pivots, forms, scales):
+            for pc, (_, row, _, _), s in zip(pivots, forms, scales):
                 if row is not None:
                     im[pc] = -row[j] * s
-        out.append(((re, im, den), mask))
+        out.append((re, im, den, mask))
     return out
 
 

@@ -17,27 +17,28 @@ their join first.  The exceptional generator [eps H] is built once, at
 import.
 
 Exact vectors (rational or Gaussian entries, mixed or not) take one
-integer path, their kinds masks travelling with them.  A ``ProjPoint``
-keeps its cleared coordinates and their kinds mask (``_kept``), built on
-first use or handed over at birth (``ProjPoint._of``), and a reduced
-basis keeps the rows ``rref`` computed it in.  ``span`` and ``join``
-hand those kept rows to ``rref`` with no re-wrap and no re-clearing;
-``contains`` and ``chart_coords`` decide membership by an integer
-residue (``_residue_of``), and ``ProjPoint.__eq__`` cross-multiplies the
+integer path, on cleared forms that carry their kinds masks
+(``linalg._cleared``).  A ``ProjPoint`` keeps its cleared coordinates
+(``_kept``), built on first use or handed over at birth
+(``ProjPoint._of``), and a reduced basis keeps the rows ``rref``
+computed it in.  ``span`` and ``join`` hand those kept rows to ``rref``
+with no re-wrap and no re-clearing; ``contains`` and ``chart_coords``
+decide membership by an integer residue (``_residue_of``, with the
+scalar loop's kinds), and ``ProjPoint.__eq__`` cross-multiplies the
 kept coordinates (``linalg._proportional``), so neither makes a Scalar.
 Meets, so central projections, run on integers too: the residues of the
 rows' numerators, their kernel (``linalg._kernel_forms``) and its
 combinations of the rows, so only the reduced meet makes Scalars, when
-read.  ``lift`` goes through ``linalg._combination``.  A float
-coordinate anywhere sends the operation through the scalar loop, which
-compares each float at its own tolerance.  ``contains`` and
-``chart_coords`` then read the point at max-norm about one, scaled by a
-power of two (``scalars._power_of_two_scale``, exact, so every
-representative that differs by a power of two meets the same bits), and
-``chart_coords`` returns its coordinates at that scale; float
+read.  ``lift`` is the product of the chart coordinates and the basis.
+A float coordinate anywhere sends the operation through the scalar
+loop, which compares each float at its own tolerance, on values at
+max-norm about one, scaled by a power of two
+(``scalars._power_of_two_scale``, exact, so every representative that
+differs by a power of two meets the same bits): ``contains`` and
+``chart_coords`` read the point so, and ``chart_coords`` returns its
+coordinates at that scale; ``meet`` reads each of its rows so; float
 ``ProjPoint.__eq__`` divides both points by their coordinate where the
-first is largest, so these answers do not depend on the representative;
-``meet`` still compares unscaled values.
+first is largest.  So these answers do not depend on the representative.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _combination,
-                     _combined, _combined_kinds, _kernel_forms, _kinds, _proportional,
-                     _reduced_form, as_vector, nullspace, rref, vec_is_zero, vec_scale)
+from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _combined,
+                     _kernel_forms, _proportional, _reduced_form, as_vector, nullspace, rref,
+                     vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
@@ -65,19 +66,18 @@ class ProjPoint:
         self.coords, self._form = cs, _UNSET
 
     @classmethod
-    def _of(cls, coords: Vector, form: _Cleared, kinds: int) -> "ProjPoint":
+    def _of(cls, coords: Vector, form: _Cleared) -> "ProjPoint":
         """The trusted constructor: nonzero Scalars with their kept form,
         as ``_kept`` would build it."""
         p = object.__new__(cls)
-        p.coords, p._form = coords, (form, kinds)
+        p.coords, p._form = coords, form
         return p
 
-    def _kept(self) -> Optional[Tuple[_Cleared, int]]:
-        """The coordinates cleared (``linalg._cleared``) with their kinds
-        mask, or None when one is a float; built on first use and kept."""
+    def _kept(self) -> Optional[_Cleared]:
+        """The coordinates cleared (``linalg._cleared``), or None when one is
+        a float; built on first use and kept."""
         if self._form is _UNSET:
-            form = _cleared(self.coords)
-            self._form = None if form is None else (form, _kinds(self.coords))
+            self._form = _cleared(self.coords)
         return self._form
 
     @property
@@ -104,7 +104,7 @@ class ProjPoint:
             return False
         ka, kb = self._kept(), other._kept()
         if ka is not None and kb is not None:
-            return _proportional(ka[0], kb[0])
+            return _proportional(ka, kb)
         # scale both at self's largest coordinate, so the tolerance meets
         # the same values whatever representatives were given
         k = max(range(self.ambient), key=lambda j: abs(self.coords[j].to_complex()))
@@ -166,26 +166,27 @@ class Subspace:
         return [ProjPoint(row) for row in self.basis.rows]
 
     def _residue(self, v: Sequence[Scalar]) -> Vector:
-        """v minus the basis rows, each scaled by v's entry at its pivot.
+        """v minus the basis rows, each scaled by v's entry at its pivot, by
+        the scalar loop ``o + c*r``.
 
         The result vanishes at every pivot column, and everywhere exactly
         when v lies in the subspace.
         """
-        return _combination(v, [-v[j] for j in self._pivots], self.basis)
+        out = tuple(v)
+        for j, row in zip(self._pivots, self.basis.rows):
+            c = -v[j]
+            out = tuple(o + c * r for o, r in zip(out, row))
+        return out
 
     def _residue_of(self, v: _Cleared) -> _Cleared:
-        """``_residue`` of a cleared vector, cleared (not reduced), for an
-        exact basis; the basis rows are read in their kept form."""
-        re, im, den = v
+        """``_residue`` of a cleared vector, cleared (not reduced), with the
+        scalar loop's kinds, for an exact basis; the basis rows are read in
+        their kept form."""
+        re, im, den, kinds = v
         pivots = self._pivots
-        head = (re + [-re[j] for j in pivots],
-                None if im is None else im + [-im[j] for j in pivots], den)
-        return _combined(head, len(re), self.basis._cleared_rows())
-
-    def _residue_kinds(self, kinds: int) -> int:
-        """The kinds mask of ``_residue`` of a vector with the kinds mask given."""
-        return _combined_kinds(self.ambient, kinds, any(kinds >> j & 1 for j in self._pivots),
-                               self.basis._kinds_by_row())
+        c = ([-re[j] for j in pivots], None if im is None else [-im[j] for j in pivots], den,
+             kinds and sum(1 << k for k, j in enumerate(pivots) if kinds >> j & 1))
+        return _combined(v, c, self.basis._cleared_rows())
 
     def _read(self, p: ProjPoint) -> Optional[Vector]:
         """p's coordinates as membership reads them, or None when p lies
@@ -195,7 +196,7 @@ class Subspace:
         assert p.ambient == self.ambient
         kept = p._kept()
         if kept is not None and self.basis._cleared_rows() is not None:
-            re, im, _ = self._residue_of(kept[0])
+            re, im, _, _ = self._residue_of(kept)
             return None if any(re) or im is not None and any(im) else p.coords
         coords = vec_scale(_power_of_two_scale(p.coords), p.coords)
         return coords if vec_is_zero(self._residue(coords)) else None
@@ -218,8 +219,7 @@ class Subspace:
         assert self.basis is not None
         self._require_chart()
         assert chart_point.ambient == self.basis.nrows
-        return ProjPoint(_combination((ZERO,) * self.ambient, chart_point.coords,
-                                      self.basis))
+        return ProjPoint((Matrix._of([chart_point.coords]) * self.basis).rows[0])
 
     def chart_coords(self, p: ProjPoint) -> Optional[ProjPoint]:
         """Coordinates of p in this subspace's basis, or None if outside."""
@@ -270,7 +270,7 @@ def _point_rows(points: Sequence[ProjPoint]) -> Matrix:
     kept = [p._kept() for p in points]
     if any(k is None for k in kept):
         return Matrix._of([p.coords for p in points])
-    return Matrix._of_cleared([f for f, _ in kept], [k for _, k in kept])
+    return Matrix._of_cleared(kept)
 
 
 def _stacked(parts: Sequence[Matrix]) -> Matrix:
@@ -279,8 +279,7 @@ def _stacked(parts: Sequence[Matrix]) -> Matrix:
     forms = [m._cleared_rows() for m in parts]
     if any(f is None for f in forms):
         return Matrix._of([r for m in parts for r in m.rows])
-    return Matrix._of_cleared([r for f in forms for r in f],
-                              [k for m in parts for k in m._kinds_by_row()])
+    return Matrix._of_cleared([r for f in forms for r in f])
 
 
 def span(points: Sequence[ProjPoint]) -> Subspace:
@@ -314,33 +313,27 @@ def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
         return Subspace.empty(b.ambient)
     forms = rows._cleared_rows()
     if forms is None or b.basis._cleared_rows() is None:
+        # each row at max-norm about one, so no representative moves the tolerance
+        rows = Matrix._of([vec_scale(_power_of_two_scale(row), row) for row in rows.rows])
         kernel = nullspace(Matrix._of(zip(*[b._residue(row) for row in rows.rows])))
         if not kernel:
             return Subspace.empty(b.ambient)
         return _reduced(Matrix._of(kernel) * rows, b.ambient)
-    numerators = [(re, im, 1) for re, im, _ in forms]
+    numerators = [(re, im, 1, kinds) for re, im, _, kinds in forms]
     residues = [b._residue_of(v) for v in numerators]
-    masks = [b._residue_kinds(k) for k in rows._kinds_by_row()]
     # the matrix with the residues as columns, times their one denominator:
     # row j holds the residues' integers at j, so is its own cleared form
-    by_row, by_row_kinds = [], []
+    by_row = []
     for j in range(b.ambient):
-        kinds = sum(1 << k for k, mask in enumerate(masks) if mask >> j & 1)
-        by_row.append(([re[j] for re, _, _ in residues],
-                       [0 if im is None else im[j] for _, im, _ in residues] if kinds else None,
-                       1))
-        by_row_kinds.append(kinds)
-    kernel = _kernel_forms(*rref(Matrix._of_cleared(by_row, by_row_kinds)))
+        kinds = sum(1 << k for k, r in enumerate(residues) if r[3] >> j & 1)
+        by_row.append(([re[j] for re, _, _, _ in residues],
+                       [0 if im is None else im[j] for _, im, _, _ in residues] if kinds else None,
+                       1, kinds))
+    kernel = _kernel_forms(*rref(Matrix._of_cleared(by_row)))
     if not kernel:
         return Subspace.empty(b.ambient)
-    out, out_kinds = [], []
-    for c, c_kinds in kernel:
-        # the kinds of sum c_k*row_k, as of a combination with v zero
-        kinds = _combined_kinds(b.ambient, 0, bool(c_kinds), rows._kinds_by_row())
-        re, im, den = _cleared_image(numerators, c)
-        out.append(_reduced_form(re, im if kinds else None, den))
-        out_kinds.append(kinds)
-    return _reduced(Matrix._of_cleared(out, out_kinds), b.ambient)
+    out = [_reduced_form(*_cleared_image(numerators, c)) for c in kernel]
+    return _reduced(Matrix._of_cleared(out), b.ambient)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:

@@ -19,7 +19,8 @@ residues of x and m modulo T.  A cycle stores each centre's cleared
 coordinates and residue once, so a step is one integer residue, one
 proportionality test and the image x*r_m[k] - r_x[k]*m on integers;
 Scalars are made once per output point, normalized so its first
-nonzero coordinate is one, of the kinds the scalar loop gives it.  The
+nonzero coordinate is one, of the kinds the scalar loop gives it, read
+off the kinds masks the cleared forms carry.  The
 four 4-spaces are joined again on every call, from kept rows and with
 no Scalar made: a cache of them waits on the benchmark's pin of four
 joins per cycle (``quadrecon.joins_per_cycle`` in
@@ -36,9 +37,8 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, _Cleared, _cleared_image, _combined_kinds, _proportional,
-                     _reduced_form, _scalars, inverse, rank, solve, vec_add, vec_dot, vec_scale,
-                     vec_sub)
+from .linalg import (Matrix, _Cleared, _cleared_image, _proportional, _reduced_form, _scalars,
+                     inverse, rank, solve, vec_add, vec_dot, vec_scale, vec_sub)
 from .projgeom import (
     ProjPoint,
     Subspace,
@@ -54,23 +54,21 @@ HALF = scalar(1) / scalar(2)
 
 
 class _Step(NamedTuple):
-    """A projection from a point centre m: m cleared with its kinds mask,
-    m's residue modulo the target 4-space, cleared, a column k where that
-    residue is nonzero, and whether its entry there is Gaussian."""
+    """A projection from a point centre m: m cleared, m's residue modulo the
+    target 4-space, cleared, and a column k where that residue is nonzero;
+    each cleared form carries its kinds (``linalg._cleared``)."""
 
     center: _Cleared
-    center_kinds: int
     residue: _Cleared
     k: int
-    gaussian_pivot: bool
 
 
 def _step(center: ProjPoint, target: Subspace) -> _Step:
-    m, kinds = center._kept()
+    m = center._kept()
     r = target._residue_of(m)
     # the centre plane misses every projection space, so r is nonzero
     k = next(j for j, x in enumerate(r[0]) if x or r[1] is not None and r[1][j])
-    return _Step(m, kinds, r, k, bool(target._residue_kinds(kinds) >> k & 1))
+    return _Step(m, r, k)
 
 
 def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
@@ -84,7 +82,7 @@ def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
     one, the reduced row that a meet returns, and only then made Scalars,
     of the kinds the scalar loop gives them.
     """
-    xf, x_kinds = x._kept()
+    xf = x._kept()
     rx = target._residue_of(xf)
     if not _proportional(step.residue, rx):
         raise GeometryError("projection not well defined")
@@ -92,23 +90,23 @@ def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
     # the scalar loop's kinds: those of x + c*m with c = -r_x[k]/r_m[k]; then
     # dividing by image[p] changes none, as p is a pivot column of target, so
     # where x or m is Gaussian at p its residue is Gaussian throughout, and c
-    gaussian_c = step.gaussian_pivot or target._residue_kinds(x_kinds) >> k & 1
-    kinds = _combined_kinds(len(xf[0]), x_kinds, gaussian_c, (step.center_kinds,))
+    gaussian_c = (step.residue[3] | rx[3]) >> k & 1
     # the image r_m[k]*x - r_x[k]*m, times both residues' denominators
     (ar, ai, ad), (br, bi, bd) = ((r[0][k], 0 if r[1] is None else r[1][k], r[2])
                                   for r in (rx, step.residue))
-    re, im, _ = _cleared_image([xf, step.center], ([br * ad, -ar * bd],
-                                                   [bi * ad, -ai * bd] if gaussian_c else None, 1))
+    re, im, _, kinds = _cleared_image([xf, step.center], (
+        [br * ad, -ar * bd], [bi * ad, -ai * bd] if gaussian_c else None, 1, gaussian_c * 0b11))
     p = next((j for j in range(len(re)) if re[j] or im is not None and im[j]), None)
     if p is None:
         raise GeometryError("projection not well defined")
-    # divided by image[p], or when it is Gaussian, times its conjugate over its norm
-    if im is None:
-        form = _reduced_form(re, None, re[p])
+    # divided by image[p], or when it is not real, times its conjugate over its norm
+    vr, vi = re[p], 0 if im is None else im[p]
+    if vi:
+        form = _reduced_form(*_cleared_image([(re, im, 1, kinds)],
+                                             ([vr], [-vi], vr * vr + vi * vi, 1)))
     else:
-        vr, vi = re[p], im[p]
-        form = _reduced_form(*_cleared_image([(re, im, 1)], ([vr], [-vi], vr * vr + vi * vi)))
-    return ProjPoint._of(_scalars(*form, kinds), form, kinds)
+        form = _reduced_form(re, im, vr, kinds)
+    return ProjPoint._of(_scalars(*form), form)
 
 
 @dataclass(frozen=True)

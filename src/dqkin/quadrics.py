@@ -47,7 +47,6 @@ from .linalg import (
     _dot_numerator,
     _flat_cleared,
     _kernel,
-    _kinds,
     _proportional,
     _scalars,
     nullspace,
@@ -285,10 +284,9 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
     and spreads Gaussian kinds where that loop does.
     """
     rows1, rows2 = g1._cleared_rows(), g2._cleared_rows()
-    gaussian = any(im is not None for _, im, _ in rows1 + rows2)
+    gaussian = any(kinds for _, _, _, kinds in rows1 + rows2)
     entries, den = [], 1
-    for (r1, i1, d1), (r2, i2, d2), k1, k2 in zip(rows1, rows2, map(_kinds, g1.rows),
-                                                    map(_kinds, g2.rows)):
+    for (r1, i1, d1, k1), (r2, i2, d2, k2) in zip(rows1, rows2):
         den *= d1 * d2
         row = []
         for j in range(4):

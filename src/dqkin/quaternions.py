@@ -121,7 +121,7 @@ def _cleared_product(a, b) -> Quaternion:
     Every output coordinate involves all eight inputs, so all four are
     Gaussian exactly when an input is, as in the scalar product.
     """
-    (ar, ai, ad), (br, bi, bd) = a, b
+    (ar, ai, ad, _), (br, bi, bd, _) = a, b
     re = _hamilton(ar, br)
     if ai is None and bi is None:
         return Quaternion(*_scalars(re, None, ad * bd, 0))

@@ -238,7 +238,7 @@ def _associate(a: Matrix) -> Matrix:
     """
     table = _associate_table()
     if a.is_exact():
-        re, im, den = _flat_cleared(a)
+        re, im, den, _ = _flat_cleared(a)
 
         def sums(v):
             return [sum(s * v[k] for s, k in terms) for terms in table]

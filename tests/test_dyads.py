@@ -642,6 +642,33 @@ class TestRecoverAxes:
         with pytest.raises(GeometryError, match="not on the quadric"):
             recover_axes(v, off)
 
+    SPAN_SCRIPT = (
+        "import json, sys\n"
+        "from dqkin.dyads import recover_axes\n"
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.jsonio import parse_points\n"
+        "from dqkin.projgeom import ProjPoint, span\n"
+        "from dqkin.quaternions import DQ_ONE\n"
+        "rows = parse_points(json.loads(sys.argv[1]), '$', 'rational', 1e-9)\n"
+        "for k in (2, 3):\n"
+        "    try:\n"
+        "        recover_axes(span(rows[:k]), ProjPoint(DQ_ONE))\n"
+        "    except GeometryError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_refuses_a_space_that_is_no_three_space(self, flags):
+        """The spans of the RR space's first two and three basis rows are
+        refused by an explicit check, also under python -O."""
+        rows = json.dumps([point_to_json(p) for p in build_variety(RR_SPEC).space.points()])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SPAN_SCRIPT, rows],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["axis recovery needs a three-space"] * 2
+
     def test_singular_base(self):
         u = span([point(Q_ONE), point(Q_K), point(dual=Q_I), point(dual=Q_J)])
         with pytest.raises(GeometryError, match="singular"):

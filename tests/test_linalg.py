@@ -747,13 +747,13 @@ class TestCachedClearedForm:
             t = m.transpose()
             assert t._cleared_rows() == [_cleared(r) for r in t.rows]
             assert t._cleared_columns() == rows
-            gaussian_rows += sum(im is not None for _, im, _ in rows)
+            gaussian_rows += sum(im is not None for _, im, _, _ in rows)
         assert gaussian_rows > 100
 
     def test_rref_keeps_its_rows_cleared(self):
         """rref of an exact matrix returns its eliminated rows in their kept
-        form, reduced: equal to ``_cleared`` and ``_kinds`` of the rows it
-        makes from them on first read.  Those rows are checked against the
+        form, reduced: equal to ``_cleared`` of the rows it makes from them on
+        first read, kinds mask included.  Those rows are checked against the
         scalar loop and the pair reference by the elimination tests."""
         rng = random.Random(84)
         cases = [_matrix(pairs, kinds) for kind in (ExactRational, GaussianRational)
@@ -763,10 +763,9 @@ class TestCachedClearedForm:
         reduced_dens = 0
         for m in cases:
             red, pivots = rref(m)
-            forms, kinds = red._row_form, red._row_kinds  # read before the rows
+            forms = red._row_form  # read before the rows
             assert forms == [_cleared(r) for r in red.rows]
-            assert kinds == [_kinds(r) for r in red.rows]
-            reduced_dens += any(d > 1 for _, _, d in forms)
+            reduced_dens += any(d > 1 for _, _, d, _ in forms)
         assert reduced_dens > 100
 
     def test_float_entry_has_no_cleared_form(self):
@@ -809,8 +808,9 @@ class TestCachedClearedForm:
 
 
 class TestKindReaderAndWriter:
-    """``_kinds`` reads the Gaussian positions of a vector, ``_scalars`` writes
-    integer numerators back as scalars; together they undo ``_cleared``."""
+    """``_kinds`` reads the Gaussian positions of a vector into ``_cleared``'s
+    kinds mask, and ``_scalars`` writes a cleared form back as scalars,
+    undoing ``_cleared``."""
 
     @staticmethod
     def mixed_vector(rng, n):
@@ -833,7 +833,7 @@ class TestKindReaderAndWriter:
         seen, gaussian_zeros = set(), set()
         for _ in range(300):
             u = self.mixed_vector(rng, rng.randint(1, 8))
-            got = _scalars(*_cleared(u), _kinds(u))
+            got = _scalars(*_cleared(u))
             assert [_bits(e) for e in got] == [_bits(e) for e in u]
             zeros = [e for e in got if e.is_zero()]
             assert all(z is ZERO for z in zeros if type(z) is ExactRational)

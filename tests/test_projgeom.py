@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import (Matrix, _cleared, _kinds, det, nullspace, rank, solve, vec_is_zero,
-                          vec_scale)
+from dqkin.linalg import (Matrix, _cleared, _scalars, det, nullspace, rank, solve,
+                          vec_is_zero, vec_scale)
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -303,8 +303,9 @@ def assert_same(got, want):
 
 
 class TestIntegerKernelsKeepKinds:
-    """_residue, contains, lift, meet and ProjPoint equality on vectors that
-    mix rational and Gaussian entries, against the scalar-loop definitions."""
+    """_residue (the scalar loop, and _residue_of on cleared integers),
+    contains, lift, meet and ProjPoint equality on vectors that mix rational
+    and Gaussian entries, against the scalar-loop definitions."""
 
     def test_residue_contains_and_lift(self):
         rng = random.Random(51)
@@ -319,6 +320,7 @@ class TestIntegerKernelsKeepKinds:
                 for v in (inside, outside, [x + y for x, y in zip(inside, outside)]):
                     want = ref_residue(u, v)
                     assert_same(u._residue(v), want)
+                    assert_same(_scalars(*u._residue_of(_cleared(v))), want)
                     if any(not x.is_zero() for x in v):
                         assert u.contains(ProjPoint(v)) == all(x.is_zero() for x in want)
                 if u.dim > 0 and any(not c.is_zero() for c in cs):
@@ -702,6 +704,35 @@ class TestFloatAnswersIgnorePowersOfTwo:
                 assert u.chart_coords(rescaled(off, k)) is None, k
 
 
+class TestFloatMeetIgnoresPowersOfTwo:
+    """A float meet reads each row at max-norm about one by a power of two,
+    so projecting x and x rescaled by 2**k from a float centre gives one
+    point, bit for bit: a seeded line centre and 5-space target of P^7 and
+    30 points, entries in (-1, 1) at tolerance 1e-9.  Compared unscaled,
+    the residues gave another point for some of the 30 at k = -27 and for
+    most of them at k >= 30."""
+
+    def test_rescaled_points(self):
+        tol = 1e-9
+        rng = random.Random(7)
+
+        def floats(values, k=0):
+            return [ComplexFloat(ldexp(x, k), 0.0, tol) for x in values]
+
+        def rows(n):
+            return [floats([rng.uniform(-1, 1) for _ in range(8)]) for _ in range(n)]
+
+        center, target = Subspace.from_rows(rows(2), 8), Subspace.from_rows(rows(6), 8)
+        assert center.dim == 1 and target.dim == 5
+        for _ in range(30):
+            x = [rng.uniform(-1, 1) for _ in range(8)]
+            want = [_bits(c) for c in project_from_center(ProjPoint(floats(x)), center,
+                                                          target).coords]
+            for k in (-27, -10, 10, 30, 36, 40):
+                got = project_from_center(ProjPoint(floats(x, k)), center, target)
+                assert [_bits(c) for c in got.coords] == want, k
+
+
 class TestExactPointsInFloatSpaces:
     """An exact point tested against a float subspace is also taken at
     max-norm one: 100 seeded float 3-spaces spanned by floats of small
@@ -780,8 +811,8 @@ def _loop_reduced(rows):
 class TestKeptForms:
     """Exact results are born in the cleared integer form they are computed
     in: the rows of a reduced basis are made from its kept rows on first
-    read, and the kept rows and kinds masks equal ``_cleared`` and ``_kinds``
-    of them.  Seeded rational, Gaussian and mixed inputs through from_rows,
+    read, and the kept rows equal ``_cleared`` of them, kinds masks
+    included.  Seeded rational, Gaussian and mixed inputs through from_rows,
     span, join, meet and project_from_center; each result also equals the
     scalar loop's in value and kind."""
 
@@ -800,9 +831,8 @@ class TestKeptForms:
         if u.basis is None:
             assert want_rows == []
             return
-        forms, kinds = u.basis._row_form, u.basis._row_kinds  # read before the rows
+        forms = u.basis._row_form  # read before the rows
         assert forms == [_cleared(r) for r in u.basis.rows]
-        assert kinds == [_kinds(r) for r in u.basis.rows]
         assert _rows_bits(u.basis.rows) == _rows_bits(want_rows)
 
     @pytest.mark.parametrize("kind", ("rational", "gaussian", "mixed"))
@@ -867,6 +897,6 @@ class TestKeptForms:
                 continue
             got = project_from_center(x, center, target)
             assert [_bits(c) for c in got.coords] == [_bits(c) for c in want[0]]
-            assert got._kept() == (_cleared(got.coords), _kinds(got.coords))
+            assert got._kept() == _cleared(got.coords)
             done += 1
         assert done > 20

@@ -11,7 +11,7 @@ from dqkin import quadrecon
 
 from dqkin.dyads import DyadKind, DyadSpec, build_variety, classify
 from dqkin.errors import ExactnessError, GeometryError, InvariantError
-from dqkin.linalg import Matrix, _cleared, _kinds, inverse, rank, vec_add, vec_scale
+from dqkin.linalg import Matrix, _cleared, inverse, rank, vec_add, vec_scale
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -278,7 +278,7 @@ def outcome(run, cycle, start):
         points = run(cycle, start)
     except GeometryError as exc:
         return "GeometryError: %s" % exc
-    return [(typed(p), p._kept() == (_cleared(p.coords), _kinds(p.coords))) for p in points]
+    return [(typed(p), p._kept() == _cleared(p.coords)) for p in points]
 
 
 def closed_form_mismatches(seed, count):
