@@ -4,27 +4,36 @@ Everything is immutable and dimension-checked with asserts.  The path an
 operation takes follows the kinds of the entries; results are the same
 on every path, entry by entry and kind by kind.
 
-- A cleared vector is one integer vector (Gaussian entries: a pair of
-  integer vectors) over one denominator, with the bitmask of its
-  Gaussian entries: one value ``(re, im, den, kinds)`` (``_cleared``),
-  which every exact path passes on whole.  Since a ``Matrix`` never
-  changes, it keeps its rows cleared and its columns cleared, each built
-  on first use and ``None`` when an entry is a float; a transpose starts
-  with the two forms swapped.  ``Matrix(rows)`` and
-  ``Matrix.from_columns`` convert every entry with ``scalars.scalar``;
-  the trusted constructor ``Matrix._of`` takes rows of Scalars as they
-  are, for results built here, in ``projgeom`` and wherever the entries
-  are Scalars already (the quaternion multiplication matrices, the block
-  readers of ``transforms`` and ``quadrecon``, reconstruction's frames).
-- Exact results are born cleared: ``Matrix._of_cleared`` takes kept rows,
-  each reduced (``_reduced_form``) so that it equals ``_cleared`` of
-  its entries integer for integer and kind for kind, and makes the rows
-  of Scalars by ``_scalars`` only when ``rows`` is first read.
-  ``rref``'s exact path returns its eliminated rows so; a reduced basis
-  read only by integer steps (a join in ``quadrecon.run_cycle``) never
-  makes a Scalar.  ``_kernel_forms`` reads a nullspace basis off kept
-  rows as cleared vectors, for ``_kernel`` and for ``projgeom``'s meets,
-  and two matrices with kept rows compare as integers.
+- The kept form of an exact vector is one value ``(re, im, den, kinds)``
+  (``_cleared``): integer lists re and im over one denominator, for the
+  entries (re[k] + i*im[k]) / den, GaussianRational where bit k of the
+  mask kinds is set, else ExactRational (im[k] zero); im is None exactly
+  when kinds is 0.  This module alone knows that layout; other modules
+  pass forms whole to its operations: ``_first_nonzero``,
+  ``_proportional`` (two forms span one point), ``_residue`` (modulo
+  reduced rows), ``_numerators`` (each form over one), ``_transposed``
+  (forms over one denominator as the columns of a matrix with kept
+  rows), ``_cleared_image`` (a combination of forms), ``_cancelling``
+  (the coefficients of the combination of two forms that vanishes at an
+  entry), ``_normalized`` (division by the first nonzero entry),
+  ``_kernel_forms`` (a nullspace basis off kept rows) and ``_scalars``,
+  the one writer of Scalars, with the shared zeros.  Only the integer
+  producers ``quaternions._cleared_product``, ``quadrics._pencil_det``
+  and ``transforms._associate`` read the integers, for their arithmetic.
+- A ``Matrix`` never changes, so it keeps its rows cleared and its
+  columns cleared, each built on first use and ``None`` when an entry is
+  a float; a transpose starts with the two forms swapped.
+  ``Matrix(rows)`` and ``Matrix.from_columns`` convert every entry with
+  ``scalars.scalar``; the trusted constructor ``Matrix._of`` takes rows
+  of Scalars as they are (results built here and in ``projgeom``, the
+  quaternion multiplication matrices, the block readers of
+  ``transforms`` and ``quadrecon``, reconstruction's frames).  Exact
+  results are born cleared: ``Matrix._of_cleared`` takes kept rows, each
+  equal to ``_cleared`` of its entries (``_reduced_form``), and makes the
+  rows of Scalars only when ``rows`` is first read.  ``rref``'s exact
+  path returns its eliminated rows so; a reduced basis read only by
+  integer steps (a join in ``quadrecon.run_cycle``) never makes a
+  Scalar, and two matrices with kept rows compare as integers.
 - Products (``Matrix.__mul__``, ``apply``) of exact matrices read the
   kept forms, and ``vec_dot`` clears its two vectors, so each entry is
   one integer dot product and one ``Fraction``.
@@ -33,19 +42,14 @@ on every path, entry by entry and kind by kind.
   the integers, or over the Gaussian integers Z[i] held as (re, im)
   pairs when some entry is Gaussian; ``rref`` divides by the pivot only
   to emit the canonical reduced form, and ``rank`` emits nothing.
-- One combination kernel, ``_cleared_image``, computes ``sum c_k *
-  row_k`` on cleared integers from the rows' kept form, and
-  ``_combined`` adds a vector v to it, for ``projgeom``'s residues.
-- The kinds of every integer path are the scalar loop's.  ``_cleared``
-  reads a vector's Gaussian positions (``_kinds``), each integer step
-  writes its result's mask by that loop's rule, and ``_scalars`` alone
-  turns a cleared form into scalars, Gaussian where the mask is set,
-  with the shared zeros.  A dot or Hamilton product is Gaussian when an
-  input is; a combination entry when v's entry, a row's entry in its
-  column or any coefficient is; in elimination a pivot row where its
-  pivot is, another where its pivot-column entry or the pivot row is.
-  ``det`` is Gaussian iff some pivot was; a singular one is a zero of
-  the first pivot's kind, or of entry (0, 0)'s if column 0 has none.
+- The kinds of every integer path are the scalar loop's: each integer
+  step writes its result's mask by that loop's rule.  A dot or Hamilton
+  product or a quotient is Gaussian when an operand is; a combination
+  entry when v's entry, a row's entry in its column or any coefficient
+  is; in elimination a pivot row where its pivot is, another where its
+  pivot-column entry or the pivot row is.  ``det`` is Gaussian iff some
+  pivot was; a singular one is a zero of the first pivot's kind, or of
+  entry (0, 0)'s if column 0 has none.
 - Products (``Matrix.__mul__``, ``apply`` and ``vec_dot``) are the one
   float kernel: with a float entry anywhere they convert their operands
   to plain Python ``complex`` once, run the scalar loop's operations in
@@ -106,7 +110,11 @@ def vec_scale(c, u: Vector) -> Vector:
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     """Plain bilinear dot product, no conjugation."""
     assert len(u) == len(v)
-    return _products([u], [v])[0][0]
+    cu = _cleared(u)
+    cv = None if cu is None else _cleared(v)
+    if cv is None:
+        return _float_products([u], [v])[0][0]
+    return _cleared_products([cu], [cv])[0][0]
 
 
 def _plain_dot(u: Vector, v: Vector) -> Scalar:
@@ -120,9 +128,7 @@ def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
 
-# A cleared vector (re, im, den, kinds) stands for the entries (re[k] + i*im[k]) / den
-# of integer lists re and im, GaussianRational where bit k of kinds is set, else
-# ExactRational (im[k] zero); im is None exactly when kinds is 0.
+# the kept form (see the module docstring)
 _Cleared = Tuple[List[int], Optional[List[int]], int, int]
 
 
@@ -175,14 +181,13 @@ def _dot_numerator(u: _Cleared, v: _Cleared) -> Tuple[int, Optional[int]]:
 def _proportional(a: _Cleared, b: _Cleared) -> bool:
     """Whether two cleared nonzero vectors span the same point: a_k*b_p == b_k*a_p
     for every k, p the first nonzero coordinate of a (denominators cancel)."""
+    p = _first_nonzero(a)
     (ar, ai, _, _), (br, bi, _, _) = a, b
     if ai is None and bi is None:
-        p = next(k for k, x in enumerate(ar) if x)
         x, y = ar[p], br[p]
         return all(s * y == t * x for s, t in zip(ar, br))
     ai = ai or [0] * len(ar)
     bi = bi or [0] * len(br)
-    p = next(k for k in range(len(ar)) if ar[k] or ai[k])
     xr, xi, yr, yi = ar[p], ai[p], br[p], bi[p]
     return all(sr * yr - si * yi == tr * xr - ti * xi and sr * yi + si * yr == tr * xi + ti * xr
                for sr, si, tr, ti in zip(ar, ai, br, bi))
@@ -254,23 +259,11 @@ def _cleared_image(cols: Sequence[_Cleared], v: _Cleared) -> _Cleared:
     return re, im, den * vd, kinds
 
 
-def _products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
-    """The dot product of every row with every column, on one path per call.
-
-    Exact input runs on cleared integers.  With a float entry anywhere,
-    every entry whose terms each have a float factor runs the float
-    kernel; an entry with a term of two exact factors keeps the scalar
-    loop, which multiplies that term exactly.
-    """
-    cleared_rows = _all_cleared(rows)
-    cleared_cols = None if cleared_rows is None else _all_cleared(cols)
-    if cleared_cols is not None:
-        return _cleared_products(cleared_rows, cleared_cols)
-    return _float_products(rows, cols)
-
-
 def _float_products(rows: Sequence[Vector], cols: Sequence[Vector]) -> List[List[Scalar]]:
-    """_products of rows and columns with a float entry somewhere."""
+    """The dot product of every row with every column, with a float entry
+    somewhere: every entry whose terms each have a float factor runs the
+    float kernel; an entry with a term of two exact factors keeps the
+    scalar loop, which multiplies that term exactly."""
     float_cols = [_floated(c) for c in cols]
     out = []
     for r in rows:
@@ -307,12 +300,20 @@ def _floated(u: Vector) -> Tuple[List[complex], float, int]:
     return values, tolerance, exact
 
 
-def _combined(v: _Cleared, c: _Cleared, rows: Sequence[_Cleared]) -> _Cleared:
-    """v + sum of c[k]*rows[k] on cleared integers, for c over v's
-    denominator; not reduced.  Its kinds are ``_cleared_image``'s, and
-    Gaussian also where v's entry is."""
+def _first_nonzero(v: _Cleared) -> Optional[int]:
+    """The first position where v is nonzero, or None when v is zero."""
+    re, im, _, _ = v
+    return next((k for k, x in enumerate(re) if x or im is not None and im[k]), None)
+
+
+def _residue(v: _Cleared, rows: Sequence[_Cleared], pivots: Sequence[int]) -> _Cleared:
+    """v minus the reduced rows, each times v's entry at its pivot column:
+    the scalar loop ``o + c*r`` on cleared integers, not reduced.  Its kinds
+    are ``_cleared_image``'s, and Gaussian also where v's entry is."""
     re, im, den, kinds = v
-    sum_re, sum_im, sum_den, sum_kinds = _cleared_image(rows, c)
+    sum_re, sum_im, sum_den, sum_kinds = _cleared_image(rows, (
+        [-re[j] for j in pivots], None if im is None else [-im[j] for j in pivots], den,
+        kinds and sum(1 << k for k, j in enumerate(pivots) if kinds >> j & 1)))
     # the sum of the rows is over sum_den, a multiple of den
     s = sum_den // den
     out_re = [x * s + y for x, y in zip(re, sum_re)]
@@ -320,6 +321,50 @@ def _combined(v: _Cleared, c: _Cleared, rows: Sequence[_Cleared]) -> _Cleared:
         return out_re, None if im is None else [x * s for x in im], sum_den, kinds
     return (out_re, sum_im if im is None else [x * s + y for x, y in zip(im, sum_im)],
             sum_den, kinds | sum_kinds)
+
+
+def _numerators(forms: Sequence[_Cleared]) -> List[_Cleared]:
+    """Each vector times its denominator: the same point, over one."""
+    return [(re, im, 1, kinds) for re, im, _, kinds in forms]
+
+
+def _transposed(cols: Sequence[_Cleared]) -> List[_Cleared]:
+    """The matrix with the vectors cols, all over one denominator, as its
+    columns, times that denominator: row j holds their integers at j over
+    one, so is its own cleared form, Gaussian at k where cols[k] is at j."""
+    res = [list(r) for r in zip(*[re for re, _, _, _ in cols])]
+    masks = [kinds for _, _, _, kinds in cols]
+    if not any(masks):
+        return [(r, None, 1, 0) for r in res]
+    ims = zip(*[im or [0] * len(res) for _, im, _, _ in cols])
+    kinds = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(len(res))]
+    return [(r, list(i) if g else None, 1, g) for r, i, g in zip(res, ims, kinds)]
+
+
+def _normalized(v: _Cleared) -> Optional[_Cleared]:
+    """v divided by its first nonzero entry, reduced, or None when v is
+    zero; with the scalar loop's kinds: all Gaussian when that entry is."""
+    p = _first_nonzero(v)
+    if p is None:
+        return None
+    re, im, _, kinds = v
+    if not kinds >> p & 1:
+        return _reduced_form(re, im, re[p], kinds)
+    pr, pi = re[p], im[p]  # times its conjugate over its norm
+    return _reduced_form([x * pr + y * pi for x, y in zip(re, im)],
+                         [y * pr - x * pi for x, y in zip(re, im)],
+                         pr * pr + pi * pi, (1 << len(re)) - 1)
+
+
+def _cancelling(a: _Cleared, b: _Cleared, k: int) -> _Cleared:
+    """The coefficients (b[k], -a[k]), for b[k] nonzero, whose combination
+    of a and b vanishes at k; both Gaussian when a[k] or b[k] is, so the
+    combination has the kinds of the scalar loop's a + c*b, c = -a[k]/b[k]."""
+    (ar, ai, ad, ak), (br, bi, bd, bk) = a, b
+    c = [br[k] * ad, -ar[k] * bd]
+    if not (ak | bk) >> k & 1:
+        return c, None, ad * bd, 0
+    return c, [(bi[k] if bk else 0) * ad, -(ai[k] if ak else 0) * bd], ad * bd, 0b11
 
 
 def _reduced_form(re: List[int], im: Optional[List[int]], den: int, kinds: int) -> _Cleared:

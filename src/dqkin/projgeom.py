@@ -17,19 +17,18 @@ their join first.  The exceptional generator [eps H] is built once, at
 import.
 
 Exact vectors (rational or Gaussian entries, mixed or not) take one
-integer path, on cleared forms that carry their kinds masks
-(``linalg._cleared``).  A ``ProjPoint`` keeps its cleared coordinates
-(``_kept``), built on first use or handed over at birth
+integer path on their kept forms, passed whole to ``linalg``'s form
+operations (the layout is described there).  A ``ProjPoint`` keeps its
+form (``_kept``), built on first use or handed over at birth
 (``ProjPoint._of``), and a reduced basis keeps the rows ``rref``
 computed it in.  ``span`` and ``join`` hand those kept rows to ``rref``
 with no re-wrap and no re-clearing; ``contains`` and ``chart_coords``
-decide membership by an integer residue (``_residue_of``, with the
-scalar loop's kinds), and ``ProjPoint.__eq__`` cross-multiplies the
-kept coordinates (``linalg._proportional``), so neither makes a Scalar.
-Meets, so central projections, run on integers too: the residues of the
-rows' numerators, their kernel (``linalg._kernel_forms``) and its
-combinations of the rows, so only the reduced meet makes Scalars, when
-read.  ``lift`` is the product of the chart coordinates and the basis.
+decide membership by an integer residue (``_residue_of``), and
+``ProjPoint.__eq__`` by ``linalg._proportional``, so neither makes a
+Scalar.  Meets, so central projections, run on integers too: the
+residues of the rows' numerators, their kernel (``_kernel_forms``) and
+its combinations of the rows, so only the reduced meet makes Scalars,
+when read.  ``lift`` is the product of the chart coordinates and the basis.
 A float coordinate anywhere sends the operation through the scalar
 loop, which compares each float at its own tolerance, on values at
 max-norm about one, scaled by a power of two
@@ -46,9 +45,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _combined,
-                     _kernel_forms, _proportional, _reduced_form, as_vector, nullspace, rref,
-                     vec_is_zero, vec_scale)
+from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _first_nonzero,
+                     _kernel_forms, _numerators, _proportional, _reduced_form, _residue,
+                     _transposed, as_vector, nullspace, rref, vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
@@ -179,14 +178,8 @@ class Subspace:
         return out
 
     def _residue_of(self, v: _Cleared) -> _Cleared:
-        """``_residue`` of a cleared vector, cleared (not reduced), with the
-        scalar loop's kinds, for an exact basis; the basis rows are read in
-        their kept form."""
-        re, im, den, kinds = v
-        pivots = self._pivots
-        c = ([-re[j] for j in pivots], None if im is None else [-im[j] for j in pivots], den,
-             kinds and sum(1 << k for k, j in enumerate(pivots) if kinds >> j & 1))
-        return _combined(v, c, self.basis._cleared_rows())
+        """``_residue`` of a kept form, for an exact basis (``linalg._residue``)."""
+        return _residue(v, self.basis._cleared_rows(), self._pivots)
 
     def _read(self, p: ProjPoint) -> Optional[Vector]:
         """p's coordinates as membership reads them, or None when p lies
@@ -196,8 +189,7 @@ class Subspace:
         assert p.ambient == self.ambient
         kept = p._kept()
         if kept is not None and self.basis._cleared_rows() is not None:
-            re, im, _, _ = self._residue_of(kept)
-            return None if any(re) or im is not None and any(im) else p.coords
+            return p.coords if _first_nonzero(self._residue_of(kept)) is None else None
         coords = vec_scale(_power_of_two_scale(p.coords), p.coords)
         return coords if vec_is_zero(self._residue(coords)) else None
 
@@ -319,17 +311,9 @@ def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
         if not kernel:
             return Subspace.empty(b.ambient)
         return _reduced(Matrix._of(kernel) * rows, b.ambient)
-    numerators = [(re, im, 1, kinds) for re, im, _, kinds in forms]
-    residues = [b._residue_of(v) for v in numerators]
-    # the matrix with the residues as columns, times their one denominator:
-    # row j holds the residues' integers at j, so is its own cleared form
-    by_row = []
-    for j in range(b.ambient):
-        kinds = sum(1 << k for k, r in enumerate(residues) if r[3] >> j & 1)
-        by_row.append(([re[j] for re, _, _, _ in residues],
-                       [0 if im is None else im[j] for _, im, _, _ in residues] if kinds else None,
-                       1, kinds))
-    kernel = _kernel_forms(*rref(Matrix._of_cleared(by_row)))
+    numerators = _numerators(forms)
+    residues = _transposed([b._residue_of(v) for v in numerators])
+    kernel = _kernel_forms(*rref(Matrix._of_cleared(residues)))
     if not kernel:
         return Subspace.empty(b.ambient)
     out = [_reduced_form(*_cleared_image(numerators, c)) for c in kernel]

@@ -15,16 +15,15 @@ builds once, and reconstruction inverts its frame once, since rescaling
 a frame row only divides the centres' coordinate for that row.  The
 steps of ``run_cycle`` need no elimination: from a point centre m onto a
 4-space T the image of x is x - lambda*m, with lambda read off the
-residues of x and m modulo T.  A cycle stores each centre's cleared
-coordinates and residue once, so a step is one integer residue, one
-proportionality test and the image x*r_m[k] - r_x[k]*m on integers;
-Scalars are made once per output point, normalized so its first
-nonzero coordinate is one, of the kinds the scalar loop gives it, read
-off the kinds masks the cleared forms carry.  The
-four 4-spaces are joined again on every call, from kept rows and with
-no Scalar made: a cache of them waits on the benchmark's pin of four
-joins per cycle (``quadrecon.joins_per_cycle`` in
-``bench/tests/test_bench.py``).  The closure of a cycle, the plane of a
+residues of x and m modulo T.  A cycle stores each centre's kept form
+and its residue once, so a step is one integer residue, one
+proportionality test and the image x*r_m[k] - r_x[k]*m on integers, by
+``linalg``'s form operations; Scalars are made once per output point,
+normalized so its first nonzero coordinate is one, of the kinds the
+scalar loop gives it.  The four 4-spaces are joined again on every
+call, from kept rows and with no Scalar made: a cache of them waits on
+the benchmark's pin of four joins per cycle
+(``quadrecon.joins_per_cycle`` in ``bench/tests/test_bench.py``).  The closure of a cycle, the plane of a
 reconstruction's centres and its postconditions are certificates: a
 failure raises ``errors.InvariantError``, also under ``python -O``.
 
@@ -34,11 +33,12 @@ Everything here is exact; float scalars are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, _Cleared, _cleared_image, _proportional, _reduced_form, _scalars,
-                     inverse, rank, solve, vec_add, vec_dot, vec_scale, vec_sub)
+from .linalg import (Matrix, _Cleared, _cancelling, _cleared_image, _first_nonzero, _normalized,
+                     _proportional, _scalars, inverse, rank, solve, vec_add, vec_dot, vec_scale,
+                     vec_sub)
 from .projgeom import (
     ProjPoint,
     Subspace,
@@ -53,59 +53,27 @@ from .scalars import Scalar, scalar, ONE, ZERO
 HALF = scalar(1) / scalar(2)
 
 
-class _Step(NamedTuple):
-    """A projection from a point centre m: m cleared, m's residue modulo the
-    target 4-space, cleared, and a column k where that residue is nonzero;
-    each cleared form carries its kinds (``linalg._cleared``)."""
+def _project(x: ProjPoint, step: Tuple[_Cleared, _Cleared], target: Subspace) -> ProjPoint:
+    """x projected from the step's centre m onto target; the step holds m's
+    kept form and its residue modulo target.
 
-    center: _Cleared
-    residue: _Cleared
-    k: int
-
-
-def _step(center: ProjPoint, target: Subspace) -> _Step:
-    m = center._kept()
-    r = target._residue_of(m)
-    # the centre plane misses every projection space, so r is nonzero
-    k = next(j for j, x in enumerate(r[0]) if x or r[1] is not None and r[1][j])
-    return _Step(m, r, k)
-
-
-def _project(x: ProjPoint, step: _Step, target: Subspace) -> ProjPoint:
-    """x projected from the step's centre m onto target.
-
-    On the line through x and m only x - lambda*m, lambda = r_x[k]/r_m[k],
-    can lie in target: it does exactly when x's residue r_x is lambda
-    times m's residue r_m, and it is a point unless x is m.  All of this
-    runs on cleared integers, the image as x*r_m[k] - r_x[k]*m times the
-    denominators.  The image is scaled so its first nonzero coordinate is
-    one, the reduced row that a meet returns, and only then made Scalars,
-    of the kinds the scalar loop gives them.
+    On the line through x and m only x - lambda*m, lambda = r_x[k]/r_m[k]
+    at k where r_m is nonzero, can lie in target: it does exactly when
+    x's residue r_x is lambda times m's residue r_m, and it is a point
+    unless x is m.  The image, r_m[k]*x - r_x[k]*m on kept forms, is
+    divided by its first nonzero coordinate, the reduced row a meet
+    returns, and made Scalars of the scalar loop's kinds: that coordinate
+    is at a pivot column of target, so where x or m is Gaussian there its
+    residue is Gaussian throughout, and so is lambda.
     """
+    center, rm = step
     xf = x._kept()
     rx = target._residue_of(xf)
-    if not _proportional(step.residue, rx):
+    if not _proportional(rm, rx):
         raise GeometryError("projection not well defined")
-    k = step.k
-    # the scalar loop's kinds: those of x + c*m with c = -r_x[k]/r_m[k]; then
-    # dividing by image[p] changes none, as p is a pivot column of target, so
-    # where x or m is Gaussian at p its residue is Gaussian throughout, and c
-    gaussian_c = (step.residue[3] | rx[3]) >> k & 1
-    # the image r_m[k]*x - r_x[k]*m, times both residues' denominators
-    (ar, ai, ad), (br, bi, bd) = ((r[0][k], 0 if r[1] is None else r[1][k], r[2])
-                                  for r in (rx, step.residue))
-    re, im, _, kinds = _cleared_image([xf, step.center], (
-        [br * ad, -ar * bd], [bi * ad, -ai * bd] if gaussian_c else None, 1, gaussian_c * 0b11))
-    p = next((j for j in range(len(re)) if re[j] or im is not None and im[j]), None)
-    if p is None:
+    form = _normalized(_cleared_image([xf, center], _cancelling(rx, rm, _first_nonzero(rm))))
+    if form is None:
         raise GeometryError("projection not well defined")
-    # divided by image[p], or when it is not real, times its conjugate over its norm
-    vr, vi = re[p], 0 if im is None else im[p]
-    if vi:
-        form = _reduced_form(*_cleared_image([(re, im, 1, kinds)],
-                                             ([vr], [-vi], vr * vr + vi * vi, 1)))
-    else:
-        form = _reduced_form(re, im, vr, kinds)
     return ProjPoint._of(_scalars(*form), form)
 
 
@@ -123,7 +91,7 @@ class ProjectionCycle:
     f_points: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
     centers: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
     _f_spans: Tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
-    _steps: Tuple[_Step, ...] = field(init=False, repr=False, compare=False)
+    _steps: Tuple[Tuple[_Cleared, _Cleared], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f_points", tuple(self.f_points))
@@ -155,8 +123,11 @@ class ProjectionCycle:
         for space in spaces:
             if meet(plane, space).dim != -1:
                 raise GeometryError("centre plane meets a projection space")
+        # each centre's kept coordinates and their residue modulo its target,
+        # nonzero since the centre plane misses every projection space
         object.__setattr__(self, "_steps", tuple(
-            _step(m, target) for m, target in zip(self.centers, _targets(spaces))))
+            (m._kept(), target._residue_of(m._kept()))
+            for m, target in zip(self.centers, _targets(spaces))))
 
     def spaces(self) -> Tuple[Subspace, Subspace, Subspace, Subspace]:
         """The four 4-spaces joining the fixed space with an image point."""

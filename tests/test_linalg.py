@@ -6,10 +6,16 @@ import pytest
 from dqkin.errors import GeometryError
 from dqkin.linalg import (
     Matrix,
+    _cancelling,
     _cleared,
+    _cleared_image,
+    _first_nonzero,
     _kinds,
-    _products,
+    _normalized,
+    _numerators,
+    _residue,
     _scalars,
+    _transposed,
     det,
     inverse,
     nullspace,
@@ -727,6 +733,103 @@ class TestMixedExactKindsAgainstScalarLoop:
         assert exact_loop_results > 0
 
 
+def _form_vectors(rng, count=400):
+    """Vectors of mixed rational and Gaussian entries, with zero vectors
+    (zeros of both kinds), leading zeros, and Gaussian entries with a zero
+    imaginary part or a zero real part, also as the first nonzero entry."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        kinds = rng.choice([("rational",), ("gaussian",), ("rational", "gaussian")])
+        v = [_mixed_entry(rng, kinds, 1e-9) for _ in range(n)]
+        lead = rng.choice((0, 0, 1, n // 2, n))
+        v[:lead] = [rng.choice((rational(0), gaussian(0, 0))) for _ in range(lead)]
+        if lead < n and rng.random() < 0.3:
+            q = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            v[lead] = rng.choice((gaussian(q, 0), gaussian(0, q)))
+        yield v
+
+
+def _loop_first_nonzero(v):
+    return next((k for k, e in enumerate(v) if not e.is_zero()), None)
+
+
+class TestFormOperationsAgainstScalarLoop:
+    """The operations other modules call on kept forms, in value and kind
+    against the scalar loop they stand for.  ``_residue`` is checked so in
+    ``test_projgeom.py`` (``TestIntegerKernelsKeepKinds``), through
+    ``Subspace._residue_of``."""
+
+    def test_first_nonzero_and_normalized(self):
+        rng = random.Random(91)
+        seen = {"zero": 0, "imaginary_pivot": 0, "real_gaussian_pivot": 0}
+        for v in _form_vectors(rng):
+            form = _cleared(v)
+            p = _loop_first_nonzero(v)
+            assert _first_nonzero(form) == p
+            if p is None:
+                seen["zero"] += 1
+                assert _normalized(form) is None
+                continue
+            pivot = v[p]
+            want = [e / pivot for e in v]
+            got = _normalized(form)
+            assert [_bits(e) for e in _scalars(*got)] == [_bits(e) for e in want]
+            assert got == _cleared(want)  # reduced: the form _cleared gives
+            if type(pivot) is GaussianRational and any(type(e) is ExactRational for e in v):
+                seen["imaginary_pivot"] += pivot.re == 0
+                seen["real_gaussian_pivot"] += pivot.im == 0
+        assert all(n > 20 for n in seen.values()), seen
+
+    def test_transposed(self):
+        """Forms over one denominator as columns: each row is its own cleared
+        form, the transpose times that denominator, kind by kind."""
+        rng = random.Random(93)
+        gaussian_rows = 0
+        for m in _mixed_exact_cases(rng):
+            red, pivots = rref(m)
+            numerators = _numerators([_cleared(v) for v in (
+                (next(_form_vectors(rng, 1)) * m.ncols)[:m.ncols] for _ in range(3))])
+            # over one, and residues of numerators, over the rows' denominator
+            cases = [(numerators, 1)]
+            if pivots:
+                forms = red._top(len(pivots))._cleared_rows()
+                residues = [_residue(v, forms, pivots) for v in numerators]
+                cases.append((residues, residues[0][2]))
+            for cols, den in cases:
+                rows = _transposed(cols)
+                want = [[rational(den) * e for e in col] for col in
+                        (_scalars(*c) for c in cols)]
+                for j, row in enumerate(rows):
+                    entries = _scalars(*row)
+                    assert [_bits(e) for e in entries] == [_bits(col[j]) for col in want]
+                    assert row == _cleared(entries)
+                    gaussian_rows += row[3] != 0
+        assert gaussian_rows > 300
+
+    def test_cancelling(self):
+        """The coefficients (b[k], -a[k]), each of the kind of the scalar
+        loop's c = -a[k]/b[k], so their combination of a and b has the kinds
+        of a + c*b and vanishes at k."""
+        rng = random.Random(94)
+        seen = set()
+        for a in _form_vectors(rng):
+            b = [_mixed_entry(rng, ("rational", "gaussian"), 1e-9) for _ in a]
+            k = _loop_first_nonzero(b)
+            if k is None:
+                continue
+            c = -a[k] / b[k]
+            coeffs = _cancelling(_cleared(a), _cleared(b), k)
+            got = _scalars(*coeffs)
+            assert got[0] == b[k] and got[1] == -a[k]
+            assert [type(e) for e in got] == [type(c)] * 2
+            image = _scalars(*_cleared_image([_cleared(a), _cleared(b)], coeffs))
+            assert [type(e) for e in image] == [type(x + c * y) for x, y in zip(a, b)]
+            assert list(image) == [b[k] * x - a[k] * y for x, y in zip(a, b)]
+            assert image[k].is_zero()
+            seen.add((type(a[k]), type(b[k])))
+        assert len(seen) == 4
+
+
 class TestCachedClearedForm:
     """Each matrix keeps its rows and its columns cleared (``_cleared``), built
     on first use; products and ``apply`` read them."""
@@ -789,9 +892,9 @@ class TestCachedClearedForm:
             a = self.mixed_matrix(rng, nrows, inner, kinds)
             b = self.mixed_matrix(rng, inner, ncols, kinds)
             v = [_mixed_entry(rng, kinds, 1e-9) for _ in range(inner)]
-            want = _rows_bits(_products(a.rows, list(zip(*b.rows))))
-            want_apply = [_bits(r[0]) for r in _products(a.rows, [tuple(v)])]
-            want_t = _rows_bits(_products(list(zip(*b.rows)), a.rows))
+            want = _rows_bits([[_loop_dot(r, c) for c in zip(*b.rows)] for r in a.rows])
+            want_apply = [_bits(_loop_dot(r, v)) for r in a.rows]
+            want_t = _rows_bits([[_loop_dot(c, r) for r in a.rows] for c in zip(*b.rows)])
             for _ in range(2):  # the second pass reads the kept forms
                 assert _rows_bits((a * b).rows) == want
                 assert [_bits(e) for e in a.apply(v)] == want_apply
