@@ -261,15 +261,15 @@ def _single_point(sub: Subspace) -> ProjPoint:
     return ProjPoint(sub.basis.row(0))
 
 
-def _null_lines(u: Subspace, s_u: QuadricForm, n_u: QuadricForm,
+def _null_lines(u: Subspace, s_u: QuadricForm,
                 evidence: Dict[str, object]) -> Optional[List[Line]]:
-    """The common null lines of u in its chart; their lifts are recorded in
-    the evidence, in the same order.
+    """The common null lines of u in its chart, on s_u and N restricted to u
+    (built here only); their lifts are recorded in the evidence, in order.
 
     None, with the reason under "inexact", where they leave Q(i).
     """
     try:
-        chart_lines = common_lines(s_u, n_u)
+        chart_lines = common_lines(s_u, restrict(null_cone(), u))
     except ExactnessError as err:
         evidence["inexact"] = str(err)
         return None
@@ -295,7 +295,6 @@ def classify(u: Subspace) -> Classification:
     evidence: Dict[str, object] = {}
 
     s_u = restrict(study_quadric(), u)
-    n_u = restrict(null_cone(), u)
     sig = s_u.signature()
     evidence["signature"] = sig
     if sig != (2, 2, 0):
@@ -305,7 +304,7 @@ def classify(u: Subspace) -> Classification:
     evidence["exceptional_meet_dim"] = inter.dim
 
     if inter.dim == -1:
-        chart = _null_lines(u, s_u, n_u, evidence)
+        chart = _null_lines(u, s_u, evidence)
         if chart is None:
             return Classification(Verdict.NotADyadSpace, evidence)
         quad = null_quadrilateral(chart)
@@ -328,7 +327,7 @@ def classify(u: Subspace) -> Classification:
         evidence["fiber_image"] = fib
         if fib == inter:
             return Classification(Verdict.C, evidence)
-        if _null_lines(u, s_u, n_u, evidence) is None:
+        if _null_lines(u, s_u, evidence) is None:
             return Classification(Verdict.NotADyadSpace, evidence)
         lines = evidence["null_lines"]
         # S_u is regular and N_u is the conjugate pair of planes through e1.

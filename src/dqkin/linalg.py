@@ -42,6 +42,8 @@ on every path, entry by entry and kind by kind.
   the integers, or over the Gaussian integers Z[i] held as (re, im)
   pairs when some entry is Gaussian; ``rref`` divides by the pivot only
   to emit the canonical reduced form, and ``rank`` emits nothing.
+  ``signature`` runs that step on a real form's kept rows with
+  symmetric pivots, each pivot's sign read against the one before.
 - The kinds of every integer path are the scalar loop's: each integer
   step writes its result's mask by that loop's rule.  A dot or Hamilton
   product or a quotient is Gaussian when an operand is; a combination
@@ -82,7 +84,6 @@ from .scalars import (
     GaussianRational,
     Scalar,
     _float_of,
-    as_exact_real,
     scalar,
     ONE,
     ZERO,
@@ -824,44 +825,33 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 
 
 def signature(gram: Matrix) -> Tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a real symmetric form.
+    """Inertia (positive, negative, zero) of a real exact symmetric form.
 
-    Computed by symmetric congruence reduction, so it is exact; refuses
-    anything that is not a real exact matrix.
+    ``_int_step`` on the kept rows over one positive denominator, with
+    symmetric pivots: a nonzero diagonal entry, else entry k made 2 a[k][j]
+    by adding row and column j to k.  By Sylvester's law of inertia each
+    pivot over the one before, a diagonal entry of LDL^T, counts one sign.
+    Any other form raises GeometryError.
     """
-    assert gram.nrows == gram.ncols and gram.is_symmetric()
-    n = gram.nrows
-    a = []
-    for row in gram.rows:
-        demoted = [as_exact_real(e) for e in row]
-        if any(d is None for d in demoted):
-            raise GeometryError("signature requires a real form")
-        a.append([d.value for d in demoted])
-
-    def add_into(dst, src, f):
-        # row and column operation together keep the matrix symmetric
-        for j in range(n):
-            a[dst][j] += f * a[src][j]
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for i in range(n):
-                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue
-                add_into(k, j, 1)
-        pivot = a[k][k]
-        assert pivot != 0
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_into(i, k, -a[i][k] / pivot)
-    pos = sum(1 for k in range(n) if a[k][k] > 0)
-    neg = sum(1 for k in range(n) if a[k][k] < 0)
-    return pos, neg, n - pos - neg
+    rows = gram._cleared_rows()
+    if rows is None or any(im is not None and any(im) for _, im, _, _ in rows):
+        raise GeometryError("signature requires a real form")
+    den = lcm(*[d for _, _, d, _ in rows])
+    a = [[x * (den // d) for x in re] for re, _, d, _ in rows]
+    n = len(a)
+    if len(a[0]) != n or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise GeometryError("signature requires a square symmetric form")
+    free, neg, prev = list(range(n)), 0, 1
+    for _ in range(n):
+        k = next((k for k in free if a[k][k]), None)
+        if k is None:
+            k, j = next(((k, j) for k in free for j in free if a[k][j]), (None, None))
+            if k is None:
+                break
+            a[k] = list(map(add, a[k], a[j]))
+            for row in a:
+                row[k] += row[j]
+        free.remove(k)
+        neg += (a[k][k] > 0) != (prev > 0)
+        prev = _int_step(a, k, k, prev)
+    return n - len(free) - neg, neg, len(free)

@@ -67,7 +67,8 @@ class QuadricForm:
     __slots__ = ("gram", "label")
 
     def __init__(self, gram: Matrix, label: str = "restricted"):
-        assert gram.nrows == gram.ncols and gram.is_symmetric()
+        if not gram.is_symmetric():
+            raise GeometryError("a quadric form needs a square symmetric gram")
         self.gram = gram
         self.label = label
 
@@ -386,8 +387,8 @@ def _first_exact_member(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[Matr
             if roots is None:
                 raise ExactnessError(
                     "the repeated roots of the pencil determinant are not in Q(i)")
-            if roots:
-                return g1 + g2.scale(roots[0])
+            # a squarefree polynomial of degree one or two has a root here
+            return g1 + g2.scale(roots[0])
     return g2 if 4 - det_poly.degree >= 2 else None
 
 

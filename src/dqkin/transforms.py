@@ -265,10 +265,11 @@ def _moved(entries: list, table: _Terms) -> list:
     return [entries[k] if s > 0 else -entries[k] for s, k in table]
 
 
-def _dual_part_columns(l1: Quaternion, r1: Quaternion) -> list:
+def _dual_part_columns(l1: Quaternion, r1: Quaternion, left: Matrix, right: Matrix) -> list:
     """The eight columns of factor_transform's dual-part system: L(e) R(r1)
     flattened over l1 . e and 0, then L(l1) R(e) flattened over 0 and
-    r1 . e, for the basis units e, moved by _dual_part_tables.
+    r1 . e, for the basis units e, moved by _dual_part_tables from
+    left = L(l1) and right = R(r1).
 
     They equal the matrix products entry for entry, bit for bit: every
     coordinate of a Hamilton product involves all four coordinates of
@@ -276,7 +277,7 @@ def _dual_part_columns(l1: Quaternion, r1: Quaternion) -> list:
     and one tolerance, which a negation keeps.
     """
     tables = _dual_part_tables()
-    right, left = _flatten(right_mul_matrix(r1)), _flatten(left_mul_matrix(l1))
+    right, left = _flatten(right), _flatten(left)
     return ([_moved(right, table) + [l1.dot(e), ZERO] for e, table in zip(Q_BASIS, tables[:4])]
             + [_moved(left, table) + [ZERO, r1.dot(e)] for e, table in zip(Q_BASIS, tables[4:])])
 
@@ -296,6 +297,11 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     so its entries clear the absolute tolerance, and l is divided by the
     power at the end.
     """
+    return _so4_factors(a)[:2]
+
+
+def _so4_factors(a: Matrix) -> Tuple[Quaternion, Quaternion, Matrix, Matrix]:
+    """factor_so4's l and r, with L(l) and R(r) from its product check."""
     assert a.nrows == 4 and a.ncols == 4
     power = None if a.is_exact() else _power_of_two_scale(_flatten(a))
     scaled = a if power is None else a.scale(power)
@@ -321,9 +327,13 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
     first = next(c for c in l1.coords() if not c.is_zero())
     if _gauge_sign(first) < 0:
         l1, r1 = -l1, -r1
-    if left_mul_matrix(l1) * right_mul_matrix(r1) != scaled:
+    left, right = left_mul_matrix(l1), right_mul_matrix(r1)
+    if left * right != scaled:
         raise InvariantError("the SO(4) factors do not reproduce the matrix")
-    return (l1, r1) if power is None else (l1 * (1 / power), r1)
+    if power is None:
+        return l1, r1, left, right
+    # a power of two changes no mantissa, so L(l1) scaled is L of l1 scaled
+    return l1 * (1 / power), r1, left.scale(1 / power), right
 
 
 def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
@@ -346,9 +356,9 @@ def factor_transform(t: Matrix) -> Tuple[DualQuaternion, DualQuaternion]:
         err = GeometryError("transform is not admissible")
         err.report = report
         raise err
-    l1, r1 = factor_so4(_block(t, 0, 0))
+    l1, r1, left, right = _so4_factors(_block(t, 0, 0))
 
-    cols = _dual_part_columns(l1, r1)
+    cols = _dual_part_columns(l1, r1, left, right)
     rhs = _flatten(_block(t, 4, 0)) + [ZERO, ZERO]
     if not t.is_exact():
         sr, sc = (_power_of_two_scale(x) for x in (l1.coords(), rhs))

@@ -7,6 +7,7 @@ from itertools import permutations
 from math import ldexp
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkin import dyads
 from dqkin.dyads import (
@@ -167,6 +168,20 @@ class TestClassify:
             span([point(dual=Q_ONE), point(dual=Q_I), point(dual=Q_J),
                   point(dual=Q_K)]))
 
+    def test_only_null_lines_restrict_the_null_cone(self, monkeypatch):
+        """classify restricts N only where it reads the null lines: not for
+        a C verdict, nor after a signature other than (2, 2, 0)."""
+        spaces = [build_variety(spec).space for spec in (C_SPEC, RR_SPEC, RP_SPEC)]
+        labels, real = [], dyads.restrict
+        monkeypatch.setattr(dyads, "restrict", lambda f, u: labels.append(f.label) or real(f, u))
+        for space, want in zip(spaces, (["S"], ["S", "N"], ["S", "N"])):
+            labels.clear()
+            classify(space)
+            assert labels == want
+        labels.clear()
+        classify(span([point(Q_ONE), point(Q_K), point(dual=Q_I), point(dual=Q_J)]))
+        assert labels == ["S"]
+
     def test_orthogonal_rp_is_not_a_dyad_space(self):
         # Study form collapses on this span, so no dyad verdict is possible
         u = span([point(Q_ONE), point(Q_K), point(dual=Q_I), point(dual=Q_J)])
@@ -292,6 +307,59 @@ def point_meet_span(rng) -> Subspace:
             [r() for _ in range(8)],
             [0, 0, 0, 0] + [r() for _ in range(4)]]
     return Subspace.from_rows(rows, 8)
+
+
+def same_set(xs, ys) -> bool:
+    """Whether two lists of points or subspaces hold the same elements."""
+    return (len(xs) == len(ys) and all(any(x == y for y in ys) for x in xs)
+            and all(any(x == y for x in xs) for y in ys))
+
+
+def subspaces(evidence) -> dict:
+    """The subspaces in a classification's evidence, as lists by key."""
+    out = {key: [evidence[key]] for key in ("e1", "fiber_image") if key in evidence}
+    out.update((key, list(evidence[key])) for key in ("null_lines", "conjugate_pair")
+               if key in evidence)
+    if evidence.get("quadrilateral") is not None:
+        out["quadrilateral"] = list(evidence["quadrilateral"].lines)
+    return out
+
+
+CHI_VERDICTS = {Verdict.TwoR: Verdict.TwoR, Verdict.RP: Verdict.PR,
+                Verdict.PR: Verdict.RP, Verdict.C: Verdict.C}
+
+
+class TestEvidenceEquivariance:
+    """An admissible t fixes the pencil and both ruling families, so the
+    classification of t.u is u's moved by t: the same verdict, signature
+    and handedness, and the null lines, the quadrilateral, e1, the fiber
+    image and the ruling points are t's images of u's, compared as sets.
+    Quaternion conjugation (chi) swaps the ruling families, so RP and PR."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(DyadKind)), st.integers(0, 2 ** 16))
+    def test_evidence_moves_with_t(self, kind, seed):
+        rng = random.Random(seed)
+        u = build_variety(random_dyad_spec(rng, kind)).space
+        t = build_transform(random_study_dq(rng), random_study_dq(rng))
+        of_u, of_tu = classify(u), classify(t.apply_subspace(u))
+        assert of_tu.verdict is of_u.verdict is not Verdict.NotADyadSpace
+        assert classify(chi_subspace(u)).verdict is CHI_VERDICTS[of_u.verdict]
+        ev_u, ev_tu = of_u.evidence, of_tu.evidence
+        assert set(ev_tu) == set(ev_u)
+        for key in ("signature", "exceptional_meet_dim", "handedness"):
+            assert ev_tu.get(key) == ev_u.get(key)
+        lines_u, lines_tu = subspaces(ev_u), subspaces(ev_tu)
+        assert set(lines_tu) == set(lines_u)
+        for key, lines in lines_u.items():
+            assert same_set([t.apply_subspace(x) for x in lines], lines_tu[key]), key
+        if "quadrilateral" in ev_u:
+            assert same_set([t.apply(v) for v in ev_u["quadrilateral"].vertices],
+                            list(ev_tu["quadrilateral"].vertices))
+        if "ruling_points" in ev_u:
+            pairs = lambda r, f: [(f(r["s1"]), f(r["f1"])), (f(r["s2"]), f(r["f2"]))]
+            assert same_set(pairs(ev_u["ruling_points"], t.apply),
+                            pairs(ev_tu["ruling_points"], lambda p: p))
 
 
 class TestNearMissSpaces:

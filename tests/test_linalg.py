@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqkin.errors import GeometryError
 from dqkin.linalg import (
@@ -126,6 +130,19 @@ class TestElimination:
         assert rank(m) == 2
 
 
+@st.composite
+def sylvester_cases(draw):
+    """(diagonal entries, hyperbolic blocks, seed, c, kind, identity) of
+    test_sylvester, for forms of size 1 to 8."""
+    n = draw(st.integers(1, 8))
+    nblocks = draw(st.integers(0, n // 2))
+    diag = draw(st.lists(st.integers(-3, 3), min_size=n - 2 * nblocks, max_size=n - 2 * nblocks))
+    blocks = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=nblocks, max_size=nblocks))
+    c = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return (diag, blocks, draw(st.integers(0, 2 ** 32)), c,
+            draw(st.sampled_from(["rational", "gaussian", "mixed"])), draw(st.booleans()))
+
+
 class TestSignature:
     def test_diagonal(self):
         assert signature(Matrix.diagonal([2, -3, 0, 5])) == (2, 1, 1)
@@ -159,6 +176,80 @@ class TestSignature:
     def test_real_gaussian_entries_demote(self):
         m = Matrix([[gaussian(2, 0), 0], [0, gaussian(-1, 0)]])
         assert signature(m) == (1, 1, 0)
+
+    def test_rows_with_other_denominators(self):
+        # the rows clear over 6 and 3, the form over 6
+        m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+        assert signature(m) == (2, 0, 0)
+        assert signature(m.scale(-1)) == (0, 2, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sylvester_cases())
+    @example(([-1, -1], [], 0, 1, "rational", True))
+    @example(([2, -3, 0, 5], [], 0, 1, "rational", True))
+    @example(([0], [3, -2], 0, Fraction(1, 6), "gaussian", True))
+    @example(([1, -2, 3], [2], 5, Fraction(7, 3), "mixed", False))
+    def test_sylvester(self, case):
+        """signature(c P^T B P) counts the signs of B for an invertible
+        integer P and c > 0: B is block diagonal, a diagonal D with entries
+        in -3..3 and hyperbolic blocks [[0, a], [a, 0]] (one positive and one
+        negative eigenvalue each); P is unit lower triangular times upper
+        triangular with nonzero diagonal, its rows permuted, or the
+        identity, which leaves the zero diagonal of the blocks in place."""
+        diag, blocks, seed, c, kind, identity = case
+        rng = random.Random(seed)
+        n = len(diag) + 2 * len(blocks)
+        b = [[0] * n for _ in range(n)]
+        for k, d in enumerate(diag):
+            b[k][k] = d
+        for k, a in enumerate(blocks):
+            i = len(diag) + 2 * k
+            b[i][i + 1] = b[i + 1][i] = a
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        if not identity:
+            low = [[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(n)]
+                   for i in range(n)]
+            up = [[rng.choice([-2, -1, 1, 2]) if i == j else rng.randint(-2, 2) if i < j else 0
+                   for j in range(n)] for i in range(n)]
+            order = rng.sample(range(n), n)
+            p = [[sum(low[order[i]][k] * up[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        g = [[c * sum(p[k][i] * b[k][m] * p[m][j] for k in range(n) for m in range(n))
+              for j in range(n)] for i in range(n)]
+
+        def entry(x):
+            if kind == "gaussian" or kind == "mixed" and rng.random() < 0.5:
+                return gaussian(x, 0)
+            return rational(x)
+
+        form = Matrix([[entry(x) for x in row] for row in g])
+        pos = sum(d > 0 for d in diag) + len(blocks)
+        neg = sum(d < 0 for d in diag) + len(blocks)
+        assert signature(form) == (pos, neg, n - pos - neg)
+
+    FORM_SCRIPT = (
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.linalg import Matrix, signature\n"
+        "from dqkin.quadrics import QuadricForm\n"
+        "for rows in ([[1, 2], [0, 1]], [[1, 2]], [[0, 1], [0, 0]]):\n"
+        "    for make in (signature, QuadricForm):\n"
+        "        try:\n"
+        "            make(Matrix(rows))\n"
+        "        except GeometryError as exc:\n"
+        "            print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_refuses_a_gram_that_is_not_square_and_symmetric(self, flags):
+        """signature and QuadricForm refuse a form that is not square and
+        symmetric by an explicit check, also under python -O."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.FORM_SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["signature requires a square symmetric form",
+                                            "a quadric form needs a square symmetric gram"] * 3
 
 
 class TestScalarMultiple:

@@ -424,6 +424,21 @@ class TestPowerOfTwoScaling:
         lt, rt = factor_transform(f.scale(power))
         assert float_bits(lt.primal) == float_bits(l) and float_bits(rt.primal) == float_bits(r)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(-40, 40))
+    def test_factor_matrices(self, seed, k):
+        """The L(l) and R(r) that factor_transform reuses from factor_so4's
+        product check are those of the factors returned, bit for bit: a
+        float block is checked at its power-of-two scale, and L(l) read
+        back from there."""
+        rng = random.Random(seed)
+        m = build_transform(random_study_dq(rng), random_study_dq(rng)).matrix
+        for t in (m, m.scale(gaussian(1, 2)), float_copy(m).scale(rational(Fraction(2) ** k))):
+            l, r, left, right = transforms._so4_factors(transforms._block(t, 0, 0))
+            for got, want in ((left, left_mul_matrix(l)), (right, right_mul_matrix(r))):
+                assert [entry_bits(e) for e in transforms._flatten(got)] == \
+                    [entry_bits(e) for e in transforms._flatten(want)]
+
 
 def entry_bits(e):
     """An entry's kind and value, float parts by their bits, and tolerance."""
@@ -479,7 +494,8 @@ class TestIndexTablesAgainstProducts:
         for _ in range(10):
             for kind in KINDS:
                 l, r = (Quaternion(*[random_entry(rng, kind) for _ in range(4)]) for _ in "lr")
-                got, want = transforms._dual_part_columns(l, r), dual_part_columns(l, r)
+                got = transforms._dual_part_columns(l, r, left_mul_matrix(l), right_mul_matrix(r))
+                want = dual_part_columns(l, r)
                 assert [[entry_bits(e) for e in col] for col in got] == \
                     [[entry_bits(e) for e in col] for col in want]
 
