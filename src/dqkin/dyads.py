@@ -229,7 +229,7 @@ def null_quadrilateral(lines) -> Optional[Quadrilateral]:
         edges = [cuts[frozenset((order[i], order[(i + 1) % 4]))] for i in range(4)]
         if any(cut.dim != 0 for cut in edges):
             continue
-        vertices = tuple(ProjPoint(cut.basis.row(0)) for cut in edges)
+        vertices = tuple(cut.points()[0] for cut in edges)
         if all(vertices[i] != vertices[j] for i in range(4) for j in range(i + 1, 4)):
             return Quadrilateral(tuple(lines[k] for k in order), vertices)
     return None
@@ -238,8 +238,7 @@ def null_quadrilateral(lines) -> Optional[Quadrilateral]:
 def _real_form(u: Subspace) -> Subspace:
     """u with its real canonical basis demoted to ExactRational entries."""
     # conjugation_closed has shown every entry of the canonical basis real
-    rows = [[as_exact_real(c) for c in row] for row in u.basis.rows]
-    return Subspace._of(Matrix._of(rows), u._pivots, u.ambient)
+    return Subspace._of(u.basis.real_part(), u._pivots, u.ambient)
 
 
 def _lift_line(u: Subspace, chart: Line) -> Line:
@@ -258,7 +257,7 @@ def _conjugate_line(l: Line) -> Line:
 
 def _single_point(sub: Subspace) -> ProjPoint:
     assert sub.dim == 0
-    return ProjPoint(sub.basis.row(0))
+    return sub.points()[0]
 
 
 def _null_lines(u: Subspace, s_u: QuadricForm,

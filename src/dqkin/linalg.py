@@ -1,8 +1,9 @@
 """Small dense matrices over the scalar tower.
 
-Everything is immutable and dimension-checked with asserts.  The path an
-operation takes follows the kinds of the entries; results are the same
-on every path, entry by entry and kind by kind.
+Everything is immutable and dimension-checked (a product by GeometryError,
+so also under ``python -O``).  The path an operation takes follows the
+kinds of the entries; results are the same on every path, entry by entry
+and kind by kind.
 
 - The kept form of an exact vector is one value ``(re, im, den, kinds)``
   (``_cleared``): integer lists re and im over one denominator, for the
@@ -11,9 +12,8 @@ on every path, entry by entry and kind by kind.
   when kinds is 0.  This module alone knows that layout; other modules
   pass forms whole to its operations: ``_first_nonzero``,
   ``_proportional`` (two forms span one point), ``_residue`` (modulo
-  reduced rows), ``_numerators`` (each form over one), ``_transposed``
-  (forms over one denominator as the columns of a matrix with kept
-  rows), ``_cleared_image`` (a combination of forms), ``_cancelling``
+  reduced rows), ``_transposed`` (the kept rows of a transpose),
+  ``_cleared_image`` (a combination of forms), ``_cancelling``
   (the coefficients of the combination of two forms that vanishes at an
   entry), ``_normalized`` (division by the first nonzero entry),
   ``_kernel_forms`` (a nullspace basis off kept rows) and ``_scalars``,
@@ -22,7 +22,8 @@ on every path, entry by entry and kind by kind.
   and ``transforms._associate`` read the integers, for their arithmetic.
 - A ``Matrix`` never changes, so it keeps its rows cleared and its
   columns cleared, each built on first use and ``None`` when an entry is
-  a float; a transpose starts with the two forms swapped.
+  a float; a transpose starts with the two forms swapped, and the
+  columns of kept rows are their ``_transposed``.
   ``Matrix(rows)`` and ``Matrix.from_columns`` convert every entry with
   ``scalars.scalar``; the trusted constructor ``Matrix._of`` takes rows
   of Scalars as they are (results built here and in ``projgeom``, the
@@ -34,9 +35,11 @@ on every path, entry by entry and kind by kind.
   path returns its eliminated rows so; a reduced basis read only by
   integer steps (a join in ``quadrecon.run_cycle``) never makes a
   Scalar, and two matrices with kept rows compare as integers.
-- Products (``Matrix.__mul__``, ``apply``) of exact matrices read the
-  kept forms, and ``vec_dot`` clears its two vectors, so each entry is
-  one integer dot product and one ``Fraction``.
+- Exact products are born kept too: one kernel, ``_cleared_products``,
+  gives cleared rows, which ``Matrix.__mul__`` reduces and ``apply`` and
+  ``vec_dot`` write as Scalars.  ``transpose``, ``__add__`` and ``scale``
+  of kept rows return kept rows, and ``is_zero``, ``is_symmetric``,
+  ``is_real``, ``==`` and an entry read make no row of Scalars.
 - ``rref``, ``rank`` and ``det`` of an exact matrix read the kept rows
   and run fraction-free Gauss-Jordan elimination (Bareiss 1968) over
   the integers, or over the Gaussian integers Z[i] held as (re, im)
@@ -115,7 +118,7 @@ def vec_dot(u: Vector, v: Vector) -> Scalar:
     cv = None if cu is None else _cleared(v)
     if cv is None:
         return _float_products([u], [v])[0][0]
-    return _cleared_products([cu], [cv])[0][0]
+    return _scalars(*_cleared_products([cu], [cv])[0])[0]
 
 
 def _plain_dot(u: Vector, v: Vector) -> Scalar:
@@ -218,9 +221,9 @@ def _scalars(re: Sequence[int], im: Optional[Sequence[int]], den: int, mask: int
                   for k, (x, y) in enumerate(zip(re, im or [0] * len(re)))])
 
 
-def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> List[Vector]:
-    """vec_dot of every cleared row with every cleared column, a vector per
-    row over one denominator; an entry is Gaussian when its row or its
+def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> List[_Cleared]:
+    """vec_dot of every cleared row with every cleared column, one cleared
+    vector per row, not reduced; an entry is Gaussian when its row or its
     column has a Gaussian entry, the kind vec_dot would return."""
     den = lcm(*[d for _, _, d, _ in cols])
     scales = [den // d for _, _, d, _ in cols]
@@ -229,9 +232,9 @@ def _cleared_products(rows: Sequence[_Cleared], cols: Sequence[_Cleared]) -> Lis
     for r in rows:
         dots = [_dot_numerator(r, c) for c in cols]
         mask = (1 << len(cols)) - 1 if r[3] else kinds
-        out.append(_scalars([x * s for (x, _), s in zip(dots, scales)],
-                            [(y or 0) * s for (_, y), s in zip(dots, scales)] if mask else None,
-                            r[2] * den, mask))
+        out.append(([x * s for (x, _), s in zip(dots, scales)],
+                    [(y or 0) * s for (_, y), s in zip(dots, scales)] if mask else None,
+                    r[2] * den, mask))
     return out
 
 
@@ -324,22 +327,20 @@ def _residue(v: _Cleared, rows: Sequence[_Cleared], pivots: Sequence[int]) -> _C
             sum_den, kinds | sum_kinds)
 
 
-def _numerators(forms: Sequence[_Cleared]) -> List[_Cleared]:
-    """Each vector times its denominator: the same point, over one."""
-    return [(re, im, 1, kinds) for re, im, _, kinds in forms]
-
-
-def _transposed(cols: Sequence[_Cleared]) -> List[_Cleared]:
-    """The matrix with the vectors cols, all over one denominator, as its
-    columns, times that denominator: row j holds their integers at j over
-    one, so is its own cleared form, Gaussian at k where cols[k] is at j."""
-    res = [list(r) for r in zip(*[re for re, _, _, _ in cols])]
-    masks = [kinds for _, _, _, kinds in cols]
+def _transposed(forms: Sequence[_Cleared]) -> List[_Cleared]:
+    """The kept rows of the transpose of a matrix with kept rows forms: row
+    j holds their entries at j over their common denominator, reduced,
+    Gaussian at k where forms[k] is at j."""
+    den = lcm(*[d for _, _, d, _ in forms])
+    res = zip(*[[x * (den // d) for x in re] for re, _, d, _ in forms])
+    masks = [kinds for _, _, _, kinds in forms]
     if not any(masks):
-        return [(r, None, 1, 0) for r in res]
-    ims = zip(*[im or [0] * len(res) for _, im, _, _ in cols])
-    kinds = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(len(res))]
-    return [(r, list(i) if g else None, 1, g) for r, i, g in zip(res, ims, kinds)]
+        return [_reduced_form(list(r), None, den, 0) for r in res]
+    n = len(forms[0][0])
+    ims = zip(*[[x * (den // d) for x in im] if im else [0] * n for _, im, d, _ in forms])
+    kinds = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(n)]
+    return [_reduced_form(list(r), list(i) if g else None, den, g)
+            for r, i, g in zip(res, ims, kinds)]
 
 
 def _normalized(v: _Cleared) -> Optional[_Cleared]:
@@ -430,7 +431,9 @@ class Matrix:
     def _cleared_columns(self) -> Optional[List[_Cleared]]:
         """Every column cleared, or None when an entry is a float; kept too."""
         if self._column_form is _UNSET:
-            self._column_form = _all_cleared(list(zip(*self.rows)))
+            rows = self._row_form
+            self._column_form = (_transposed(rows) if type(rows) is list
+                                 else _all_cleared(list(zip(*self.rows))))
         return self._column_form
 
     def _top(self, k: int) -> "Matrix":
@@ -480,6 +483,10 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        forms = self._row_form
+        if type(forms) is list:  # the one entry, not the rows
+            re, im, den, kinds = forms[i]
+            return _scalars((re[j],), im and (im[j],), den, kinds >> j & 1)[0]
         return self.rows[i][j]
 
     def row(self, i: int) -> Vector:
@@ -489,25 +496,37 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        t = Matrix._of(zip(*self.rows))
+        # the two kept forms swapped; kept rows make no Scalar
+        t = (Matrix._of_cleared(self._cleared_columns()) if type(self._row_form) is list
+             else Matrix._of(zip(*self.rows)))
         t._row_form, t._column_form = self._column_form, self._row_form
         return t
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        fa, fb = self._row_form, other._row_form
+        if type(fa) is not list or type(fb) is not list:
+            return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        # each row pair's combination with coefficients (1, 1)
+        return Matrix._of_cleared([_reduced_form(*_cleared_image(pair, ([1, 1], None, 1, 0)))
+                                   for pair in zip(fa, fb)])
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix._of([vec_scale(c, r) for r in self.rows])
+        form = _cleared((c,))
+        forms = None if form is None else self._cleared_rows()
+        if forms is None:
+            return Matrix._of([vec_scale(c, r) for r in self.rows])
+        return Matrix._of_cleared([_reduced_form(*_cleared_image([f], form)) for f in forms])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise GeometryError("a product needs as many columns on the left as rows on the right")
         rows = self._cleared_rows()
         cols = None if rows is None else other._cleared_columns()
         if cols is None:
             return Matrix._of(_float_products(self.rows, list(zip(*other.rows))))
-        return Matrix._of(_cleared_products(rows, cols))
+        return Matrix._of_cleared([_reduced_form(*f) for f in _cleared_products(rows, cols)])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
@@ -517,7 +536,7 @@ class Matrix:
         cleared = None if rows is None else _cleared(u)
         if cleared is None:
             return tuple(row[0] for row in _float_products(self.rows, [u]))
-        return _cleared_products([cleared], rows)[0]
+        return _scalars(*_cleared_products([cleared], rows)[0])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -537,16 +556,32 @@ class Matrix:
     __hash__ = None
 
     def is_zero(self) -> bool:
+        forms = self._row_form
+        if type(forms) is list:
+            return all(_first_nonzero(f) is None for f in forms)
         return all(vec_is_zero(r) for r in self.rows)
 
     def is_symmetric(self) -> bool:
         if self.nrows != self.ncols:
             return False
+        if type(self._row_form) is list:
+            return self == self.transpose()
         return all(self.rows[i][j] == self.rows[j][i]
                    for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def is_exact(self) -> bool:
-        return all(e.is_exact for r in self.rows for e in r)
+        return type(self._row_form) is list or all(e.is_exact for r in self.rows for e in r)
+
+    def real_part(self) -> "Matrix":
+        """The real parts of an exact matrix's entries, ExactRational."""
+        return Matrix._of_cleared([_reduced_form(re, None, den, 0)
+                                   for re, _, den, _ in self._cleared_rows()])
+
+    def is_real(self) -> bool:
+        forms = self._cleared_rows()
+        if forms is None:
+            return all(e.conjugate() == e for r in self.rows for e in r)
+        return not any(im is not None and any(im) for _, im, _, _ in forms)
 
     def trace(self) -> Scalar:
         assert self.nrows == self.ncols
@@ -834,7 +869,7 @@ def signature(gram: Matrix) -> Tuple[int, int, int]:
     Any other form raises GeometryError.
     """
     rows = gram._cleared_rows()
-    if rows is None or any(im is not None and any(im) for _, im, _, _ in rows):
+    if rows is None or not gram.is_real():
         raise GeometryError("signature requires a real form")
     den = lcm(*[d for _, _, d, _ in rows])
     a = [[x * (den // d) for x in re] for re, _, d, _ in rows]

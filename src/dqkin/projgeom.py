@@ -19,16 +19,17 @@ import.
 Exact vectors (rational or Gaussian entries, mixed or not) take one
 integer path on their kept forms, passed whole to ``linalg``'s form
 operations (the layout is described there).  A ``ProjPoint`` keeps its
-form (``_kept``), built on first use or handed over at birth
-(``ProjPoint._of``), and a reduced basis keeps the rows ``rref``
+form (``_kept``), built on first use or handed over at birth by the one
+kept-point constructor ``ProjPoint._of`` (lifts, ``Subspace.points``,
+``quadrecon``'s projections), and a reduced basis keeps the rows ``rref``
 computed it in.  ``span`` and ``join`` hand those kept rows to ``rref``
 with no re-wrap and no re-clearing; ``contains`` and ``chart_coords``
 decide membership by an integer residue (``_residue_of``), and
 ``ProjPoint.__eq__`` by ``linalg._proportional``, so neither makes a
 Scalar.  Meets, so central projections, run on integers too: the
-residues of the rows' numerators, their kernel (``_kernel_forms``) and
-its combinations of the rows, so only the reduced meet makes Scalars,
-when read.  ``lift`` is the product of the chart coordinates and the basis.
+residues of the kept rows, their kernel (``_kernel_forms``) and its
+combinations of the rows, so only the reduced meet makes Scalars, when
+read.  ``lift`` is a ``_cleared_image`` of the basis rows.
 A float coordinate anywhere sends the operation through the scalar
 loop, which compares each float at its own tolerance, on values at
 max-norm about one, scaled by a power of two
@@ -46,8 +47,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
 from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _first_nonzero,
-                     _kernel_forms, _numerators, _proportional, _reduced_form, _residue,
-                     _transposed, as_vector, nullspace, rref, vec_is_zero, vec_scale)
+                     _kernel_forms, _proportional, _reduced_form, _residue,
+                     _scalars, _transposed, as_vector, nullspace, rref, vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
@@ -65,11 +66,11 @@ class ProjPoint:
         self.coords, self._form = cs, _UNSET
 
     @classmethod
-    def _of(cls, coords: Vector, form: _Cleared) -> "ProjPoint":
-        """The trusted constructor: nonzero Scalars with their kept form,
-        as ``_kept`` would build it."""
+    def _of(cls, form: _Cleared) -> "ProjPoint":
+        """The kept-point constructor: a nonzero reduced form (``_reduced_form``,
+        so the one ``_kept`` would build) and the Scalars it stands for."""
         p = object.__new__(cls)
-        p.coords, p._form = coords, form
+        p.coords, p._form = _scalars(*form), form
         return p
 
     def _kept(self) -> Optional[_Cleared]:
@@ -160,9 +161,10 @@ class Subspace:
         return -1 if self.basis is None else self.basis.nrows - 1
 
     def points(self) -> List[ProjPoint]:
-        if self.basis is None:
-            return []
-        return [ProjPoint(row) for row in self.basis.rows]
+        forms = None if self.basis is None else self.basis._cleared_rows()
+        if forms is None:
+            return [] if self.basis is None else [ProjPoint(row) for row in self.basis.rows]
+        return [ProjPoint._of(form) for form in forms]
 
     def _residue(self, v: Sequence[Scalar]) -> Vector:
         """v minus the basis rows, each scaled by v's entry at its pivot, by
@@ -210,8 +212,9 @@ class Subspace:
         """Chart coordinates (relative to the basis rows) to ambient point."""
         assert self.basis is not None
         self._require_chart()
-        assert chart_point.ambient == self.basis.nrows
-        return ProjPoint((Matrix._of([chart_point.coords]) * self.basis).rows[0])
+        if chart_point.ambient != self.basis.nrows:
+            raise GeometryError("a chart point has one coordinate per basis row")
+        return _lifted(chart_point, self.basis)
 
     def chart_coords(self, p: ProjPoint) -> Optional[ProjPoint]:
         """Coordinates of p in this subspace's basis, or None if outside."""
@@ -225,9 +228,7 @@ class Subspace:
 
     def conjugation_closed(self) -> bool:
         # the conjugate rows are the canonical basis of the conjugate space
-        if self.basis is None:
-            return True
-        return all(c.conjugate() == c for row in self.basis.rows for c in row)
+        return self.basis is None or self.basis.is_real()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -255,6 +256,15 @@ def _reduced(m: Matrix, ambient: int) -> Subspace:
     if not pivots:
         return Subspace.empty(ambient)
     return Subspace._of(red._top(len(pivots)), pivots, ambient)
+
+
+def _lifted(p: ProjPoint, rows: Matrix) -> ProjPoint:
+    """The combination of the independent rows with p's coordinates: a
+    ``_cleared_image`` of their kept forms when both are exact."""
+    forms, v = rows._cleared_rows(), p._kept()
+    if forms is None or v is None:
+        return ProjPoint((Matrix._of([p.coords]) * rows).rows[0])
+    return ProjPoint._of(_reduced_form(*_cleared_image(forms, v)))
 
 
 def _point_rows(points: Sequence[ProjPoint]) -> Matrix:
@@ -296,10 +306,9 @@ def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
     modulo b vanishes, so the kernel of the residues, one column per row,
     spans the meet.
 
-    Exact rows and basis run on integers: the rows' numerators (a row's
-    scale moves neither the meet nor any kind) have residues over one
-    denominator, which the kernel does not see, and only the reduced
-    meet makes Scalars, when read.
+    Exact rows and basis run on integers: the residues of the kept rows,
+    the kernel of their transpose and its combinations of the rows, so
+    only the reduced meet makes Scalars, when read.
     """
     if b.basis is None:
         return Subspace.empty(b.ambient)
@@ -311,12 +320,11 @@ def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
         if not kernel:
             return Subspace.empty(b.ambient)
         return _reduced(Matrix._of(kernel) * rows, b.ambient)
-    numerators = _numerators(forms)
-    residues = _transposed([b._residue_of(v) for v in numerators])
+    residues = _transposed([b._residue_of(v) for v in forms])
     kernel = _kernel_forms(*rref(Matrix._of_cleared(residues)))
     if not kernel:
         return Subspace.empty(b.ambient)
-    out = [_reduced_form(*_cleared_image(numerators, c)) for c in kernel]
+    out = [_reduced_form(*_cleared_image(forms, c)) for c in kernel]
     return _reduced(Matrix._of_cleared(out), b.ambient)
 
 

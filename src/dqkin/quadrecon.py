@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (Matrix, _Cleared, _cancelling, _cleared_image, _first_nonzero, _normalized,
-                     _proportional, _scalars, inverse, rank, solve, vec_add, vec_dot, vec_scale,
+                     _proportional, inverse, rank, solve, vec_add, vec_dot, vec_scale,
                      vec_sub)
 from .projgeom import (
     ProjPoint,
@@ -74,7 +74,7 @@ def _project(x: ProjPoint, step: Tuple[_Cleared, _Cleared], target: Subspace) ->
     form = _normalized(_cleared_image([xf, center], _cancelling(rx, rm, _first_nonzero(rm))))
     if form is None:
         raise GeometryError("projection not well defined")
-    return ProjPoint._of(_scalars(*form), form)
+    return ProjPoint._of(form)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import (
     Matrix,
     Vector,
-    _cleared,
     _cleared_image,
     _dot_numerator,
     _flat_cleared,
@@ -58,7 +57,7 @@ from .linalg import (
     vec_scale,
 )
 from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
-from .projgeom import Line, ProjPoint, Subspace
+from .projgeom import Line, ProjPoint, Subspace, _lifted
 from .quaternions import Quaternion
 from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
 
@@ -95,8 +94,8 @@ class QuadricForm:
         """
         assert a.ambient == self.n and b.ambient == self.n
         cols = self.gram._cleared_columns()
-        ca = None if cols is None else _cleared(a.coords)
-        cb = None if ca is None else _cleared(b.coords)
+        ca = None if cols is None else a._kept()
+        cb = None if ca is None else b._kept()
         if cb is None:
             e = Matrix._of([a.coords, b.coords])
             return (e * self.gram * e.transpose()).is_zero()
@@ -344,8 +343,7 @@ def _plane_lines(form: QuadricForm, plane: Matrix) -> List[Tuple[ProjPoint, Proj
     """The lines of a quadric in the plane spanned by the rows of plane, as
     point pairs: the line pairs of the conic it cuts, lifted by those rows."""
     conic = plane * form.gram * plane.transpose()
-    return [tuple(map(ProjPoint, (Matrix._of([a.coords, b.coords]) * plane).rows))
-            for a, b in _conic_line_pairs(conic)]
+    return [(_lifted(a, plane), _lifted(b, plane)) for a, b in _conic_line_pairs(conic)]
 
 
 def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Tuple[ProjPoint, ProjPoint]]:

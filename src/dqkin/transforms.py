@@ -42,7 +42,7 @@ from .scalars import (
 
 
 def _block(m: Matrix, i0: int, j0: int) -> Matrix:
-    return Matrix._of([[m[i0 + i, j0 + j] for j in range(4)] for i in range(4)])
+    return Matrix._of([row[j0:j0 + 4] for row in m.rows[i0:i0 + 4]])
 
 
 def _flatten(m: Matrix) -> list:

@@ -16,7 +16,6 @@ from dqkin.linalg import (
     _first_nonzero,
     _kinds,
     _normalized,
-    _numerators,
     _residue,
     _scalars,
     _transposed,
@@ -250,6 +249,35 @@ class TestSignature:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["signature requires a square symmetric form",
                                             "a quadric form needs a square symmetric gram"] * 3
+
+
+class TestShapeChecks:
+    SCRIPT = (
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.linalg import Matrix\n"
+        "from dqkin.projgeom import ProjPoint, Subspace\n"
+        "u = Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)\n"
+        "for make in (lambda: Matrix([[1, 2], [3, 4]]) * Matrix([[1, 2, 3]]),\n"
+        "             lambda: u.lift(ProjPoint([1, 2, 3, 4, 5]))):\n"
+        "    try:\n"
+        "        print(make())\n"
+        "    except GeometryError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_mismatched_shapes_raise(self, flags):
+        """A product of mismatched shapes and the lift of a chart point with
+        too many coordinates raise GeometryError, also under python -O,
+        where an assert would let the integer kernel truncate silently."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "a product needs as many columns on the left as rows on the right",
+            "a chart point has one coordinate per basis row"]
 
 
 class TestScalarMultiple:
@@ -872,24 +900,24 @@ class TestFormOperationsAgainstScalarLoop:
         assert all(n > 20 for n in seen.values()), seen
 
     def test_transposed(self):
-        """Forms over one denominator as columns: each row is its own cleared
-        form, the transpose times that denominator, kind by kind."""
+        """The kept rows of the transpose of a matrix with kept rows: each row
+        is its own cleared form, reduced, equal to the scalar loop's
+        transpose entry by entry and kind by kind."""
         rng = random.Random(93)
         gaussian_rows = 0
         for m in _mixed_exact_cases(rng):
             red, pivots = rref(m)
-            numerators = _numerators([_cleared(v) for v in (
-                (next(_form_vectors(rng, 1)) * m.ncols)[:m.ncols] for _ in range(3))])
-            # over one, and residues of numerators, over the rows' denominator
-            cases = [(numerators, 1)]
+            vectors = [_cleared(v) for v in (
+                (next(_form_vectors(rng, 1)) * m.ncols)[:m.ncols] for _ in range(3))]
+            # forms over their own denominators, and their residues modulo
+            # the reduced rows
+            cases = [vectors, m._cleared_rows()]
             if pivots:
                 forms = red._top(len(pivots))._cleared_rows()
-                residues = [_residue(v, forms, pivots) for v in numerators]
-                cases.append((residues, residues[0][2]))
-            for cols, den in cases:
+                cases.append([_residue(v, forms, pivots) for v in vectors])
+            for cols in cases:
                 rows = _transposed(cols)
-                want = [[rational(den) * e for e in col] for col in
-                        (_scalars(*c) for c in cols)]
+                want = [_scalars(*c) for c in cols]
                 for j, row in enumerate(rows):
                     entries = _scalars(*row)
                     assert [_bits(e) for e in entries] == [_bits(col[j]) for col in want]
@@ -993,6 +1021,58 @@ class TestCachedClearedForm:
                 assert _rows_bits((b.transpose() * a.transpose()).rows) == want_t
             floats += a._cleared_rows() is None
         assert floats > 10
+
+    @staticmethod
+    def assert_born_kept(m, want_rows):
+        """m has kept rows, read here before its rows: each equals ``_cleared``
+        of the row it then makes, kinds mask included, and those rows are
+        the scalar loop's, entry by entry and kind by kind."""
+        forms = m._row_form
+        assert type(forms) is list
+        assert _rows_bits(m.rows) == _rows_bits(want_rows)
+        assert forms == [_cleared(r) for r in m.rows]
+
+    def test_exact_results_are_born_kept(self):
+        """Exact products, and transposes, sums and scalings of matrices with
+        kept rows, come as kept rows; ``is_zero`` reads them."""
+        rng = random.Random(85)
+        seen = {"gaussian_product_rows": 0, "zero_sums": 0}
+        for m in _mixed_exact_cases(rng):
+            other = self.mixed_matrix(rng, m.ncols, rng.randint(1, 6))
+            same = self.mixed_matrix(rng, m.nrows, m.ncols)
+            c = _mixed_entry(rng, ("rational", "gaussian"), 1e-9)
+            product = m * other
+            self.assert_born_kept(product, [[_loop_dot(r, col) for col in zip(*other.rows)]
+                                            for r in m.rows])
+            seen["gaussian_product_rows"] += sum(k != 0 for _, _, _, k in product._row_form)
+
+            def kept(x):  # a copy of x born from its kept rows, with no Scalar row
+                return Matrix._of_cleared(x._cleared_rows())
+
+            self.assert_born_kept(kept(m).transpose(), list(zip(*m.rows)))
+            self.assert_born_kept(kept(m) + kept(same),
+                                  [[a + b for a, b in zip(r, s)] for r, s in zip(m.rows, same.rows)])
+            self.assert_born_kept(kept(m).scale(c), [[c * a for a in r] for r in m.rows])
+            for x in (kept(m), kept(m) + kept(m).scale(-1)):
+                assert x.is_zero() == all(e.is_zero() for r in x.rows for e in r)
+            seen["zero_sums"] += (kept(m) + kept(m).scale(-1)).is_zero()
+        assert seen["gaussian_product_rows"] > 300 and seen["zero_sums"] > 300, seen
+
+    def test_exact_product_makes_no_scalar_row_until_read(self):
+        """An exact a * b, and what its kept rows are read by here, make no
+        Scalar row; the rows are made when ``rows`` is first read."""
+        rng = random.Random(86)
+        slot = Matrix.__dict__["rows"]
+        for _ in range(30):
+            a, b = self.mixed_matrix(rng, 4, 3), self.mixed_matrix(rng, 3, 4)
+            p = a * b
+            p.transpose(), p + p, p.scale(2), p.is_zero(), p.is_symmetric(), p.is_exact()
+            assert p == p and p[1, 2] == _loop_dot(a.rows[1], b.column(2))
+            with pytest.raises(AttributeError):
+                slot.__get__(p, Matrix)
+            assert _rows_bits(p.rows) == _rows_bits(
+                [[_loop_dot(r, col) for col in zip(*b.rows)] for r in a.rows])
+            assert slot.__get__(p, Matrix) is p.rows
 
     def test_public_constructor_refuses_raw_floats(self):
         with pytest.raises(TypeError):

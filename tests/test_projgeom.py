@@ -167,6 +167,13 @@ class TestSubspaceLattice:
         assert u.lift(chart) == p
         assert u.chart_coords(point(Q_J)) is None
 
+    def test_lift_refuses_a_chart_point_of_another_length(self):
+        # an explicit check, so also under python -O
+        u = span([point(Q_ONE), point(Q_K), point(dual=Q_I)])
+        for coords in ([1, 2], [1, 2, 3, 4, 5]):
+            with pytest.raises(GeometryError, match="one coordinate per basis row"):
+                u.lift(ProjPoint(coords))
+
 
 def stacked_rank(*row_lists):
     return rank(Matrix([row for rows in row_lists for row in rows]))
