@@ -1,9 +1,9 @@
 """Small dense matrices over the scalar tower.
 
-Everything is immutable and dimension-checked (a product by GeometryError,
-so also under ``python -O``).  The path an operation takes follows the
-kinds of the entries; results are the same on every path, entry by entry
-and kind by kind.
+Everything is immutable and dimension-checked (a product, a sum, ``apply``
+and ``vec_dot`` by GeometryError, so also under ``python -O``).  The path
+an operation takes follows the kinds of the entries; results are the same
+on every path, entry by entry and kind by kind.
 
 - The kept form of an exact vector is one value ``(re, im, den, kinds)``
   (``_cleared``): integer lists re and im over one denominator, for the
@@ -37,9 +37,10 @@ and kind by kind.
   Scalar, and two matrices with kept rows compare as integers.
 - Exact products are born kept too: one kernel, ``_cleared_products``,
   gives cleared rows, which ``Matrix.__mul__`` reduces and ``apply`` and
-  ``vec_dot`` write as Scalars.  ``transpose``, ``__add__`` and ``scale``
-  of kept rows return kept rows, and ``is_zero``, ``is_symmetric``,
-  ``is_real``, ``==`` and an entry read make no row of Scalars.
+  ``vec_dot`` write as Scalars.  ``transpose`` of kept rows, and
+  ``__add__`` and ``scale`` of exact matrices, return kept rows, and
+  ``is_zero``, ``is_symmetric``, ``is_real``, ``==`` and an entry read
+  make no row of Scalars.
 - ``rref``, ``rank`` and ``det`` of an exact matrix read the kept rows
   and run fraction-free Gauss-Jordan elimination (Bareiss 1968) over
   the integers, or over the Gaussian integers Z[i] held as (re, im)
@@ -113,7 +114,8 @@ def vec_scale(c, u: Vector) -> Vector:
 
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     """Plain bilinear dot product, no conjugation."""
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise GeometryError("a dot product needs two vectors of one length")
     cu = _cleared(u)
     cv = None if cu is None else _cleared(v)
     if cv is None:
@@ -503,9 +505,11 @@ class Matrix:
         return t
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        fa, fb = self._row_form, other._row_form
-        if type(fa) is not list or type(fb) is not list:
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise GeometryError("a sum needs two matrices of one shape")
+        fa = self._cleared_rows()
+        fb = None if fa is None else other._cleared_rows()
+        if fb is None:
             return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
         # each row pair's combination with coefficients (1, 1)
         return Matrix._of_cleared([_reduced_form(*_cleared_image(pair, ([1, 1], None, 1, 0)))
@@ -531,7 +535,8 @@ class Matrix:
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         u = as_vector(v)
-        assert len(u) == self.ncols
+        if len(u) != self.ncols:
+            raise GeometryError("a matrix applies to vectors with one coordinate per column")
         rows = self._cleared_rows()
         cleared = None if rows is None else _cleared(u)
         if cleared is None:
@@ -562,12 +567,7 @@ class Matrix:
         return all(vec_is_zero(r) for r in self.rows)
 
     def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        if type(self._row_form) is list:
-            return self == self.transpose()
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.nrows) for j in range(i + 1, self.ncols))
+        return self.nrows == self.ncols and self == self.transpose()
 
     def is_exact(self) -> bool:
         return type(self._row_form) is list or all(e.is_exact for r in self.rows for e in r)

@@ -254,11 +254,14 @@ class TestSignature:
 class TestShapeChecks:
     SCRIPT = (
         "from dqkin.errors import GeometryError\n"
-        "from dqkin.linalg import Matrix\n"
+        "from dqkin.linalg import Matrix, as_vector, vec_dot\n"
         "from dqkin.projgeom import ProjPoint, Subspace\n"
         "u = Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)\n"
         "for make in (lambda: Matrix([[1, 2], [3, 4]]) * Matrix([[1, 2, 3]]),\n"
-        "             lambda: u.lift(ProjPoint([1, 2, 3, 4, 5]))):\n"
+        "             lambda: u.lift(ProjPoint([1, 2, 3, 4, 5])),\n"
+        "             lambda: Matrix([[1, 2], [3, 4]]).apply([1, 2, 3]),\n"
+        "             lambda: vec_dot(as_vector([1, 2]), as_vector([1, 2, 3])),\n"
+        "             lambda: Matrix([[1, 2], [3, 4]]) + Matrix([[1, 2, 3], [4, 5, 6]])):\n"
         "    try:\n"
         "        print(make())\n"
         "    except GeometryError as exc:\n"
@@ -267,9 +270,10 @@ class TestShapeChecks:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_mismatched_shapes_raise(self, flags):
-        """A product of mismatched shapes and the lift of a chart point with
-        too many coordinates raise GeometryError, also under python -O,
-        where an assert would let the integer kernel truncate silently."""
+        """A product, an ``apply``, a dot product or a sum of mismatched
+        shapes and the lift of a chart point with too many coordinates raise
+        GeometryError, also under python -O, where an assert would let the
+        integer kernel or a zip truncate silently."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
                               capture_output=True, text=True, timeout=60,
@@ -277,7 +281,10 @@ class TestShapeChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "a product needs as many columns on the left as rows on the right",
-            "a chart point has one coordinate per basis row"]
+            "a chart point has one coordinate per basis row",
+            "a matrix applies to vectors with one coordinate per column",
+            "a dot product needs two vectors of one length",
+            "a sum needs two matrices of one shape"]
 
 
 class TestScalarMultiple:
@@ -1050,13 +1057,34 @@ class TestCachedClearedForm:
                 return Matrix._of_cleared(x._cleared_rows())
 
             self.assert_born_kept(kept(m).transpose(), list(zip(*m.rows)))
-            self.assert_born_kept(kept(m) + kept(same),
-                                  [[a + b for a, b in zip(r, s)] for r, s in zip(m.rows, same.rows)])
+            sums = [[a + b for a, b in zip(r, s)] for r, s in zip(m.rows, same.rows)]
+            self.assert_born_kept(kept(m) + kept(same), sums)
+            self.assert_born_kept(m + same, sums)  # exact rows of Scalars too
             self.assert_born_kept(kept(m).scale(c), [[c * a for a in r] for r in m.rows])
             for x in (kept(m), kept(m) + kept(m).scale(-1)):
                 assert x.is_zero() == all(e.is_zero() for r in x.rows for e in r)
             seen["zero_sums"] += (kept(m) + kept(m).scale(-1)).is_zero()
         assert seen["gaussian_product_rows"] > 300 and seen["zero_sums"] > 300, seen
+
+    def test_is_symmetric_is_the_entrywise_comparison(self):
+        """On exact, kept and float matrices alike, ``is_symmetric`` is the
+        scalars' own comparison of each entry with its mirror."""
+        rng = random.Random(87)
+        seen = set()
+        for _ in range(200):
+            kinds = rng.choice([("rational", "gaussian"), ("rational", "gaussian", "float")])
+            n = rng.randint(1, 5)
+            m = self.mixed_matrix(rng, n, n, kinds)
+            rows = [list(r) for r in (m + m.transpose()).rows]
+            if n > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                rows[i][j] = _mixed_entry(rng, kinds, 1e-9)
+            for x in (Matrix._of(rows), Matrix._of(rows) * Matrix.identity(n)):
+                want = all(x.rows[i][j] == x.rows[j][i] for i in range(n) for j in range(n))
+                assert x.is_symmetric() == want
+                seen.add((want, x.is_exact()))
+        assert not Matrix([[1, 0]]).is_symmetric()
+        assert len(seen) == 4, seen
 
     def test_exact_product_makes_no_scalar_row_until_read(self):
         """An exact a * b, and what its kept rows are read by here, make no
