@@ -457,7 +457,7 @@ def example2_checks() -> Dict[str, bool]:
 
     outer_line = Line.through(pn, ps)
     conj = _conjugate_line(outer_line)
-    ca, cb = (ProjPoint(r) for r in conj.basis.rows)
+    ca, cb = conj.points()
     outer = (
         is_null_line(pn, ps)
         and not eh.contains_subspace(outer_line)

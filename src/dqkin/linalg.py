@@ -1,9 +1,9 @@
 """Small dense matrices over the scalar tower.
 
-Everything is immutable and dimension-checked (a product, a sum, ``apply``
-and ``vec_dot`` by GeometryError, so also under ``python -O``).  The path
-an operation takes follows the kinds of the entries; results are the same
-on every path, entry by entry and kind by kind.
+Everything is immutable, and every shape is checked by GeometryError, so
+also under ``python -O``.  The path an operation takes follows the kinds
+of the entries; results are the same on every path, entry by entry and
+kind by kind.
 
 - The kept form of an exact vector is one value ``(re, im, den, kinds)``
   (``_cleared``): integer lists re and im over one denominator, for the
@@ -35,6 +35,9 @@ on every path, entry by entry and kind by kind.
   path returns its eliminated rows so; a reduced basis read only by
   integer steps (a join in ``quadrecon.run_cycle``) never makes a
   Scalar, and two matrices with kept rows compare as integers.
+  ``_slice`` and ``_stacked`` pass kept rows on.  A point
+  (``projgeom.ProjPoint``) is a one-row ``Matrix``, so it keeps no form
+  of its own.
 - Exact products are born kept too: one kernel, ``_cleared_products``,
   gives cleared rows, which ``Matrix.__mul__`` reduces and ``apply`` and
   ``vec_dot`` write as Scalars.  ``transpose`` of kept rows, and
@@ -101,11 +104,13 @@ def as_vector(entries: Sequence) -> Vector:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise GeometryError("a sum needs two vectors of one length")
     return tuple(a + b for a, b in zip(u, v))
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise GeometryError("a difference needs two vectors of one length")
     return tuple(a - b for a, b in zip(u, v))
 
 def vec_scale(c, u: Vector) -> Vector:
@@ -417,9 +422,9 @@ class Matrix:
         return rows
 
     def _set(self, rows: Tuple[Vector, ...]) -> None:
-        assert rows, "empty matrix"
-        width = len(rows[0])
-        assert width > 0 and all(len(r) == width for r in rows)
+        width = len(rows[0]) if rows else 0
+        if not width or any(len(r) != width for r in rows):
+            raise GeometryError("a matrix needs rows of one nonzero length")
         self.rows = rows
         self._row_form = self._column_form = _UNSET
 
@@ -438,14 +443,23 @@ class Matrix:
                                  else _all_cleared(list(zip(*self.rows))))
         return self._column_form
 
-    def _top(self, k: int) -> "Matrix":
-        """The first k rows, with their kept rows when the matrix has them."""
-        if k == self.nrows:
+    def _slice(self, start: int, stop: int) -> "Matrix":
+        """Rows start to stop, with their kept rows when the matrix has them."""
+        if start == 0 and stop == self.nrows:
             return self
         forms = self._row_form
         if type(forms) is list:
-            return Matrix._of_cleared(forms[:k])
-        return Matrix._of(self.rows[:k])
+            return Matrix._of_cleared(forms[start:stop])
+        return Matrix._of(self.rows[start:stop])
+
+    @staticmethod
+    def _stacked(parts: Sequence["Matrix"]) -> "Matrix":
+        """The rows of the matrices one below the other, kept cleared when all
+        are exact."""
+        forms = [m._cleared_rows() for m in parts]
+        if any(f is None for f in forms):
+            return Matrix._of([r for m in parts for r in m.rows])
+        return Matrix._of_cleared([r for f in forms for r in f])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -467,8 +481,8 @@ class Matrix:
 
     @staticmethod
     def block2x2(a: "Matrix", b: "Matrix", c: "Matrix", d: "Matrix") -> "Matrix":
-        assert a.nrows == b.nrows and c.nrows == d.nrows
-        assert a.ncols == c.ncols and b.ncols == d.ncols
+        if a.nrows != b.nrows or c.nrows != d.nrows or a.ncols != c.ncols or b.ncols != d.ncols:
+            raise GeometryError("blocks side by side need one row count, stacked one column count")
         rows = [ra + rb for ra, rb in zip(a.rows, b.rows)]
         rows += [rc + rd for rc, rd in zip(c.rows, d.rows)]
         return Matrix._of(rows)
@@ -584,7 +598,7 @@ class Matrix:
         return not any(im is not None and any(im) for _, im, _, _ in forms)
 
     def trace(self) -> Scalar:
-        assert self.nrows == self.ncols
+        _require_square(self)
         out = ZERO
         for i in range(self.nrows):
             out = out + self.rows[i][i]
@@ -593,6 +607,11 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return "Matrix[%s]" % body
+
+
+def _require_square(m: Matrix) -> None:
+    if m.nrows != m.ncols:
+        raise GeometryError("a trace, a determinant or an inverse needs a square matrix")
 
 
 def _pivot_row(rows: List[List[Scalar]], col: int, start: int) -> Optional[int]:
@@ -755,7 +774,7 @@ def det(m: Matrix) -> Scalar:
     """Determinant: fraction-free for an exact matrix, of the kind the scalar
     loop gives it; with a float entry the scalar loop itself, forward
     elimination on ``rref``'s pivot rule."""
-    assert m.nrows == m.ncols
+    _require_square(m)
     cleared = m._cleared_rows()
     if cleared is None:
         rows = [list(r) for r in m.rows]
@@ -837,7 +856,8 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     Free variables are set to zero.
     """
     rhs = as_vector(b)
-    assert len(rhs) == m.nrows
+    if len(rhs) != m.nrows:
+        raise GeometryError("a right-hand side has one entry per row")
     aug = Matrix._of([row + (rhs[i],) for i, row in enumerate(m.rows)])
     red, pivots = rref(aug)
     if m.ncols in pivots:
@@ -849,7 +869,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
-    assert m.nrows == m.ncols
+    _require_square(m)
     n = m.nrows
     eye = Matrix.identity(n)
     aug = Matrix._of([m.rows[i] + eye.rows[i] for i in range(n)])

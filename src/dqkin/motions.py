@@ -321,7 +321,7 @@ def c_space_from_line(l: Line) -> CSpaceReport:
 
     s_form, n_form = study_quadric(), null_cone()
     for name, witness in (("e1", e1), ("l1", l1), ("l2", l2)):
-        wa, wb = (ProjPoint(row) for row in witness.basis.rows)
+        wa, wb = witness.points()
         if not (space.contains(wa) and space.contains(wb)
                 and s_form.contains_line(wa, wb) and n_form.contains_line(wa, wb)):
             raise InvariantError("witness %s is not a null line of the C space" % name)

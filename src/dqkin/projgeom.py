@@ -18,18 +18,19 @@ import.
 
 Exact vectors (rational or Gaussian entries, mixed or not) take one
 integer path on their kept forms, passed whole to ``linalg``'s form
-operations (the layout is described there).  A ``ProjPoint`` keeps its
-form (``_kept``), built on first use or handed over at birth by the one
-kept-point constructor ``ProjPoint._of`` (lifts, ``Subspace.points``,
-``quadrecon``'s projections), and a reduced basis keeps the rows ``rref``
-computed it in.  ``span`` and ``join`` hand those kept rows to ``rref``
-with no re-wrap and no re-clearing; ``contains`` and ``chart_coords``
-decide membership by an integer residue (``_residue_of``), and
-``ProjPoint.__eq__`` by ``linalg._proportional``, so neither makes a
-Scalar.  Meets, so central projections, run on integers too: the
-residues of the kept rows, their kernel (``_kernel_forms``) and its
-combinations of the rows, so only the reduced meet makes Scalars, when
-read.  ``lift`` is a ``_cleared_image`` of the basis rows.
+operations (the layout is described there).  A ``ProjPoint`` is a
+one-row ``Matrix``, which keeps the form (``_kept``); one born from kept
+rows (``ProjPoint._of``: lifts, ``Subspace.points``, ``quadrecon``'s
+projections) makes its Scalars when ``coords`` is first read.  A reduced
+basis keeps the rows ``rref`` computed it in, and ``Matrix._stacked``
+hands kept rows on to ``rref`` in ``span``, ``join`` and central
+projections.  ``contains`` and ``chart_coords`` decide membership by an
+integer residue (``_residue_of``), and ``ProjPoint.__eq__`` by
+``linalg._proportional``, so neither makes a Scalar.  Meets, so central
+projections, run on integers too: the residues of the kept rows, their
+kernel (``_kernel_forms``) and its combinations of the rows, so only the
+reduced meet makes Scalars, when read.  ``lift`` is the chart point's
+row times the basis.
 A float coordinate anywhere sends the operation through the scalar
 loop, which compares each float at its own tolerance, on values at
 max-norm about one, scaled by a power of two
@@ -46,43 +47,46 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import (_UNSET, Matrix, Vector, _Cleared, _cleared, _cleared_image, _first_nonzero,
-                     _kernel_forms, _proportional, _reduced_form, _residue,
-                     _scalars, _transposed, as_vector, nullspace, rref, vec_is_zero, vec_scale)
+from .linalg import (Matrix, Vector, _Cleared, _cleared_image, _first_nonzero, _kernel_forms,
+                     _proportional, _reduced_form, _residue, _transposed, nullspace, rref,
+                     vec_is_zero, vec_scale)
 from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
 
 class ProjPoint:
-    __slots__ = ("coords", "_form")
+    __slots__ = ("_row",)
 
     def __init__(self, coords: Sequence):
         if isinstance(coords, DualQuaternion):
             coords = coords.coords()
-        cs = as_vector(coords)
-        assert len(cs) >= 2
-        if vec_is_zero(cs):
+        row = Matrix([coords])
+        if row.ncols < 2:
+            raise GeometryError("a projective point needs at least two coordinates")
+        if vec_is_zero(row.rows[0]):
             raise GeometryError("zero vector is not a projective point")
-        self.coords, self._form = cs, _UNSET
+        self._row = row
 
     @classmethod
-    def _of(cls, form: _Cleared) -> "ProjPoint":
-        """The kept-point constructor: a nonzero reduced form (``_reduced_form``,
-        so the one ``_kept`` would build) and the Scalars it stands for."""
+    def _of(cls, row: Matrix) -> "ProjPoint":
+        """The trusted constructor: a nonzero one-row matrix."""
         p = object.__new__(cls)
-        p.coords, p._form = _scalars(*form), form
+        p._row = row
         return p
+
+    @property
+    def coords(self) -> Vector:
+        return self._row.rows[0]
 
     def _kept(self) -> Optional[_Cleared]:
         """The coordinates cleared (``linalg._cleared``), or None when one is
-        a float; built on first use and kept."""
-        if self._form is _UNSET:
-            self._form = _cleared(self.coords)
-        return self._form
+        a float: the kept row of the point's matrix."""
+        forms = self._row._cleared_rows()
+        return None if forms is None else forms[0]
 
     @property
     def ambient(self) -> int:
-        return len(self.coords)
+        return self._row.ncols
 
     def dq(self) -> DualQuaternion:
         assert len(self.coords) == 8
@@ -161,10 +165,9 @@ class Subspace:
         return -1 if self.basis is None else self.basis.nrows - 1
 
     def points(self) -> List[ProjPoint]:
-        forms = None if self.basis is None else self.basis._cleared_rows()
-        if forms is None:
-            return [] if self.basis is None else [ProjPoint(row) for row in self.basis.rows]
-        return [ProjPoint._of(form) for form in forms]
+        if self.basis is None:
+            return []
+        return [ProjPoint._of(self.basis._slice(i, i + 1)) for i in range(self.basis.nrows)]
 
     def _residue(self, v: Sequence[Scalar]) -> Vector:
         """v minus the basis rows, each scaled by v's entry at its pivot, by
@@ -183,17 +186,17 @@ class Subspace:
         """``_residue`` of a kept form, for an exact basis (``linalg._residue``)."""
         return _residue(v, self.basis._cleared_rows(), self._pivots)
 
-    def _read(self, p: ProjPoint) -> Optional[Vector]:
-        """p's coordinates as membership reads them, or None when p lies
-        outside.  An exact p in an exact subspace is tested on integers and
-        read as it is; otherwise p is taken at max-norm about one, by a power
-        of two, and its residue compared at each float's tolerance."""
+    def _read(self, p: ProjPoint) -> Optional[Matrix]:
+        """p's row as membership reads it, or None when p lies outside.  An
+        exact p in an exact subspace is tested on integers and read as it is,
+        with no Scalar made; otherwise p is taken at max-norm about one, by a
+        power of two, and its residue compared at each float's tolerance."""
         assert p.ambient == self.ambient
         kept = p._kept()
         if kept is not None and self.basis._cleared_rows() is not None:
-            return p.coords if _first_nonzero(self._residue_of(kept)) is None else None
+            return p._row if _first_nonzero(self._residue_of(kept)) is None else None
         coords = vec_scale(_power_of_two_scale(p.coords), p.coords)
-        return coords if vec_is_zero(self._residue(coords)) else None
+        return Matrix._of([coords]) if vec_is_zero(self._residue(coords)) else None
 
     def contains(self, p: ProjPoint) -> bool:
         return self.basis is not None and self._read(p) is not None
@@ -214,17 +217,17 @@ class Subspace:
         self._require_chart()
         if chart_point.ambient != self.basis.nrows:
             raise GeometryError("a chart point has one coordinate per basis row")
-        return _lifted(chart_point, self.basis)
+        return ProjPoint._of(chart_point._row * self.basis)
 
     def chart_coords(self, p: ProjPoint) -> Optional[ProjPoint]:
         """Coordinates of p in this subspace's basis, or None if outside."""
         if self.basis is None:
             return None
         self._require_chart()
-        coords = self._read(p)
-        if coords is None:
+        row = self._read(p)
+        if row is None:
             return None
-        return ProjPoint([coords[j] for j in self._pivots])
+        return ProjPoint([row[0, j] for j in self._pivots])
 
     def conjugation_closed(self) -> bool:
         # the conjugate rows are the canonical basis of the conjugate space
@@ -255,40 +258,14 @@ def _reduced(m: Matrix, ambient: int) -> Subspace:
     red, pivots = rref(m)
     if not pivots:
         return Subspace.empty(ambient)
-    return Subspace._of(red._top(len(pivots)), pivots, ambient)
-
-
-def _lifted(p: ProjPoint, rows: Matrix) -> ProjPoint:
-    """The combination of the independent rows with p's coordinates: a
-    ``_cleared_image`` of their kept forms when both are exact."""
-    forms, v = rows._cleared_rows(), p._kept()
-    if forms is None or v is None:
-        return ProjPoint((Matrix._of([p.coords]) * rows).rows[0])
-    return ProjPoint._of(_reduced_form(*_cleared_image(forms, v)))
-
-
-def _point_rows(points: Sequence[ProjPoint]) -> Matrix:
-    """The points' coordinates as rows, kept cleared when all are exact."""
-    kept = [p._kept() for p in points]
-    if any(k is None for k in kept):
-        return Matrix._of([p.coords for p in points])
-    return Matrix._of_cleared(kept)
-
-
-def _stacked(parts: Sequence[Matrix]) -> Matrix:
-    """The rows of the matrices one below the other, kept cleared when all
-    are exact."""
-    forms = [m._cleared_rows() for m in parts]
-    if any(f is None for f in forms):
-        return Matrix._of([r for m in parts for r in m.rows])
-    return Matrix._of_cleared([r for f in forms for r in f])
+    return Subspace._of(red._slice(0, len(pivots)), pivots, ambient)
 
 
 def span(points: Sequence[ProjPoint]) -> Subspace:
     assert points
     ambient = points[0].ambient
     assert all(p.ambient == ambient for p in points)
-    return _reduced(_point_rows(points), ambient)
+    return _reduced(Matrix._stacked([p._row for p in points]), ambient)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -297,7 +274,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     bases = [u.basis for u in (a, b) if u.basis is not None]
     if not bases:
         return Subspace.empty(a.ambient)
-    return _reduced(_stacked(bases), a.ambient)
+    return _reduced(Matrix._stacked(bases), a.ambient)
 
 
 def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
@@ -402,8 +379,8 @@ def project_from_center(x: ProjPoint, center: Subspace, target: Subspace) -> Pro
     if center.contains(x):
         raise GeometryError("projection not well defined")
     # x off the centre keeps x and the centre's rows independent
-    rows = _point_rows([x])
-    image = _meet_rows(rows if center.basis is None else _stacked([rows, center.basis]), target)
+    rows = x._row if center.basis is None else Matrix._stacked([x._row, center.basis])
+    image = _meet_rows(rows, target)
     if image.dim != 0:
         raise GeometryError("projection not well defined")
     return image.points()[0]

@@ -74,7 +74,7 @@ def _project(x: ProjPoint, step: Tuple[_Cleared, _Cleared], target: Subspace) ->
     form = _normalized(_cleared_image([xf, center], _cancelling(rx, rm, _first_nonzero(rm))))
     if form is None:
         raise GeometryError("projection not well defined")
-    return ProjPoint._of(form)
+    return ProjPoint._of(Matrix._of_cleared([form]))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .linalg import (
     vec_scale,
 )
 from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
-from .projgeom import Line, ProjPoint, Subspace, _lifted
+from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
 from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
 
@@ -97,7 +97,7 @@ class QuadricForm:
         ca = None if cols is None else a._kept()
         cb = None if ca is None else b._kept()
         if cb is None:
-            e = Matrix._of([a.coords, b.coords])
+            e = Matrix._stacked([a._row, b._row])
             return (e * self.gram * e.transpose()).is_zero()
         ga, gb = _cleared_image(cols, ca), _cleared_image(cols, cb)
         return not any(x for u, v in ((ca, ga), (ca, gb), (cb, gb))
@@ -343,7 +343,8 @@ def _plane_lines(form: QuadricForm, plane: Matrix) -> List[Tuple[ProjPoint, Proj
     """The lines of a quadric in the plane spanned by the rows of plane, as
     point pairs: the line pairs of the conic it cuts, lifted by those rows."""
     conic = plane * form.gram * plane.transpose()
-    return [(_lifted(a, plane), _lifted(b, plane)) for a, b in _conic_line_pairs(conic)]
+    return [(ProjPoint._of(a._row * plane), ProjPoint._of(b._row * plane))
+            for a, b in _conic_line_pairs(conic)]
 
 
 def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Tuple[ProjPoint, ProjPoint]]:

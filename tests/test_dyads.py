@@ -774,7 +774,7 @@ class TestRecoverAxes:
         # rotation and translation are told apart on the lifted ruling point
         # at max-norm one, so a tiny or a huge representative of it gives the
         # same joints; ProjPoint refuses the tiny one as zero, so the patched
-        # lift builds it around the constructor
+        # lift builds it with the trusted constructor
         rows = build_variety(RP_SPEC).space.basis.rows
         u = span([ProjPoint([ComplexFloat(c.to_complex()) for c in row]) for row in rows])
         base = ProjPoint(DQ_ONE)
@@ -783,9 +783,8 @@ class TestRecoverAxes:
         real = Subspace.lift
         for factor in (1e-12, 1e12):
             def lift(self, chart, factor=factor):
-                p = object.__new__(ProjPoint)
-                p.coords = tuple(ComplexFloat(factor) * c for c in real(self, chart).coords)
-                return p
+                return ProjPoint._of(Matrix._of(
+                    [[ComplexFloat(factor) * c for c in real(self, chart).coords]]))
 
             monkeypatch.setattr(Subspace, "lift", lift)
             assert recover_axes(u, base) == want, factor

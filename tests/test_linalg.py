@@ -254,14 +254,26 @@ class TestSignature:
 class TestShapeChecks:
     SCRIPT = (
         "from dqkin.errors import GeometryError\n"
-        "from dqkin.linalg import Matrix, as_vector, vec_dot\n"
+        "from dqkin.linalg import (Matrix, as_vector, det, inverse, solve, vec_add, vec_dot,\n"
+        "                          vec_sub)\n"
         "from dqkin.projgeom import ProjPoint, Subspace\n"
         "u = Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)\n"
+        "wide = Matrix([[1, 2, 3], [4, 5, 6]])\n"
+        "one = Matrix([[1]])\n"
         "for make in (lambda: Matrix([[1, 2], [3, 4]]) * Matrix([[1, 2, 3]]),\n"
         "             lambda: u.lift(ProjPoint([1, 2, 3, 4, 5])),\n"
         "             lambda: Matrix([[1, 2], [3, 4]]).apply([1, 2, 3]),\n"
         "             lambda: vec_dot(as_vector([1, 2]), as_vector([1, 2, 3])),\n"
-        "             lambda: Matrix([[1, 2], [3, 4]]) + Matrix([[1, 2, 3], [4, 5, 6]])):\n"
+        "             lambda: Matrix([[1, 2], [3, 4]]) + Matrix([[1, 2, 3], [4, 5, 6]]),\n"
+        "             lambda: det(wide),\n"
+        "             lambda: inverse(wide),\n"
+        "             lambda: solve(Matrix([[1, 2], [3, 4]]), [1, 2, 3]),\n"
+        "             lambda: vec_add(as_vector([1, 2]), as_vector([1])),\n"
+        "             lambda: vec_sub(as_vector([1, 2]), as_vector([1])),\n"
+        "             lambda: wide.trace(),\n"
+        "             lambda: Matrix.block2x2(Matrix([[1, 2]]), one, one, one),\n"
+        "             lambda: Matrix([[1, 2], [3]]),\n"
+        "             lambda: ProjPoint([1])):\n"
         "    try:\n"
         "        print(make())\n"
         "    except GeometryError as exc:\n"
@@ -270,10 +282,12 @@ class TestShapeChecks:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_mismatched_shapes_raise(self, flags):
-        """A product, an ``apply``, a dot product or a sum of mismatched
-        shapes and the lift of a chart point with too many coordinates raise
-        GeometryError, also under python -O, where an assert would let the
-        integer kernel or a zip truncate silently."""
+        """A product, an ``apply``, a dot product, a sum, a vector sum or
+        difference, a ``solve`` or a ``block2x2`` of mismatched shapes, the
+        trace, determinant or inverse of a matrix that is not square, ragged
+        rows, a one-coordinate point and the lift of a chart point with too
+        many coordinates raise GeometryError, also under python -O, where an
+        assert would let the integer kernel or a zip truncate silently."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
                               capture_output=True, text=True, timeout=60,
@@ -284,7 +298,16 @@ class TestShapeChecks:
             "a chart point has one coordinate per basis row",
             "a matrix applies to vectors with one coordinate per column",
             "a dot product needs two vectors of one length",
-            "a sum needs two matrices of one shape"]
+            "a sum needs two matrices of one shape",
+            "a trace, a determinant or an inverse needs a square matrix",
+            "a trace, a determinant or an inverse needs a square matrix",
+            "a right-hand side has one entry per row",
+            "a sum needs two vectors of one length",
+            "a difference needs two vectors of one length",
+            "a trace, a determinant or an inverse needs a square matrix",
+            "blocks side by side need one row count, stacked one column count",
+            "a matrix needs rows of one nonzero length",
+            "a projective point needs at least two coordinates"]
 
 
 class TestScalarMultiple:
@@ -920,7 +943,7 @@ class TestFormOperationsAgainstScalarLoop:
             # the reduced rows
             cases = [vectors, m._cleared_rows()]
             if pivots:
-                forms = red._top(len(pivots))._cleared_rows()
+                forms = red._slice(0, len(pivots))._cleared_rows()
                 cases.append([_residue(v, forms, pivots) for v in vectors])
             for cols in cases:
                 rows = _transposed(cols)

@@ -144,10 +144,46 @@ def unused_imports(path):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-def test_no_unused_imports():
-    """A deletion leaves no import behind in dqkin."""
+def source_paths():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = sorted(glob.glob(os.path.join(root, "src", "dqkin", "*.py")))
     assert paths
-    unused = {os.path.basename(p): unused_imports(p) for p in paths}
+    return paths
+
+
+def test_no_unused_imports():
+    """A deletion leaves no import behind in dqkin."""
+    unused = {os.path.basename(p): unused_imports(p) for p in source_paths()}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+# the private linalg names each module imports: the kept form's type and
+# operations, and the integer readers of quaternions, quadrics and transforms
+PRIVATE_LINALG_IMPORTS = {
+    "projgeom.py": ("_Cleared", "_cleared_image", "_first_nonzero", "_kernel_forms",
+                    "_proportional", "_reduced_form", "_residue", "_transposed"),
+    "quadrecon.py": ("_Cleared", "_cancelling", "_cleared_image", "_first_nonzero",
+                     "_normalized", "_proportional"),
+    "quadrics.py": ("_cleared_image", "_dot_numerator", "_flat_cleared", "_kernel",
+                    "_proportional", "_scalars"),
+    "quaternions.py": ("_cleared", "_scalars"),
+    "transforms.py": ("_flat_cleared", "_scalars"),
+}
+
+
+def private_linalg_imports(path):
+    """The underscore names a module imports from ``.linalg``, at any depth."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return tuple(sorted(alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level == 1
+                        and node.module == "linalg"
+                        for alias in node.names if alias.name.startswith("_")))
+
+
+def test_private_linalg_surface():
+    """Outside linalg, only the listed modules import private linalg names,
+    and only the listed ones: a new reach into the kept form is a change to
+    this list, not a silent one."""
+    found = {os.path.basename(p): private_linalg_imports(p) for p in source_paths()}
+    assert {name: names for name, names in found.items() if names} == PRIVATE_LINALG_IMPORTS

@@ -334,6 +334,37 @@ class TestIntegerKernelsKeepKinds:
                     assert_same(u.lift(ProjPoint(cs)).coords, inside)
                     assert u.contains(ProjPoint(inside))
 
+    @pytest.mark.parametrize("kind", ("mixed", "float"))
+    def test_points_and_lift(self, kind):
+        """``points`` slices the basis's rows and ``lift`` multiplies them, on
+        one path for every kind: each coordinate equal to ``ProjPoint(row)``'s
+        and to the scalar-loop lift's in value and kind, floats to the bit,
+        and an exact result's kept form that of its coordinates."""
+        rng = random.Random({"mixed": 54, "float": 55}[kind])
+        if kind == "mixed":
+            spaces, coeff_kinds = mixed_spaces(rng), ("rational", "gaussian")
+        else:
+            spaces, coeff_kinds = (rand_space(rng, "float", dim) for dim in range(8)
+                                   for _ in range(4)), KINDS
+        lifts = 0
+        for u in spaces:
+            if u.basis is None:
+                continue
+            points = u.points()
+            assert _rows_bits([p.coords for p in points]) == _rows_bits(
+                [ProjPoint(row).coords for row in u.basis.rows])
+            for _ in range(3 if u.dim > 0 else 0):
+                cs = [rand_scalar(rng, rng.choice(coeff_kinds)) for _ in u.basis.rows]
+                if vec_is_zero(cs):
+                    continue
+                got = u.lift(ProjPoint(cs))
+                assert _rows_bits([got.coords]) == _rows_bits([ref_lift(u, cs)])
+                points.append(got)
+                lifts += 1
+            if kind == "mixed":
+                assert all(p._kept() == _cleared(p.coords) for p in points)
+        assert lifts > 60
+
     def test_meet(self):
         rng = random.Random(52)
         spaces = [u for u in mixed_spaces(rng) if u.basis is not None]
