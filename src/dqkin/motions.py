@@ -3,22 +3,24 @@
 The extended kinematic map assigns a displacement of projective
 three-space to every dual quaternion with nonzero primal part, whether
 or not it satisfies the Study condition.  Motion polynomials package a
-one-parameter family of such displacements; trajectories are computed
-as exact rational curves and their degree is reported after cancelling
-the common polynomial factor.  The Darboux and Mannheim cubics are the
-worked family, and generic straight lines in the model space are
-recognised as vertical Darboux motions by exhibiting the surrounding
-cylindrical space.
+one-parameter family of such displacements; trajectories are exact
+rational curves, multiplied out and freed of their common factor on
+integer polynomials (``polys``), their degree reported after that.  The
+Darboux and Mannheim cubics are the worked family, and generic straight
+lines in the model space are recognised as vertical Darboux motions by
+exhibiting the surrounding cylindrical space.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Dict, Optional, Tuple
 
 from .dyads import Classification, Verdict, classify
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, rank
-from .polys import Poly, exact_div, poly_gcd, split_quadratic
+from .linalg import Matrix, _cleared, _scalars, rank
+from .polys import (Poly, _int_gcd, _lead_term, _poly_product, _poly_sum, _pseudo_divmod,
+                    _stripped, split_quadratic)
 from .projgeom import Line, ProjPoint, Subspace, meet, span
 from .quadrics import (
     Handedness,
@@ -28,7 +30,7 @@ from .quadrics import (
     study_quadric,
 )
 from .quaternions import DQ_ONE, DualQuaternion, Q_K, Q_ONE, Quaternion
-from .scalars import ComplexFloat, I_UNIT, ONE, Scalar, ZERO, _power_of_two_scale, scalar
+from .scalars import I_UNIT, ONE, Scalar, ZERO, _power_of_two_scale, scalar
 
 
 class MotionLabel(Enum):
@@ -93,22 +95,9 @@ class Trajectory:
         return ProjPoint([p(t) for p in self.components])
 
 
-def _embed_point(x: ProjPoint) -> DualQuaternion:
-    assert x.ambient == 4, "points live in the fiber three-space"
-    w, px, py, pz = x.coords
-    return DualQuaternion(Quaternion(w), Quaternion(ZERO, px, py, pz))
-
-
-def _act_conjugate(q: DualQuaternion) -> DualQuaternion:
-    # p + eps d  ->  conj(p) - eps conj(d)
-    return DualQuaternion(q.primal.conjugate(), -q.dual.conjugate())
-
-
-def _extract_point(y: DualQuaternion) -> ProjPoint:
-    if not (y.primal.vector_part().is_zero() and y.dual.scalar_part().is_zero()):
-        raise InvariantError("the displaced point is not a point of three-space")
-    d = y.dual.coords()
-    return ProjPoint([y.primal.scalar_part(), d[1], d[2], d[3]])
+def _require_space_point(x: ProjPoint):
+    if x.ambient != 4:
+        raise GeometryError("points live in the fiber three-space")
 
 
 def act(q: DualQuaternion, x: ProjPoint) -> ProjPoint:
@@ -120,38 +109,67 @@ def act(q: DualQuaternion, x: ProjPoint) -> ProjPoint:
     """
     if q.primal.is_zero():
         raise GeometryError("exceptional generator has no displacement")
-    return _extract_point(q * _embed_point(x) * _act_conjugate(q))
+    _require_space_point(x)
+    w, px, py, pz = x.coords
+    # p + eps d sends the point w + eps u to (p + eps d)(w + eps u)(conj(p) - eps conj(d))
+    y = (q * DualQuaternion(Quaternion(w), Quaternion(ZERO, px, py, pz))
+         * DualQuaternion(q.primal.conjugate(), -q.dual.conjugate()))
+    if not (y.primal.vector_part().is_zero() and y.dual.scalar_part().is_zero()):
+        raise InvariantError("the displaced point is not a point of three-space")
+    d = y.dual.coords()
+    return ProjPoint([y.primal.scalar_part(), d[1], d[2], d[3]])
 
 
 def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
-    """The exact rational path of x under the motion m."""
+    """The exact rational path of x under the motion m: the components 0, 5,
+    6 and 7 of m(t) x conj(m(t)) over their monic gcd, a lone nonzero one
+    over itself, on integer polynomials over Z or Z[i].  Scalars are made
+    once per coefficient: a zero is ZERO, any other Gaussian exactly when a
+    coordinate of m or x is."""
+    _require_space_point(x)
     if all(c.primal.is_zero() for c in m.coefficients):
         raise GeometryError("exceptional generator has no displacement")
-    entries = [c for q in m.coefficients for c in q.coords()] + list(x.coords)
-    if any(isinstance(c, ComplexFloat) for c in entries):
+    cm = _cleared([c for q in reversed(m.coefficients) for c in q.coords()])
+    cx = None if cm is None else x._kept()
+    if cx is None:
         raise ExactnessError("trajectory degree needs exact scalars")
-    asc = list(reversed(m.coefficients))
-    left = Poly(asc)
-    right = Poly([_act_conjugate(c) for c in asc])
-    prod = left * Poly([_embed_point(x)]) * right
+    (mr, mi, dm, mk), (xr, xi, dx, xk) = cm, cx
+    gaussian = any(mi or ()) or any(xi or ())
+    mi, xi = (mi or [0] * len(mr), xi or [0] * 4) if gaussian else (None, None)
+    # coordinate k of m, ascending in t, and of x
+    a, p1, p2, p3, d0, e1, e2, e3 = (_stripped(mr[k::8], mi and mi[k::8], 0) for k in range(8))
+    w, x1, x2, x3 = (_stripped([xr[k]], xi and [xi[k]], 0) for k in range(4))
+    mul, add = _poly_product, _poly_sum
 
-    comps = []
-    for k in (0, 5, 6, 7):
-        coeffs = []
-        for c in prod.coeffs:
-            assert c.primal.vector_part().is_zero()
-            assert c.dual.scalar_part().is_zero()
-            coeffs.append(c.coords()[k])
-        comps.append(Poly(coeffs))
+    # with m = (a + v) + eps (d0 + e) and x = w + eps u, v, e and u vectors:
+    # component 0 is w (a^2 + v.v), and 5, 6, 7 are the rotated u,
+    # (a^2 - v.v) u + 2 (v.u) v + 2 a v x u, plus 2 w (a e - d0 v + v x e)
+    v, u = (p1, p2, p3), (x1, x2, x3)
+    aa, vv = mul(a, a), add(add(mul(p1, p1), mul(p2, p2)), mul(p3, p3))
+    c = add(add(add(mul(x1, p1), mul(x2, p2)), mul(x3, p3)), mul(w, d0), -1)
+    we = [mul(w, f) for f in (e1, e2, e3)]
+    y = [add(mul(a, f), g) for f, g in zip(u, we)]
+    comps = [mul(w, add(aa, vv))]
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        twice = add(add(mul(c, v[i]), add(mul(v[j], y[k]), mul(v[k], y[j]), -1)), mul(a, we[i]))
+        comps.append(add(mul(add(aa, vv, -1), u[i]), add(twice, twice)))
 
-    nonzero = [p for p in comps if not p.is_zero()]
-    assert nonzero, "kinematic image vanished identically"
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
-    comps = [exact_div(p, g) for p in comps]
-    degree = max(p.degree for p in comps)
-    return Trajectory(tuple(comps), degree)
+    nonzero = [f for f in comps if f[0]]
+    if not nonzero:
+        raise GeometryError("the point's path vanishes identically")
+    g = reduce(_int_gcd, nonzero)
+    lead, den = ((_lead_term(g, 0), dm * dm * dx) if len(nonzero) > 1
+                 else (_stripped([1], xi and [0], 0), 1))
+    # p / monic(g) = lead P / (G den), and P / G = P conj(G) / N for the
+    # integer-led N = G conj(G): lc(N)^n P conj(G) = Q N by pseudo-division
+    bar = (g[0], [-y for y in g[1]], 0) if gaussian else ([1], None, 0)
+    norm, out = mul(g, bar), []
+    for f in comps:
+        q, _, n = _pseudo_divmod(mul(f, bar), norm)
+        re, im, _ = mul(q, lead)
+        mask = sum(1 << k for k in range(len(re)) if re[k] or im and im[k]) if mk or xk else 0
+        out.append(Poly(_scalars(re, im, den * norm[0][-1] ** n, mask)))
+    return Trajectory(tuple(out), max(f.degree for f in out))
 
 
 def darboux(a, b, c) -> MotionPoly:

@@ -1,9 +1,11 @@
 """Polynomials in one variable over any of the package's rings.
 
 Coefficients are stored in ascending degree order.  The coefficient ring
-only needs +, -, * and is_zero, so quaternion and dual quaternion
-coefficients work; the parameter is always a central scalar.  Division,
-gcd and root extraction are restricted to exact scalar coefficients.
+only needs +, -, * and is_zero; the parameter is always a central scalar.
+Division, gcd and root extraction are restricted to exact scalar
+coefficients.  The private integer polynomials at the end, over Z or Z[i]
+with the kinds their scalars would have, are where the pencil determinant
+is expanded and trajectories are multiplied out, divided by their gcd.
 ``split_quadratic`` splits a binary quadratic form over exact and float
 scalars alike: it is where the package takes the square roots of its
 quadratics, and ``low_degree_roots`` is it dehomogenised.
@@ -11,6 +13,8 @@ quadratics, and ``low_degree_roots`` is it dehomogenised.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError
@@ -193,3 +197,96 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
         return None
     return [alpha / beta for alpha, beta in pairs if not beta.is_zero()]
 
+
+# --- integer polynomials ---------------------------------------------------
+
+# An integer polynomial (re, im, kinds): the coefficients re[k] + i*im[k] in
+# ascending order with no trailing zero (im None over Z), and the bitmask of
+# the coefficients the scalar loop holds as Gaussian.
+_IntPoly = Tuple[List[int], Optional[List[int]], int]
+_NO_POLY: _IntPoly = ([], None, 0)
+
+
+def _convolve(a: List[int], b: List[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_product(a: _IntPoly, b: _IntPoly) -> _IntPoly:
+    """a*b; a coefficient is Gaussian when one of its terms has a Gaussian
+    factor.  Leading coefficients multiply to a nonzero one, so nothing is
+    stripped."""
+    (ar, ai, am), (br, bi, bm) = a, b
+    if not (ar and br):
+        return _NO_POLY
+    mask = 0
+    for k in range(len(ar)):
+        if am >> k & 1:
+            mask |= ((1 << len(br)) - 1) << k
+    for k in range(len(br)):
+        if bm >> k & 1:
+            mask |= ((1 << len(ar)) - 1) << k
+    re = _convolve(ar, br)
+    if ai is None:
+        return re, None, mask
+    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
+    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
+    return re, im, mask
+
+
+def _stripped(re: List[int], im: Optional[List[int]], mask: int) -> _IntPoly:
+    """The polynomial without its trailing zeros, whose kinds go with them."""
+    while re and not re[-1] and (im is None or not im[-1]):
+        re.pop()
+        if im is not None:
+            im.pop()
+    return re, im, mask & ((1 << len(re)) - 1)
+
+
+def _poly_sum(a: _IntPoly, b: _IntPoly, sign: int = 1) -> _IntPoly:
+    """a + sign*b; a coefficient is Gaussian when one of its summands is."""
+    (ar, ai, am), (br, bi, bm) = a, b
+    re = [x + sign * y for x, y in zip_longest(ar, br, fillvalue=0)]
+    im = None if ai is None and bi is None else [
+        x + sign * y for x, y in zip_longest(ai or (), bi or (), fillvalue=0)]
+    return _stripped(re, im, am | bm)
+
+
+# The division and the gcd below carry values only: their results' kinds
+# masks are zero, and their callers write the kinds.
+
+def _lead_term(p: _IntPoly, k: int) -> _IntPoly:
+    """The leading coefficient of p times t^k."""
+    re, im, _ = p
+    return [0] * k + re[-1:], None if im is None else [0] * k + im[-1:], 0
+
+
+def _pseudo_divmod(a: _IntPoly, b: _IntPoly) -> Tuple[_IntPoly, _IntPoly, int]:
+    """(q, r, n) with lc(b)^n a = q b + r and deg r < deg b, for b nonzero:
+    fraction-free division, one leading term of a at a time."""
+    q, n, lead = _NO_POLY, 0, _lead_term(b, 0)
+    while len(a[0]) >= len(b[0]):
+        term = _lead_term(a, len(a[0]) - len(b[0]))
+        q = _poly_sum(_poly_product(q, lead), term)
+        a = _poly_sum(_poly_product(a, lead), _poly_product(term, b), -1)
+        n += 1
+    return q, a, n
+
+
+def _int_gcd(a: _IntPoly, b: _IntPoly) -> _IntPoly:
+    """A gcd of two integer polynomials, zero if both are: the primitive
+    polynomial remainder sequence (Brown 1971), each divisor over the gcd
+    of its integers.  Over Z[i] each is then multiplied by its leading
+    coefficient's conjugate, so the content left grows linearly."""
+    while b[0]:
+        re, im, _ = b
+        c = gcd(*re, *(im or ()))
+        b = ([x // c for x in re], im and [y // c for y in im], 0)
+        if im is not None:
+            b = _poly_product(b, ([b[0][-1]], [-b[1][-1]], 0))
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return a

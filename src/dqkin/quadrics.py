@@ -35,7 +35,7 @@ float keeps its own tolerance.
 from __future__ import annotations
 
 import enum
-from itertools import combinations, zip_longest
+from itertools import combinations
 from typing import List, NoReturn, Optional, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
@@ -56,7 +56,8 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
-from .polys import Poly, low_degree_roots, poly_gcd, split_quadratic, squarefree_part
+from .polys import (_NO_POLY, Poly, _poly_product, _poly_sum, _stripped, low_degree_roots,
+                    poly_gcd, split_quadratic, squarefree_part)
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
 from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
@@ -214,62 +215,6 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
 
 # --- common lines of two quadric surfaces in a 3-space chart -------------
-
-# An integer polynomial (re, im, kinds): the coefficients re[k] + i*im[k] in
-# ascending order with no trailing zero (im None over Z), and the bitmask of
-# the coefficients the scalar loop holds as Gaussian.
-_IntPoly = Tuple[List[int], Optional[List[int]], int]
-_NO_POLY: _IntPoly = ([], None, 0)
-
-
-def _convolve(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_product(a: _IntPoly, b: _IntPoly) -> _IntPoly:
-    """a*b; a coefficient is Gaussian when one of its terms has a Gaussian
-    factor.  Leading coefficients multiply to a nonzero one, so nothing is
-    stripped."""
-    (ar, ai, am), (br, bi, bm) = a, b
-    if not (ar and br):
-        return _NO_POLY
-    mask = 0
-    for k in range(len(ar)):
-        if am >> k & 1:
-            mask |= ((1 << len(br)) - 1) << k
-    for k in range(len(br)):
-        if bm >> k & 1:
-            mask |= ((1 << len(ar)) - 1) << k
-    re = _convolve(ar, br)
-    if ai is None:
-        return re, None, mask
-    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
-    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
-    return re, im, mask
-
-
-def _stripped(re: List[int], im: Optional[List[int]], mask: int) -> _IntPoly:
-    """The polynomial without its trailing zeros, whose kinds go with them."""
-    while re and not re[-1] and (im is None or not im[-1]):
-        re.pop()
-        if im is not None:
-            im.pop()
-    return re, im, mask & ((1 << len(re)) - 1)
-
-
-def _poly_sum(a: _IntPoly, b: _IntPoly, sign: int) -> _IntPoly:
-    """a + sign*b; a coefficient is Gaussian when one of its summands is."""
-    (ar, ai, am), (br, bi, bm) = a, b
-    re = [x + sign * y for x, y in zip_longest(ar, br, fillvalue=0)]
-    im = None if ai is None and bi is None else [
-        x + sign * y for x, y in zip_longest(ai or (), bi or (), fillvalue=0)]
-    return _stripped(re, im, am | bm)
-
 
 def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
     """det(g1 + s*g2) of two exact 4x4 grams, expanded by cofactors along the

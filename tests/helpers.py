@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from dqkin.linalg import Matrix
+from dqkin.polys import Poly, exact_div, poly_gcd
 from dqkin.projgeom import ProjPoint
 from dqkin.quaternions import (
     DualQuaternion,
@@ -11,7 +12,7 @@ from dqkin.quaternions import (
     left_mul_matrix,
     right_mul_matrix,
 )
-from dqkin.scalars import GaussianRational, rational
+from dqkin.scalars import ZERO, GaussianRational, rational
 from dqkin.transforms import build_transform, factor_so4
 
 I = GaussianRational(0, 1)  # the complex unit, not the quaternion one
@@ -182,3 +183,24 @@ def random_dyad_spec(rng, kind):
 def _parallel(a: Quaternion, b: Quaternion) -> bool:
     prod = a * b - b * a
     return prod.is_zero()
+
+
+def reference_trajectory(m, x):
+    """(components, degree) of ``motions.trajectory`` by the scalar loop:
+    m(t) x conj(m(t)) multiplied out as a Poly of DualQuaternions, its
+    components 0, 5, 6, 7 divided by their gcd with poly_gcd and exact_div
+    over the package's Scalars.  As there, a lone nonzero component is
+    divided by itself, not made monic."""
+    w, px, py, pz = x.coords
+    point = DualQuaternion(Quaternion(w), Quaternion(ZERO, px, py, pz))
+    asc = list(reversed(m.coefficients))
+    # conj(p + eps d) = conj(p) - eps conj(d), the action's conjugate
+    right = Poly([DualQuaternion(c.primal.conjugate(), -c.dual.conjugate()) for c in asc])
+    prod = Poly(asc) * Poly([point]) * right
+    comps = [Poly([c.coords()[k] for c in prod.coeffs]) for k in (0, 5, 6, 7)]
+    nonzero = [p for p in comps if not p.is_zero()]
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = poly_gcd(g, p)
+    comps = [exact_div(p, g) for p in comps]
+    return tuple(comps), max(p.degree for p in comps)

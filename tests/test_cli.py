@@ -455,15 +455,27 @@ with open(os.path.join(GOLDEN_DIR, "expected.json")) as _fh:
     GOLDEN_CASES = json.load(_fh)
 
 
-@pytest.mark.parametrize("case", GOLDEN_CASES,
-                         ids=["%s-%s" % (c["argv"][0], c["argv"][2]) for c in GOLDEN_CASES])
+# the input files that bench/decks.py's ``cli`` writes
+BENCH_INPUTS = {"joints.json", "matrix.json", "motion.json", "points.json", "problem.json"}
+
+
+def golden_id(case):
+    """subcommand-mode, and the input file's stem when the benchmark does not
+    write that file."""
+    argv = case["argv"]
+    extra = [a[:-len(".json")] for a in argv if a.endswith(".json") and a not in BENCH_INPUTS]
+    return "-".join([argv[0], argv[2]] + extra)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[golden_id(c) for c in GOLDEN_CASES])
 def test_golden_output(capsys, case):
     """All eight subcommands on the benchmark's cli input files, in rational,
     gaussian and float modes: stdout, stderr and the exit code must match the
     recorded ones byte for byte.  The input files in tests/data/cli are those
-    that bench/decks.py's ``cli`` writes; expected.json holds the outputs
-    recorded when this test was written, so changing it changes what the CLI
-    promises to print."""
+    that bench/decks.py's ``cli`` writes, and motion_gaussian.json, a motion
+    and a point with Gaussian coordinates, so the trace cells print
+    ``a/b+c/d*i``; expected.json holds the outputs recorded when each case
+    was added, so changing it changes what the CLI promises to print."""
     argv = [os.path.join(GOLDEN_DIR, a) if a.endswith(".json") else a
             for a in case["argv"]]
     code, out, err = run_cli(capsys, *argv)

@@ -35,7 +35,7 @@ from dqkin.quaternions import (
     Q_ONE,
     Quaternion,
 )
-from dqkin.scalars import ComplexFloat, scalar
+from dqkin.scalars import ComplexFloat, ExactRational, GaussianRational, scalar
 from dqkin.transforms import build_transform
 
 from helpers import (
@@ -45,6 +45,7 @@ from helpers import (
     random_rational_quaternion,
     random_study_dq,
     rational_unit_pure,
+    reference_trajectory,
 )
 
 
@@ -242,6 +243,116 @@ class TestTrajectory:
         m = MotionPoly([q, dq(Q_K)])
         with pytest.raises(ExactnessError, match="exact scalars"):
             trajectory(m, ORIGIN)
+
+
+class TestTrajectoryParity:
+    """trajectory on integer polynomials against the scalar loop's product,
+    gcd and division (helpers.reference_trajectory): every coefficient the
+    same in value and kind, and the same degree."""
+
+    @staticmethod
+    def assert_same(m, x):
+        got = trajectory(m, x)
+        comps, degree = reference_trajectory(m, x)
+        assert got.degree == degree
+        for p, q in zip(got.components, comps):
+            assert [(type(c), c) for c in p.coeffs] == [(type(c), c) for c in q.coeffs]
+        return got
+
+    @staticmethod
+    def entry(rng, kind):
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if kind == "rational" or (kind == "mixed" and rng.random() < 0.6):
+            return r
+        roll = rng.random()
+        if roll < 0.15:
+            return GaussianRational(r, 0)      # Gaussian kind, real value
+        if roll < 0.25:
+            return GaussianRational(0, 0)
+        return GaussianRational(r, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    @pytest.mark.parametrize("kind", ["rational", "gaussian", "mixed"])
+    def test_seeded_motions(self, kind):
+        rng = random.Random({"rational": 31, "gaussian": 32, "mixed": 33}[kind])
+        done = 0
+        while done < 60:
+            degree = done % 5
+            coeffs = [DualQuaternion(Quaternion(*[self.entry(rng, kind) for _ in range(4)]),
+                                     Quaternion(*[self.entry(rng, kind) for _ in range(4)]))
+                      for _ in range(degree + 1)]
+            coords = [self.entry(rng, kind) for _ in range(4)]
+            if (coeffs[0].is_zero() or all(c.primal.is_zero() for c in coeffs)
+                    or all(scalar(c).is_zero() for c in coords)):
+                continue
+            m = MotionPoly(coeffs)
+            if rng.random() < 0.3:
+                # times the real linear factor t - r
+                r = scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                cs = list(m.coefficients)
+                m = MotionPoly([cs[0]] + [cs[k] - cs[k - 1] * r for k in range(1, len(cs))]
+                               + [cs[-1] * (-r)])
+            self.assert_same(m, ProjPoint(coords))
+            done += 1
+
+    def test_mannheim_and_darboux(self):
+        """The gcd is (t^2 + 1) for Mannheim motions, (t^2 + 1)^2 for Darboux
+        ones; Gaussian-kind parameters give Gaussian coefficients."""
+        rng = random.Random(34)
+        for _ in range(10):
+            a, b, c = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+            x = ProjPoint([Fraction(rng.randint(1, 4))] + [Fraction(rng.randint(-5, 5), 2)
+                                                           for _ in range(3)])
+            for params in ((a or 1, b, c), (GaussianRational(a or 1, 0), b, c)):
+                assert self.assert_same(mannheim(*params), x).degree == 4
+                assert self.assert_same(darboux(*params), x).degree == 2
+
+    @pytest.mark.parametrize("unit", [ExactRational(1), GaussianRational(1, 0)])
+    def test_lone_component_is_divided_by_itself(self, unit):
+        """(2 + 3k) t + 5 fixes the origin: only component 0 is nonzero, and
+        it is divided by itself, not made monic, so the path is the constant
+        one.  Its kind is the inputs', as for every other path; the scalar
+        loop gave it the kind of the component's leading coefficient, which
+        is rational here, as the Gaussian coordinate only enters lower terms."""
+        m = MotionPoly([dq(Quaternion(2, 0, 0, 3)), dq(Quaternion(5) * unit)])
+        got = trajectory(m, p3(3, 0, 0, 0))
+        assert (got.components, got.degree) == reference_trajectory(m, p3(3, 0, 0, 0))
+        assert [p.coeffs for p in got.components] == [(unit,), (), (), ()]
+        assert type(got.components[0].coeffs[0]) is type(unit)
+        if type(unit) is ExactRational:
+            self.assert_same(m, p3(3, 0, 0, 0))
+
+    SCRIPT = (
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.motions import MotionPoly, act, darboux, trajectory\n"
+        "from dqkin.projgeom import ProjPoint\n"
+        "from dqkin.quaternions import DQ_ONE, DualQuaternion, Quaternion\n"
+        "from dqkin.scalars import GaussianRational\n"
+        "i = GaussianRational(0, 1)\n"
+        "null = MotionPoly([DualQuaternion(Quaternion(1, i, 0, 0))])\n"
+        "for make in (lambda: trajectory(darboux(1, 2, 3), ProjPoint([1] * 8)),\n"
+        "             lambda: trajectory(darboux(1, 2, 3), ProjPoint([1, 2, 3])),\n"
+        "             lambda: act(DQ_ONE, ProjPoint([1] * 8)),\n"
+        "             lambda: act(DQ_ONE, ProjPoint([1, 2, 3])),\n"
+        "             lambda: trajectory(null, ProjPoint([0, 0, i, 1]))):\n"
+        "    try:\n"
+        "        print(make())\n"
+        "    except GeometryError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_points_off_three_space_raise(self, flags):
+        """trajectory and act refuse a point with 8 or 3 coordinates, and
+        trajectory a point whose image vanishes for every t (a null primal
+        part sends (0 : 0 : i : 1) to zero), by GeometryError, also under
+        python -O."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["points live in the fiber three-space"] * 4 + [
+            "the point's path vanishes identically"]
 
 
 class TestDarbouxInvariants:

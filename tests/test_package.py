@@ -158,8 +158,10 @@ def test_no_unused_imports():
 
 
 # the private linalg names each module imports: the kept form's type and
-# operations, and the integer readers of quaternions, quadrics and transforms
+# operations, and the integer readers of motions, quaternions, quadrics and
+# transforms
 PRIVATE_LINALG_IMPORTS = {
+    "motions.py": ("_cleared", "_scalars"),
     "projgeom.py": ("_Cleared", "_cleared_image", "_first_nonzero", "_kernel_forms",
                     "_proportional", "_reduced_form", "_residue", "_transposed"),
     "quadrecon.py": ("_Cleared", "_cancelling", "_cleared_image", "_first_nonzero",

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dqkin.errors import ExactnessError
 from dqkin.polys import (
     Poly,
+    _int_gcd,
+    _pseudo_divmod,
+    _stripped,
     exact_div,
     low_degree_roots,
     monic,
@@ -185,3 +189,84 @@ class TestSplitQuadratic:
                 continue
             assert all(p(r).is_zero() for r in roots)
             assert len(roots) == len(set(str(r) for r in roots))
+
+
+def int_poly(coeffs, over_gaussians):
+    """The integer polynomial of ascending (re, im) pairs, over Z or Z[i]."""
+    return _stripped([x for x, _ in coeffs],
+                     [y for _, y in coeffs] if over_gaussians else None, 0)
+
+
+def as_poly(p):
+    re, im, _ = p
+    return Poly([gaussian(x, y) for x, y in zip(re, im)] if im is not None else re)
+
+
+def times(over_gaussians, *factors):
+    out = Poly([1])
+    for f in factors:
+        out = out * as_poly(f)
+    return int_poly([(c.re.numerator, c.im.numerator) if isinstance(c, GaussianRational)
+                     else (c.numerator, 0) for c in out.coeffs], over_gaussians)
+
+
+class TestIntegerPolynomials:
+    """The integer gcd and pseudo-division that trajectories run on, against
+    poly_gcd, poly_divmod and exact_div over the Scalars."""
+
+    @staticmethod
+    def assert_divmod(a, b):
+        """lc(b)^n a = q b + r: q and r over lc(b)^n are poly_divmod's."""
+        q, r, n = _pseudo_divmod(a, b)
+        scale = as_poly(b).leading() ** n
+        want = poly_divmod(as_poly(a), as_poly(b))
+        assert (as_poly(q), as_poly(r)) == (want[0].scale(scale), want[1].scale(scale))
+        return as_poly(q).scale(1 / scale)
+
+    @pytest.mark.parametrize("over_gaussians", [False, True])
+    def test_seeded_gcds_and_quotients(self, over_gaussians):
+        """Common factors, repeated roots and contents: monic(gcd) is
+        poly_gcd, primitive over Z, and each operand over the gcd is
+        exact_div."""
+        rng = random.Random(23 if over_gaussians else 22)
+        content = int_poly([(6, 3 if over_gaussians else 0)], over_gaussians)
+
+        def factor():
+            while True:
+                cs = [(rng.randint(-3, 3), rng.randint(-3, 3) if over_gaussians else 0)
+                      for _ in range(rng.randint(1, 3))]
+                if cs[-1] != (0, 0):
+                    return int_poly(cs, over_gaussians)
+
+        for _ in range(60):
+            f = [factor() for _ in range(4)]
+            common = [f[0], f[0]] if rng.random() < 0.5 else [f[0]]
+            a = times(over_gaussians, *common, f[1], *[content] * rng.randint(0, 1))
+            b = times(over_gaussians, *common, f[2], f[3], *[content] * rng.randint(0, 1))
+            g = _int_gcd(a, b)
+            assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
+            assert over_gaussians or gcd(*g[0]) == 1
+            for p in (a, b):
+                assert self.assert_divmod(p, g) == exact_div(as_poly(p), as_poly(g))
+            self.assert_divmod(a, b)
+            self.assert_divmod(b, f[1])
+
+    @pytest.mark.parametrize("over_gaussians", [False, True])
+    def test_zero_constant_and_inexact_operands(self, over_gaussians):
+        i = 1 if over_gaussians else 0
+        zero = int_poly([], over_gaussians)
+        two, seven = int_poly([(2, 0)], over_gaussians), int_poly([(7, 7 * i)], over_gaussians)
+        p = int_poly([(-4, 2 * i), (0, 0), (6, 0)], over_gaussians)   # content 2
+        for a, b in ((p, zero), (zero, p), (p, seven), (seven, p), (p, p)):
+            g = _int_gcd(a, b)
+            assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
+        assert as_poly(_int_gcd(zero, zero)).is_zero()
+        assert self.assert_divmod(zero, p).is_zero()
+        for d in (two, seven, _int_gcd(p, p)):
+            assert self.assert_divmod(p, d) == exact_div(as_poly(p), as_poly(d))
+        # a remainder is left where exact_div refuses
+        a, b = int_poly([(1, 0), (0, 0), (1, 0)], over_gaussians), int_poly([(1, 0), (1, 0)],
+                                                                            over_gaussians)
+        assert not as_poly(_pseudo_divmod(a, b)[1]).is_zero()
+        with pytest.raises(ExactnessError):
+            exact_div(as_poly(a), as_poly(b))
