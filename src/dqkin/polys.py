@@ -3,9 +3,14 @@
 Coefficients are stored in ascending degree order.  The coefficient ring
 only needs +, -, * and is_zero; the parameter is always a central scalar.
 Division, gcd and root extraction are restricted to exact scalar
-coefficients.  The private integer polynomials at the end, over Z or Z[i]
-with the kinds their scalars would have, are where the pencil determinant
-is expanded and trajectories are multiplied out, divided by their gcd.
+coefficients; division and gcd are public API and the tests' reference,
+and no other module of the package calls them.  The private integer
+polynomials at the end, over Z or Z[i] with the kinds their scalars
+would have, are where the pencil determinant is expanded and its
+repeated roots isolated by a gcd with its derivative, and where
+trajectories are multiplied out, divided by their gcd.  A precondition
+on a nonzero polynomial or form raises GeometryError, also under
+``python -O``.
 ``split_quadratic`` splits a binary quadratic form over exact and float
 scalars alike: it is where the package takes the square roots of its
 quadratics, and ``low_degree_roots`` is it dehomogenised.
@@ -17,7 +22,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ExactnessError
+from .errors import ExactnessError, GeometryError
 from .scalars import ComplexFloat, Scalar, as_scalar, ONE, ZERO
 
 
@@ -43,7 +48,8 @@ class Poly:
         return not self.coeffs
 
     def leading(self):
-        assert self.coeffs, "zero polynomial has no leading coefficient"
+        if not self.coeffs:
+            raise GeometryError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coeff(self, k: int):
@@ -109,10 +115,9 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     """Quotient and remainder over an exact scalar field."""
     _require_exact_scalars(a, "polynomial division")
     _require_exact_scalars(b, "polynomial division")
-    assert not b.is_zero(), "division by the zero polynomial"
+    inv_lead = ONE / b.leading()
     quot = [ZERO] * max(0, a.degree - b.degree + 1)
     rest = list(a.coeffs)
-    inv_lead = ONE / b.leading()
     for k in range(a.degree - b.degree, -1, -1):
         if len(rest) < b.degree + k + 1:
             continue
@@ -133,7 +138,6 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def monic(p: Poly) -> Poly:
-    assert not p.is_zero()
     return p.scale(ONE / p.leading())
 
 
@@ -150,8 +154,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def squarefree_part(p: Poly) -> Poly:
     """p with every repeated root collapsed to multiplicity one."""
-    assert not p.is_zero()
-    if p.degree == 0:
+    if p.degree <= 0:
         return monic(p)
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
@@ -168,7 +171,8 @@ def split_quadratic(a: Scalar, b: Scalar, c: Scalar) -> List[Tuple[Scalar, Scala
     """
     if a.is_zero():
         if b.is_zero():
-            assert not c.is_zero()
+            if c.is_zero():
+                raise GeometryError("the zero form vanishes at every point")
             return [(ONE, ZERO)]
         return [(ONE, ZERO), (-c, 2 * b)]
     disc = b * b - a * c
@@ -187,7 +191,8 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
     does not exist there, or when the degree is out of reach.
     """
     _require_exact_scalars(p, "exact root extraction")
-    assert not p.is_zero()
+    if p.is_zero():
+        raise GeometryError("every scalar is a root of the zero polynomial")
     if p.degree > 2:
         return None
     c0, c1, c2 = (p.coeff(k) for k in range(3))
@@ -231,8 +236,10 @@ def _poly_product(a: _IntPoly, b: _IntPoly) -> _IntPoly:
         if bm >> k & 1:
             mask |= ((1 << len(ar)) - 1) << k
     re = _convolve(ar, br)
-    if ai is None:
+    if ai is None and bi is None:
         return re, None, mask
+    # a missing im reads as zeros
+    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
     re = [x - y for x, y in zip(re, _convolve(ai, bi))]
     im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
     return re, im, mask
@@ -258,6 +265,13 @@ def _poly_sum(a: _IntPoly, b: _IntPoly, sign: int = 1) -> _IntPoly:
 
 # The division and the gcd below carry values only: their results' kinds
 # masks are zero, and their callers write the kinds.
+
+def _derivative(p: _IntPoly) -> _IntPoly:
+    """dp/ds."""
+    re, im, _ = p
+    return ([k * x for k, x in enumerate(re)][1:],
+            im and [k * y for k, y in enumerate(im)][1:], 0)
+
 
 def _lead_term(p: _IntPoly, k: int) -> _IntPoly:
     """The leading coefficient of p times t^k."""

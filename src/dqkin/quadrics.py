@@ -15,7 +15,9 @@ lines, or ``ExactnessError`` where a needed square root leaves the
 Gaussian rationals; forms with a float entry raise ``ExactnessError``
 too.  The determinant det(q1 + s q2) is expanded by cofactors on the two
 grams' cleared integer rows (``_pencil_det``), over Z or over Z[i] when
-an entry is Gaussian, and written back with the scalar loop's kinds.
+an entry is Gaussian, and stays integer: its gcd with its derivative
+holds the repeated roots, and Scalars are made only for the at most
+three coefficients that are split.
 
 One splitter, ``_components``, splits every form of rank one or two:
 the planes of a degenerate member, the lines of a degenerate conic, and
@@ -56,8 +58,8 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
-from .polys import (_NO_POLY, Poly, _poly_product, _poly_sum, _stripped, low_degree_roots,
-                    poly_gcd, split_quadratic, squarefree_part)
+from .polys import (_NO_POLY, Poly, _IntPoly, _derivative, _int_gcd, _poly_product, _poly_sum,
+                    _stripped, low_degree_roots, monic, split_quadratic)
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
 from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
@@ -216,23 +218,23 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
 # --- common lines of two quadric surfaces in a 3-space chart -------------
 
-def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
-    """det(g1 + s*g2) of two exact 4x4 grams, expanded by cofactors along the
-    first row on their cleared rows: over Z, or over Z[i] as (re, im) pairs
-    when an entry is Gaussian.
+def _pencil_det(g1: Matrix, g2: Matrix) -> _IntPoly:
+    """det(g1 + s*g2) of two exact 4x4 grams up to a positive factor, as an
+    integer polynomial: expanded by cofactors along the first row on their
+    cleared rows, over Z, or over Z[i] as (re, im) pairs when an entry is
+    Gaussian.
 
     Row i of the pencil is taken over d1*d2, the denominators of the two
-    cleared rows, which scales the determinant by their product and changes
-    no zero, so every coefficient equals the scalar loop's cofactor
-    expansion over ``Poly`` entries [g1[i, j], g2[i, j]] in value, and in
-    kind: the expansion here skips zero entries, strips trailing zeros
-    and spreads Gaussian kinds where that loop does.
+    cleared rows, which scales the determinant by their positive product
+    and moves no root.  Its kinds mask is the scalar loop's: the expansion
+    here skips zero entries, strips trailing zeros and spreads Gaussian
+    kinds where a cofactor expansion over ``Poly`` entries
+    [g1[i, j], g2[i, j]] does.
     """
     rows1, rows2 = g1._cleared_rows(), g2._cleared_rows()
     gaussian = any(kinds for _, _, _, kinds in rows1 + rows2)
-    entries, den = [], 1
+    entries = []
     for (r1, i1, d1, k1), (r2, i2, d2, k2) in zip(rows1, rows2):
-        den *= d1 * d2
         row = []
         for j in range(4):
             im = [i1[j] * d2 if i1 else 0, i2[j] * d1 if i2 else 0] if gaussian else None
@@ -251,8 +253,7 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> Poly:
                     term = _poly_product(row[j], minors[cols[:k] + cols[k + 1:]])
                     out = _poly_sum(out, term, -1 if k % 2 else 1)
             minors[cols] = out
-    re, im, mask = minors[(0, 1, 2, 3)]
-    return Poly(_scalars(re, im, den, mask))
+    return minors[(0, 1, 2, 3)]
 
 
 def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:
@@ -320,20 +321,32 @@ def _line_sort_key(line: Line) -> str:
     return ";".join(",".join(str(c) for c in row) for row in line.basis.rows)
 
 
-def _first_exact_member(det_poly: Poly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
+def _first_exact_member(det: _IntPoly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
     """The first degenerate member of an exact pencil g1 + s*g2: at the first
-    repeated root of its determinant, else g2 when the far member is
-    degenerate, else None."""
-    if det_poly.degree >= 1:
-        g = poly_gcd(det_poly, det_poly.derivative())
-        if g.degree >= 1:
-            roots = low_degree_roots(squarefree_part(g))
+    repeated root of its determinant det (``_pencil_det``), else g2 when the
+    far member is degenerate, else None.
+
+    The repeated roots are the roots of g = gcd(det, det').  det has degree
+    at most four, so g is cubic only when det = c (s - r)^4, and then g' has
+    the one root r; at degree two or less ``low_degree_roots`` lists the
+    distinct roots.  g is split monic, since the square root there orders
+    the roots, and its coefficients are Gaussian when one of det's is.
+    """
+    re, _, kinds = det
+    if len(re) >= 2:
+        g = _int_gcd(det, _derivative(det))
+        if len(g[0]) == 4:
+            g = _derivative(g)
+        if len(g[0]) >= 2:
+            gre, gim, _ = g
+            mask = (1 << len(gre)) - 1 if kinds else 0
+            roots = low_degree_roots(monic(Poly(_scalars(gre, gim, 1, mask))))
             if roots is None:
                 raise ExactnessError(
                     "the repeated roots of the pencil determinant are not in Q(i)")
-            # a squarefree polynomial of degree one or two has a root here
+            # a polynomial of degree one or two has a root here
             return g1 + g2.scale(roots[0])
-    return g2 if 4 - det_poly.degree >= 2 else None
+    return g2 if len(re) <= 3 else None
 
 
 # bench/tracing.py binds this by name: a traced run counts its calls as the
@@ -359,10 +372,10 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     # the grams as points of P^15; a zero q2 reads as the point of q1
     if _proportional(_flat_cleared(q1.gram), _flat_cleared(q2.gram)):
         raise GeometryError("identical quadrics")
-    det_poly = _pencil_det(q1.gram, q2.gram)
-    assert not det_poly.is_zero()
+    det = _pencil_det(q1.gram, q2.gram)
+    assert det[0]
 
-    member = _first_exact_member(det_poly, q1.gram, q2.gram)
+    member = _first_exact_member(det, q1.gram, q2.gram)
     if member is None:
         return []
     # every member contains each common line, so the first degenerate

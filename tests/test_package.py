@@ -173,19 +173,41 @@ PRIVATE_LINALG_IMPORTS = {
 }
 
 
-def private_linalg_imports(path):
-    """The underscore names a module imports from ``.linalg``, at any depth."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
-    return tuple(sorted(alias.name for node in ast.walk(tree)
-                        if isinstance(node, ast.ImportFrom) and node.level == 1
-                        and node.module == "linalg"
-                        for alias in node.names if alias.name.startswith("_")))
+# the private polys names each module imports: the integer polynomials that
+# quadrics expands and splits the pencil determinant on, and motions forms
+# trajectories on
+PRIVATE_POLYS_IMPORTS = {
+    "motions.py": ("_int_gcd", "_lead_term", "_poly_product", "_poly_sum", "_pseudo_divmod",
+                   "_stripped"),
+    "quadrics.py": ("_IntPoly", "_NO_POLY", "_derivative", "_int_gcd", "_poly_product",
+                    "_poly_sum", "_stripped"),
+}
+
+
+def private_imports(module):
+    """Each source file's underscore names imported from the sibling
+    ``module``, at any depth, for the files that import any."""
+    found = {}
+    for path in source_paths():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        names = tuple(sorted(alias.name for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.level == 1
+                             and node.module == module
+                             for alias in node.names if alias.name.startswith("_")))
+        if names:
+            found[os.path.basename(path)] = names
+    return found
 
 
 def test_private_linalg_surface():
     """Outside linalg, only the listed modules import private linalg names,
     and only the listed ones: a new reach into the kept form is a change to
     this list, not a silent one."""
-    found = {os.path.basename(p): private_linalg_imports(p) for p in source_paths()}
-    assert {name: names for name, names in found.items() if names} == PRIVATE_LINALG_IMPORTS
+    assert private_imports("linalg") == PRIVATE_LINALG_IMPORTS
+
+
+def test_private_polys_surface():
+    """Outside polys, only the listed modules import private polys names,
+    and only the listed ones."""
+    assert private_imports("polys") == PRIVATE_POLYS_IMPORTS

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +11,7 @@ from dqkin.errors import ExactnessError
 from dqkin.polys import (
     Poly,
     _int_gcd,
+    _poly_product,
     _pseudo_divmod,
     _stripped,
     exact_div,
@@ -115,6 +119,43 @@ class TestDivisionAndGcd:
             poly_gcd(f, f)
         with pytest.raises(ExactnessError):
             poly_divmod(f, f)
+
+
+class TestZeroPolynomial:
+    SCRIPT = (
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.polys import (Poly, exact_div, low_degree_roots, monic, poly_divmod,\n"
+        "                         split_quadratic, squarefree_part)\n"
+        "from dqkin.scalars import rational\n"
+        "zero, p = Poly([]), Poly([1, 1])\n"
+        "for make in (lambda: zero.leading(),\n"
+        "             lambda: poly_divmod(p, zero),\n"
+        "             lambda: exact_div(p, zero),\n"
+        "             lambda: monic(zero),\n"
+        "             lambda: squarefree_part(zero),\n"
+        "             lambda: low_degree_roots(zero),\n"
+        "             lambda: split_quadratic(rational(0), rational(0), rational(0))):\n"
+        "    try:\n"
+        "        print(make())\n"
+        "    except GeometryError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_preconditions_raise(self, flags):
+        """The leading coefficient, a division by, the monic multiple, the
+        squarefree part and the roots of the zero polynomial, and the roots
+        of the zero binary form, raise GeometryError, also under python -O,
+        where an assert would leave an IndexError or a silent answer."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "the zero polynomial has no leading coefficient"] * 5 + [
+            "every scalar is a root of the zero polynomial",
+            "the zero form vanishes at every point"]
 
 
 class TestRoots:
@@ -250,6 +291,15 @@ class TestIntegerPolynomials:
                 assert self.assert_divmod(p, g) == exact_div(as_poly(p), as_poly(g))
             self.assert_divmod(a, b)
             self.assert_divmod(b, f[1])
+
+    def test_products_across_rings(self):
+        """A factor over Z times one over Z[i]: the missing im reads as
+        zeros on either side."""
+        over_z, over_gaussians = ([1, 1], None, 0), ([0, 1], [1, 0], 0)   # 1 + t, i + t
+        assert _poly_product(over_z, over_gaussians) == ([0, 1, 1], [1, 1, 0], 0)
+        for a in (over_z, over_gaussians):
+            for b in (over_z, over_gaussians):
+                assert as_poly(_poly_product(a, b)) == as_poly(a) * as_poly(b)
 
     @pytest.mark.parametrize("over_gaussians", [False, True])
     def test_zero_constant_and_inexact_operands(self, over_gaussians):

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import ldexp
+from math import ldexp, prod
 
 import pytest
 
 from dqkin import quadrics
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
-from dqkin.linalg import Matrix, rank, solve
+from dqkin.linalg import Matrix, _scalars, rank, solve
 from dqkin.polys import Poly, low_degree_roots, poly_gcd, squarefree_part
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
     QuadricForm,
     _conic_line_pairs,
+    _first_exact_member,
     _line_sort_key,
     _member_line_pairs,
     _pencil_det,
@@ -102,13 +103,14 @@ def cofactor_det(g1, g2):
 
 
 class TestPencilDet:
-    """_pencil_det expands on cleared integers; its coefficients equal the
-    scalar loop's in value and in kind, which can differ coefficient by
-    coefficient when the kinds of the two grams differ."""
+    """_pencil_det expands on cleared integers; its coefficients, over the
+    product of the two grams' row denominators, equal the scalar loop's in
+    value and in kind, which can differ coefficient by coefficient when the
+    kinds of the two grams differ."""
 
     @staticmethod
-    def coefficient_bits(p):
-        return [(type(c).__name__, c) for c in p.coeffs]
+    def coefficient_bits(coeffs):
+        return [(type(c).__name__, c) for c in coeffs]
 
     @staticmethod
     def random_entry(rng, kinds):
@@ -130,7 +132,10 @@ class TestPencilDet:
 
     def assert_same(self, g1, g2):
         want = cofactor_det(g1, g2)
-        assert self.coefficient_bits(_pencil_det(g1, g2)) == self.coefficient_bits(want)
+        re, im, kinds = _pencil_det(g1, g2)
+        den = prod(d for _, _, d, _ in g1._cleared_rows() + g2._cleared_rows())
+        got = _scalars(re, im, den, kinds)
+        assert self.coefficient_bits(got) == self.coefficient_bits(want.coeffs)
         return want
 
     def test_seeded_pencils(self):
@@ -666,8 +671,12 @@ class TestMemberBranches:
         assert as_lines(pairs) == [chart_line(*line)]
 
 
+def _matrix_bits(m):
+    return [[(type(e).__name__, str(e)) for e in row] for row in m.rows]
+
+
 def _line_bits(line):
-    return [[(type(e).__name__, str(e)) for e in row] for row in line.basis.rows]
+    return _matrix_bits(line.basis)
 
 
 class TestOneMemberSuffices:
@@ -697,23 +706,25 @@ class TestOneMemberSuffices:
     def union_over_members(cls, q1, q2):
         """The definition: the checked lines on the anchor of every degenerate
         member, in member order, the first copy of each kept, sorted.  Also
-        returns how many lines the members after the first found."""
-        det_poly = _pencil_det(q1.gram, q2.gram)
+        returns the first member, or None, and how many lines the members
+        after the first found."""
+        members = cls.exact_members(cofactor_det(q1.gram, q2.gram), q1.gram, q2.gram)
         lines, later = [], 0
-        for index, member in enumerate(cls.exact_members(det_poly, q1.gram, q2.gram)):
+        for index, member in enumerate(members):
             for a, b in _member_line_pairs(member, q1):
                 if a != b and q1.contains_line(a, b) and q2.contains_line(a, b):
                     later += index > 0
                     line = Line.through(a, b)
                     if not any(line == seen for seen in lines):
                         lines.append(line)
-        return sorted(lines, key=_line_sort_key), later
+        return sorted(lines, key=_line_sort_key), (members or [None])[0], later
 
     def assert_same(self, q1, q2):
-        """common_lines equals the union in value and kind, or raises the
-        union's error; returns the number of lines the later members found."""
+        """common_lines equals the union in value and kind, and its member
+        the first member in value, or it raises the union's error; returns
+        the number of lines the later members found."""
         try:
-            want, later = self.union_over_members(q1, q2)
+            want, first, later = self.union_over_members(q1, q2)
         except (ExactnessError, GeometryError) as err:
             with pytest.raises(type(err)) as raised:
                 common_lines(q1, q2)
@@ -721,7 +732,12 @@ class TestOneMemberSuffices:
             return 0
         got = common_lines(q1, q2)
         assert [_line_bits(l) for l in got] == [_line_bits(l) for l in want]
+        assert self.first_member(q1, q2) == first
         return later
+
+    @staticmethod
+    def first_member(q1, q2):
+        return _first_exact_member(_pencil_det(q1.gram, q2.gram), q1.gram, q2.gram)
 
     def seeded_pairs(self):
         """Restricted S and N of seeded dyads, and their images under a
@@ -748,6 +764,16 @@ class TestOneMemberSuffices:
             if kind is DyadKind.RR:
                 assert later > 0
 
+    # det = (1 + s)^4, so gcd(det, det') is cubic and its derivative gives
+    # the one repeated root; det has Gaussian coefficients
+    QUADRUPLE = (QuadricForm(Matrix([[2, I, 0, 0], [I, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])),
+                 QuadricForm(Matrix.identity(4)))
+    # det = (s^2 - 1)^2 with rational coefficients, although q1 has Gaussian
+    # zeros
+    GAUSSIAN_ZEROS = (QuadricForm(Matrix([[1, gaussian(0, 0), 0, 0], [gaussian(0, 0), 1, 0, 0],
+                                          [0, 0, -1, 0], [0, 0, 0, -1]])),
+                      QuadricForm(Matrix.identity(4)))
+
     def test_member_branch_fixtures(self):
         anchor = TestMemberBranches.ANCHOR
         cone_on = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
@@ -756,7 +782,19 @@ class TestOneMemberSuffices:
             (QuadricForm(Matrix.diagonal([1, 1, -1, -1])),
              QuadricForm(Matrix.diagonal([1, 1, 1, 0]))),          # vertex off the anchor
             (anchor, QuadricForm(Matrix.diagonal([1, 0, 0, 0]))),   # the double plane
+            self.QUADRUPLE,
+            self.GAUSSIAN_ZEROS,
         ]
         for q1, q2 in cases:
             self.assert_same(q1, q2)
             self.assert_same(q1, QuadricForm(q1.gram + q2.gram.scale(3)))
+
+    def test_root_kind(self):
+        """The repeated root is Gaussian exactly when a coefficient of the
+        determinant is, whatever the kinds of the grams' zeros."""
+        for (q1, q2), root, det in ((self.QUADRUPLE, gaussian(-1, 0), [1, 4, 6, 4, 1]),
+                                    (self.GAUSSIAN_ZEROS, rational(1), [1, 0, -2, 0, 1])):
+            assert cofactor_det(q1.gram, q2.gram) == Poly(det)
+            assert common_lines(q1, q2)
+            assert _matrix_bits(self.first_member(q1, q2)) == _matrix_bits(
+                q1.gram + q2.gram.scale(root))
