@@ -19,8 +19,8 @@ from typing import Dict, Optional, Tuple
 from .dyads import Classification, Verdict, classify
 from .errors import ExactnessError, GeometryError, InvariantError
 from .linalg import Matrix, _cleared, _scalars, rank
-from .polys import (Poly, _int_gcd, _lead_term, _poly_product, _poly_sum, _pseudo_divmod,
-                    _stripped, split_quadratic)
+from .polys import (Poly, _int_gcd, _poly_product, _poly_sum, _pseudo_divmod, _stripped,
+                    split_quadratic)
 from .projgeom import Line, ProjPoint, Subspace, meet, span
 from .quadrics import (
     Handedness,
@@ -123,8 +123,12 @@ def act(q: DualQuaternion, x: ProjPoint) -> ProjPoint:
 def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
     """The exact rational path of x under the motion m: the components 0, 5,
     6 and 7 of m(t) x conj(m(t)) over their monic gcd, a lone nonzero one
-    over itself, on integer polynomials over Z or Z[i].  Scalars are made
-    once per coefficient: a zero is ZERO, any other Gaussian exactly when a
+    over itself, on integer polynomials over Z or Z[i].  The gcd is a
+    primitive remainder sequence, Gaussian-primitive over Z[i]; each
+    component is pseudo-divided by it in place, on rational input directly
+    and over Z[i] as P conj(G) by the integer-led G conj(G), so there is no
+    conjugate product on rational input.  Scalars are made once per
+    coefficient: a zero is ZERO, any other Gaussian exactly when a
     coordinate of m or x is."""
     _require_space_point(x)
     if all(c.primal.is_zero() for c in m.coefficients):
@@ -158,14 +162,19 @@ def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
     if not nonzero:
         raise GeometryError("the point's path vanishes identically")
     g = reduce(_int_gcd, nonzero)
-    lead, den = ((_lead_term(g, 0), dm * dm * dx) if len(nonzero) > 1
-                 else (_stripped([1], xi and [0], 0), 1))
-    # p / monic(g) = lead P / (G den), and P / G = P conj(G) / N for the
+    if len(nonzero) > 1:
+        lead, den = ([g[0][-1]], g[1] and [g[1][-1]], 0), dm * dm * dx
+    else:
+        lead, den = _stripped([1], xi and [0], 0), 1
+    # p / monic(g) = lead P / (G den); over Z[i], P / G = P conj(G) / N for the
     # integer-led N = G conj(G): lc(N)^n P conj(G) = Q N by pseudo-division
-    bar = (g[0], [-y for y in g[1]], 0) if gaussian else ([1], None, 0)
-    norm, out = mul(g, bar), []
+    norm = g
+    if gaussian:
+        bar = (g[0], [-y for y in g[1]], 0)
+        norm, comps = mul(g, bar), [mul(f, bar) for f in comps]
+    out = []
     for f in comps:
-        q, _, n = _pseudo_divmod(mul(f, bar), norm)
+        q, _, n = _pseudo_divmod(f, norm)
         re, im, _ = mul(q, lead)
         mask = sum(1 << k for k in range(len(re)) if re[k] or im and im[k]) if mk or xk else 0
         out.append(Poly(_scalars(re, im, den * norm[0][-1] ** n, mask)))

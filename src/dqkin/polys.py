@@ -8,7 +8,11 @@ and no other module of the package calls them.  The private integer
 polynomials at the end, over Z or Z[i] with the kinds their scalars
 would have, are where the pencil determinant is expanded and its
 repeated roots isolated by a gcd with its derivative, and where
-trajectories are multiplied out, divided by their gcd.  A precondition
+trajectories are multiplied out, divided by their gcd.  Their division is
+fraction-free pseudo-division in place on the remainder's coefficient
+lists, and their gcd a primitive remainder sequence whose divisors are
+freed of the gcd of their coefficients, in Z[i] when they are Gaussian,
+so no content builds up.  A precondition
 on a nonzero polynomial or form raises GeometryError, also under
 ``python -O``.
 ``split_quadratic`` splits a binary quadratic form over exact and float
@@ -273,34 +277,90 @@ def _derivative(p: _IntPoly) -> _IntPoly:
             im and [k * y for k, y in enumerate(im)][1:], 0)
 
 
-def _lead_term(p: _IntPoly, k: int) -> _IntPoly:
-    """The leading coefficient of p times t^k."""
+def _primitive(p: _IntPoly) -> _IntPoly:
+    """p over the gcd of its coefficients: in Z, or in Z[i] when p has an
+    imaginary part."""
     re, im, _ = p
-    return [0] * k + re[-1:], None if im is None else [0] * k + im[-1:], 0
+    c = gcd(*re, *(im or ()))
+    if c > 1:
+        re, im = [x // c for x in re], im and [y // c for y in im]
+    if im is not None and any(im):
+        # Euclid on Z[i] with rounded quotients, until the gcd is a unit
+        x = y = 0
+        for u, v in zip(re, im):
+            while u or v:
+                # (x + iy)/(u + iv) = (x + iy)(u - iv)/n, rounded to qs + i qt
+                n = u * u + v * v
+                qs, qt = (2 * (x * u + y * v) + n) // (2 * n), (2 * (y * u - x * v) + n) // (2 * n)
+                x, y, u, v = u, v, x - qs * u + qt * v, y - qs * v - qt * u
+            if x * x + y * y == 1:
+                break
+        n = x * x + y * y
+        if n > 1:
+            re, im = ([(a * x + b * y) // n for a, b in zip(re, im)],
+                      [(b * x - a * y) // n for a, b in zip(re, im)])
+    return re, im, 0
 
 
 def _pseudo_divmod(a: _IntPoly, b: _IntPoly) -> Tuple[_IntPoly, _IntPoly, int]:
     """(q, r, n) with lc(b)^n a = q b + r and deg r < deg b, for b nonzero:
-    fraction-free division, one leading term of a at a time."""
-    q, n, lead = _NO_POLY, 0, _lead_term(b, 0)
-    while len(a[0]) >= len(b[0]):
-        term = _lead_term(a, len(a[0]) - len(b[0]))
-        q = _poly_sum(_poly_product(q, lead), term)
-        a = _poly_sum(_poly_product(a, lead), _poly_product(term, b), -1)
+    fraction-free division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R), in
+    place on the remainder's coefficient lists.  A step pops the remainder's
+    top coefficient c, multiplies the rest of it and the quotient entries so
+    far by lc(b), sets c as the next quotient entry, subtracts c b below the
+    top and strips the trailing zeros; n counts the steps.  q and r are over
+    Z exactly when a and b are."""
+    (ar, ai, _), (br, bi, _) = a, b
+    if not br:
+        raise GeometryError("the zero polynomial has no leading coefficient")
+    m = len(br) - 1
+    r, q = list(ar), [0] * max(0, len(ar) - m)
+    n, lr = 0, br[-1]
+    if ai is None and bi is None:
+        while len(r) > m:
+            k, c = len(r) - m - 1, r.pop()
+            if lr != 1:
+                r = [x * lr for x in r]
+                q[k + 1:] = [x * lr for x in q[k + 1:]]
+            q[k] = c
+            for j in range(m):
+                r[k + j] -= c * br[j]
+            while r and not r[-1]:
+                r.pop()
+            n += 1
+        return (q, None, 0), (r, None, 0), n
+    ri, qi = list(ai) if ai is not None else [0] * len(r), [0] * len(q)
+    bi = bi or [0] * len(br)
+    li = bi[-1]
+    while len(r) > m:
+        k, c, ci = len(r) - m - 1, r.pop(), ri.pop()
+        if li:
+            r, ri = ([x * lr - y * li for x, y in zip(r, ri)],
+                     [x * li + y * lr for x, y in zip(r, ri)])
+            q[k + 1:], qi[k + 1:] = ([x * lr - y * li for x, y in zip(q[k + 1:], qi[k + 1:])],
+                                     [x * li + y * lr for x, y in zip(q[k + 1:], qi[k + 1:])])
+        elif lr != 1:
+            r, ri = [x * lr for x in r], [y * lr for y in ri]
+            q[k + 1:], qi[k + 1:] = [x * lr for x in q[k + 1:]], [y * lr for y in qi[k + 1:]]
+        q[k], qi[k] = c, ci
+        for j in range(m):
+            x, y = br[j], bi[j]
+            r[k + j] -= c * x - ci * y
+            ri[k + j] -= c * y + ci * x
+        while r and not (r[-1] or ri[-1]):
+            r.pop()
+            ri.pop()
         n += 1
-    return q, a, n
+    return (q, qi, 0), (r, ri, 0), n
 
 
 def _int_gcd(a: _IntPoly, b: _IntPoly) -> _IntPoly:
-    """A gcd of two integer polynomials, zero if both are: the primitive
-    polynomial remainder sequence (Brown 1971), each divisor over the gcd
-    of its integers.  Over Z[i] each is then multiplied by its leading
-    coefficient's conjugate, so the content left grows linearly."""
+    """A primitive gcd of two integer polynomials, zero if both are: the
+    primitive polynomial remainder sequence (Brown 1971), each divisor over
+    the gcd of its coefficients, in Z[i] when it has an imaginary part."""
+    if not b[0]:
+        a, b = b, a
     while b[0]:
-        re, im, _ = b
-        c = gcd(*re, *(im or ()))
-        b = ([x // c for x in re], im and [y // c for y in im], 0)
-        if im is not None:
-            b = _poly_product(b, ([b[0][-1]], [-b[1][-1]], 0))
+        b = _primitive(b)
         a, b = b, _pseudo_divmod(a, b)[1]
     return a

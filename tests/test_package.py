@@ -177,8 +177,7 @@ PRIVATE_LINALG_IMPORTS = {
 # quadrics expands and splits the pencil determinant on, and motions forms
 # trajectories on
 PRIVATE_POLYS_IMPORTS = {
-    "motions.py": ("_int_gcd", "_lead_term", "_poly_product", "_poly_sum", "_pseudo_divmod",
-                   "_stripped"),
+    "motions.py": ("_int_gcd", "_poly_product", "_poly_sum", "_pseudo_divmod", "_stripped"),
     "quadrics.py": ("_IntPoly", "_NO_POLY", "_derivative", "_int_gcd", "_poly_product",
                     "_poly_sum", "_stripped"),
 }

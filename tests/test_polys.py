@@ -6,12 +6,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqkin.errors import ExactnessError
 from dqkin.polys import (
     Poly,
     _int_gcd,
     _poly_product,
+    _poly_sum,
     _pseudo_divmod,
     _stripped,
     exact_div,
@@ -124,13 +126,14 @@ class TestDivisionAndGcd:
 class TestZeroPolynomial:
     SCRIPT = (
         "from dqkin.errors import GeometryError\n"
-        "from dqkin.polys import (Poly, exact_div, low_degree_roots, monic, poly_divmod,\n"
-        "                         split_quadratic, squarefree_part)\n"
+        "from dqkin.polys import (Poly, _pseudo_divmod, exact_div, low_degree_roots, monic,\n"
+        "                         poly_divmod, split_quadratic, squarefree_part)\n"
         "from dqkin.scalars import rational\n"
         "zero, p = Poly([]), Poly([1, 1])\n"
         "for make in (lambda: zero.leading(),\n"
         "             lambda: poly_divmod(p, zero),\n"
         "             lambda: exact_div(p, zero),\n"
+        "             lambda: _pseudo_divmod(([1, 1], None, 0), ([], None, 0)),\n"
         "             lambda: monic(zero),\n"
         "             lambda: squarefree_part(zero),\n"
         "             lambda: low_degree_roots(zero),\n"
@@ -143,7 +146,8 @@ class TestZeroPolynomial:
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_preconditions_raise(self, flags):
-        """The leading coefficient, a division by, the monic multiple, the
+        """The leading coefficient, a division (also the integer
+        pseudo-division, which used to loop) by, the monic multiple, the
         squarefree part and the roots of the zero polynomial, and the roots
         of the zero binary form, raise GeometryError, also under python -O,
         where an assert would leave an IndexError or a silent answer."""
@@ -153,7 +157,7 @@ class TestZeroPolynomial:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "the zero polynomial has no leading coefficient"] * 5 + [
+            "the zero polynomial has no leading coefficient"] * 6 + [
             "every scalar is a root of the zero polynomial",
             "the zero form vanishes at every point"]
 
@@ -311,6 +315,9 @@ class TestIntegerPolynomials:
             g = _int_gcd(a, b)
             assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
         assert as_poly(_int_gcd(zero, zero)).is_zero()
+        # gcd(p, 0) is p's primitive part, as gcd(0, p) is
+        assert _int_gcd(p, zero) == _int_gcd(zero, p) == int_poly(
+            [(-2, i), (0, 0), (3, 0)], over_gaussians)
         assert self.assert_divmod(zero, p).is_zero()
         for d in (two, seven, _int_gcd(p, p)):
             assert self.assert_divmod(p, d) == exact_div(as_poly(p), as_poly(d))
@@ -320,3 +327,90 @@ class TestIntegerPolynomials:
         assert not as_poly(_pseudo_divmod(a, b)[1]).is_zero()
         with pytest.raises(ExactnessError):
             exact_div(as_poly(a), as_poly(b))
+
+    def test_gaussian_gcd_stays_primitive(self):
+        """Over Z[i] each divisor is divided by the Gaussian gcd of its
+        coefficients, so the gcd of two products with a common quadratic
+        factor is as small as that factor, however long the sequence."""
+        rng = random.Random(32)
+
+        def factor(degree):
+            return int_poly([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(degree)]
+                            + [(1, rng.randint(-3, 3))], True)
+
+        for degree in (4, 8, 12):
+            for _ in range(4):
+                common = factor(2)
+                a, b = times(True, common, factor(degree - 2)), times(True, common, factor(degree - 2))
+                g = _int_gcd(a, b)
+                assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
+                assert max(abs(x).bit_length() for x in g[0] + g[1]) <= 8
+
+
+def stepwise_divmod(a, b):
+    """The reference pseudo-division: one leading term of a at a time,
+    through full products and sums."""
+    def lead_term(p, k):
+        re, im, _ = p
+        return [0] * k + re[-1:], None if im is None else [0] * k + im[-1:], 0
+
+    q, n, lead = ([], None, 0), 0, lead_term(b, 0)
+    while len(a[0]) >= len(b[0]):
+        term = lead_term(a, len(a[0]) - len(b[0]))
+        q = _poly_sum(_poly_product(q, lead), term)
+        a = _poly_sum(_poly_product(a, lead), _poly_product(term, b), -1)
+        n += 1
+    return q, a, n
+
+
+def values(p):
+    """p's coefficient lists, a missing im read as zeros."""
+    re, im, _ = p
+    return re, im if im is not None else [0] * len(re)
+
+
+small = st.integers(-40, 40)
+
+
+@st.composite
+def division_operands(draw):
+    """a and b over Z or Z[i] each, lc(b) one of 1, -1, an integer k and,
+    over Z[i], a Gaussian integer; a may be zero or of lower degree."""
+    rings = draw(st.booleans()), draw(st.booleans())
+
+    def coeffs(size, over_gaussians):
+        return [(draw(small), draw(small) if over_gaussians else 0) for _ in range(size)]
+
+    leads = [(1, 0), (-1, 0), (draw(st.integers(2, 12)) * draw(st.sampled_from([1, -1])), 0)]
+    if rings[1]:
+        leads.append((draw(small), draw(small.filter(bool))))
+    a = int_poly(coeffs(draw(st.integers(0, 8)), rings[0]), rings[0])
+    b = int_poly(coeffs(draw(st.integers(0, 4)), rings[1]) + [draw(st.sampled_from(leads))],
+                 rings[1])
+    return a, b
+
+
+class TestPseudoDivision:
+    """The in-place pseudo-division against its defining identity and the
+    step-by-step reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(division_operands())
+    @example((([], None, 0), ([1, 2], [0, 3], 0)))           # zero a over Z, b over Z[i]
+    @example((([1, 1], [0, 0], 0), ([0, 0, 5], None, 0)))     # deg a < deg b
+    @example((([3, 1, 4, 1, 5], None, 0), ([2, 7], [1, 2], 0)))
+    def test_identity_and_reference(self, operands):
+        a, b = operands
+        q, r, n = _pseudo_divmod(a, b)
+        power = ([1], None, 0)
+        for _ in range(n):
+            power = _poly_product(power, ([b[0][-1]], b[1] and [b[1][-1]], 0))
+        # lc(b)^n a = q b + r
+        assert as_poly(_poly_product(power, a)) == as_poly(_poly_sum(_poly_product(q, b), r))
+        assert len(r[0]) < len(b[0])
+        assert n <= max(0, len(a[0]) - len(b[0]) + 1)
+        want = stepwise_divmod(a, b)
+        assert (values(q), values(r), n) == (values(want[0]), values(want[1]), want[2])
+        over_z = a[1] is None and b[1] is None
+        for p in (q, r):
+            assert (p[1] is None) == over_z and p[2] == 0
