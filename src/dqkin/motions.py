@@ -18,9 +18,9 @@ from typing import Dict, Optional, Tuple
 
 from .dyads import Classification, Verdict, classify
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import Matrix, _cleared, _scalars, rank
-from .polys import (Poly, _int_gcd, _poly_product, _poly_sum, _pseudo_divmod, _stripped,
-                    split_quadratic)
+from .kept import cleared, int_gcd, poly_product, poly_sum, pseudo_divmod, scalars_of, stripped
+from .linalg import Matrix, rank
+from .polys import Poly, split_quadratic
 from .projgeom import Line, ProjPoint, Subspace, meet, span
 from .quadrics import (
     Handedness,
@@ -133,7 +133,7 @@ def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
     _require_space_point(x)
     if all(c.primal.is_zero() for c in m.coefficients):
         raise GeometryError("exceptional generator has no displacement")
-    cm = _cleared([c for q in reversed(m.coefficients) for c in q.coords()])
+    cm = cleared([c for q in reversed(m.coefficients) for c in q.coords()])
     cx = None if cm is None else x._kept()
     if cx is None:
         raise ExactnessError("trajectory degree needs exact scalars")
@@ -141,9 +141,9 @@ def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
     gaussian = any(mi or ()) or any(xi or ())
     mi, xi = (mi or [0] * len(mr), xi or [0] * 4) if gaussian else (None, None)
     # coordinate k of m, ascending in t, and of x
-    a, p1, p2, p3, d0, e1, e2, e3 = (_stripped(mr[k::8], mi and mi[k::8], 0) for k in range(8))
-    w, x1, x2, x3 = (_stripped([xr[k]], xi and [xi[k]], 0) for k in range(4))
-    mul, add = _poly_product, _poly_sum
+    a, p1, p2, p3, d0, e1, e2, e3 = (stripped(mr[k::8], mi and mi[k::8], 0) for k in range(8))
+    w, x1, x2, x3 = (stripped([xr[k]], xi and [xi[k]], 0) for k in range(4))
+    mul, add = poly_product, poly_sum
 
     # with m = (a + v) + eps (d0 + e) and x = w + eps u, v, e and u vectors:
     # component 0 is w (a^2 + v.v), and 5, 6, 7 are the rotated u,
@@ -161,11 +161,11 @@ def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
     nonzero = [f for f in comps if f[0]]
     if not nonzero:
         raise GeometryError("the point's path vanishes identically")
-    g = reduce(_int_gcd, nonzero)
+    g = reduce(int_gcd, nonzero)
     if len(nonzero) > 1:
         lead, den = ([g[0][-1]], g[1] and [g[1][-1]], 0), dm * dm * dx
     else:
-        lead, den = _stripped([1], xi and [0], 0), 1
+        lead, den = stripped([1], xi and [0], 0), 1
     # p / monic(g) = lead P / (G den); over Z[i], P / G = P conj(G) / N for the
     # integer-led N = G conj(G): lc(N)^n P conj(G) = Q N by pseudo-division
     norm = g
@@ -174,10 +174,10 @@ def trajectory(m: MotionPoly, x: ProjPoint) -> Trajectory:
         norm, comps = mul(g, bar), [mul(f, bar) for f in comps]
     out = []
     for f in comps:
-        q, _, n = _pseudo_divmod(f, norm)
+        q, _, n = pseudo_divmod(f, norm)
         re, im, _ = mul(q, lead)
         mask = sum(1 << k for k in range(len(re)) if re[k] or im and im[k]) if mk or xk else 0
-        out.append(Poly(_scalars(re, im, den * norm[0][-1] ** n, mask)))
+        out.append(Poly(scalars_of(re, im, den * norm[0][-1] ** n, mask)))
     return Trajectory(tuple(out), max(f.degree for f in out))
 
 

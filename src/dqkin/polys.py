@@ -4,17 +4,9 @@ Coefficients are stored in ascending degree order.  The coefficient ring
 only needs +, -, * and is_zero; the parameter is always a central scalar.
 Division, gcd and root extraction are restricted to exact scalar
 coefficients; division and gcd are public API and the tests' reference,
-and no other module of the package calls them.  The private integer
-polynomials at the end, over Z or Z[i] with the kinds their scalars
-would have, are where the pencil determinant is expanded and its
-repeated roots isolated by a gcd with its derivative, and where
-trajectories are multiplied out, divided by their gcd.  Their division is
-fraction-free pseudo-division in place on the remainder's coefficient
-lists, and their gcd a primitive remainder sequence whose divisors are
-freed of the gcd of their coefficients, in Z[i] when they are Gaussian,
-so no content builds up.  A precondition
-on a nonzero polynomial or form raises GeometryError, also under
-``python -O``.
+and no other module of the package calls them: its divisions and gcds
+run on the integer polynomials of ``kept``.  A precondition on a nonzero polynomial or form raises GeometryError, also
+under ``python -O``.
 ``split_quadratic`` splits a binary quadratic form over exact and float
 scalars alike: it is where the package takes the square roots of its
 quadratics, and ``low_degree_roots`` is it dehomogenised.
@@ -22,8 +14,6 @@ quadratics, and ``low_degree_roots`` is it dehomogenised.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError
@@ -206,161 +196,3 @@ def low_degree_roots(p: Poly) -> Optional[List[Scalar]]:
         return None
     return [alpha / beta for alpha, beta in pairs if not beta.is_zero()]
 
-
-# --- integer polynomials ---------------------------------------------------
-
-# An integer polynomial (re, im, kinds): the coefficients re[k] + i*im[k] in
-# ascending order with no trailing zero (im None over Z), and the bitmask of
-# the coefficients the scalar loop holds as Gaussian.
-_IntPoly = Tuple[List[int], Optional[List[int]], int]
-_NO_POLY: _IntPoly = ([], None, 0)
-
-
-def _convolve(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_product(a: _IntPoly, b: _IntPoly) -> _IntPoly:
-    """a*b; a coefficient is Gaussian when one of its terms has a Gaussian
-    factor.  Leading coefficients multiply to a nonzero one, so nothing is
-    stripped."""
-    (ar, ai, am), (br, bi, bm) = a, b
-    if not (ar and br):
-        return _NO_POLY
-    mask = 0
-    for k in range(len(ar)):
-        if am >> k & 1:
-            mask |= ((1 << len(br)) - 1) << k
-    for k in range(len(br)):
-        if bm >> k & 1:
-            mask |= ((1 << len(ar)) - 1) << k
-    re = _convolve(ar, br)
-    if ai is None and bi is None:
-        return re, None, mask
-    # a missing im reads as zeros
-    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
-    re = [x - y for x, y in zip(re, _convolve(ai, bi))]
-    im = [x + y for x, y in zip(_convolve(ar, bi), _convolve(ai, br))]
-    return re, im, mask
-
-
-def _stripped(re: List[int], im: Optional[List[int]], mask: int) -> _IntPoly:
-    """The polynomial without its trailing zeros, whose kinds go with them."""
-    while re and not re[-1] and (im is None or not im[-1]):
-        re.pop()
-        if im is not None:
-            im.pop()
-    return re, im, mask & ((1 << len(re)) - 1)
-
-
-def _poly_sum(a: _IntPoly, b: _IntPoly, sign: int = 1) -> _IntPoly:
-    """a + sign*b; a coefficient is Gaussian when one of its summands is."""
-    (ar, ai, am), (br, bi, bm) = a, b
-    re = [x + sign * y for x, y in zip_longest(ar, br, fillvalue=0)]
-    im = None if ai is None and bi is None else [
-        x + sign * y for x, y in zip_longest(ai or (), bi or (), fillvalue=0)]
-    return _stripped(re, im, am | bm)
-
-
-# The division and the gcd below carry values only: their results' kinds
-# masks are zero, and their callers write the kinds.
-
-def _derivative(p: _IntPoly) -> _IntPoly:
-    """dp/ds."""
-    re, im, _ = p
-    return ([k * x for k, x in enumerate(re)][1:],
-            im and [k * y for k, y in enumerate(im)][1:], 0)
-
-
-def _primitive(p: _IntPoly) -> _IntPoly:
-    """p over the gcd of its coefficients: in Z, or in Z[i] when p has an
-    imaginary part."""
-    re, im, _ = p
-    c = gcd(*re, *(im or ()))
-    if c > 1:
-        re, im = [x // c for x in re], im and [y // c for y in im]
-    if im is not None and any(im):
-        # Euclid on Z[i] with rounded quotients, until the gcd is a unit
-        x = y = 0
-        for u, v in zip(re, im):
-            while u or v:
-                # (x + iy)/(u + iv) = (x + iy)(u - iv)/n, rounded to qs + i qt
-                n = u * u + v * v
-                qs, qt = (2 * (x * u + y * v) + n) // (2 * n), (2 * (y * u - x * v) + n) // (2 * n)
-                x, y, u, v = u, v, x - qs * u + qt * v, y - qs * v - qt * u
-            if x * x + y * y == 1:
-                break
-        n = x * x + y * y
-        if n > 1:
-            re, im = ([(a * x + b * y) // n for a, b in zip(re, im)],
-                      [(b * x - a * y) // n for a, b in zip(re, im)])
-    return re, im, 0
-
-
-def _pseudo_divmod(a: _IntPoly, b: _IntPoly) -> Tuple[_IntPoly, _IntPoly, int]:
-    """(q, r, n) with lc(b)^n a = q b + r and deg r < deg b, for b nonzero:
-    fraction-free division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R), in
-    place on the remainder's coefficient lists.  A step pops the remainder's
-    top coefficient c, multiplies the rest of it and the quotient entries so
-    far by lc(b), sets c as the next quotient entry, subtracts c b below the
-    top and strips the trailing zeros; n counts the steps.  q and r are over
-    Z exactly when a and b are."""
-    (ar, ai, _), (br, bi, _) = a, b
-    if not br:
-        raise GeometryError("the zero polynomial has no leading coefficient")
-    m = len(br) - 1
-    r, q = list(ar), [0] * max(0, len(ar) - m)
-    n, lr = 0, br[-1]
-    if ai is None and bi is None:
-        while len(r) > m:
-            k, c = len(r) - m - 1, r.pop()
-            if lr != 1:
-                r = [x * lr for x in r]
-                q[k + 1:] = [x * lr for x in q[k + 1:]]
-            q[k] = c
-            for j in range(m):
-                r[k + j] -= c * br[j]
-            while r and not r[-1]:
-                r.pop()
-            n += 1
-        return (q, None, 0), (r, None, 0), n
-    ri, qi = list(ai) if ai is not None else [0] * len(r), [0] * len(q)
-    bi = bi or [0] * len(br)
-    li = bi[-1]
-    while len(r) > m:
-        k, c, ci = len(r) - m - 1, r.pop(), ri.pop()
-        if li:
-            r, ri = ([x * lr - y * li for x, y in zip(r, ri)],
-                     [x * li + y * lr for x, y in zip(r, ri)])
-            q[k + 1:], qi[k + 1:] = ([x * lr - y * li for x, y in zip(q[k + 1:], qi[k + 1:])],
-                                     [x * li + y * lr for x, y in zip(q[k + 1:], qi[k + 1:])])
-        elif lr != 1:
-            r, ri = [x * lr for x in r], [y * lr for y in ri]
-            q[k + 1:], qi[k + 1:] = [x * lr for x in q[k + 1:]], [y * lr for y in qi[k + 1:]]
-        q[k], qi[k] = c, ci
-        for j in range(m):
-            x, y = br[j], bi[j]
-            r[k + j] -= c * x - ci * y
-            ri[k + j] -= c * y + ci * x
-        while r and not (r[-1] or ri[-1]):
-            r.pop()
-            ri.pop()
-        n += 1
-    return (q, qi, 0), (r, ri, 0), n
-
-
-def _int_gcd(a: _IntPoly, b: _IntPoly) -> _IntPoly:
-    """A primitive gcd of two integer polynomials, zero if both are: the
-    primitive polynomial remainder sequence (Brown 1971), each divisor over
-    the gcd of its coefficients, in Z[i] when it has an imaginary part."""
-    if not b[0]:
-        a, b = b, a
-    while b[0]:
-        b = _primitive(b)
-        a, b = b, _pseudo_divmod(a, b)[1]
-    return a

@@ -17,7 +17,7 @@ their join first.  The exceptional generator [eps H] is built once, at
 import.
 
 Exact vectors (rational or Gaussian entries, mixed or not) take one
-integer path on their kept forms, passed whole to ``linalg``'s form
+integer path on their kept forms, passed whole to ``kept``'s form
 operations (the layout is described there).  A ``ProjPoint`` is a
 one-row ``Matrix``, which keeps the form (``_kept``); one born from kept
 rows (``ProjPoint._of``: lifts, ``Subspace.points``, ``quadrecon``'s
@@ -26,9 +26,9 @@ basis keeps the rows ``rref`` computed it in, and ``Matrix._stacked``
 hands kept rows on to ``rref`` in ``span``, ``join`` and central
 projections.  ``contains`` and ``chart_coords`` decide membership by an
 integer residue (``_residue_of``), and ``ProjPoint.__eq__`` by
-``linalg._proportional``, so neither makes a Scalar.  Meets, so central
+``kept.proportional``, so neither makes a Scalar.  Meets, so central
 projections, run on integers too: the residues of the kept rows, their
-kernel (``_kernel_forms``) and its combinations of the rows, so only the
+kernel (``kernel_forms``) and its combinations of the rows, so only the
 reduced meet makes Scalars, when read.  ``lift`` is the chart point's
 row times the basis.
 A float coordinate anywhere sends the operation through the scalar
@@ -47,9 +47,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import (Matrix, Vector, _Cleared, _cleared_image, _first_nonzero, _kernel_forms,
-                     _proportional, _reduced_form, _residue, _transposed, nullspace, rref,
-                     vec_is_zero, vec_scale)
+from .kept import (Cleared, cleared_image, first_nonzero, kernel_forms, proportional,
+                   reduced_form, residue, transposed)
+from .linalg import Matrix, Vector, nullspace, rref, vec_is_zero, vec_scale
 from .quaternions import DualQuaternion
 from .scalars import Scalar, ONE, ZERO, _power_of_two_scale
 
@@ -78,8 +78,8 @@ class ProjPoint:
     def coords(self) -> Vector:
         return self._row.rows[0]
 
-    def _kept(self) -> Optional[_Cleared]:
-        """The coordinates cleared (``linalg._cleared``), or None when one is
+    def _kept(self) -> Optional[Cleared]:
+        """The coordinates cleared (``kept.cleared``), or None when one is
         a float: the kept row of the point's matrix."""
         forms = self._row._cleared_rows()
         return None if forms is None else forms[0]
@@ -89,7 +89,6 @@ class ProjPoint:
         return self._row.ncols
 
     def dq(self) -> DualQuaternion:
-        assert len(self.coords) == 8
         return DualQuaternion.from_coords(self.coords)
 
     def normalized(self) -> "ProjPoint":
@@ -108,7 +107,7 @@ class ProjPoint:
             return False
         ka, kb = self._kept(), other._kept()
         if ka is not None and kb is not None:
-            return _proportional(ka, kb)
+            return proportional(ka, kb)
         # scale both at self's largest coordinate, so the tolerance meets
         # the same values whatever representatives were given
         k = max(range(self.ambient), key=lambda j: abs(self.coords[j].to_complex()))
@@ -136,7 +135,9 @@ class Subspace:
         their tolerance), or GeometryError is raised."""
         pivots = ()
         if basis is not None:
-            assert basis.ncols == ambient
+            if basis.ncols != ambient:
+                raise GeometryError("a subspace basis needs one column per coordinate: "
+                                    "expected %d, got %d" % (ambient, basis.ncols))
             red, pivots = rref(basis)
             if len(pivots) < basis.nrows or red != basis:
                 raise GeometryError("a subspace basis must be in reduced row echelon form")
@@ -182,19 +183,19 @@ class Subspace:
             out = tuple(o + c * r for o, r in zip(out, row))
         return out
 
-    def _residue_of(self, v: _Cleared) -> _Cleared:
-        """``_residue`` of a kept form, for an exact basis (``linalg._residue``)."""
-        return _residue(v, self.basis._cleared_rows(), self._pivots)
+    def _residue_of(self, v: Cleared) -> Cleared:
+        """``_residue`` of a kept form, for an exact basis (``kept.residue``)."""
+        return residue(v, self.basis._cleared_rows(), self._pivots)
 
     def _read(self, p: ProjPoint) -> Optional[Matrix]:
         """p's row as membership reads it, or None when p lies outside.  An
         exact p in an exact subspace is tested on integers and read as it is,
         with no Scalar made; otherwise p is taken at max-norm about one, by a
         power of two, and its residue compared at each float's tolerance."""
-        assert p.ambient == self.ambient
+        _require_ambient(self.ambient, p)
         kept = p._kept()
         if kept is not None and self.basis._cleared_rows() is not None:
-            return p._row if _first_nonzero(self._residue_of(kept)) is None else None
+            return p._row if first_nonzero(self._residue_of(kept)) is None else None
         coords = vec_scale(_power_of_two_scale(p.coords), p.coords)
         return Matrix._of([coords]) if vec_is_zero(self._residue(coords)) else None
 
@@ -207,13 +208,14 @@ class Subspace:
         return all(self.contains(p) for p in other.points())
 
     def _require_chart(self) -> None:
+        if self.basis is None:
+            raise GeometryError("the empty subspace has no chart")
         if self.basis.nrows == 1:
             raise GeometryError("a point (projective dimension 0) has no chart: "
                                 "its coordinates would be a single number")
 
     def lift(self, chart_point: ProjPoint) -> ProjPoint:
         """Chart coordinates (relative to the basis rows) to ambient point."""
-        assert self.basis is not None
         self._require_chart()
         if chart_point.ambient != self.basis.nrows:
             raise GeometryError("a chart point has one coordinate per basis row")
@@ -253,6 +255,14 @@ class Subspace:
         return "Subspace[%s]" % rows
 
 
+def _require_ambient(ambient: int, *items) -> None:
+    """GeometryError unless every point or subspace has ambient coordinates."""
+    for x in items:
+        if x.ambient != ambient:
+            raise GeometryError("expected points and subspaces of %d coordinates, got %d"
+                                % (ambient, x.ambient))
+
+
 def _reduced(m: Matrix, ambient: int) -> Subspace:
     """The row space of m, on its reduced nonzero rows."""
     red, pivots = rref(m)
@@ -262,15 +272,16 @@ def _reduced(m: Matrix, ambient: int) -> Subspace:
 
 
 def span(points: Sequence[ProjPoint]) -> Subspace:
-    assert points
+    if not points:
+        raise GeometryError("a span needs at least one point")
     ambient = points[0].ambient
-    assert all(p.ambient == ambient for p in points)
+    _require_ambient(ambient, *points)
     return _reduced(Matrix._stacked([p._row for p in points]), ambient)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """The span of both; exact bases are eliminated from their kept rows."""
-    assert a.ambient == b.ambient
+    _require_ambient(a.ambient, b)
     bases = [u.basis for u in (a, b) if u.basis is not None]
     if not bases:
         return Subspace.empty(a.ambient)
@@ -297,17 +308,18 @@ def _meet_rows(rows: Matrix, b: Subspace) -> Subspace:
         if not kernel:
             return Subspace.empty(b.ambient)
         return _reduced(Matrix._of(kernel) * rows, b.ambient)
-    residues = _transposed([b._residue_of(v) for v in forms])
-    kernel = _kernel_forms(*rref(Matrix._of_cleared(residues)))
+    residues = transposed([b._residue_of(v) for v in forms])
+    red, pivots = rref(Matrix._of_cleared(residues))
+    kernel = kernel_forms(red._cleared_rows(), pivots)
     if not kernel:
         return Subspace.empty(b.ambient)
-    out = [_reduced_form(*_cleared_image(forms, c)) for c in kernel]
+    out = [reduced_form(*cleared_image(forms, c)) for c in kernel]
     return _reduced(Matrix._of_cleared(out), b.ambient)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of row spaces; the empty subspace when disjoint."""
-    assert a.ambient == b.ambient
+    _require_ambient(a.ambient, b)
     return Subspace.empty(a.ambient) if a.basis is None else _meet_rows(a.basis, b)
 
 
@@ -336,7 +348,8 @@ class Line(Subspace):
 
     @staticmethod
     def of(sub: Subspace) -> "Line":
-        assert sub.dim == 1
+        if sub.dim != 1:
+            raise GeometryError("a line has a basis of two rows")
         return Line._of(sub.basis, sub._pivots, sub.ambient)
 
 
@@ -353,7 +366,7 @@ def exceptional_generator() -> Subspace:
 
 def fiber_projectivity(x: ProjPoint) -> ProjPoint:
     """phi([x' + eps x'']) = [eps x']."""
-    assert x.ambient == 8
+    _require_ambient(8, x)
     if all(c.is_zero() for c in x.coords[:4]):
         raise GeometryError(
             "fiber projectivity undefined on the exceptional generator")
@@ -362,7 +375,7 @@ def fiber_projectivity(x: ProjPoint) -> ProjPoint:
 
 def fiber_image(u: Subspace) -> Subspace:
     """Span of phi over all of u (equivalently over basis points off eps H)."""
-    assert u.ambient == 8
+    _require_ambient(8, u)
     rows = [] if u.basis is None else [
         (ZERO,) * 4 + row[:4] for row in u.basis.rows if not vec_is_zero(row[:4])]
     if not rows:
@@ -376,6 +389,7 @@ def fiber_line(x: ProjPoint) -> Line:
 
 
 def project_from_center(x: ProjPoint, center: Subspace, target: Subspace) -> ProjPoint:
+    _require_ambient(x.ambient, center, target)
     if center.contains(x):
         raise GeometryError("projection not well defined")
     # x off the centre keeps x and the centre's rows independent
@@ -390,13 +404,13 @@ def project_from_center(x: ProjPoint, center: Subspace, target: Subspace) -> Pro
 
 def chi_point(p: ProjPoint) -> ProjPoint:
     """Quaternion conjugation on both halves: [q] -> [conj(q)]."""
-    assert p.ambient == 8
+    _require_ambient(8, p)
     q = p.dq().conjugate()
     return ProjPoint(q.coords())
 
 
 def chi_subspace(u: Subspace) -> Subspace:
-    assert u.ambient == 8
+    _require_ambient(8, u)
     if u.basis is None:
         return u
     return _reduced(Matrix._of([(w, -x, -y, -z, dw, -dx, -dy, -dz)

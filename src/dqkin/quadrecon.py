@@ -18,7 +18,7 @@ steps of ``run_cycle`` need no elimination: from a point centre m onto a
 residues of x and m modulo T.  A cycle stores each centre's kept form
 and its residue once, so a step is one integer residue, one
 proportionality test and the image x*r_m[k] - r_x[k]*m on integers, by
-``linalg``'s form operations; Scalars are made once per output point,
+``kept``'s form operations; Scalars are made once per output point,
 normalized so its first nonzero coordinate is one, of the kinds the
 scalar loop gives it.  The four 4-spaces are joined again on every
 call, from kept rows and with no Scalar made: a cache of them waits on
@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
-from .linalg import (Matrix, _Cleared, _cancelling, _cleared_image, _first_nonzero, _normalized,
-                     _proportional, inverse, rank, solve, vec_add, vec_dot, vec_scale,
-                     vec_sub)
+from .kept import Cleared, cancelling, cleared_image, first_nonzero, normalized, proportional
+from .linalg import Matrix, inverse, rank, solve, vec_add, vec_dot, vec_scale, vec_sub
 from .projgeom import (
     ProjPoint,
     Subspace,
@@ -53,7 +52,7 @@ from .scalars import Scalar, scalar, ONE, ZERO
 HALF = scalar(1) / scalar(2)
 
 
-def _project(x: ProjPoint, step: Tuple[_Cleared, _Cleared], target: Subspace) -> ProjPoint:
+def _project(x: ProjPoint, step: Tuple[Cleared, Cleared], target: Subspace) -> ProjPoint:
     """x projected from the step's centre m onto target; the step holds m's
     kept form and its residue modulo target.
 
@@ -69,9 +68,9 @@ def _project(x: ProjPoint, step: Tuple[_Cleared, _Cleared], target: Subspace) ->
     center, rm = step
     xf = x._kept()
     rx = target._residue_of(xf)
-    if not _proportional(rm, rx):
+    if not proportional(rm, rx):
         raise GeometryError("projection not well defined")
-    form = _normalized(_cleared_image([xf, center], _cancelling(rx, rm, _first_nonzero(rm))))
+    form = normalized(cleared_image([xf, center], cancelling(rx, rm, first_nonzero(rm))))
     if form is None:
         raise GeometryError("projection not well defined")
     return ProjPoint._of(Matrix._of_cleared([form]))
@@ -91,7 +90,7 @@ class ProjectionCycle:
     f_points: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
     centers: Tuple[ProjPoint, ProjPoint, ProjPoint, ProjPoint]
     _f_spans: Tuple[Subspace, ...] = field(init=False, repr=False, compare=False)
-    _steps: Tuple[Tuple[_Cleared, _Cleared], ...] = field(init=False, repr=False, compare=False)
+    _steps: Tuple[Tuple[Cleared, Cleared], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f_points", tuple(self.f_points))

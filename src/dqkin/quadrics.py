@@ -41,15 +41,12 @@ from itertools import combinations
 from typing import List, NoReturn, Optional, Tuple
 
 from .errors import ExactnessError, GeometryError, InvariantError
+from .kept import (NO_POLY, IntPoly, cleared_image, derivative, dot_numerator, flat_cleared,
+                   int_gcd, poly_product, poly_sum, proportional, scalars_of, stripped)
 from .linalg import (
     Matrix,
     Vector,
-    _cleared_image,
-    _dot_numerator,
-    _flat_cleared,
     _kernel,
-    _proportional,
-    _scalars,
     nullspace,
     rank,
     rref,
@@ -58,8 +55,7 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
-from .polys import (_NO_POLY, Poly, _IntPoly, _derivative, _int_gcd, _poly_product, _poly_sum,
-                    _stripped, low_degree_roots, monic, split_quadratic)
+from .polys import Poly, low_degree_roots, monic, split_quadratic
 from .projgeom import Line, ProjPoint, Subspace
 from .quaternions import Quaternion
 from .scalars import ComplexFloat, Scalar, ZERO, _power_of_two_scale, scalar, scalar_to_json
@@ -81,8 +77,14 @@ class QuadricForm:
     def value(self, p: ProjPoint) -> Scalar:
         return self.polar(p, p)
 
+    def _require_points(self, *points: ProjPoint) -> None:
+        for p in points:
+            if p.ambient != self.n:
+                raise GeometryError("a form on %d coordinates takes points of %d, got %d"
+                                    % (self.n, self.n, p.ambient))
+
     def polar(self, p: ProjPoint, q: ProjPoint) -> Scalar:
-        assert p.ambient == self.n and q.ambient == self.n
+        self._require_points(p, q)
         return vec_dot(p.coords, self.gram.apply(q.coords))
 
     def contains(self, p: ProjPoint) -> bool:
@@ -95,16 +97,16 @@ class QuadricForm:
         Ga and Gb are integer vectors over one denominator, built from the
         gram's cleared columns, and the three tests are integer sums.
         """
-        assert a.ambient == self.n and b.ambient == self.n
+        self._require_points(a, b)
         cols = self.gram._cleared_columns()
         ca = None if cols is None else a._kept()
         cb = None if ca is None else b._kept()
         if cb is None:
             e = Matrix._stacked([a._row, b._row])
             return (e * self.gram * e.transpose()).is_zero()
-        ga, gb = _cleared_image(cols, ca), _cleared_image(cols, cb)
+        ga, gb = cleared_image(cols, ca), cleared_image(cols, cb)
         return not any(x for u, v in ((ca, ga), (ca, gb), (cb, gb))
-                       for x in _dot_numerator(u, v))
+                       for x in dot_numerator(u, v))
 
     def rank(self) -> int:
         return rank(self.gram)
@@ -162,17 +164,27 @@ def quadric_y8() -> QuadricForm:
 
 
 def restrict(form: QuadricForm, u: Subspace) -> QuadricForm:
-    assert u.basis is not None and u.ambient == form.n
+    if u.basis is None:
+        raise GeometryError("the empty subspace has no restricted form")
+    if u.ambient != form.n:
+        raise GeometryError("a form on %d coordinates restricts to subspaces of %d, got %d"
+                            % (form.n, form.n, u.ambient))
     gram = u.basis * form.gram * u.basis.transpose()
     return QuadricForm(gram, "restricted")
 
 
 def is_null_line(x: ProjPoint, y: ProjPoint) -> bool:
     """Whether the whole line through x and y sits inside both S and N."""
-    assert x.ambient == 8 and y.ambient == 8
+    _require_p7(x, y)
     if x == y:
         raise GeometryError("coincident points do not span a line")
     return study_quadric().contains_line(x, y) and null_cone().contains_line(x, y)
+
+
+def _require_p7(a: ProjPoint, b: ProjPoint) -> None:
+    if a.ambient != 8 or b.ambient != 8:
+        raise GeometryError("a line of P^7 needs two points of 8 coordinates, got %d and %d"
+                            % (a.ambient, b.ambient))
 
 
 class Handedness(enum.Enum):
@@ -194,7 +206,7 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
     scaled by a power of two, so the answer does not depend on their
     representatives.
     """
-    assert a.ambient == 8 and b.ambient == 8
+    _require_p7(a, b)
     if a == b:
         raise GeometryError("coincident points do not span a line")
     x, y = a.coords, b.coords
@@ -218,7 +230,7 @@ def ruling_handedness(a: ProjPoint, b: ProjPoint) -> Handedness:
 
 # --- common lines of two quadric surfaces in a 3-space chart -------------
 
-def _pencil_det(g1: Matrix, g2: Matrix) -> _IntPoly:
+def _pencil_det(g1: Matrix, g2: Matrix) -> IntPoly:
     """det(g1 + s*g2) of two exact 4x4 grams up to a positive factor, as an
     integer polynomial: expanded by cofactors along the first row on their
     cleared rows, over Z, or over Z[i] as (re, im) pairs when an entry is
@@ -238,7 +250,7 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> _IntPoly:
         row = []
         for j in range(4):
             im = [i1[j] * d2 if i1 else 0, i2[j] * d1 if i2 else 0] if gaussian else None
-            row.append(_stripped([r1[j] * d2, r2[j] * d1], im,
+            row.append(stripped([r1[j] * d2, r2[j] * d1], im,
                                  (k1 >> j & 1) | (k2 >> j & 1) << 1))
         entries.append(row)
 
@@ -247,11 +259,11 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> _IntPoly:
     for size in (2, 3, 4):
         row = entries[4 - size]
         for cols in combinations(range(4), size):
-            out = _NO_POLY
+            out = NO_POLY
             for k, j in enumerate(cols):
                 if row[j][0]:
-                    term = _poly_product(row[j], minors[cols[:k] + cols[k + 1:]])
-                    out = _poly_sum(out, term, -1 if k % 2 else 1)
+                    term = poly_product(row[j], minors[cols[:k] + cols[k + 1:]])
+                    out = poly_sum(out, term, -1 if k % 2 else 1)
             minors[cols] = out
     return minors[(0, 1, 2, 3)]
 
@@ -321,7 +333,7 @@ def _line_sort_key(line: Line) -> str:
     return ";".join(",".join(str(c) for c in row) for row in line.basis.rows)
 
 
-def _first_exact_member(det: _IntPoly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
+def _first_exact_member(det: IntPoly, g1: Matrix, g2: Matrix) -> Optional[Matrix]:
     """The first degenerate member of an exact pencil g1 + s*g2: at the first
     repeated root of its determinant det (``_pencil_det``), else g2 when the
     far member is degenerate, else None.
@@ -334,13 +346,13 @@ def _first_exact_member(det: _IntPoly, g1: Matrix, g2: Matrix) -> Optional[Matri
     """
     re, _, kinds = det
     if len(re) >= 2:
-        g = _int_gcd(det, _derivative(det))
+        g = int_gcd(det, derivative(det))
         if len(g[0]) == 4:
-            g = _derivative(g)
+            g = derivative(g)
         if len(g[0]) >= 2:
             gre, gim, _ = g
             mask = (1 << len(gre)) - 1 if kinds else 0
-            roots = low_degree_roots(monic(Poly(_scalars(gre, gim, 1, mask))))
+            roots = low_degree_roots(monic(Poly(scalars_of(gre, gim, 1, mask))))
             if roots is None:
                 raise ExactnessError(
                     "the repeated roots of the pencil determinant are not in Q(i)")
@@ -364,13 +376,15 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     pencil root, or a line pair of the first degenerate member, needs a
     square root outside the Gaussian rationals.
     """
-    assert q1.n == 4 and q2.n == 4
+    if q1.n != 4 or q2.n != 4:
+        raise GeometryError("common lines need two forms of a 3-space chart, 4x4 grams, "
+                            "got %dx%d and %dx%d" % (q1.n, q1.n, q2.n, q2.n))
     if not (q1.gram.is_exact() and q2.gram.is_exact()):
         _float_member_grams()
     if rank(q1.gram) != 4:
         raise GeometryError("pencil anchor must be regular")
     # the grams as points of P^15; a zero q2 reads as the point of q1
-    if _proportional(_flat_cleared(q1.gram), _flat_cleared(q2.gram)):
+    if proportional(flat_cleared(q1.gram._cleared_rows()), flat_cleared(q2.gram._cleared_rows())):
         raise GeometryError("identical quadrics")
     det = _pencil_det(q1.gram, q2.gram)
     assert det[0]

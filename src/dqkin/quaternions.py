@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .errors import GeometryError
-from .linalg import Matrix, _cleared, _scalars
+from .kept import cleared, scalars_of
+from .linalg import Matrix
 from .scalars import Scalar, scalar, ZERO
 
 
@@ -45,7 +46,7 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            ca, cb = _cleared(self.coords()), _cleared(other.coords())
+            ca, cb = cleared(self.coords()), cleared(other.coords())
             if ca is not None and cb is not None:
                 return _cleared_product(ca, cb)
             a, b = self, other
@@ -116,7 +117,7 @@ def _hamilton(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int, int]:
 
 
 def _cleared_product(a, b) -> Quaternion:
-    """Hamilton product of two cleared coordinate vectors (see linalg._cleared).
+    """Hamilton product of two cleared coordinate vectors (see kept.cleared).
 
     Every output coordinate involves all eight inputs, so all four are
     Gaussian exactly when an input is, as in the scalar product.
@@ -124,7 +125,7 @@ def _cleared_product(a, b) -> Quaternion:
     (ar, ai, ad, _), (br, bi, bd, _) = a, b
     re = _hamilton(ar, br)
     if ai is None and bi is None:
-        return Quaternion(*_scalars(re, None, ad * bd, 0))
+        return Quaternion(*scalars_of(re, None, ad * bd, 0))
     # (ar + i ai)(br + i bi), the scalar i commuting with the units
     im = (0, 0, 0, 0)
     if bi is not None:
@@ -133,7 +134,7 @@ def _cleared_product(a, b) -> Quaternion:
         im = [x + y for x, y in zip(im, _hamilton(ai, br))]
         if bi is not None:
             re = [x - y for x, y in zip(re, _hamilton(ai, bi))]
-    return Quaternion(*_scalars(re, im, ad * bd, 0b1111))
+    return Quaternion(*scalars_of(re, im, ad * bd, 0b1111))
 
 
 Q_ONE = Quaternion(1, 0, 0, 0)
@@ -177,7 +178,8 @@ class DualQuaternion:
 
     @staticmethod
     def from_coords(coords: Sequence) -> "DualQuaternion":
-        assert len(coords) == 8
+        if len(coords) != 8:
+            raise GeometryError("a dual quaternion has 8 coordinates, got %d" % len(coords))
         return DualQuaternion(Quaternion(*coords[:4]), Quaternion(*coords[4:]))
 
     def coords(self) -> Tuple[Scalar, ...]:

@@ -19,7 +19,8 @@ from functools import cache
 from typing import Optional, Tuple
 
 from .errors import GeometryError, InvariantError
-from .linalg import Matrix, _flat_cleared, _scalars, det, rank, solve
+from .kept import flat_cleared, scalars_of
+from .linalg import Matrix, det, rank, solve
 from .projgeom import ProjPoint, Subspace
 from .quaternions import (
     DualQuaternion,
@@ -117,11 +118,14 @@ class AdmissibleTransform:
     factors: Optional[Tuple[DualQuaternion, DualQuaternion]] = None
 
     def apply(self, x: ProjPoint) -> ProjPoint:
-        assert x.ambient == 8
+        if x.ambient != 8:
+            raise GeometryError("a transform acts on points of 8 coordinates, got %d"
+                                % x.ambient)
         return ProjPoint(self.matrix.apply(x.coords))
 
     def apply_subspace(self, u: Subspace) -> Subspace:
-        assert u.basis is not None, "cannot transform the empty subspace"
+        if u.basis is None:
+            raise GeometryError("cannot transform the empty subspace")
         rows = [self.matrix.apply(r) for r in u.basis.rows]
         return Subspace.from_rows(rows, ambient=8)
 
@@ -163,7 +167,9 @@ def verify_admissible(t: Matrix) -> VerificationReport:
     two, so no nonzero rescaling of t, complex ones included, changes the
     report.
     """
-    assert t.nrows == 8 and t.ncols == 8
+    if t.nrows != 8 or t.ncols != 8:
+        raise GeometryError("an admissible transform is an 8x8 matrix, got %dx%d"
+                            % (t.nrows, t.ncols))
     if not t.is_exact():
         t = t.scale(_power_of_two_scale(_flatten(t)))
     a, b, c, d = (_block(t, i, j) for i in (0, 4) for j in (0, 4))
@@ -238,13 +244,13 @@ def _associate(a: Matrix) -> Matrix:
     """
     table = _associate_table()
     if a.is_exact():
-        re, im, den, _ = _flat_cleared(a)
+        re, im, den, _ = flat_cleared(a._cleared_rows())
 
         def sums(v):
             return [sum(s * v[k] for s, k in terms) for terms in table]
 
         gaussian = im is not None
-        entries = _scalars(sums(re), sums(im) if gaussian else None, 4 * den,
+        entries = scalars_of(sums(re), sums(im) if gaussian else None, 4 * den,
                            (1 << 16) - 1 if gaussian else 0)
     else:
         flat = _flatten(a)
@@ -302,7 +308,8 @@ def factor_so4(a: Matrix) -> Tuple[Quaternion, Quaternion]:
 
 def _so4_factors(a: Matrix) -> Tuple[Quaternion, Quaternion, Matrix, Matrix]:
     """factor_so4's l and r, with L(l) and R(r) from its product check."""
-    assert a.nrows == 4 and a.ncols == 4
+    if a.nrows != 4 or a.ncols != 4:
+        raise GeometryError("factor_so4 needs a 4x4 matrix, got %dx%d" % (a.nrows, a.ncols))
     power = None if a.is_exact() else _power_of_two_scale(_flatten(a))
     scaled = a if power is None else a.scale(power)
     _, orthogonal, positive = _positive_orthogonal(scaled, scaled.transpose() * scaled)

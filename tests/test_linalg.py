@@ -8,17 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dqkin.errors import GeometryError
+from dqkin.kept import (cancelling, cleared, cleared_image, first_nonzero, kinds_of,
+                        normalized, residue, scalars_of, transposed)
 from dqkin.linalg import (
     Matrix,
-    _cancelling,
-    _cleared,
-    _cleared_image,
-    _first_nonzero,
-    _kinds,
-    _normalized,
-    _residue,
-    _scalars,
-    _transposed,
     det,
     inverse,
     nullspace,
@@ -904,7 +897,7 @@ def _loop_first_nonzero(v):
 
 class TestFormOperationsAgainstScalarLoop:
     """The operations other modules call on kept forms, in value and kind
-    against the scalar loop they stand for.  ``_residue`` is checked so in
+    against the scalar loop they stand for.  ``residue`` is checked so in
     ``test_projgeom.py`` (``TestIntegerKernelsKeepKinds``), through
     ``Subspace._residue_of``."""
 
@@ -912,18 +905,18 @@ class TestFormOperationsAgainstScalarLoop:
         rng = random.Random(91)
         seen = {"zero": 0, "imaginary_pivot": 0, "real_gaussian_pivot": 0}
         for v in _form_vectors(rng):
-            form = _cleared(v)
+            form = cleared(v)
             p = _loop_first_nonzero(v)
-            assert _first_nonzero(form) == p
+            assert first_nonzero(form) == p
             if p is None:
                 seen["zero"] += 1
-                assert _normalized(form) is None
+                assert normalized(form) is None
                 continue
             pivot = v[p]
             want = [e / pivot for e in v]
-            got = _normalized(form)
-            assert [_bits(e) for e in _scalars(*got)] == [_bits(e) for e in want]
-            assert got == _cleared(want)  # reduced: the form _cleared gives
+            got = normalized(form)
+            assert [_bits(e) for e in scalars_of(*got)] == [_bits(e) for e in want]
+            assert got == cleared(want)  # reduced: the form cleared gives
             if type(pivot) is GaussianRational and any(type(e) is ExactRational for e in v):
                 seen["imaginary_pivot"] += pivot.re == 0
                 seen["real_gaussian_pivot"] += pivot.im == 0
@@ -937,21 +930,21 @@ class TestFormOperationsAgainstScalarLoop:
         gaussian_rows = 0
         for m in _mixed_exact_cases(rng):
             red, pivots = rref(m)
-            vectors = [_cleared(v) for v in (
+            vectors = [cleared(v) for v in (
                 (next(_form_vectors(rng, 1)) * m.ncols)[:m.ncols] for _ in range(3))]
             # forms over their own denominators, and their residues modulo
             # the reduced rows
             cases = [vectors, m._cleared_rows()]
             if pivots:
                 forms = red._slice(0, len(pivots))._cleared_rows()
-                cases.append([_residue(v, forms, pivots) for v in vectors])
+                cases.append([residue(v, forms, pivots) for v in vectors])
             for cols in cases:
-                rows = _transposed(cols)
-                want = [_scalars(*c) for c in cols]
+                rows = transposed(cols)
+                want = [scalars_of(*c) for c in cols]
                 for j, row in enumerate(rows):
-                    entries = _scalars(*row)
+                    entries = scalars_of(*row)
                     assert [_bits(e) for e in entries] == [_bits(col[j]) for col in want]
-                    assert row == _cleared(entries)
+                    assert row == cleared(entries)
                     gaussian_rows += row[3] != 0
         assert gaussian_rows > 300
 
@@ -967,11 +960,11 @@ class TestFormOperationsAgainstScalarLoop:
             if k is None:
                 continue
             c = -a[k] / b[k]
-            coeffs = _cancelling(_cleared(a), _cleared(b), k)
-            got = _scalars(*coeffs)
+            coeffs = cancelling(cleared(a), cleared(b), k)
+            got = scalars_of(*coeffs)
             assert got[0] == b[k] and got[1] == -a[k]
             assert [type(e) for e in got] == [type(c)] * 2
-            image = _scalars(*_cleared_image([_cleared(a), _cleared(b)], coeffs))
+            image = scalars_of(*cleared_image([cleared(a), cleared(b)], coeffs))
             assert [type(e) for e in image] == [type(x + c * y) for x, y in zip(a, b)]
             assert list(image) == [b[k] * x - a[k] * y for x, y in zip(a, b)]
             assert image[k].is_zero()
@@ -980,7 +973,7 @@ class TestFormOperationsAgainstScalarLoop:
 
 
 class TestCachedClearedForm:
-    """Each matrix keeps its rows and its columns cleared (``_cleared``), built
+    """Each matrix keeps its rows and its columns cleared (``cleared``), built
     on first use; products and ``apply`` read them."""
 
     @staticmethod
@@ -993,18 +986,18 @@ class TestCachedClearedForm:
         gaussian_rows = 0
         for m in _mixed_exact_cases(rng):
             rows = m._cleared_rows()
-            assert rows == [_cleared(r) for r in m.rows]
-            assert m._cleared_columns() == [_cleared(c) for c in zip(*m.rows)]
+            assert rows == [cleared(r) for r in m.rows]
+            assert m._cleared_columns() == [cleared(c) for c in zip(*m.rows)]
             assert m._cleared_rows() is rows
             t = m.transpose()
-            assert t._cleared_rows() == [_cleared(r) for r in t.rows]
+            assert t._cleared_rows() == [cleared(r) for r in t.rows]
             assert t._cleared_columns() == rows
             gaussian_rows += sum(im is not None for _, im, _, _ in rows)
         assert gaussian_rows > 100
 
     def test_rref_keeps_its_rows_cleared(self):
         """rref of an exact matrix returns its eliminated rows in their kept
-        form, reduced: equal to ``_cleared`` of the rows it makes from them on
+        form, reduced: equal to ``cleared`` of the rows it makes from them on
         first read, kinds mask included.  Those rows are checked against the
         scalar loop and the pair reference by the elimination tests."""
         rng = random.Random(84)
@@ -1016,7 +1009,7 @@ class TestCachedClearedForm:
         for m in cases:
             red, pivots = rref(m)
             forms = red._row_form  # read before the rows
-            assert forms == [_cleared(r) for r in red.rows]
+            assert forms == [cleared(r) for r in red.rows]
             reduced_dens += any(d > 1 for _, _, d, _ in forms)
         assert reduced_dens > 100
 
@@ -1054,13 +1047,13 @@ class TestCachedClearedForm:
 
     @staticmethod
     def assert_born_kept(m, want_rows):
-        """m has kept rows, read here before its rows: each equals ``_cleared``
+        """m has kept rows, read here before its rows: each equals ``cleared``
         of the row it then makes, kinds mask included, and those rows are
         the scalar loop's, entry by entry and kind by kind."""
         forms = m._row_form
         assert type(forms) is list
         assert _rows_bits(m.rows) == _rows_bits(want_rows)
-        assert forms == [_cleared(r) for r in m.rows]
+        assert forms == [cleared(r) for r in m.rows]
 
     def test_exact_results_are_born_kept(self):
         """Exact products, and transposes, sums and scalings of matrices with
@@ -1133,9 +1126,9 @@ class TestCachedClearedForm:
 
 
 class TestKindReaderAndWriter:
-    """``_kinds`` reads the Gaussian positions of a vector into ``_cleared``'s
-    kinds mask, and ``_scalars`` writes a cleared form back as scalars,
-    undoing ``_cleared``."""
+    """``kinds_of`` reads the Gaussian positions of a vector into ``cleared``'s
+    kinds mask, and ``scalars_of`` writes a cleared form back as scalars,
+    undoing ``cleared``."""
 
     @staticmethod
     def mixed_vector(rng, n):
@@ -1150,15 +1143,15 @@ class TestKindReaderAndWriter:
 
     def test_kinds_marks_gaussian_positions(self):
         u = (ZERO, gaussian(0, 0), rational(3), gaussian(2, 0), gaussian(0, 1))
-        assert _kinds(u) == 0b11010
-        assert _kinds(u[:1] + u[2:3]) == 0
+        assert kinds_of(u) == 0b11010
+        assert kinds_of(u[:1] + u[2:3]) == 0
 
     def test_round_trip_keeps_value_kind_and_shared_zeros(self):
         rng = random.Random(91)
         seen, gaussian_zeros = set(), set()
         for _ in range(300):
             u = self.mixed_vector(rng, rng.randint(1, 8))
-            got = _scalars(*_cleared(u))
+            got = scalars_of(*cleared(u))
             assert [_bits(e) for e in got] == [_bits(e) for e in u]
             zeros = [e for e in got if e.is_zero()]
             assert all(z is ZERO for z in zeros if type(z) is ExactRational)
@@ -1168,7 +1161,7 @@ class TestKindReaderAndWriter:
 
     def test_mask_alone_sets_the_kind(self):
         """im None stands for zero imaginary parts; the mask decides each kind."""
-        assert [_bits(e) for e in _scalars([0, 2, -4], None, 4, 0b101)] == [
+        assert [_bits(e) for e in scalars_of([0, 2, -4], None, 4, 0b101)] == [
             ("gaussian", 0, 0), ("rational", Fraction(1, 2)), ("gaussian", -1, 0)]
-        assert [_bits(e) for e in _scalars([3, 0], [1, 0], 6, 0b11)] == [
+        assert [_bits(e) for e in scalars_of([3, 0], [1, 0], 6, 0b11)] == [
             ("gaussian", Fraction(1, 2), Fraction(1, 6)), ("gaussian", 0, 0)]

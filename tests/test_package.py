@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -157,56 +158,85 @@ def test_no_unused_imports():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-# the private linalg names each module imports: the kept form's type and
-# operations, and the integer readers of motions, quaternions, quadrics and
-# transforms
-PRIVATE_LINALG_IMPORTS = {
-    "motions.py": ("_cleared", "_scalars"),
-    "projgeom.py": ("_Cleared", "_cleared_image", "_first_nonzero", "_kernel_forms",
-                    "_proportional", "_reduced_form", "_residue", "_transposed"),
-    "quadrecon.py": ("_Cleared", "_cancelling", "_cleared_image", "_first_nonzero",
-                     "_normalized", "_proportional"),
-    "quadrics.py": ("_cleared_image", "_dot_numerator", "_flat_cleared", "_kernel",
-                    "_proportional", "_scalars"),
-    "quaternions.py": ("_cleared", "_scalars"),
-    "transforms.py": ("_flat_cleared", "_scalars"),
+# what each module imports from a sibling that is not public API: every name
+# it imports from kept, the one home of the integer forms (the cleared
+# vectors, the integer polynomials and their kernels), and every underscore
+# name it imports from another module
+SIBLING_IMPORTS = {
+    "dyads.py": {"quadrics": ("_lines_through",),
+                 "scalars": ("_power_of_two_scale", "_unit_scale")},
+    "linalg.py": {"kept": ("Cleared", "all_cleared", "cleared", "cleared_image",
+                           "cleared_products", "exact_elimination", "first_nonzero",
+                           "int_step", "kernel_forms", "kinds_of", "reduced_form",
+                           "scalars_of", "transposed"),
+                  "scalars": ("_float_of",)},
+    "motions.py": {"kept": ("cleared", "int_gcd", "poly_product", "poly_sum", "pseudo_divmod",
+                            "scalars_of", "stripped"),
+                   "scalars": ("_power_of_two_scale",)},
+    "projgeom.py": {"kept": ("Cleared", "cleared_image", "first_nonzero", "kernel_forms",
+                             "proportional", "reduced_form", "residue", "transposed"),
+                    "scalars": ("_power_of_two_scale",)},
+    "quadrecon.py": {"kept": ("Cleared", "cancelling", "cleared_image", "first_nonzero",
+                              "normalized", "proportional")},
+    "quadrics.py": {"kept": ("IntPoly", "NO_POLY", "cleared_image", "derivative",
+                             "dot_numerator", "flat_cleared", "int_gcd", "poly_product",
+                             "poly_sum", "proportional", "scalars_of", "stripped"),
+                    "linalg": ("_kernel",),
+                    "scalars": ("_power_of_two_scale",)},
+    "quaternions.py": {"kept": ("cleared", "scalars_of")},
+    "transforms.py": {"kept": ("flat_cleared", "scalars_of"),
+                      "scalars": ("_power_of_two_scale",)},
 }
 
 
-# the private polys names each module imports: the integer polynomials that
-# quadrics expands and splits the pencil determinant on, and motions forms
-# trajectories on
-PRIVATE_POLYS_IMPORTS = {
-    "motions.py": ("_int_gcd", "_poly_product", "_poly_sum", "_pseudo_divmod", "_stripped"),
-    "quadrics.py": ("_IntPoly", "_NO_POLY", "_derivative", "_int_gcd", "_poly_product",
-                    "_poly_sum", "_stripped"),
-}
-
-
-def private_imports(module):
-    """Each source file's underscore names imported from the sibling
-    ``module``, at any depth, for the files that import any."""
+def sibling_imports(path, keep=lambda module, name: True):
+    """The names a source file imports from sibling modules, at any depth,
+    by module, for the pairs ``keep`` accepts."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
     found = {}
-    for path in source_paths():
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
-        names = tuple(sorted(alias.name for node in ast.walk(tree)
-                             if isinstance(node, ast.ImportFrom) and node.level == 1
-                             and node.module == module
-                             for alias in node.names if alias.name.startswith("_")))
-        if names:
-            found[os.path.basename(path)] = names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [a.name for a in node.names if keep(node.module, a.name)]
+            if names:
+                found[node.module] = tuple(sorted(found.get(node.module, ()) + tuple(names)))
     return found
 
 
-def test_private_linalg_surface():
-    """Outside linalg, only the listed modules import private linalg names,
-    and only the listed ones: a new reach into the kept form is a change to
-    this list, not a silent one."""
-    assert private_imports("linalg") == PRIVATE_LINALG_IMPORTS
+def test_sibling_import_surface():
+    """Only the listed modules reach into kept or import underscore names
+    from a sibling, and only the listed names: a new reach into the integer
+    forms or a private name is a change to this list, not a silent one."""
+    found = {}
+    for path in source_paths():
+        imports = sibling_imports(path, lambda module, name: module == "kept"
+                                  or name.startswith("_"))
+        if imports:
+            found[os.path.basename(path)] = imports
+    assert found == SIBLING_IMPORTS
 
 
-def test_private_polys_surface():
-    """Outside polys, only the listed modules import private polys names,
-    and only the listed ones."""
-    assert private_imports("polys") == PRIVATE_POLYS_IMPORTS
+def test_kept_imports_only_errors_and_scalars():
+    """kept sits below linalg and polys: of the package it reads only the
+    errors and the scalars, so no Matrix or Poly internals."""
+    path = next(p for p in source_paths() if os.path.basename(p) == "kept.py")
+    assert set(sibling_imports(path)) == {"errors", "scalars"}
+
+
+# CPython 3.11's parser allocates every token of a module up front and
+# doubles its token array at 8,192 tokens, so a module past that step
+# compiles at about twice the peak memory; the largest compile peak of an
+# import sets the benchmark's peak_rss_mb when no bytecode is written
+TOKEN_BUDGET = 8000
+UNCOUNTED_TOKENS = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+
+
+def test_modules_stay_under_the_parser_step():
+    """Every module of dqkin has fewer than TOKEN_BUDGET tokens, not counting
+    comments, blank lines and the encoding."""
+    sizes = {}
+    for path in source_paths():
+        with open(path, "rb") as fh:
+            tokens = tokenize.tokenize(fh.readline)
+            sizes[os.path.basename(path)] = sum(t.type not in UNCOUNTED_TOKENS for t in tokens)
+    assert {name: n for name, n in sizes.items() if n >= TOKEN_BUDGET} == {}

@@ -9,13 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dqkin.errors import ExactnessError
+from dqkin.kept import int_gcd, poly_product, poly_sum, pseudo_divmod, stripped
 from dqkin.polys import (
     Poly,
-    _int_gcd,
-    _poly_product,
-    _poly_sum,
-    _pseudo_divmod,
-    _stripped,
     exact_div,
     low_degree_roots,
     monic,
@@ -126,14 +122,15 @@ class TestDivisionAndGcd:
 class TestZeroPolynomial:
     SCRIPT = (
         "from dqkin.errors import GeometryError\n"
-        "from dqkin.polys import (Poly, _pseudo_divmod, exact_div, low_degree_roots, monic,\n"
-        "                         poly_divmod, split_quadratic, squarefree_part)\n"
+        "from dqkin.kept import pseudo_divmod\n"
+        "from dqkin.polys import (Poly, exact_div, low_degree_roots, monic, poly_divmod,\n"
+        "                         split_quadratic, squarefree_part)\n"
         "from dqkin.scalars import rational\n"
         "zero, p = Poly([]), Poly([1, 1])\n"
         "for make in (lambda: zero.leading(),\n"
         "             lambda: poly_divmod(p, zero),\n"
         "             lambda: exact_div(p, zero),\n"
-        "             lambda: _pseudo_divmod(([1, 1], None, 0), ([], None, 0)),\n"
+        "             lambda: pseudo_divmod(([1, 1], None, 0), ([], None, 0)),\n"
         "             lambda: monic(zero),\n"
         "             lambda: squarefree_part(zero),\n"
         "             lambda: low_degree_roots(zero),\n"
@@ -238,7 +235,7 @@ class TestSplitQuadratic:
 
 def int_poly(coeffs, over_gaussians):
     """The integer polynomial of ascending (re, im) pairs, over Z or Z[i]."""
-    return _stripped([x for x, _ in coeffs],
+    return stripped([x for x, _ in coeffs],
                      [y for _, y in coeffs] if over_gaussians else None, 0)
 
 
@@ -262,7 +259,7 @@ class TestIntegerPolynomials:
     @staticmethod
     def assert_divmod(a, b):
         """lc(b)^n a = q b + r: q and r over lc(b)^n are poly_divmod's."""
-        q, r, n = _pseudo_divmod(a, b)
+        q, r, n = pseudo_divmod(a, b)
         scale = as_poly(b).leading() ** n
         want = poly_divmod(as_poly(a), as_poly(b))
         assert (as_poly(q), as_poly(r)) == (want[0].scale(scale), want[1].scale(scale))
@@ -288,7 +285,7 @@ class TestIntegerPolynomials:
             common = [f[0], f[0]] if rng.random() < 0.5 else [f[0]]
             a = times(over_gaussians, *common, f[1], *[content] * rng.randint(0, 1))
             b = times(over_gaussians, *common, f[2], f[3], *[content] * rng.randint(0, 1))
-            g = _int_gcd(a, b)
+            g = int_gcd(a, b)
             assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
             assert over_gaussians or gcd(*g[0]) == 1
             for p in (a, b):
@@ -300,10 +297,10 @@ class TestIntegerPolynomials:
         """A factor over Z times one over Z[i]: the missing im reads as
         zeros on either side."""
         over_z, over_gaussians = ([1, 1], None, 0), ([0, 1], [1, 0], 0)   # 1 + t, i + t
-        assert _poly_product(over_z, over_gaussians) == ([0, 1, 1], [1, 1, 0], 0)
+        assert poly_product(over_z, over_gaussians) == ([0, 1, 1], [1, 1, 0], 0)
         for a in (over_z, over_gaussians):
             for b in (over_z, over_gaussians):
-                assert as_poly(_poly_product(a, b)) == as_poly(a) * as_poly(b)
+                assert as_poly(poly_product(a, b)) == as_poly(a) * as_poly(b)
 
     @pytest.mark.parametrize("over_gaussians", [False, True])
     def test_zero_constant_and_inexact_operands(self, over_gaussians):
@@ -312,19 +309,19 @@ class TestIntegerPolynomials:
         two, seven = int_poly([(2, 0)], over_gaussians), int_poly([(7, 7 * i)], over_gaussians)
         p = int_poly([(-4, 2 * i), (0, 0), (6, 0)], over_gaussians)   # content 2
         for a, b in ((p, zero), (zero, p), (p, seven), (seven, p), (p, p)):
-            g = _int_gcd(a, b)
+            g = int_gcd(a, b)
             assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
-        assert as_poly(_int_gcd(zero, zero)).is_zero()
+        assert as_poly(int_gcd(zero, zero)).is_zero()
         # gcd(p, 0) is p's primitive part, as gcd(0, p) is
-        assert _int_gcd(p, zero) == _int_gcd(zero, p) == int_poly(
+        assert int_gcd(p, zero) == int_gcd(zero, p) == int_poly(
             [(-2, i), (0, 0), (3, 0)], over_gaussians)
         assert self.assert_divmod(zero, p).is_zero()
-        for d in (two, seven, _int_gcd(p, p)):
+        for d in (two, seven, int_gcd(p, p)):
             assert self.assert_divmod(p, d) == exact_div(as_poly(p), as_poly(d))
         # a remainder is left where exact_div refuses
         a, b = int_poly([(1, 0), (0, 0), (1, 0)], over_gaussians), int_poly([(1, 0), (1, 0)],
                                                                             over_gaussians)
-        assert not as_poly(_pseudo_divmod(a, b)[1]).is_zero()
+        assert not as_poly(pseudo_divmod(a, b)[1]).is_zero()
         with pytest.raises(ExactnessError):
             exact_div(as_poly(a), as_poly(b))
 
@@ -342,7 +339,7 @@ class TestIntegerPolynomials:
             for _ in range(4):
                 common = factor(2)
                 a, b = times(True, common, factor(degree - 2)), times(True, common, factor(degree - 2))
-                g = _int_gcd(a, b)
+                g = int_gcd(a, b)
                 assert monic(as_poly(g)) == poly_gcd(as_poly(a), as_poly(b))
                 assert max(abs(x).bit_length() for x in g[0] + g[1]) <= 8
 
@@ -357,8 +354,8 @@ def stepwise_divmod(a, b):
     q, n, lead = ([], None, 0), 0, lead_term(b, 0)
     while len(a[0]) >= len(b[0]):
         term = lead_term(a, len(a[0]) - len(b[0]))
-        q = _poly_sum(_poly_product(q, lead), term)
-        a = _poly_sum(_poly_product(a, lead), _poly_product(term, b), -1)
+        q = poly_sum(poly_product(q, lead), term)
+        a = poly_sum(poly_product(a, lead), poly_product(term, b), -1)
         n += 1
     return q, a, n
 
@@ -401,12 +398,12 @@ class TestPseudoDivision:
     @example((([3, 1, 4, 1, 5], None, 0), ([2, 7], [1, 2], 0)))
     def test_identity_and_reference(self, operands):
         a, b = operands
-        q, r, n = _pseudo_divmod(a, b)
+        q, r, n = pseudo_divmod(a, b)
         power = ([1], None, 0)
         for _ in range(n):
-            power = _poly_product(power, ([b[0][-1]], b[1] and [b[1][-1]], 0))
+            power = poly_product(power, ([b[0][-1]], b[1] and [b[1][-1]], 0))
         # lc(b)^n a = q b + r
-        assert as_poly(_poly_product(power, a)) == as_poly(_poly_sum(_poly_product(q, b), r))
+        assert as_poly(poly_product(power, a)) == as_poly(poly_sum(poly_product(q, b), r))
         assert len(r[0]) < len(b[0])
         assert n <= max(0, len(a[0]) - len(b[0]) + 1)
         want = stepwise_divmod(a, b)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ldexp
 
@@ -6,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import (Matrix, _cleared, _scalars, det, nullspace, rank, solve,
-                          vec_is_zero, vec_scale)
+from dqkin.kept import cleared, scalars_of
+from dqkin.linalg import Matrix, det, nullspace, rank, solve, vec_is_zero, vec_scale
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -327,7 +330,7 @@ class TestIntegerKernelsKeepKinds:
                 for v in (inside, outside, [x + y for x, y in zip(inside, outside)]):
                     want = ref_residue(u, v)
                     assert_same(u._residue(v), want)
-                    assert_same(_scalars(*u._residue_of(_cleared(v))), want)
+                    assert_same(scalars_of(*u._residue_of(cleared(v))), want)
                     if any(not x.is_zero() for x in v):
                         assert u.contains(ProjPoint(v)) == all(x.is_zero() for x in want)
                 if u.dim > 0 and any(not c.is_zero() for c in cs):
@@ -362,7 +365,7 @@ class TestIntegerKernelsKeepKinds:
                 points.append(got)
                 lifts += 1
             if kind == "mixed":
-                assert all(p._kept() == _cleared(p.coords) for p in points)
+                assert all(p._kept() == cleared(p.coords) for p in points)
         assert lifts > 60
 
     def test_meet(self):
@@ -461,6 +464,100 @@ class TestLine:
     def test_line_is_subspace(self):
         ln = Line.through(point(Q_ONE), point(Q_I))
         assert ln == span([point(Q_ONE), point(Q_I)])
+
+
+class TestShapePreconditions:
+    SCRIPT = (
+        "from dqkin.errors import GeometryError\n"
+        "from dqkin.linalg import Matrix\n"
+        "from dqkin.projgeom import (Line, ProjPoint, Subspace, chi_point, chi_subspace,\n"
+        "                            fiber_image, fiber_projectivity, join, meet,\n"
+        "                            project_from_center, span)\n"
+        "from dqkin.quadrics import (QuadricForm, common_lines, is_null_line, quadric_e,\n"
+        "                            restrict, ruling_handedness)\n"
+        "from dqkin.quaternions import DualQuaternion\n"
+        "from dqkin.transforms import AdmissibleTransform, factor_so4, verify_admissible\n"
+        "p2, p3, q3 = ProjPoint([1, 0, 0]), ProjPoint([1, 0, 0, 0]), ProjPoint([0, 1, 0, 0])\n"
+        "p7 = ProjPoint([1, 0, 0, 0, 0, 0, 0, 0])\n"
+        "center = Subspace.from_rows([[0, 1, 0, 0, 0, 0, 0, 0]], 8)\n"
+        "target = Subspace.from_rows([[0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]], 8)\n"
+        "e3, t = quadric_e(), AdmissibleTransform(Matrix.identity(8))\n"
+        "i3 = QuadricForm(Matrix.identity(3))\n"
+        "for make in (lambda: span([p3, p2]),\n"
+        "             lambda: span([]),\n"
+        "             lambda: join(span([p3]), span([p2])),\n"
+        "             lambda: meet(span([p3]), span([p2])),\n"
+        "             lambda: Subspace(Matrix([[1, 0, 0]]), 4),\n"
+        "             lambda: span([p3]).contains(p2),\n"
+        "             lambda: Subspace.empty(4).lift(ProjPoint([1, 1])),\n"
+        "             lambda: Line.of(span([p3])),\n"
+        "             lambda: project_from_center(p3, center, target),\n"
+        "             lambda: p3.dq(),\n"
+        "             lambda: DualQuaternion.from_coords([1, 0, 0, 0]),\n"
+        "             lambda: chi_point(p3),\n"
+        "             lambda: chi_subspace(span([p3])),\n"
+        "             lambda: fiber_projectivity(p3),\n"
+        "             lambda: fiber_image(span([p3])),\n"
+        "             lambda: e3.polar(p2, p3),\n"
+        "             lambda: e3.contains_line(p3, p2),\n"
+        "             lambda: restrict(e3, Subspace.empty(4)),\n"
+        "             lambda: restrict(e3, span([p7])),\n"
+        "             lambda: is_null_line(p3, q3),\n"
+        "             lambda: ruling_handedness(p3, q3),\n"
+        "             lambda: common_lines(i3, i3),\n"
+        "             lambda: verify_admissible(Matrix.identity(4)),\n"
+        "             lambda: factor_so4(Matrix.identity(8)),\n"
+        "             lambda: t.apply(p3),\n"
+        "             lambda: t.apply_subspace(Subspace.empty(8))):\n"
+        "    try:\n"
+        "        print(make())\n"
+        "    except GeometryError as exc:\n"
+        "        print(exc)\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_mismatched_dimensions_raise(self, flags):
+        """Points and subspaces of different ambient dimensions in a span,
+        join, meet, membership test or central projection, a basis of the
+        wrong width, the empty subspace where a chart, a restricted form or
+        a transformed subspace is asked of it, a non-line as a line, P^3
+        points where P^7 ones are needed (dual quaternions, chi, the fiber
+        projectivity, null lines and rulings), points of the wrong width for
+        a form, and grams or matrices of the wrong size for common lines,
+        the admissibility check, the SO(4) factors and a transform raise
+        GeometryError, also under python -O, where an assert would leave a
+        silent answer or another exception."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        p3_in_p7 = "expected points and subspaces of 8 coordinates, got 4"
+        assert proc.stdout.splitlines() == [
+            "expected points and subspaces of 4 coordinates, got 3",
+            "a span needs at least one point",
+            "expected points and subspaces of 4 coordinates, got 3",
+            "expected points and subspaces of 4 coordinates, got 3",
+            "a subspace basis needs one column per coordinate: expected 4, got 3",
+            "expected points and subspaces of 4 coordinates, got 3",
+            "the empty subspace has no chart",
+            "a line has a basis of two rows",
+            "expected points and subspaces of 4 coordinates, got 8",
+            "a dual quaternion has 8 coordinates, got 4",
+            "a dual quaternion has 8 coordinates, got 4",
+            p3_in_p7, p3_in_p7, p3_in_p7, p3_in_p7,
+            "a form on 4 coordinates takes points of 4, got 3",
+            "a form on 4 coordinates takes points of 4, got 3",
+            "the empty subspace has no restricted form",
+            "a form on 4 coordinates restricts to subspaces of 4, got 8",
+            "a line of P^7 needs two points of 8 coordinates, got 4 and 4",
+            "a line of P^7 needs two points of 8 coordinates, got 4 and 4",
+            "common lines need two forms of a 3-space chart, 4x4 grams, got 3x3 and 3x3",
+            "an admissible transform is an 8x8 matrix, got 4x4",
+            "factor_so4 needs a 4x4 matrix, got 8x8",
+            "a transform acts on points of 8 coordinates, got 4",
+            "cannot transform the empty subspace",
+        ]
 
 
 class TestFiberProjectivity:
@@ -849,7 +946,7 @@ def _loop_reduced(rows):
 class TestKeptForms:
     """Exact results are born in the cleared integer form they are computed
     in: the rows of a reduced basis are made from its kept rows on first
-    read, and the kept rows equal ``_cleared`` of them, kinds masks
+    read, and the kept rows equal ``cleared`` of them, kinds masks
     included.  Seeded rational, Gaussian and mixed inputs through from_rows,
     span, join, meet and project_from_center; each result also equals the
     scalar loop's in value and kind."""
@@ -870,7 +967,7 @@ class TestKeptForms:
             assert want_rows == []
             return
         forms = u.basis._row_form  # read before the rows
-        assert forms == [_cleared(r) for r in u.basis.rows]
+        assert forms == [cleared(r) for r in u.basis.rows]
         assert _rows_bits(u.basis.rows) == _rows_bits(want_rows)
 
     @pytest.mark.parametrize("kind", ("rational", "gaussian", "mixed"))
@@ -935,6 +1032,6 @@ class TestKeptForms:
                 continue
             got = project_from_center(x, center, target)
             assert [_bits(c) for c in got.coords] == [_bits(c) for c in want[0]]
-            assert got._kept() == _cleared(got.coords)
+            assert got._kept() == cleared(got.coords)
             done += 1
         assert done > 20

@@ -11,7 +11,8 @@ from dqkin import quadrecon
 
 from dqkin.dyads import DyadKind, DyadSpec, build_variety, classify
 from dqkin.errors import ExactnessError, GeometryError, InvariantError
-from dqkin.linalg import Matrix, _cleared, inverse, rank, vec_add, vec_scale
+from dqkin.kept import cleared
+from dqkin.linalg import Matrix, inverse, rank, vec_add, vec_scale
 from dqkin.projgeom import (
     Line,
     ProjPoint,
@@ -278,7 +279,7 @@ def outcome(run, cycle, start):
         points = run(cycle, start)
     except GeometryError as exc:
         return "GeometryError: %s" % exc
-    return [(typed(p), p._kept() == _cleared(p.coords)) for p in points]
+    return [(typed(p), p._kept() == cleared(p.coords)) for p in points]
 
 
 def closed_form_mismatches(seed, count):

@@ -7,7 +7,8 @@ import pytest
 from dqkin import quadrics
 from dqkin.dyads import DyadKind, build_variety
 from dqkin.errors import ExactnessError, GeometryError
-from dqkin.linalg import Matrix, _scalars, rank, solve
+from dqkin.kept import scalars_of
+from dqkin.linalg import Matrix, rank, solve
 from dqkin.polys import Poly, low_degree_roots, poly_gcd, squarefree_part
 from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
@@ -134,7 +135,7 @@ class TestPencilDet:
         want = cofactor_det(g1, g2)
         re, im, kinds = _pencil_det(g1, g2)
         den = prod(d for _, _, d, _ in g1._cleared_rows() + g2._cleared_rows())
-        got = _scalars(re, im, den, kinds)
+        got = scalars_of(re, im, den, kinds)
         assert self.coefficient_bits(got) == self.coefficient_bits(want.coeffs)
         return want
 

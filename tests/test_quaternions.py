@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dqkin.errors import GeometryError
-from dqkin.linalg import Matrix, _cleared
+from dqkin.kept import cleared
+from dqkin.linalg import Matrix
 from dqkin.quaternions import (
     DQ_EPS,
     DQ_ONE,
@@ -250,7 +251,7 @@ class TestIntegerProductKeepsKinds:
             if rng.random() < 0.3:
                 a, b = [Quaternion(*[c if type(c) is ExactRational else rational(c.re)
                                      for c in q.coords()]) for q in (a, b)]
-            got = _cleared_product(_cleared(a.coords()), _cleared(b.coords())).coords()
+            got = _cleared_product(cleared(a.coords()), cleared(b.coords())).coords()
             assert_same(got, ref_product(a, b))
             gaussian_input = any(type(c) is GaussianRational for c in a.coords() + b.coords())
             assert {type(c) for c in got} == {GaussianRational if gaussian_input
