@@ -216,6 +216,29 @@ def test_sibling_import_surface():
     assert found == SIBLING_IMPORTS
 
 
+def private_imports(module):
+    """Each source file's underscore names imported from the sibling
+    ``module``, at any depth, for the files that import any."""
+    found = {}
+    for path in source_paths():
+        names = sibling_imports(path, lambda m, name: m == module and name.startswith("_"))
+        if names:
+            found[os.path.basename(path)] = names[module]
+    return found
+
+
+def test_private_linalg_surface():
+    """Outside linalg, only quadrics imports a private linalg name, the
+    kernel of a Matrix; the kept forms it once lent out live in kept."""
+    assert private_imports("linalg") == {"quadrics.py": ("_kernel",)}
+
+
+def test_private_polys_surface():
+    """No module imports a private polys name: the integer polynomials it
+    once lent out live in kept."""
+    assert private_imports("polys") == {}
+
+
 def test_kept_imports_only_errors_and_scalars():
     """kept sits below linalg and polys: of the package it reads only the
     errors and the scalars, so no Matrix or Poly internals."""
