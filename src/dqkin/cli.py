@@ -155,8 +155,6 @@ def cmd_reconstruct(args) -> str:
     doc = _load_json(args.file)
     quadric = jsonio.parse_quadric(_field(doc, "quadric"), "$.quadric",
                                    args.scalar, args.tolerance)
-    if quadric.n != 8:
-        raise ParseError("$.quadric: reconstruction needs an 8x8 form")
     fixed = jsonio.parse_subspace(_field(doc, "e"), "$.e", args.scalar,
                                   args.tolerance)
     f_points = jsonio.parse_points(_field(doc, "f_points"), "$.f_points",

@@ -404,8 +404,8 @@ def recover_axes(v: Union[ConstraintVariety, Subspace], base: ProjPoint) -> Dyad
 
     rotations = []
     translations = []
-    for _, chart in rulings:
-        w = DualQuaternion.from_coords(u2.lift(chart).coords)
+    for ruling in rulings:
+        w = DualQuaternion.from_coords(u2.lift(ProjPoint._of(ruling._slice(1, 2))).coords)
         if ComplexFloat in map(type, w.coords()):  # the tolerant split, at max-norm one
             w = w * _unit_scale(w.coords())
         if w.primal.vector_part().is_zero():

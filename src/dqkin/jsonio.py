@@ -31,7 +31,9 @@ def _fail(path: str, message: str):
 
 def parse_scalar_at(value, path: str, mode: str = "rational",
                     tolerance: float = DEFAULT_TOLERANCE) -> Scalar:
-    assert mode in SCALAR_MODES
+    if mode not in SCALAR_MODES:
+        raise ParseError("unknown scalar mode %r, expected one of %s"
+                         % (mode, ", ".join(SCALAR_MODES)))
     try:
         s = parse_scalar(value, tolerance)
     except ParseError as err:

@@ -53,7 +53,8 @@ class MotionPoly:
     def __init__(self, coefficients, label: MotionLabel = MotionLabel.Generic,
                  params: Optional[Tuple[Scalar, ...]] = None):
         coeffs = list(coefficients)
-        assert all(isinstance(c, DualQuaternion) for c in coeffs)
+        if not all(isinstance(c, DualQuaternion) for c in coeffs):
+            raise GeometryError("a motion polynomial has dual quaternion coefficients")
         while coeffs and coeffs[0].is_zero():
             coeffs.pop(0)
         if not coeffs:
@@ -292,7 +293,9 @@ def c_space_from_line(l: Line) -> CSpaceReport:
     points of the line are computed exactly; scaled so their sum is a
     point of the line, all witness formulas of the proof apply verbatim.
     """
-    assert l.ambient == 8 and l.dim == 1
+    if l.ambient != 8 or l.dim != 1:
+        raise GeometryError("a C space is spanned from a line of P^7, got a subspace "
+                            "of dimension %d in %d coordinates" % (l.dim, l.ambient))
     p0, p1 = (DualQuaternion.from_coords(row) for row in l.basis.rows)
     if not l.basis.is_exact():
         # the witness formulas are homogeneous; representatives at max-norm

@@ -95,9 +95,13 @@ class ProjectionCycle:
     def __post_init__(self):
         object.__setattr__(self, "f_points", tuple(self.f_points))
         object.__setattr__(self, "centers", tuple(self.centers))
-        assert len(self.f_points) == 4 and len(self.centers) == 4
-        assert self.e.ambient == 8
-        assert all(p.ambient == 8 for p in self.f_points + self.centers)
+        if len(self.f_points) != 4 or len(self.centers) != 4:
+            raise GeometryError("a projection cycle has four image points and four centres, "
+                                "got %d and %d" % (len(self.f_points), len(self.centers)))
+        for x in (self.e,) + self.f_points + self.centers:
+            if x.ambient != 8:
+                raise GeometryError("a projection cycle lies in P^7, 8 coordinates, got %d"
+                                    % x.ambient)
         exact = self.e.basis is not None and self.e.basis.is_exact()
         if not (exact and all(p._kept() is not None
                               for p in self.f_points + self.centers)):
@@ -141,7 +145,9 @@ def _targets(spaces):
 
 def run_cycle(c: ProjectionCycle, start: ProjPoint) -> List[ProjPoint]:
     """Chase a point around the four projections; the last point is start."""
-    assert start.ambient == 8
+    if start.ambient != 8:
+        raise GeometryError("a projection cycle starts at a point of P^7, 8 coordinates, got %d"
+                            % start.ambient)
     if start._kept() is None:
         raise ExactnessError("projection cycles need exact scalars")
     spaces = c.spaces()
@@ -164,7 +170,9 @@ class ReconstructionProblem:
     cycle: ProjectionCycle
 
     def __post_init__(self):
-        assert self.omega.n == 8
+        if self.omega.n != 8:
+            raise GeometryError("reconstruction needs a quadric of P^7, an 8x8 gram, got %dx%d"
+                                % (self.omega.n, self.omega.n))
         if not self.omega.gram.is_exact():
             raise ExactnessError("reconstruction needs exact scalars")
         if self.omega.rank() != 8:

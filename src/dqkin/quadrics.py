@@ -19,10 +19,13 @@ an entry is Gaussian, and stays integer: its gcd with its derivative
 holds the repeated roots, and Scalars are made only for the at most
 three coefficients that are split.
 
-One splitter, ``_components``, splits every form of rank one or two:
-the planes of a degenerate member, the lines of a degenerate conic, and
-the lines through a point of a quadric, a conic in its tangent plane
+One splitter, ``_components``, splits every form of rank one or two
+into the matrices of its components' spanning rows: the planes of a
+degenerate member, the lines of a degenerate conic, and the lines
+through a point of a quadric, a conic in its tangent plane
 (``_lines_through``, for a cone vertex and for ``dyads.recover_axes``).
+A candidate line travels as two rows, a conic's component times the
+rows of its plane, kept where exact.
 
 A line lies on a quadric when the form restricted to two of its points
 vanishes (``QuadricForm.contains_line``, integer sums on exact input);
@@ -268,9 +271,10 @@ def _pencil_det(g1: Matrix, g2: Matrix) -> IntPoly:
     return minors[(0, 1, 2, 3)]
 
 
-def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:
-    """The kernel of a form, and the spanning vectors of its linear
-    components when its rank is one (the kernel) or two; none otherwise.
+def _components(form: Matrix) -> Tuple[List[Vector], List[Matrix]]:
+    """The kernel of a form, and the linear components, each the matrix of
+    its spanning rows, when its rank is one (the kernel) or two; none
+    otherwise.
 
     At rank two the unit points at the two pivot columns span a line
     that complements the kernel, so each hyperplane is the kernel joined
@@ -279,7 +283,7 @@ def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:
     red, pivots = rref(form)
     kern = _kernel(red, pivots)
     if len(pivots) == 1:
-        return kern, [kern]
+        return kern, [Matrix._of(kern)]
     if len(pivots) != 2:
         return kern, []
     j1, j2 = pivots
@@ -287,26 +291,19 @@ def _components(form: Matrix) -> Tuple[List[Vector], List[List[Vector]]]:
     for alpha, beta in split_quadratic(form[j1, j1], form[j1, j2], form[j2, j2]):
         coords = [ZERO] * form.ncols
         coords[j1], coords[j2] = alpha, beta
-        components.append(kern + [tuple(coords)])
+        components.append(Matrix._of(kern + [coords]))
     return kern, components
 
 
-def _conic_line_pairs(conic: Matrix) -> List[Tuple[ProjPoint, ProjPoint]]:
-    """Lines of a degenerate conic in a plane chart, as point pairs."""
-    assert conic.nrows == 3
-    return [(ProjPoint(a), ProjPoint(b)) for a, b in _components(conic)[1]]
-
-
-def _plane_lines(form: QuadricForm, plane: Matrix) -> List[Tuple[ProjPoint, ProjPoint]]:
-    """The lines of a quadric in the plane spanned by the rows of plane, as
-    point pairs: the line pairs of the conic it cuts, lifted by those rows."""
+def _plane_lines(form: QuadricForm, plane: Matrix) -> List[Matrix]:
+    """The lines of a quadric in the plane spanned by the rows of plane, two
+    rows each: the lines of the conic it cuts, lifted by those rows."""
     conic = plane * form.gram * plane.transpose()
-    return [(ProjPoint._of(a._row * plane), ProjPoint._of(b._row * plane))
-            for a, b in _conic_line_pairs(conic)]
+    return [line * plane for line in _components(conic)[1]]
 
 
-def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Tuple[ProjPoint, ProjPoint]]:
-    """The lines of a quadric through a point p of it, as point pairs: the
+def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Matrix]:
+    """The lines of a quadric through a point p of it, two rows each: the
     lines of the conic it cuts in the tangent plane at p, singular at p."""
     polar = form.gram.apply(p.coords)
     if vec_is_zero(polar):
@@ -314,19 +311,15 @@ def _lines_through(form: QuadricForm, p: ProjPoint) -> List[Tuple[ProjPoint, Pro
     return _plane_lines(form, Matrix._of(nullspace(Matrix._of([polar]))))
 
 
-def _member_line_pairs(member: Matrix, anchor: QuadricForm):
-    """Candidate common lines contributed by one degenerate member: the
-    anchor's lines in each plane of the member, or through its vertex."""
+def _member_lines(member: Matrix, anchor: QuadricForm) -> List[Matrix]:
+    """Candidate common lines contributed by one degenerate member, two rows
+    each: the anchor's lines in each plane of the member, or through its
+    vertex."""
     kern, planes = _components(member)
     if len(kern) == 1:
         vertex = ProjPoint(kern[0])
         return _lines_through(anchor, vertex) if anchor.contains(vertex) else []
-    return [pair for plane in planes for pair in _plane_lines(anchor, Matrix._of(plane))]
-
-
-def _line_verified(q1: QuadricForm, q2: QuadricForm, a: ProjPoint,
-                   b: ProjPoint) -> bool:
-    return a != b and q1.contains_line(a, b) and q2.contains_line(a, b)
+    return [line for plane in planes for line in _plane_lines(anchor, plane)]
 
 
 def _line_sort_key(line: Line) -> str:
@@ -395,8 +388,9 @@ def common_lines(q1: QuadricForm, q2: QuadricForm) -> List[Line]:
     # every member contains each common line, so the first degenerate
     # member's lines on the anchor hold them all
     lines: List[Line] = []
-    for a, b in _member_line_pairs(member, q1):
-        if _line_verified(q1, q2, a, b):
+    for rows in _member_lines(member, q1):
+        a, b = (ProjPoint._of(rows._slice(i, i + 1)) for i in (0, 1))
+        if q1.contains_line(a, b) and q2.contains_line(a, b):
             line = Line.through(a, b)
             if not any(line == seen for seen in lines):
                 lines.append(line)

@@ -169,10 +169,11 @@ class DualQuaternion:
     __slots__ = ("primal", "dual")
 
     def __init__(self, primal: Quaternion, dual: Quaternion = None):
-        assert isinstance(primal, Quaternion)
         if dual is None:
             dual = Quaternion()
-        assert isinstance(dual, Quaternion)
+        if not (isinstance(primal, Quaternion) and isinstance(dual, Quaternion)):
+            raise GeometryError("a dual quaternion has two quaternion parts, got %s and %s"
+                                % (type(primal).__name__, type(dual).__name__))
         self.primal = primal
         self.dual = dual
 

@@ -505,7 +505,8 @@ def scalar_to_json(s: Scalar):
     """JSON value for a scalar: strings for exact kinds, numbers for floats."""
     if isinstance(s, (ExactRational, GaussianRational)):
         return str(s)
-    assert isinstance(s, ComplexFloat)
+    if not isinstance(s, ComplexFloat):
+        raise TypeError("not usable as a scalar: %r" % (s,))
     if s.value.imag == 0.0:
         return s.value.real
     return str(s)

@@ -93,6 +93,23 @@ class TestExitCodes:
         assert code == 2
         assert "h2" in err
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["dyad", "--kind", "RR"], [1], "$: expected an object"),
+        (["trace"], {"coefficients": []}, "$.coefficients: expected a nonempty array"),
+        (["classify"], [dq_to_json(dq(quat(1)))] * 3, "$: expected an array of 4 points"),
+        (["classify"], [], "$: expected an array of 4 points"),
+        (["dyad", "--kind", "RR"], {"h1": [1, 2]},
+         "$.h1: expected an object with primal and dual parts"),
+        (["reconstruct"], {"quadric": "S", "e": []}, "$.e: expected a nonempty array of points"),
+    ], ids=["array-as-object", "empty-coefficients", "three-points", "no-points",
+            "dq-as-array", "empty-fixed-space"])
+    def test_structural_input_error(self, capsys, tmp_path, argv, doc, message):
+        """A document of the wrong shape, not only a bad leaf value, exits 2
+        with the JSON path of the first misshapen part."""
+        path = write_json(tmp_path, "in.json", doc)
+        code, out, err = run_cli(capsys, *argv, path)
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_bad_scalar_carries_pointer(self, capsys, tmp_path):
         doc = rr_fixture_doc()
         doc[2]["primal"][1] = "one half"

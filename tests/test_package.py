@@ -263,3 +263,109 @@ def test_modules_stay_under_the_parser_step():
             tokens = tokenize.tokenize(fh.readline)
             sizes[os.path.basename(path)] = sum(t.type not in UNCOUNTED_TOKENS for t in tokens)
     assert {name: n for name, n in sizes.items() if n >= TOKEN_BUDGET} == {}
+
+
+# every assert left in dqkin, by file and enclosing function: each states an
+# invariant that the module's own code keeps.  A guard on a caller's input
+# must raise instead, so that it holds under python -O, which drops asserts
+ASSERTS = {
+    "dyads.py": ("_single_point", "_half_turn_from_ruling", "recover_axes", "recover_axes"),
+    "motions.py": ("c_space_from_line", "c_space_from_line"),
+    "quadrecon.py": ("_center_coords", "reconstruct_quadrilateral",
+                     "reconstruct_quadrilateral"),
+    "quadrics.py": ("common_lines",),
+    "scalars.py": ("GaussianRational.sqrt", "ComplexFloat._promote"),
+}
+
+
+def assert_sites(path):
+    """The enclosing function of each assert of a source file, qualified by
+    its class, in source order."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Assert):
+            found.append(".".join(scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return tuple(found)
+
+
+def test_assert_surface():
+    sites = {os.path.basename(p): assert_sites(p) for p in source_paths()}
+    assert {name: found for name, found in sites.items() if found} == ASSERTS
+
+
+CALLER_INPUT_SCRIPT = (
+    "from dqkin.errors import DqkinError\n"
+    "from dqkin.jsonio import parse_scalar_at\n"
+    "from dqkin.linalg import Matrix\n"
+    "from dqkin.motions import MotionPoly, c_space_from_line\n"
+    "from dqkin.projgeom import Line, ProjPoint, span\n"
+    "from dqkin.quadrecon import ProjectionCycle, ReconstructionProblem, run_cycle\n"
+    "from dqkin.quadrics import QuadricForm\n"
+    "from dqkin.quaternions import DualQuaternion, Quaternion\n"
+    "from dqkin.scalars import scalar_to_json\n"
+    "def unit(k, n=8):\n"
+    "    return ProjPoint([int(j == k) for j in range(n)])\n"
+    "e, f = span([unit(k) for k in range(4, 8)]), [unit(k) for k in range(4)]\n"
+    "centers = [ProjPoint([1, 1, 0, 0, 0, 0, 0, 0]), ProjPoint([0, 1, 1, 0, 0, 0, 0, 0]),\n"
+    "           ProjPoint([0, 0, 1, 1, 0, 0, 0, 0]), ProjPoint([1, 0, 0, 1, 0, 0, 0, 0])]\n"
+    "cycle = ProjectionCycle(e, f, centers)\n"
+    "p3 = [unit(k, 4) for k in range(4)]\n"
+    "for make in (lambda: MotionPoly([Quaternion(1), Quaternion(0, 1)]),\n"
+    "             lambda: MotionPoly([1, 2]),\n"
+    "             lambda: DualQuaternion(1),\n"
+    "             lambda: DualQuaternion(Quaternion(1), 2),\n"
+    "             lambda: c_space_from_line(Line.through(p3[0], p3[1])),\n"
+    "             lambda: c_space_from_line(span(f[:3])),\n"
+    "             lambda: run_cycle(cycle, p3[0]),\n"
+    "             lambda: ProjectionCycle(e, f, p3),\n"
+    "             lambda: ProjectionCycle(e, f, centers[:3]),\n"
+    "             lambda: ReconstructionProblem(QuadricForm(Matrix.identity(4)), cycle),\n"
+    "             lambda: parse_scalar_at('1+2*i', '$', mode='xyz'),\n"
+    "             lambda: scalar_to_json(3)):\n"
+    "    try:\n"
+    "        print(make())\n"
+    "    except (DqkinError, TypeError) as exc:\n"
+    "        print('%s: %s' % (type(exc).__name__, exc))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_caller_input_raises(flags):
+    """Motion polynomials of non-dual-quaternions, dual quaternions of
+    non-quaternions, a C space from anything but a line of P^7, projection
+    cycles and their starts outside P^7 or with other than four centres, a
+    reconstruction on a form that is not 8x8, an unknown scalar mode and
+    the JSON of a non-scalar raise the error that names the expected
+    shape, also under python -O, where an assert would leave a silent
+    answer or another exception."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, *flags, "-c", CALLER_INPUT_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    in_p7 = ("GeometryError: a C space is spanned from a line of P^7, got a subspace "
+             "of dimension %d in %d coordinates")
+    parts = "GeometryError: a dual quaternion has two quaternion parts, got %s and %s"
+    assert proc.stdout.splitlines() == [
+        "GeometryError: a motion polynomial has dual quaternion coefficients",
+        "GeometryError: a motion polynomial has dual quaternion coefficients",
+        parts % ("int", "Quaternion"),
+        parts % ("Quaternion", "int"),
+        in_p7 % (1, 4),
+        in_p7 % (2, 8),
+        "GeometryError: a projection cycle starts at a point of P^7, 8 coordinates, got 4",
+        "GeometryError: a projection cycle lies in P^7, 8 coordinates, got 4",
+        "GeometryError: a projection cycle has four image points and four centres, got 4 and 3",
+        "GeometryError: reconstruction needs a quadric of P^7, an 8x8 gram, got 4x4",
+        "ParseError: unknown scalar mode 'xyz', expected one of rational, gaussian, float",
+        "TypeError: not usable as a scalar: 3",
+    ]

@@ -14,10 +14,10 @@ from dqkin.projgeom import Line, ProjPoint, chi_point, meet, span
 from dqkin.quadrics import (
     Handedness,
     QuadricForm,
-    _conic_line_pairs,
+    _components,
     _first_exact_member,
     _line_sort_key,
-    _member_line_pairs,
+    _member_lines,
     _pencil_det,
     common_lines,
     is_null_line,
@@ -623,8 +623,9 @@ class TestFloatTier:
             common_lines(singular, QuadricForm(S_RP))
 
 
-def as_lines(pairs):
-    return [Line.through(a, b) for a, b in pairs]
+def as_lines(candidates):
+    """Lines spanned by two-row matrices."""
+    return [chart_line(*rows.rows) for rows in candidates]
 
 
 class TestMemberBranches:
@@ -638,7 +639,7 @@ class TestMemberBranches:
         # x0^2 + 2 x1 x2 has rank 3 and vertex e3, a point of the anchor; the
         # anchor's lines through e3 lie in its polar plane x0 = 0
         cone = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
-        got = as_lines(_member_line_pairs(cone, self.ANCHOR))
+        got = as_lines(_member_lines(cone, self.ANCHOR))
         assert len(got) == 2
         assert all(any(g == w for g in got) for w in self.E_LINES)
         # both lie on the cone too, so the pencil's common lines include them
@@ -651,13 +652,13 @@ class TestMemberBranches:
     def test_cone_member_vertex_off_anchor(self):
         cone = Matrix.diagonal([1, 1, 1, 0])
         anchor = QuadricForm(Matrix.diagonal([1, 1, -1, -1]))
-        assert _member_line_pairs(cone, anchor) == []
+        assert _member_lines(cone, anchor) == []
 
     def test_double_plane_member(self):
         # rank 1: the plane x0 = 0 counted twice; the anchor cuts it in the
         # two lines through e3
         plane = Matrix.diagonal([1, 0, 0, 0])
-        got = as_lines(_member_line_pairs(plane, self.ANCHOR))
+        got = as_lines(_member_lines(plane, self.ANCHOR))
         assert len(got) == 2
         assert all(any(g == w for g in got) for w in self.E_LINES)
 
@@ -667,9 +668,9 @@ class TestMemberBranches:
         (Matrix([[I, 0, I], [0, 0, 0], [I, 0, I]]), ([1, 0, -1], [0, 1, 0])),
     ])
     def test_double_line_conic(self, conic, line):
-        pairs = _conic_line_pairs(conic)
-        assert len(pairs) == 1
-        assert as_lines(pairs) == [chart_line(*line)]
+        components = _components(conic)[1]
+        assert len(components) == 1
+        assert as_lines(components) == [chart_line(*line)]
 
 
 def _matrix_bits(m):
@@ -712,7 +713,8 @@ class TestOneMemberSuffices:
         members = cls.exact_members(cofactor_det(q1.gram, q2.gram), q1.gram, q2.gram)
         lines, later = [], 0
         for index, member in enumerate(members):
-            for a, b in _member_line_pairs(member, q1):
+            for rows in _member_lines(member, q1):
+                a, b = (ProjPoint(r) for r in rows.rows)
                 if a != b and q1.contains_line(a, b) and q2.contains_line(a, b):
                     later += index > 0
                     line = Line.through(a, b)
